@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import TensorTrain
+from .core import TensorTrain, prefix_contract, subseed
 from .errors import (
     BacktrackingRequiredError,
     BuildStageError,
@@ -53,7 +53,6 @@ class BuildConfig:
     max_rank: int = None
     residual_tol: float = 1e-6
     seed: int = 0
-    workers: int = 1
 
 
 @dataclass
@@ -76,19 +75,6 @@ class BuildReport:
     predicted_actions: int = 0
     seconds: float = 0.0
     converged: bool = True
-
-    def to_dict(self):
-        return {
-            "dims": list(self.dims),
-            "ranks": list(self.ranks),
-            "oversampling": self.oversampling,
-            "seed": self.seed,
-            "stages": self.stages,
-            "total_actions": self.total_actions,
-            "predicted_actions": self.predicted_actions,
-            "seconds": self.seconds,
-            "converged": self.converged,
-        }
 
 
 def required_tau(rank, mode_size, tau_extra=1):
@@ -126,14 +112,6 @@ def predicted_action_count(dims, ranks, oversampling=DEFAULT_OVERSAMPLING, tau_e
     return total + tau * ranks[d - 2]
 
 
-def _prefix_contract(cores, vectors):
-    """Sweep ``vectors`` through the leading cores, returning a rank vector."""
-    out = np.ones(1)
-    for c, v in zip(cores, vectors):
-        out = np.einsum("a,anb,n->b", out, c, v, optimize=True)
-    return out
-
-
 def interpolation_set(cores, level, tau):
     """Fixed vectors and partial-map matrices for interpolation at ``level``.
 
@@ -166,10 +144,9 @@ def interpolation_set(cores, level, tau):
         )
     psis = [c[0, :, 0] for c in cores[: level - 2]]
     xis = [prev[0, :, i] for i in range(tau)]
-    base = _prefix_contract(cores[: level - 2], psis)
     a_mats = []
     for xi in xis:
-        prefix = np.einsum("a,anb,n->b", base, prev, xi, optimize=True)
+        prefix = prefix_contract(cores[: level - 1], [*psis, xi])
         a_mats.append(np.einsum("a,anb->nb", prefix, cores[level - 1], optimize=True))
     return psis, xis, a_mats
 
@@ -207,16 +184,10 @@ def solve_interpolation(a_mats, residual_tol=1e-6):
     return sol.reshape(tau, n, r), resid
 
 
-def _stage_seed(seed, stage):
-    return int(np.random.SeedSequence((seed, stage)).generate_state(1)[0])
-
-
 def _find_range(problem, rank, config):
     """Run the fixed-rank or adaptive range finder for one stage."""
     if rank is not None:
-        basis = randomized_range(
-            problem, rank, oversampling=config.oversampling, workers=config.workers
-        )
+        basis = randomized_range(problem, rank, oversampling=config.oversampling)
     else:
         basis = adaptive_range(
             problem,
@@ -224,7 +195,6 @@ def _find_range(problem, rank, config):
             oversampling=config.oversampling,
             start_rank=config.min_rank,
             max_rank=config.max_rank,
-            workers=config.workers,
         )
     err = posterior_error(basis, basis.samples, relative=True)
     return basis, err
@@ -290,7 +260,7 @@ def tt_from_actions(oracle, config):
             evaluate=lambda vs: oracle.action(1, vs),
             input_dims=dims[1:],
             output_dim=dims[0],
-            seed=_stage_seed(config.seed, 1),
+            seed=subseed(config.seed, 1),
         )
         basis, err = _find_range(problem, None if ranks is None else ranks[0], config)
         cores.append(basis.basis.reshape(1, dims[0], basis.rank))
@@ -334,7 +304,7 @@ def tt_from_actions(oracle, config):
                 evaluate=evaluate,
                 input_dims=dims[2:],
                 output_dim=r1 * dims[1],
-                seed=_stage_seed(config.seed, 2),
+                seed=subseed(config.seed, 2),
             )
             basis, err = _find_range(problem, None if ranks is None else ranks[1], config)
             cores.append(basis.basis.reshape(r1, dims[1], basis.rank))
@@ -373,7 +343,7 @@ def tt_from_actions(oracle, config):
                     evaluate=evaluate,
                     input_dims=dims[c:],
                     output_dim=r_prev * dims[c - 1],
-                    seed=_stage_seed(config.seed, c),
+                    seed=subseed(config.seed, c),
                 )
                 basis, err = _find_range(
                     problem, None if ranks is None else ranks[c - 1], config
@@ -414,23 +384,10 @@ def tt_from_actions(oracle, config):
 
     report.ranks = tuple(c.shape[2] for c in cores[:-1])
     report.total_actions = oracle.action_count - start_count
-    report.predicted_actions = _predict_from_stages(report)
+    report.predicted_actions = predicted_action_count(
+        dims, report.ranks, config.oversampling, config.tau_extra
+    )
     report.seconds = time.perf_counter() - t0
     report.converged = converged
     return TensorTrain(cores), report
 
-
-def _predict_from_stages(report):
-    """Closed-form action count from the realized per-stage numbers."""
-    p = report.oversampling
-    ranks = report.ranks
-    stages = report.stages
-    d = len(report.dims)
-    total = ranks[0] + p
-    if d == 2:
-        return total + ranks[0]
-    total += ranks[0] * (ranks[1] + p)
-    for c in range(3, d):
-        tau = stages[c - 1]["tau"]
-        total += tau * ranks[c - 2] * (ranks[c - 1] + p)
-    return total + stages[d - 1]["tau"] * ranks[d - 2]

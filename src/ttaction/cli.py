@@ -9,11 +9,12 @@ taylor      surrogate accuracy statistics over Gaussian samples
 info        environment and defaults as JSON on stdout
 
 Every file-writing command drops a ``<command>_manifest.json`` next to its
-outputs recording the configuration, library versions, and timestamps.  Data
-files are deterministic for a fixed seed at any thread count; ``--no-timing``
-zeroes their seconds columns so reruns compare byte for byte (manifests keep
-real timestamps).  Exit codes: 0 success, 2 bad configuration, 3 numerical
-failure.
+outputs recording the configuration, library versions, and timestamps.  The
+library runs single-threaded, so data files are deterministic for a fixed
+seed; ``--threads`` is still accepted and recorded but has no effect.
+``--no-timing`` zeroes the seconds columns so reruns compare byte for byte
+(manifests keep real timestamps).  Exit codes: 0 success, 2 bad
+configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import csv
 import datetime
 import json
-import os
 import platform
 import sys
 import time
@@ -37,10 +37,12 @@ from .core import (
     DENSE_GUARD,
     TensorTrain,
     oracle_from_tt,
+    subseed,
     tt_dense_error,
     tt_round,
     tt_save,
     tt_to_dense,
+    unfolding_caps,
 )
 from .errors import (
     BacktrackingRequiredError,
@@ -79,16 +81,6 @@ def _int_tuple(text):
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}") from exc
-
-
-def _workers(args):
-    if args.threads == 0:
-        return os.cpu_count() or 1
-    return max(1, args.threads)
-
-
-def _subseed(seed, *tag):
-    return int(np.random.SeedSequence((seed,) + tag).generate_state(1)[0])
 
 
 def _fmt(value):
@@ -163,11 +155,7 @@ def cmd_hilbert(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     dims = args.dims
     ranks = list(range(2, args.max_rank + 1))
-    caps = [
-        int(min(np.prod(dims[: i + 1], dtype=np.int64),
-                np.prod(dims[i + 1:], dtype=np.int64)))
-        for i in range(len(dims) - 1)
-    ]
+    caps = unfolding_caps(dims)
     dense = hilbert_dense(dims)
     curve, setup_seconds = ttsvd_error_curve(dense, ranks)
     shared = setup_seconds / len(ranks)
@@ -185,7 +173,6 @@ def cmd_hilbert(args):
                 oversampling=args.p,
                 tau_extra=args.tau_extra,
                 seed=args.seed,
-                workers=_workers(args),
             ),
         )
         error = tt_dense_error(dense, train)
@@ -238,7 +225,6 @@ def cmd_synthetic(args):
             oversampling=args.p,
             tau_extra=args.tau_extra,
             seed=args.seed,
-            workers=_workers(args),
         ),
     )
     if int(np.prod(args.shape, dtype=np.int64)) <= DENSE_GUARD:
@@ -297,7 +283,6 @@ def cmd_derivative(args):
         seed=args.seed,
         oversampling=args.p,
         tau_extra=args.tau_extra,
-        workers=_workers(args),
         max_rank=args.max_rank,
     )
     info["ranks_built"] = list(train.ranks)
@@ -327,14 +312,13 @@ def cmd_taylor(args):
         args.rank,
         seed=args.seed,
         oversampling=args.p,
-        workers=_workers(args),
         whitener=whitener,
     )
     stats = taylor_error_stats(
         surrogate,
         whitener.evaluate,
         args.samples,
-        seed=_subseed(args.seed, 9),
+        seed=subseed(args.seed, 9),
     )
     stats_rows = [
         (order, stats["means"][i], stats["stds"][i], args.samples)
@@ -380,7 +364,8 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads; 0 = auto"
+        "--threads", type=int, default=1,
+        help="kept for compatibility with existing scripts; has no effect",
     )
     common.add_argument(
         "--p", type=int, default=5, help="range-finder oversampling"

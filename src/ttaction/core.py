@@ -11,7 +11,6 @@ from __future__ import annotations
 import base64
 import json
 import struct
-import threading
 import warnings
 
 import numpy as np
@@ -98,8 +97,8 @@ class ActionOracle:
 
     Notes
     -----
-    ``action`` may be invoked from several worker threads at once; the call
-    counter is updated under a lock so concurrent use stays exact.
+    Serves one caller at a time, as a numpy ``Generator`` does: the counter
+    is a plain integer with no synchronisation.
     """
 
     def __init__(self, dims, apply_fn):
@@ -109,7 +108,6 @@ class ActionOracle:
         self.dims = dims
         self._apply = apply_fn
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def order(self):
@@ -121,15 +119,13 @@ class ActionOracle:
         return self._count
 
     def reset_count(self):
-        with self._lock:
-            self._count = 0
+        self._count = 0
 
     def action(self, free_mode, vectors):
         """Saturate all modes but ``free_mode`` (1-based) and return the fiber."""
         _check_free_mode(free_mode, self.order)
         vectors = _check_vectors(self.dims, free_mode, vectors)
-        with self._lock:
-            self._count += 1
+        self._count += 1
         out = np.asarray(self._apply(free_mode, vectors), dtype=float)
         if out.shape != (self.dims[free_mode - 1],):
             raise ShapeError(
@@ -216,16 +212,26 @@ def tt_apply(tt, free_mode, vectors):
     _check_free_mode(free_mode, tt.order)
     vectors = _check_vectors(tt.dims, free_mode, vectors)
     k = free_mode - 1
-    left = np.ones(1)
-    for j in range(k):
-        # left (r_{j-1}) x core (r_{j-1}, N_j, r_j) x vector (N_j) -> (r_j)
-        left = np.einsum("a,anb,n->b", left, tt.cores[j], vectors[j], optimize=True)
+    left = prefix_contract(tt.cores[:k], vectors[:k])
     right = np.ones(1)
     for j in range(tt.order - 1, k, -1):
         right = np.einsum(
             "anb,n,b->a", tt.cores[j], vectors[j - 1], right, optimize=True
         )
     return np.einsum("a,anb,b->n", left, tt.cores[k], right, optimize=True)
+
+
+def prefix_contract(cores, vectors):
+    """Sweep ``vectors`` through the leading ``cores``, returning a rank vector.
+
+    Each step contracts left (r_{j-1}) x core (r_{j-1}, N_j, r_j) x vector
+    (N_j) into (r_j), starting from the boundary rank 1.  Shapes are not
+    checked here; callers validate.
+    """
+    out = np.ones(1)
+    for c, v in zip(cores, vectors):
+        out = np.einsum("a,anb,n->b", out, c, v, optimize=True)
+    return out
 
 
 def tt_partial_apply(tt, k, vectors):
@@ -239,13 +245,13 @@ def tt_partial_apply(tt, k, vectors):
         raise ShapeError(f"k must be in 1..{tt.order - 1}, got {k}")
     if len(vectors) != k:
         raise ShapeError(f"expected {k} vectors, got {len(vectors)}")
-    out = np.ones(1)
+    vs = []
     for j in range(k):
         v = np.asarray(vectors[j], dtype=float)
         if v.shape != (tt.dims[j],):
             raise ShapeError(f"vector {j + 1} has shape {v.shape}, expected ({tt.dims[j]},)")
-        out = np.einsum("a,anb,n->b", out, tt.cores[j], v, optimize=True)
-    return out
+        vs.append(v)
+    return prefix_contract(tt.cores[:k], vs)
 
 
 def tt_to_dense(tt):
@@ -263,6 +269,20 @@ def tt_to_dense(tt):
         r = c.shape[0]
         out = out.reshape(-1, r) @ c.reshape(r, -1)
     return out.reshape(tt.dims)
+
+
+def unfolding_caps(dims):
+    """Largest rank each unfolding supports: min(N_1..N_k, N_{k+1}..N_d), k < d."""
+    return [
+        int(min(np.prod(dims[: k + 1], dtype=np.int64),
+                np.prod(dims[k + 1:], dtype=np.int64)))
+        for k in range(len(dims) - 1)
+    ]
+
+
+def subseed(seed, *tag):
+    """Derived integer seed for the stream labelled ``tag`` under ``seed``."""
+    return int(np.random.SeedSequence((seed,) + tag).generate_state(1)[0])
 
 
 def frobenius(array):
@@ -404,9 +424,7 @@ def tt_svd(tensor, ranks=None, tol=None):
     if d < 2:
         raise ShapeError("tensor must have at least 2 modes")
     if ranks is None and tol is None:
-        ranks = [min(np.prod(tensor.shape[: k + 1], dtype=np.int64),
-                     np.prod(tensor.shape[k + 1:], dtype=np.int64))
-                 for k in range(d - 1)]
+        ranks = unfolding_caps(tensor.shape)
     if ranks is not None and np.isscalar(ranks):
         ranks = [int(ranks)] * (d - 1)
     if ranks is not None and len(ranks) != d - 1:

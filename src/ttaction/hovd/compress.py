@@ -17,16 +17,12 @@ import time
 import numpy as np
 
 from ..builder import BuildConfig, tt_from_actions
-from ..core import TensorTrain, oracle_from_tt, tt_round
+from ..core import TensorTrain, oracle_from_tt, subseed, tt_round, unfolding_caps
 from ..errors import CapacityError, ShapeError
 from ..rangefinder import DEFAULT_OVERSAMPLING
 from .oracle import WhitenedMap, make_derivative_oracle
 from .sigma1 import oracle_difference, sigma1_estimate
 from .taylor import jacobian_rsvd
-
-
-def _subseed(seed, *tag):
-    return int(np.random.SeedSequence((seed,) + tag).generate_state(1)[0])
 
 
 def _matrix_train(u, s, vt):
@@ -43,7 +39,6 @@ def compress_derivative(
     seed=0,
     oversampling=DEFAULT_OVERSAMPLING,
     tau_extra=1,
-    workers=1,
     max_rank=None,
     whitener=None,
 ):
@@ -64,34 +59,23 @@ def compress_derivative(
     oracle = make_derivative_oracle(model, order, whitener=whitener)
     engine = oracle.engine
     sigma_full = float(
-        sigma1_estimate(oracle, seed=_subseed(seed, 2), n_starts=3)
+        sigma1_estimate(oracle, seed=subseed(seed, 2), n_starts=3)
     )
 
-    dims = oracle.dims
-    caps = [
-        int(
-            min(
-                np.prod(dims[: i + 1], dtype=np.int64),
-                np.prod(dims[i + 1 :], dtype=np.int64),
-            )
-        )
-        for i in range(len(dims) - 1)
-    ]
+    caps = unfolding_caps(oracle.dims)
 
     def build(r):
         oracle.clear_cache()
         if order == 1:
             u, s, vt = jacobian_rsvd(
-                oracle, r, oversampling=oversampling, seed=_subseed(seed, 1),
-                workers=workers,
+                oracle, r, oversampling=oversampling, seed=subseed(seed, 1)
             )
             return _matrix_train(u, s, vt)
         config = BuildConfig(
             ranks=[min(r, c) for c in caps],
             oversampling=oversampling,
             tau_extra=tau_extra,
-            seed=_subseed(seed, 1),
-            workers=workers,
+            seed=subseed(seed, 1),
         )
         train, _ = tt_from_actions(oracle, config)
         return train
@@ -99,7 +83,7 @@ def compress_derivative(
     def rel_error(train, r):
         diff = oracle_difference(oracle, oracle_from_tt(train))
         value = float(
-            sigma1_estimate(diff, seed=_subseed(seed, 3, r), n_starts=3)
+            sigma1_estimate(diff, seed=subseed(seed, 3, r), n_starts=3)
         )
         return value / sigma_full
 

@@ -17,7 +17,6 @@ fully symmetric direction tuple collapses the 2^k lattice to a chain.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 
 import numpy as np
@@ -96,8 +95,9 @@ def solve_state(model, m, u0=None, tol=1e-10, max_iter=50):
 class DerivativeEngine:
     """Forward and adjoint derivative lattices at a fixed base point.
 
-    Solve counters see each lattice node exactly once even when actions run
-    on several threads; nodes are deduplicated by direction identity.
+    Lattice nodes are cached by direction identity, so the solve counters see
+    each node once.  Serves one caller at a time, as a numpy ``Generator``
+    does: the cache and counters have no synchronisation.
     """
 
     def __init__(self, model, order, m0=None):
@@ -111,41 +111,19 @@ class DerivativeEngine:
         self.forward_solves = 0
         self.adjoint_solves = 0
         self._cache = {}
-        self._pending = {}
-        self._lock = threading.Lock()
 
     def clear_cache(self):
         """Drop cached lattice nodes; the state and its LU stay."""
-        with self._lock:
-            self._cache.clear()
+        self._cache.clear()
 
-    def _once(self, key, compute):
-        """Compute ``key`` exactly once across threads and cache the result."""
-        while True:
-            with self._lock:
-                if key in self._cache:
-                    return self._cache[key]
-                event = self._pending.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._pending[key] = event
-                    owner = True
-                else:
-                    owner = False
-            if owner:
-                try:
-                    value = compute()
-                except BaseException:
-                    with self._lock:
-                        self._pending.pop(key, None)
-                    event.set()
-                    raise
-                with self._lock:
-                    self._cache[key] = value
-                    self._pending.pop(key, None)
-                event.set()
-                return value
-            event.wait()
+    def _cached(self, key, compute):
+        """Cached value of ``key``; ``compute`` runs only on a miss.
+
+        A raised exception caches nothing.
+        """
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     # -- forward lattice ----------------------------------------------------
 
@@ -166,11 +144,10 @@ class DerivativeEngine:
                     pairs = self._m_pairs(unique, j_counts)
                     pairs += [("u", values[b]) for b in blocks]
                     rhs += coef * self.model.partial_g(self.m0, self.u0, pairs)
-                with self._lock:
-                    self.forward_solves += 1
+                self.forward_solves += 1
                 return self.factor.solve(-rhs)
 
-            values[beta] = self._once(key, compute)
+            values[beta] = self._cached(key, compute)
         return values
 
     def output_free(self, directions):
@@ -195,11 +172,10 @@ class DerivativeEngine:
 
         def compute_base():
             rhs = self.model.partial_f(self.m0, self.u0, [], weight=q, free="u")
-            with self._lock:
-                self.adjoint_solves += 1
+            self.adjoint_solves += 1
             return self.factor.solve_t(-rhs)
 
-        lams = {(0,) * len(counts): self._once(("l", qsig, ()), compute_base)}
+        lams = {(0,) * len(counts): self._cached(("l", qsig, ()), compute_base)}
         for beta in sub_multisets(counts):
             key = ("l", qsig, block_signature(digests, beta))
 
@@ -228,11 +204,10 @@ class DerivativeEngine:
                                 self.m0, self.u0, pairs, weight=lams[block], free="u"
                             )
                         )
-                with self._lock:
-                    self.adjoint_solves += 1
+                self.adjoint_solves += 1
                 return self.factor.solve_t(-rhs)
 
-            lams[beta] = self._once(key, compute)
+            lams[beta] = self._cached(key, compute)
         return lams
 
     def mode_free(self, directions, q):

@@ -20,13 +20,13 @@ import numpy as np
 import scipy.linalg
 
 from ..builder import BuildConfig, tt_from_actions
-from ..core import fix_signs, tt_apply
+from ..core import fix_signs, subseed, tt_apply
 from ..errors import ShapeError, ZeroNormError
 from ..rangefinder import DEFAULT_OVERSAMPLING, RangeProblem, randomized_range
 from .oracle import WhitenedMap, make_derivative_oracle
 
 
-def jacobian_rsvd(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0, workers=1):
+def jacobian_rsvd(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
     """Randomized SVD factors (U, s, Vt) of an order-1 derivative oracle.
 
     Samples the forward action with Gaussian probes for the column space,
@@ -42,7 +42,7 @@ def jacobian_rsvd(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0, worke
         output_dim=n_out,
         seed=seed,
     )
-    basis = randomized_range(problem, rank, oversampling=oversampling, workers=workers)
+    basis = randomized_range(problem, rank, oversampling=oversampling)
     rows = np.stack(
         [oracle.action(1, [basis.basis[:, i]]) for i in range(basis.rank)]
     )
@@ -88,7 +88,6 @@ def build_taylor_surrogate(
     rank,
     seed=0,
     oversampling=DEFAULT_OVERSAMPLING,
-    workers=1,
     whitener=None,
 ):
     """Assemble a surrogate of the whitened map up to derivative ``order``.
@@ -102,9 +101,8 @@ def build_taylor_surrogate(
     whitener = whitener or WhitenedMap(model)
     f0 = whitener.base_value()
     jac_oracle = make_derivative_oracle(model, 1, whitener=whitener)
-    jac_seed = int(np.random.SeedSequence((seed, 1)).generate_state(1)[0])
     jacobian = jacobian_rsvd(
-        jac_oracle, rank, oversampling=oversampling, seed=jac_seed, workers=workers
+        jac_oracle, rank, oversampling=oversampling, seed=subseed(seed, 1)
     )
     reports = {1: {"actions": jac_oracle.action_count, "rank": int(jacobian[1].size)}}
     trains = {}
@@ -113,8 +111,7 @@ def build_taylor_surrogate(
         config = BuildConfig(
             ranks=rank,
             oversampling=oversampling,
-            seed=int(np.random.SeedSequence((seed, j)).generate_state(1)[0]),
-            workers=workers,
+            seed=subseed(seed, j),
         )
         trains[j], report = tt_from_actions(oracle, config)
         reports[j] = report

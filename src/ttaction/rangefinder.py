@@ -10,7 +10,6 @@ randomized range finder for matrices, which is the one-input special case.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,17 +74,12 @@ class RangeBasis:
         return self.basis.shape[1]
 
 
-def _collect_samples(problem, indices, workers):
-    """Evaluate the listed sample indices, always in index order."""
-
-    def one(i):
-        return np.asarray(problem.evaluate(problem.sample_inputs(i)), dtype=float)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cols = list(pool.map(one, indices))
-    else:
-        cols = [one(i) for i in indices]
+def _collect_samples(problem, indices):
+    """Evaluate the listed sample indices, in index order."""
+    cols = [
+        np.asarray(problem.evaluate(problem.sample_inputs(i)), dtype=float)
+        for i in indices
+    ]
     for c in cols:
         if c.shape != (problem.output_dim,):
             raise ShapeError(
@@ -106,7 +100,7 @@ def _orthobasis(samples, rank):
     return u, s
 
 
-def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING, workers=1):
+def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
     """Estimate an orthonormal range basis from ``rank + oversampling`` samples.
 
     Performs exactly ``rank + oversampling`` evaluations of the map.  The
@@ -126,7 +120,7 @@ def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING, workers=1
         )
         rank = problem.output_dim
     n_samples = rank + oversampling
-    cols = _collect_samples(problem, range(n_samples), workers)
+    cols = _collect_samples(problem, range(n_samples))
     samples = np.column_stack(cols)
     basis, s = _orthobasis(samples, rank)
     return RangeBasis(basis, samples, s, oversampling)
@@ -158,7 +152,6 @@ def adaptive_range(
     start_rank=2,
     max_rank=None,
     relative=True,
-    workers=1,
 ):
     """Grow the rank one sample at a time until the posterior error meets ``tol``.
 
@@ -172,7 +165,7 @@ def adaptive_range(
         raise ShapeError(f"tolerance must be positive, got {tol}")
     ceiling = problem.output_dim if max_rank is None else min(max_rank, problem.output_dim)
     rank = max(2, min(start_rank, ceiling))
-    cols = _collect_samples(problem, range(rank + oversampling), workers)
+    cols = _collect_samples(problem, range(rank + oversampling))
     while True:
         samples = np.column_stack(cols)
         basis, s = _orthobasis(samples, rank)
@@ -188,4 +181,4 @@ def adaptive_range(
             )
             return RangeBasis(basis, samples, s, oversampling, converged=False)
         rank += 1
-        cols.extend(_collect_samples(problem, [len(cols)], workers))
+        cols.extend(_collect_samples(problem, [len(cols)]))

@@ -97,25 +97,17 @@ def test_dense_action_wrong_vector_count_and_length():
 # oracle wrapper
 
 
-def test_oracle_counts_thread_safe():
-    import threading
-
+def test_oracle_counts_and_resets():
     t = np.random.default_rng(2).standard_normal((5, 6))
     oracle = oracle_from_dense(t)
     vec = np.ones(6)
-
-    def hammer():
-        for _ in range(50):
-            oracle.action(1, [vec])
-
-    threads = [threading.Thread(target=hammer) for _ in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    for _ in range(200):
+        oracle.action(1, [vec])
     assert oracle.action_count == 200
     oracle.reset_count()
     assert oracle.action_count == 0
+    oracle.action(2, [np.ones(5)])
+    assert oracle.action_count == 1
 
 
 def test_oracle_validates_result_shape():

