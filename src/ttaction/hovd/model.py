@@ -3,9 +3,11 @@
 The state equation is  -div(e^m grad u) + u^3 = rho  on the unit square with
 homogeneous Neumann walls, discretized by 5-point finite differences on an
 n x n node grid.  Fluxes use e^m at cell edges, with the nodal log
-coefficient averaged arithmetically onto each edge; wall conditions enter by
-ghost-node reflection of both u and m.  The observed quantity is the state on
-the 4(n-1) boundary nodes scaled by trapezoid weights along the perimeter.
+coefficient averaged arithmetically onto each edge.  One neighbour table
+states the wall rule for u and m alike: a node's missing neighbour beyond a
+wall is the node one step inside it (index -1 reads 1, index n reads n-2).
+The observed quantity is the state on the 4(n-1) boundary nodes scaled by
+trapezoid weights along the perimeter.
 
 Because the coefficient enters through e^m and the reaction is cubic, every
 mixed directional partial of the residual has a short closed form: each
@@ -27,33 +29,6 @@ from ..errors import ShapeError
 
 #: Width of the source bump, in unit-square coordinates.
 SOURCE_WIDTH = 0.2
-
-
-def _pad(z):
-    return np.pad(z, 1, mode="reflect")
-
-
-def _nbrs(zp):
-    """The four neighbor views (north, south, west, east) of a padded grid."""
-    return (zp[:-2, 1:-1], zp[2:, 1:-1], zp[1:-1, :-2], zp[1:-1, 2:])
-
-
-_PAD_SLICES = (
-    (slice(None, -2), slice(1, -1)),
-    (slice(2, None), slice(1, -1)),
-    (slice(1, -1), slice(None, -2)),
-    (slice(1, -1), slice(2, None)),
-)
-
-
-def _fold(gpad):
-    """Adjoint of reflect padding: fold ghost contributions onto their sources."""
-    out = gpad[1:-1, 1:-1].copy()
-    out[1, :] += gpad[0, 1:-1]
-    out[-2, :] += gpad[-1, 1:-1]
-    out[:, 1] += gpad[1:-1, 0]
-    out[:, -2] += gpad[1:-1, -1]
-    return out
 
 
 class ReactionDiffusionModel:
@@ -96,74 +71,63 @@ class ReactionDiffusionModel:
         self.boundary = np.array([i * n + j for i, j in idx], dtype=np.intp)
         self.boundary_weights = np.full(self.n_q, self.h)
 
+        # the wall rule: row k of _nbr holds the north, south, west or east
+        # neighbour of every flat node, a missing neighbour reflected to the
+        # node one step inside the wall (-1 -> 1, n -> n-2)
         arange = np.arange(n)
         minus = np.abs(arange - 1)
         plus = np.where(arange + 1 > n - 1, n - 2, arange + 1)
-        cols = arange[None, :].repeat(n, axis=0)
-        rows = arange[:, None].repeat(n, axis=1)
-        self._nbr_index = (
-            (minus[:, None] * n + cols).ravel(),
-            (plus[:, None] * n + cols).ravel(),
-            (rows * n + minus[None, :]).ravel(),
-            (rows * n + plus[None, :]).ravel(),
+        rows, cols = np.divmod(np.arange(self.n_u), n)
+        self._nbr = np.stack(
+            (
+                minus[rows] * n + cols,
+                plus[rows] * n + cols,
+                rows * n + minus[cols],
+                rows * n + plus[cols],
+            )
         )
 
     # -- grid plumbing ------------------------------------------------------
 
     def _grid(self, v, name):
+        """Flat float vector from an (n, n) grid or an (n^2,) vector."""
         v = np.asarray(v, dtype=float)
-        if v.shape == (self.n, self.n):
-            return v
-        if v.shape == (self.n * self.n,):
-            return v.reshape(self.n, self.n)
-        raise ShapeError(f"{name} has shape {v.shape}, expected ({self.n * self.n},)")
+        if v.shape in ((self.n, self.n), (self.n_u,)):
+            return v.ravel()
+        raise ShapeError(f"{name} has shape {v.shape}, expected ({self.n_u},)")
 
-    def _edge_coeff(self, m2, vs2):
-        """Per-direction edge factors exp(mean m) times each direction mean."""
-        mn = _nbrs(_pad(m2))
-        vns = [_nbrs(_pad(v2)) for v2 in vs2]
-        coeffs = []
-        for k in range(4):
-            c = np.exp((m2 + mn[k]) * 0.5)
-            for v2, vn in zip(vs2, vns):
-                c = c * ((v2 + vn[k]) * 0.5)
-            coeffs.append(c)
-        return coeffs
+    def _gather_t(self, t):
+        """Adjoint of the gather ``z[self._nbr]``: sum each row back onto its sources."""
+        return np.bincount(self._nbr.ravel(), weights=t.ravel(), minlength=self.n_u)
 
-    def _diffusion(self, m2, vs2, y2):
-        """Edge-coefficient flux divergence applied to the grid field y."""
-        yn = _nbrs(_pad(y2))
-        out = np.zeros_like(y2)
-        for c, ynk in zip(self._edge_coeff(m2, vs2), yn):
-            out += c * (y2 - ynk)
-        return out / self.h**2
+    def _edge_coeff(self, m, vs):
+        """Edge factors exp(mean m) times each direction mean, one row per neighbour."""
+        c = np.exp((m + m[self._nbr]) * 0.5)
+        for v in vs:
+            c = c * ((v + v[self._nbr]) * 0.5)
+        return c
 
-    def _diffusion_free_u(self, m2, vs2, z2):
+    def _diffusion(self, m, vs, y):
+        """Edge-coefficient flux divergence applied to the field y."""
+        c = self._edge_coeff(m, vs)
+        return (c * (y - y[self._nbr])).sum(axis=0) / self.h**2
+
+    def _diffusion_free_u(self, m, vs, z):
         """Transpose of the flux-divergence operator applied to z."""
-        gpad = np.zeros((self.n + 2, self.n + 2))
-        for c, sl in zip(self._edge_coeff(m2, vs2), _PAD_SLICES):
-            w = z2 * c
-            gpad[1:-1, 1:-1] += w
-            gpad[sl] -= w
-        return _fold(gpad) / self.h**2
+        t = z * self._edge_coeff(m, vs)
+        return (t.sum(axis=0) - self._gather_t(t)) / self.h**2
 
-    def _diffusion_free_m(self, m2, vs2, y2, z2):
+    def _diffusion_free_m(self, m, vs, y, z):
         """Gradient in the coefficient of z^T (flux divergence of y)."""
-        yn = _nbrs(_pad(y2))
-        gpad = np.zeros((self.n + 2, self.n + 2))
-        for c, ynk, sl in zip(self._edge_coeff(m2, vs2), yn, _PAD_SLICES):
-            t = 0.5 * z2 * c * (y2 - ynk)
-            gpad[1:-1, 1:-1] += t
-            gpad[sl] += t
-        return _fold(gpad) / self.h**2
+        t = 0.5 * z * self._edge_coeff(m, vs) * (y - y[self._nbr])
+        return (t.sum(axis=0) + self._gather_t(t)) / self.h**2
 
     # -- public contract ----------------------------------------------------
 
     def residual(self, m, u):
         """G(m, u) as a flat vector."""
-        m2, u2 = self._grid(m, "m"), self._grid(u, "u")
-        out = self._diffusion(m2, [], u2) + u2**3 - self.rho_grid
-        return out.ravel()
+        m, u = self._grid(m, "m"), self._grid(u, "u")
+        return self._diffusion(m, [], u) + u**3 - self.rho
 
     def qoi(self, m, u):
         """Weighted boundary trace of the state."""
@@ -192,43 +156,43 @@ class ReactionDiffusionModel:
         corresponding space.  Empty ``pairs`` with ``free=None`` reproduces
         the residual.
         """
-        m2, u2 = self._grid(m, "m"), self._grid(u, "u")
+        m, u = self._grid(m, "m"), self._grid(u, "u")
         vs, ws = self._split_pairs(pairs)
         j, s = len(vs), len(ws)
         if free is None:
-            out = np.zeros_like(u2)
+            out = np.zeros(self.n_u)
             if s == 0:
-                out += self._diffusion(m2, vs, u2)
+                out += self._diffusion(m, vs, u)
             elif s == 1:
-                out += self._diffusion(m2, vs, ws[0])
+                out += self._diffusion(m, vs, ws[0])
             if j == 0:
                 if s == 0:
-                    out += u2**3 - self.rho_grid
+                    out += u**3 - self.rho
                 elif s == 1:
-                    out += 3.0 * u2**2 * ws[0]
+                    out += 3.0 * u**2 * ws[0]
                 elif s == 2:
-                    out += 6.0 * u2 * ws[0] * ws[1]
+                    out += 6.0 * u * ws[0] * ws[1]
                 elif s == 3:
                     out += 6.0 * ws[0] * ws[1] * ws[2]
-            return out.ravel()
-        z2 = self._grid(weight, "weight")
+            return out
+        z = self._grid(weight, "weight")
         if free == "u":
-            out = np.zeros_like(u2)
+            out = np.zeros(self.n_u)
             if s == 0:
-                out += self._diffusion_free_u(m2, vs, z2)
+                out += self._diffusion_free_u(m, vs, z)
             if j == 0:
                 if s == 0:
-                    out += 3.0 * u2**2 * z2
+                    out += 3.0 * u**2 * z
                 elif s == 1:
-                    out += 6.0 * u2 * ws[0] * z2
+                    out += 6.0 * u * ws[0] * z
                 elif s == 2:
-                    out += 6.0 * ws[0] * ws[1] * z2
-            return out.ravel()
+                    out += 6.0 * ws[0] * ws[1] * z
+            return out
         if free == "m":
             if s == 0:
-                return self._diffusion_free_m(m2, vs, u2, z2).ravel()
+                return self._diffusion_free_m(m, vs, u, z)
             if s == 1:
-                return self._diffusion_free_m(m2, vs, ws[0], z2).ravel()
+                return self._diffusion_free_m(m, vs, ws[0], z)
             return np.zeros(self.n_m)
         raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
 
@@ -244,13 +208,13 @@ class ReactionDiffusionModel:
             if j == 0 and s == 0:
                 return self.qoi(m, u)
             if j == 0 and s == 1:
-                return self.boundary_weights * ws[0].ravel()[self.boundary]
+                return self.boundary_weights * ws[0][self.boundary]
             return np.zeros(self.n_q)
         if free == "u":
             out = np.zeros(self.n_u)
             if j == 0 and s == 0:
                 w = np.asarray(weight, dtype=float).ravel()
-                np.add.at(out, self.boundary, self.boundary_weights * w)
+                out[self.boundary] = self.boundary_weights * w
             return out
         if free == "m":
             return np.zeros(self.n_m)
@@ -258,24 +222,17 @@ class ReactionDiffusionModel:
 
     def jacobian_u(self, m, u):
         """Sparse state Jacobian dG/du at (m, u)."""
-        m2, u2 = self._grid(m, "m"), self._grid(u, "u")
-        coeffs = self._edge_coeff(m2, [])
-        inv_h2 = 1.0 / self.h**2
+        m, u = self._grid(m, "m"), self._grid(u, "u")
+        cf = self._edge_coeff(m, []) * (1.0 / self.h**2)
+        # reaction entries, then per table row the centre and neighbour
+        # entries: a fixed order, so duplicate entries always sum alike
         node = np.arange(self.n_u)
-        rows = [node]
-        cols = [node]
-        vals = [(3.0 * u2**2).ravel()]
-        for c, nbr in zip(coeffs, self._nbr_index):
-            cf = c.ravel() * inv_h2
-            rows.append(node)
-            cols.append(node)
-            vals.append(cf)
-            rows.append(node)
-            cols.append(nbr)
-            vals.append(-cf)
+        centre = np.broadcast_to(node, cf.shape)
+        rows = np.tile(node, 9)
+        cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))
+        vals = np.concatenate((3.0 * u**2, np.stack((cf, -cf), axis=1).ravel()))
         mat = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_u, self.n_u),
+            (vals, (rows, cols)), shape=(self.n_u, self.n_u)
         )
         return mat.tocsc()
 

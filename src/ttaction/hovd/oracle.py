@@ -30,7 +30,6 @@ from .lattice import (
     expansion,
     sub_multisets,
 )
-from .model import ReactionDiffusionModel
 
 
 def _line_search(model, m, u, rnorm, step):

@@ -10,7 +10,7 @@ randomized range finder for matrices, which is the one-input special case.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

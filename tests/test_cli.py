@@ -79,7 +79,7 @@ def test_synthetic_bad_ranks_exits_two(tmp_path):
     assert not (tmp_path / "synthetic.json").exists()
 
 
-def test_synthetic_deterministic_across_threads(tmp_path):
+def test_synthetic_rerun_byte_identical(tmp_path):
     for threads, sub in (("1", "a"), ("3", "b")):
         assert main(
             [

@@ -42,6 +42,29 @@ def test_residual_constant_state():
     )
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_residual_matches_reflected_ghost_loop(n):
+    """Node-by-node reference for the wall rule, independent of the model's stencil."""
+    model, _, m, u = make(n, seed=11)
+    mg, ug = m.reshape(n, n), u.reshape(n, n)
+
+    def at(z, i, j):
+        # reflected ghost values: index -1 reads 1, index n reads n-2
+        i = 1 if i == -1 else n - 2 if i == n else i
+        j = 1 if j == -1 else n - 2 if j == n else j
+        return z[i, j]
+
+    ref = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            flux = 0.0
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                edge = np.exp(0.5 * (mg[i, j] + at(mg, i + di, j + dj)))
+                flux += edge * (ug[i, j] - at(ug, i + di, j + dj))
+            ref[i, j] = flux / model.h**2 + ug[i, j] ** 3 - model.rho_grid[i, j]
+    np.testing.assert_allclose(model.residual(m, u), ref.ravel(), rtol=1e-13, atol=1e-12)
+
+
 def test_source_shape():
     model = ReactionDiffusionModel(9)
     grid = model.rho_grid
@@ -98,27 +121,36 @@ def test_jacobian_u_matches_directional_partial():
     )
 
 
-def test_free_u_is_transpose():
-    model, rng, m, u = make(6, seed=5)
+# at n=4 every node lies on a wall or is the mirror source of a wall node's
+# missing neighbour; two m directions multiply two edge means
+@pytest.mark.parametrize("n_dirs", [1, 2])
+@pytest.mark.parametrize("n", [6, 4])
+def test_free_u_is_transpose(n, n_dirs):
+    model, rng, m, u = make(n, seed=5)
     jac = model.jacobian_u(m, u)
     z = rng.standard_normal(model.n_u)
     np.testing.assert_allclose(
         model.partial_g(m, u, [], weight=z, free="u"), jac.T @ z, atol=1e-11
     )
     # and with extra differentiation directions already applied
-    v = rng.standard_normal(model.n_m)
+    vs = [("m", rng.standard_normal(model.n_m)) for _ in range(n_dirs)]
     w = rng.standard_normal(model.n_u)
-    lhs = model.partial_g(m, u, [("m", v)], weight=z, free="u") @ w
-    rhs = model.partial_g(m, u, [("m", v), ("u", w)]) @ z
+    lhs = model.partial_g(m, u, vs, weight=z, free="u") @ w
+    rhs = model.partial_g(m, u, vs + [("u", w)]) @ z
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
 
 
-def test_free_m_is_dual_to_m_direction():
-    model, rng, m, u = make(6, seed=6)
+# one u direction takes the s == 1 branch, which differentiates the flux of
+# the direction instead of the state
+@pytest.mark.parametrize("n_dirs", [0, 1])
+@pytest.mark.parametrize("n", [6, 4])
+def test_free_m_is_dual_to_m_direction(n, n_dirs):
+    model, rng, m, u = make(n, seed=6)
     v = rng.standard_normal(model.n_m)
     z = rng.standard_normal(model.n_u)
-    lhs = model.partial_g(m, u, [], weight=z, free="m") @ v
-    rhs = model.partial_g(m, u, [("m", v)]) @ z
+    ws = [("u", rng.standard_normal(model.n_u)) for _ in range(n_dirs)]
+    lhs = model.partial_g(m, u, ws, weight=z, free="m") @ v
+    rhs = model.partial_g(m, u, ws + [("m", v)]) @ z
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
 
 
