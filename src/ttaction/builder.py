@@ -1,12 +1,24 @@
 """Core-by-core construction of a tensor train from actions alone.
 
-The tensor is peeled one mode at a time.  A randomized range finder gives an
-orthonormal basis for the current unfolding; interpolation vectors built from
-the already-fixed cores then turn the remainder into a new action oracle for
-the next mode, so every stage touches the tensor only through full actions.
-Action counts follow a closed form in the ranks, oversampling, and the number
-of interpolation sets per stage, and the oracle counter is expected to match
-it exactly.
+The tensor is peeled one mode at a time by a single stage rule.  At stage c,
+modes 1..c-1 are saturated with interpolation vectors taken from the cores
+already fixed, which leaves a map from modes c+1..d to the rows of the
+mode-c unfolding:
+
+* c = 1: nothing is saturated; the map is the tensor itself.
+* c = 2: each column of the orthonormal first core saturates mode 1, an
+  exact interpolation (one set, residual zero).
+* c >= 3: each of ``tau`` interpolation sets saturates modes 1..c-2 with
+  fibers of the built cores (:func:`interpolation_set`).  For row j, set i
+  saturates mode c-1 with the vector eta[i, :, j] from
+  :func:`solve_interpolation`, and the row is the sum of the ``tau`` actions.
+
+For c < d a randomized range finder turns that map into an orthonormal core;
+for c = d the map has no inputs left and the last core is read off, one
+action per saturating prefix.  The tensor is therefore touched only through
+full actions.  Action counts follow a closed form in the ranks,
+oversampling, and the number of interpolation sets per stage, and the
+oracle counter is expected to match it exactly.
 """
 
 from __future__ import annotations
@@ -100,16 +112,16 @@ def predicted_action_count(dims, ranks, oversampling=DEFAULT_OVERSAMPLING, tau_e
     ranks = tuple(int(r) for r in ranks)
     if len(ranks) != d - 1:
         raise ShapeError(f"need {d - 1} ranks for {d} modes, got {len(ranks)}")
-    total = ranks[0] + oversampling
-    if d == 2:
-        return total + ranks[0]
-    total += ranks[0] * (ranks[1] + oversampling)
-    for c in range(3, d):
-        k = c - 1  # interpolation level
-        tau = required_tau(ranks[k - 1], dims[k - 1], tau_extra)
-        total += tau * ranks[k - 1] * (ranks[c - 1] + oversampling)
-    tau = required_tau(ranks[d - 2], dims[d - 2], tau_extra)
-    return total + tau * ranks[d - 2]
+    total = 0
+    for c in range(1, d + 1):
+        # prefixes saturating modes 1..c-1, times samples of the free rest
+        if c == 1:
+            prefixes = 1
+        else:
+            tau = 1 if c == 2 else required_tau(ranks[c - 2], dims[c - 2], tau_extra)
+            prefixes = tau * ranks[c - 2]
+        total += prefixes * (ranks[c - 1] + oversampling if c < d else 1)
+    return total
 
 
 def interpolation_set(cores, level, tau):
@@ -241,146 +253,63 @@ def tt_from_actions(oracle, config):
     t0 = time.perf_counter()
     start_count = oracle.action_count
     cores = []
-    converged = True
 
-    def run_stage(core_index, fn):
-        before = oracle.action_count
-        try:
-            info = fn()
-        except Exception as exc:
-            raise BuildStageError(core_index, exc) from exc
-        info["core"] = core_index
-        info["actions"] = oracle.action_count - before
-        report.stages.append(info)
+    def stage(c):
+        # rows[j]: the prefixes saturating modes 1..c-1 whose summed actions
+        # give block j of the mode-c unfolding
+        if c == 1:
+            rows, tau, resid = [[[]]], None, None
+        elif c == 2:
+            # exact interpolation through the orthonormal first core
+            rows, tau, resid = [[[h]] for h in cores[0][0].T], 1, 0.0
+        else:
+            r_prev = cores[-1].shape[2]
+            tau = required_tau(r_prev, dims[c - 2], config.tau_extra)
+            psis, xis, a_mats = interpolation_set(cores, c - 1, tau)
+            eta, resid = solve_interpolation(a_mats, config.residual_tol)
+            rows = [
+                [[*psis, xis[i], eta[i, :, j]] for i in range(tau)]
+                for j in range(r_prev)
+            ]
+
+        def evaluate(vs):
+            return np.concatenate(
+                [sum(oracle.action(c, [*p, *vs]) for p in row) for row in rows]
+            )
+
+        info = {
+            "rank": None,
+            "tau": tau,
+            "posterior_error": None,
+            "interp_residual": resid,
+            "converged": True,
+        }
+        if c == d:
+            # the last core is read off: one action per prefix
+            cores.append(evaluate([]).reshape(len(rows), dims[c - 1], 1))
+            return info
+        problem = RangeProblem(
+            evaluate=evaluate,
+            input_dims=dims[c:],
+            output_dim=len(rows) * dims[c - 1],
+            seed=subseed(config.seed, c),
+        )
+        basis, err = _find_range(
+            problem, None if ranks is None else ranks[c - 1], config
+        )
+        cores.append(basis.basis.reshape(len(rows), dims[c - 1], basis.rank))
+        info.update(rank=basis.rank, posterior_error=err, converged=basis.converged)
         return info
 
-    # first core: orthonormal basis for the mode-1 unfolding
-    def stage_first():
-        problem = RangeProblem(
-            evaluate=lambda vs: oracle.action(1, vs),
-            input_dims=dims[1:],
-            output_dim=dims[0],
-            seed=subseed(config.seed, 1),
-        )
-        basis, err = _find_range(problem, None if ranks is None else ranks[0], config)
-        cores.append(basis.basis.reshape(1, dims[0], basis.rank))
-        return {
-            "rank": basis.rank,
-            "tau": None,
-            "posterior_error": err,
-            "interp_residual": None,
-            "converged": basis.converged,
-        }
-
-    info = run_stage(1, stage_first)
-    converged &= info["converged"]
-
-    if d == 2:
-        # second factor read off directly: columns of C1 interpolate exactly
-        def stage_last_matrix():
-            head = cores[0][0]
-            rows = [oracle.action(2, [head[:, j]]) for j in range(head.shape[1])]
-            cores.append(np.stack(rows)[:, :, None])
-            return {
-                "rank": None,
-                "tau": 1,
-                "posterior_error": None,
-                "interp_residual": 0.0,
-                "converged": True,
-            }
-
-        run_stage(2, stage_last_matrix)
-    else:
-        # second core: exact interpolation through the orthonormal first core
-        def stage_second():
-            head = cores[0][0]
-            r1 = head.shape[1]
-
-            def evaluate(vs):
-                blocks = [oracle.action(2, [head[:, j], *vs]) for j in range(r1)]
-                return np.concatenate(blocks)
-
-            problem = RangeProblem(
-                evaluate=evaluate,
-                input_dims=dims[2:],
-                output_dim=r1 * dims[1],
-                seed=subseed(config.seed, 2),
-            )
-            basis, err = _find_range(problem, None if ranks is None else ranks[1], config)
-            cores.append(basis.basis.reshape(r1, dims[1], basis.rank))
-            return {
-                "rank": basis.rank,
-                "tau": 1,
-                "posterior_error": err,
-                "interp_residual": 0.0,
-                "converged": basis.converged,
-            }
-
-        info = run_stage(2, stage_second)
-        converged &= info["converged"]
-
-        # middle cores: interpolate the built map, then range-find the rest
-        for c in range(3, d):
-            def stage_middle(c=c):
-                level = c - 1
-                r_prev = cores[-1].shape[2]
-                tau = required_tau(r_prev, dims[level - 1], config.tau_extra)
-                psis, xis, a_mats = interpolation_set(cores, level, tau)
-                eta, resid = solve_interpolation(a_mats, config.residual_tol)
-
-                def evaluate(vs):
-                    blocks = []
-                    for j in range(r_prev):
-                        acc = np.zeros(dims[c - 1])
-                        for i in range(tau):
-                            acc += oracle.action(
-                                c, [*psis, xis[i], eta[i, :, j], *vs]
-                            )
-                        blocks.append(acc)
-                    return np.concatenate(blocks)
-
-                problem = RangeProblem(
-                    evaluate=evaluate,
-                    input_dims=dims[c:],
-                    output_dim=r_prev * dims[c - 1],
-                    seed=subseed(config.seed, c),
-                )
-                basis, err = _find_range(
-                    problem, None if ranks is None else ranks[c - 1], config
-                )
-                cores.append(basis.basis.reshape(r_prev, dims[c - 1], basis.rank))
-                return {
-                    "rank": basis.rank,
-                    "tau": tau,
-                    "posterior_error": err,
-                    "interp_residual": resid,
-                    "converged": basis.converged,
-                }
-
-            info = run_stage(c, stage_middle)
-            converged &= info["converged"]
-
-        # last core: push the interpolation vectors through the final mode
-        def stage_last():
-            level = d - 1
-            r_prev = cores[-1].shape[2]
-            tau = required_tau(r_prev, dims[level - 1], config.tau_extra)
-            psis, xis, a_mats = interpolation_set(cores, level, tau)
-            eta, resid = solve_interpolation(a_mats, config.residual_tol)
-            rows = np.zeros((r_prev, dims[d - 1]))
-            for j in range(r_prev):
-                for i in range(tau):
-                    rows[j] += oracle.action(d, [*psis, xis[i], eta[i, :, j]])
-            cores.append(rows[:, :, None])
-            return {
-                "rank": None,
-                "tau": tau,
-                "posterior_error": None,
-                "interp_residual": resid,
-                "converged": True,
-            }
-
-        run_stage(d, stage_last)
+    for c in range(1, d + 1):
+        before = oracle.action_count
+        try:
+            info = stage(c)
+        except Exception as exc:
+            raise BuildStageError(c, exc) from exc
+        info["core"] = c
+        info["actions"] = oracle.action_count - before
+        report.stages.append(info)
 
     report.ranks = tuple(c.shape[2] for c in cores[:-1])
     report.total_actions = oracle.action_count - start_count
@@ -388,6 +317,6 @@ def tt_from_actions(oracle, config):
         dims, report.ranks, config.oversampling, config.tau_extra
     )
     report.seconds = time.perf_counter() - t0
-    report.converged = converged
+    report.converged = all(s["converged"] for s in report.stages)
     return TensorTrain(cores), report
 

@@ -129,6 +129,20 @@ class DerivativeEngine:
     def _m_pairs(self, unique, j_counts):
         return [("m", unique[i]) for i, c in enumerate(j_counts) for _ in range(c)]
 
+    def _forward_sum(self, partial, size, unique, beta, values, unknown=None):
+        """Chain-rule sum of ``partial`` over the expansion of ``beta``.
+
+        Leaves out the term that is u^unknown alone (a solve's unknown).
+        """
+        out = np.zeros(size)
+        for (j_counts, blocks), coef in expansion(beta):
+            if not any(j_counts) and blocks == (unknown,):
+                continue  # the unknown itself
+            pairs = self._m_pairs(unique, j_counts)
+            pairs += [("u", values[b]) for b in blocks]
+            out += coef * partial(self.m0, self.u0, pairs)
+        return out
+
     def _forward_values(self, unique, counts, digests):
         """Ensure and return the state sensitivities u^beta for beta <= counts."""
         values = {}
@@ -136,13 +150,10 @@ class DerivativeEngine:
             key = ("u", block_signature(digests, beta))
 
             def compute(beta=beta):
-                rhs = np.zeros(self.model.n_u)
-                for (j_counts, blocks), coef in expansion(beta):
-                    if not any(j_counts) and blocks == (beta,):
-                        continue  # the unknown itself
-                    pairs = self._m_pairs(unique, j_counts)
-                    pairs += [("u", values[b]) for b in blocks]
-                    rhs += coef * self.model.partial_g(self.m0, self.u0, pairs)
+                rhs = self._forward_sum(
+                    self.model.partial_g, self.model.n_u, unique, beta, values,
+                    unknown=beta,
+                )
                 self.forward_solves += 1
                 return self.factor.solve(-rhs)
 
@@ -155,14 +166,35 @@ class DerivativeEngine:
             raise ShapeError(f"need {self.order} directions, got {len(directions)}")
         unique, counts, digests = canonical_directions(directions)
         values = self._forward_values(unique, counts, digests)
-        out = np.zeros(self.model.n_q)
-        for (j_counts, blocks), coef in expansion(counts):
-            pairs = self._m_pairs(unique, j_counts)
-            pairs += [("u", values[b]) for b in blocks]
-            out += coef * self.model.partial_f(self.m0, self.u0, pairs)
-        return out
+        return self._forward_sum(
+            self.model.partial_f, self.model.n_q, unique, counts, values
+        )
 
     # -- adjoint lattice ----------------------------------------------------
+
+    def _adjoint_sum(self, free, unique, beta, values, q, lams, unknown=None):
+        """Adjoint chain-rule sum over the expansion of ``beta``.
+
+        ``free="u"`` gives the right-hand side of an adjoint solve, ``"m"`` a
+        mode-free action.  Leaves out the term carrying lambda^unknown alone.
+        """
+        model, m0, u0 = self.model, self.m0, self.u0
+        out = np.zeros(model.n_u if free == "u" else model.n_m)
+        base_lam = lams[(0,) * len(beta)]
+        for (j_counts, blocks), coef in expansion(beta):
+            m_pairs = self._m_pairs(unique, j_counts)
+            pairs_all = m_pairs + [("u", values[b]) for b in blocks]
+            out += coef * model.partial_g(m0, u0, pairs_all, weight=base_lam, free=free)
+            out += coef * model.partial_f(m0, u0, pairs_all, weight=q, free=free)
+            if not any(j_counts) and blocks == (unknown,):
+                continue  # the unknown itself
+            for block, mult in Counter(blocks).items():
+                rest = list(blocks)
+                rest.remove(block)
+                pairs = m_pairs + [("u", values[b]) for b in rest]
+                g = model.partial_g(m0, u0, pairs, weight=lams[block], free=free)
+                out += coef * mult * g
+        return out
 
     def _adjoint_values(self, unique, counts, digests, q, values):
         """Adjoint sensitivities lambda^beta for beta <= counts, q fixed."""
@@ -179,30 +211,9 @@ class DerivativeEngine:
             key = ("l", qsig, block_signature(digests, beta))
 
             def compute(beta=beta):
-                base_lam = lams[(0,) * len(counts)]
-                rhs = np.zeros(self.model.n_u)
-                for (j_counts, blocks), coef in expansion(beta):
-                    m_pairs = self._m_pairs(unique, j_counts)
-                    pairs_all = m_pairs + [("u", values[b]) for b in blocks]
-                    rhs += coef * self.model.partial_g(
-                        self.m0, self.u0, pairs_all, weight=base_lam, free="u"
-                    )
-                    rhs += coef * self.model.partial_f(
-                        self.m0, self.u0, pairs_all, weight=q, free="u"
-                    )
-                    for block, mult in Counter(blocks).items():
-                        if block == beta and len(blocks) == 1 and not any(j_counts):
-                            continue  # the unknown itself
-                        rest = list(blocks)
-                        rest.remove(block)
-                        pairs = m_pairs + [("u", values[b]) for b in rest]
-                        rhs += (
-                            coef
-                            * mult
-                            * self.model.partial_g(
-                                self.m0, self.u0, pairs, weight=lams[block], free="u"
-                            )
-                        )
+                rhs = self._adjoint_sum(
+                    "u", unique, beta, values, q, lams, unknown=beta
+                )
                 self.adjoint_solves += 1
                 return self.factor.solve_t(-rhs)
 
@@ -225,28 +236,7 @@ class DerivativeEngine:
         unique, counts, digests = canonical_directions(directions)
         values = self._forward_values(unique, counts, digests)
         lams = self._adjoint_values(unique, counts, digests, q, values)
-        out = np.zeros(self.model.n_m)
-        for (j_counts, blocks), coef in expansion(counts):
-            m_pairs = self._m_pairs(unique, j_counts)
-            pairs_all = m_pairs + [("u", values[b]) for b in blocks]
-            out += coef * self.model.partial_g(
-                self.m0, self.u0, pairs_all, weight=lams[(0,) * len(counts)], free="m"
-            )
-            out += coef * self.model.partial_f(
-                self.m0, self.u0, pairs_all, weight=q, free="m"
-            )
-            for block, mult in Counter(blocks).items():
-                rest = list(blocks)
-                rest.remove(block)
-                pairs = m_pairs + [("u", values[b]) for b in rest]
-                out += (
-                    coef
-                    * mult
-                    * self.model.partial_g(
-                        self.m0, self.u0, pairs, weight=lams[block], free="m"
-                    )
-                )
-        return out
+        return self._adjoint_sum("m", unique, counts, values, q, lams)
 
 
 class WhitenedMap:

@@ -306,7 +306,7 @@ def test_criterion_8_byte_identical_reruns(acceptance_log, tmp_path):
                     "--out-dir", str(out),
                 ]
             )
-            assert code == 0, f"{name} run failed at {threads} threads"
+            assert code == 0, f"{name} run {len(dirs) + 1} of 2 failed"
             dirs.append(out)
         # manifests carry real timestamps and the thread setting; every
         # data file must agree byte for byte
@@ -323,6 +323,6 @@ def test_criterion_8_byte_identical_reruns(acceptance_log, tmp_path):
         acceptance_log,
         8,
         identical,
-        f"4 commands re-run at 1 vs 3 threads, {compared} data files "
+        f"4 commands re-run twice at the same seed, {compared} data files "
         f"byte-identical (manifests excluded)",
     )

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ttaction import (
+    ActionOracle,
     BuildConfig,
     TensorTrain,
     oracle_from_dense,
     oracle_from_tt,
     predicted_action_count,
+    tt_apply,
     tt_dense_error,
     tt_from_actions,
     tt_to_dense,
@@ -23,6 +25,7 @@ from ttaction.builder import (
 from ttaction.errors import (
     BacktrackingRequiredError,
     BuildStageError,
+    DegenerateRangeError,
     InterpolationError,
     ShapeError,
 )
@@ -167,16 +170,42 @@ def test_interpolation_set_needs_enough_rank():
         interpolation_set(cores, 1, tau=1)
 
 
-def test_backtracking_surfaces_as_stage_error():
+def _backtracking_oracle():
     # rank 2 at stage 2 cannot support tau_extra=3 -> 4 interpolation sets
-    dims, ranks = (5, 5, 5, 5), (2, 2, 2)
-    truth = random_tt(np.random.default_rng(28), dims, ranks)
+    return oracle_from_tt(random_tt(np.random.default_rng(28), (5, 5, 5, 5), (2, 2, 2)))
+
+
+def _zero_oracle():
+    return oracle_from_dense(np.zeros((4, 5, 6)))
+
+
+def _last_mode_fails_oracle():
+    truth = random_tt(np.random.default_rng(31), (5, 6, 7, 5), (2, 3, 2))
+
+    def apply_fn(free_mode, vectors):
+        if free_mode == 4:
+            raise ValueError("mode 4 unavailable")
+        return tt_apply(truth, free_mode, vectors)
+
+    return ActionOracle(truth.dims, apply_fn)
+
+
+@pytest.mark.parametrize(
+    "make_oracle,ranks,tau_extra,stage,cause",
+    [
+        (_backtracking_oracle, (2, 2, 2), 3, 3, BacktrackingRequiredError),
+        (_zero_oracle, (2, 2), 1, 1, DegenerateRangeError),
+        (_last_mode_fails_oracle, (2, 3, 2), 1, 4, ValueError),
+    ],
+    ids=["backtracking", "zero-first-stage", "failing-last-mode"],
+)
+def test_backtracking_surfaces_as_stage_error(make_oracle, ranks, tau_extra, stage, cause):
     with pytest.raises(BuildStageError) as err:
         tt_from_actions(
-            oracle_from_tt(truth), BuildConfig(ranks=list(ranks), tau_extra=3)
+            make_oracle(), BuildConfig(ranks=list(ranks), tau_extra=tau_extra)
         )
-    assert isinstance(err.value.cause, BacktrackingRequiredError)
-    assert err.value.stage == 3
+    assert isinstance(err.value.cause, cause)
+    assert err.value.stage == stage
 
 
 def test_solve_interpolation_solves_and_reports_residual():
@@ -196,15 +225,36 @@ def test_solve_interpolation_rejects_deficient_system():
         solve_interpolation([a, a.copy()])
 
 
-def test_report_structure():
-    dims, ranks = (5, 6, 5), (2, 3)
+@pytest.mark.parametrize(
+    "dims,ranks",
+    [((7, 9), (3,)), ((5, 6, 5), (2, 3)), ((5, 6, 7, 5), (3, 4, 3))],
+    ids=["d2", "d3", "d4"],
+)
+def test_report_structure(dims, ranks):
     truth = random_tt(np.random.default_rng(30), dims, ranks)
-    _, report = tt_from_actions(oracle_from_tt(truth), BuildConfig(ranks=list(ranks)))
+    config = BuildConfig(ranks=list(ranks))
+    _, report = tt_from_actions(oracle_from_tt(truth), config)
     assert report.dims == dims
     assert report.ranks == ranks
-    assert len(report.stages) == 3
-    assert report.stages[0]["core"] == 1
-    assert report.stages[-1]["rank"] is None  # last core has no new rank
+    assert len(report.stages) == len(dims)
+    for c, stage in enumerate(report.stages, start=1):
+        last = c == len(dims)
+        assert stage["core"] == c
+        assert stage["rank"] == (None if last else ranks[c - 1])
+        assert (stage["posterior_error"] is None) == last
+        if c == 1:
+            tau, prefixes = None, 1
+            assert stage["interp_residual"] is None
+        elif c == 2:
+            tau, prefixes = 1, ranks[0]
+            assert stage["interp_residual"] == 0.0
+        else:
+            tau = required_tau(ranks[c - 2], dims[c - 2])
+            prefixes = tau * ranks[c - 2]
+            assert 0.0 <= stage["interp_residual"] < 1e-6
+        assert stage["tau"] == tau
+        samples = 1 if last else ranks[c - 1] + config.oversampling
+        assert stage["actions"] == prefixes * samples
     assert report.seconds >= 0.0
     d = dataclasses.asdict(report)
     assert d["total_actions"] == d["predicted_actions"]
