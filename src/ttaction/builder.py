@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import TensorTrain, prefix_contract, subseed
+from .core import TensorTrain, prefix_contract, rank_list, subseed
 from .errors import (
     BacktrackingRequiredError,
     BuildStageError,
@@ -52,18 +52,17 @@ class BuildConfig:
 
     Exactly one of ``ranks`` (fixed internal ranks, scalar broadcast) and
     ``tol`` (relative posterior-error target for per-stage adaptive rank
-    growth) must be given.  ``tau_extra`` is added to the minimal number of
-    interpolation sets ceil(r_k / N_k) each stage needs; the default of 1
-    gives two sets in the common r_k < N_k case.
+    growth, starting at rank 2) must be given.  ``oversampling`` is the
+    number of range-finder samples beyond each stage's rank.  ``tau_extra``
+    is added to the minimal number of interpolation sets ceil(r_k / N_k)
+    each stage needs; the default of 1 gives two sets in the common
+    r_k < N_k case.  ``seed`` is the root of every stage's sample stream.
     """
 
     ranks: object = None
     tol: float = None
     oversampling: int = DEFAULT_OVERSAMPLING
     tau_extra: int = 1
-    min_rank: int = 2
-    max_rank: int = None
-    residual_tol: float = 1e-6
     seed: int = 0
 
 
@@ -106,22 +105,34 @@ def predicted_action_count(dims, ranks, oversampling=DEFAULT_OVERSAMPLING, tau_e
       + tau_{d-1} r_{d-1}                           last core
 
     with tau_k = ceil(r_k / N_k) + tau_extra.  For d = 2 the count is
-    (r_1 + p) + r_1.
+    (r_1 + p) + r_1.  A scalar rank is broadcast.  Ranks the builder would
+    refuse, where tau_{c-1} exceeds r_{c-2}, raise
+    :class:`~ttaction.errors.BacktrackingRequiredError` as the build does.
     """
     d = len(dims)
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != d - 1:
-        raise ShapeError(f"need {d - 1} ranks for {d} modes, got {len(ranks)}")
+    ranks = rank_list(ranks, d)
     total = 0
     for c in range(1, d + 1):
         # prefixes saturating modes 1..c-1, times samples of the free rest
         if c == 1:
             prefixes = 1
         else:
-            tau = 1 if c == 2 else required_tau(ranks[c - 2], dims[c - 2], tau_extra)
+            tau = 1
+            if c >= 3:
+                tau = required_tau(ranks[c - 2], dims[c - 2], tau_extra)
+                _check_sets(tau, ranks[c - 3], c - 2)
             prefixes = tau * ranks[c - 2]
         total += prefixes * (ranks[c - 1] + oversampling if c < d else 1)
     return total
+
+
+def _check_sets(tau, rank, core):
+    """Refuse ``tau`` interpolation sets drawn from a core of smaller rank."""
+    if tau > rank:
+        raise BacktrackingRequiredError(
+            f"stage needs {tau} interpolation sets but core {core} has "
+            f"rank {rank}; earlier ranks would have to grow"
+        )
 
 
 def interpolation_set(cores, level, tau):
@@ -149,11 +160,7 @@ def interpolation_set(cores, level, tau):
     if level < 2 or level > len(cores):
         raise ShapeError(f"level must be in 2..{len(cores)}, got {level}")
     prev = cores[level - 2]
-    if tau > prev.shape[2]:
-        raise BacktrackingRequiredError(
-            f"stage needs {tau} interpolation sets but core {level - 1} has "
-            f"rank {prev.shape[2]}; earlier ranks would have to grow"
-        )
+    _check_sets(tau, prev.shape[2], level - 1)
     psis = [c[0, :, 0] for c in cores[: level - 2]]
     xis = [prev[0, :, i] for i in range(tau)]
     a_mats = []
@@ -201,13 +208,7 @@ def _find_range(problem, rank, config):
     if rank is not None:
         basis = randomized_range(problem, rank, oversampling=config.oversampling)
     else:
-        basis = adaptive_range(
-            problem,
-            config.tol,
-            oversampling=config.oversampling,
-            start_rank=config.min_rank,
-            max_rank=config.max_rank,
-        )
+        basis = adaptive_range(problem, config.tol, oversampling=config.oversampling)
     err = posterior_error(basis, basis.samples, relative=True)
     return basis, err
 
@@ -238,11 +239,7 @@ def tt_from_actions(oracle, config):
         raise ShapeError("exactly one of ranks and tol must be set")
     dims = oracle.dims
     d = oracle.order
-    ranks = config.ranks
-    if ranks is not None and np.isscalar(ranks):
-        ranks = [int(ranks)] * (d - 1)
-    if ranks is not None and len(ranks) != d - 1:
-        raise ShapeError(f"need {d - 1} ranks for {d} modes, got {len(ranks)}")
+    ranks = rank_list(config.ranks, d)
 
     report = BuildReport(
         dims=dims,
@@ -266,7 +263,7 @@ def tt_from_actions(oracle, config):
             r_prev = cores[-1].shape[2]
             tau = required_tau(r_prev, dims[c - 2], config.tau_extra)
             psis, xis, a_mats = interpolation_set(cores, c - 1, tau)
-            eta, resid = solve_interpolation(a_mats, config.residual_tol)
+            eta, resid = solve_interpolation(a_mats)
             rows = [
                 [[*psis, xis[i], eta[i, :, j]] for i in range(tau)]
                 for j in range(r_prev)

@@ -264,11 +264,27 @@ def tt_to_dense(tt):
         raise CapacityError(
             f"refusing to densify {total} entries (budget {DENSE_GUARD})"
         )
-    out = tt.cores[0].reshape(tt.dims[0], -1)
-    for c in tt.cores[1:]:
+    return _chain(tt.cores).reshape(tt.dims)
+
+
+def _chain(cores):
+    """Product of a core chain as a matrix ending in the last core's columns."""
+    out = cores[0]
+    for c in cores[1:]:
         r = c.shape[0]
         out = out.reshape(-1, r) @ c.reshape(r, -1)
-    return out.reshape(tt.dims)
+    return out
+
+
+def rank_list(ranks, order):
+    """The d-1 internal ranks as ints: None passes, a scalar is broadcast."""
+    if ranks is None:
+        return None
+    if np.isscalar(ranks):
+        return [int(ranks)] * (order - 1)
+    if len(ranks) != order - 1:
+        raise ShapeError(f"need {order - 1} ranks for {order} modes, got {len(ranks)}")
+    return [int(r) for r in ranks]
 
 
 def unfolding_caps(dims):
@@ -318,11 +334,7 @@ def tt_dense_error(dense, tt):
     r1 = tt.cores[0].shape[2]
     if r1 * tail > DENSE_GUARD:
         raise CapacityError("trailing-core composite exceeds the entry budget")
-    w = tt.cores[1].reshape(tt.cores[1].shape[0], -1)
-    for c in tt.cores[2:]:
-        r = c.shape[0]
-        w = w.reshape(-1, r) @ c.reshape(r, -1)
-    w = w.reshape(r1, tail)
+    w = _chain(tt.cores[1:]).reshape(r1, tail)
     head = tt.cores[0].reshape(tt.dims[0], r1)
     err2 = 0.0
     ref2 = 0.0
@@ -399,6 +411,29 @@ def _truncation_index(s, rank, delta, full, warn_label):
     return keep
 
 
+def _sweep(current, dims, ranks, delta, absorb):
+    """Left-to-right truncated SVDs, the pass shared by TT-SVD and rounding.
+
+    Step k keeps the left singular vectors of ``current`` (rows: left rank
+    times N_k) as core k + 1 and continues with ``absorb(k, S V^T)``.
+    """
+    cores = []
+    left = 1
+    for k in range(len(dims) - 1):
+        u, s, vt = _truncated_svd(
+            current.reshape(left * dims[k], -1),
+            rank=None if ranks is None else ranks[k],
+            delta=delta,
+            warn_label=f"rank r_{k + 1}",
+        )
+        r = u.shape[1]
+        cores.append(u.reshape(left, dims[k], r))
+        current = absorb(k, s[:, None] * vt)
+        left = r
+    cores.append(current.reshape(left, dims[-1], 1))
+    return TensorTrain(cores)
+
+
 def tt_svd(tensor, ranks=None, tol=None):
     """Compress a dense tensor into a train by sequential thin SVDs.
 
@@ -425,31 +460,11 @@ def tt_svd(tensor, ranks=None, tol=None):
         raise ShapeError("tensor must have at least 2 modes")
     if ranks is None and tol is None:
         ranks = unfolding_caps(tensor.shape)
-    if ranks is not None and np.isscalar(ranks):
-        ranks = [int(ranks)] * (d - 1)
-    if ranks is not None and len(ranks) != d - 1:
-        raise ShapeError(f"need {d - 1} ranks, got {len(ranks)}")
+    ranks = rank_list(ranks, d)
     delta = None
     if ranks is None:
         delta = tol * frobenius(tensor) / np.sqrt(d - 1)
-    dims = tensor.shape
-    cores = []
-    left = 1
-    mat = tensor.reshape(dims[0], -1)
-    for k in range(d - 1):
-        mat = mat.reshape(left * dims[k], -1)
-        u, s, vt = _truncated_svd(
-            mat,
-            rank=None if ranks is None else int(ranks[k]),
-            delta=delta,
-            warn_label=f"rank r_{k + 1}",
-        )
-        r = u.shape[1]
-        cores.append(u.reshape(left, dims[k], r))
-        mat = s[:, None] * vt
-        left = r
-    cores.append(mat.reshape(left, dims[d - 1], 1))
-    return TensorTrain(cores)
+    return _sweep(tensor, tensor.shape, ranks, delta, lambda k, sv: sv)
 
 
 def tt_round(tt, ranks=None, tol=None):
@@ -461,11 +476,7 @@ def tt_round(tt, ranks=None, tol=None):
     of the result have column-orthonormal unfoldings.
     """
     d = tt.order
-    dims = tt.dims
-    if ranks is not None and np.isscalar(ranks):
-        ranks = [int(ranks)] * (d - 1)
-    if ranks is not None and len(ranks) != d - 1:
-        raise ShapeError(f"need {d - 1} ranks, got {len(ranks)}")
+    ranks = rank_list(ranks, d)
     cores = [np.asarray(c, dtype=float) for c in tt.cores]
     for k in range(d - 1, 0, -1):
         r_prev, n_k, r_k = cores[k].shape
@@ -480,22 +491,11 @@ def tt_round(tt, ranks=None, tol=None):
     if ranks is None and tol is not None:
         # cores 2..d are now row-orthonormal, so core 1 carries the norm
         delta = tol * float(np.linalg.norm(cores[0])) / np.sqrt(d - 1)
-    out = []
-    left = 1
-    current = cores[0]
-    for k in range(d - 1):
-        u, s, vt = _truncated_svd(
-            current.reshape(left * dims[k], -1),
-            rank=None if ranks is None else int(ranks[k]),
-            delta=delta,
-            warn_label=f"rank r_{k + 1}",
-        )
-        r = u.shape[1]
-        out.append(u.reshape(left, dims[k], r))
-        current = np.tensordot(s[:, None] * vt, cores[k + 1], axes=(1, 0))
-        left = r
-    out.append(current)
-    return TensorTrain(out)
+
+    def absorb(k, sv):
+        return np.tensordot(sv, cores[k + 1], axes=(1, 0))
+
+    return _sweep(cores[0], tt.dims, ranks, delta, absorb)
 
 
 # ---------------------------------------------------------------------------
@@ -597,31 +597,29 @@ def tt_save_json(tt, path):
 
 
 def tt_load_json(path):
-    """Read a train written by :func:`tt_save_json`."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
+    """Read a train written by :func:`tt_save_json`, checked as :func:`tt_load` is."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}", offset=exc.pos) from exc
-    if doc.get("format") != _JSON_FORMAT:
-        raise FormatError(f"unexpected format tag {doc.get('format')!r}")
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}", offset=exc.pos) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"non-ASCII byte: {exc.reason}", offset=exc.start) from exc
+    if not isinstance(doc, dict) or doc.get("format") != _JSON_FORMAT:
+        raise FormatError(f"not a {_JSON_FORMAT!r} descriptor")
     if doc.get("version") != _FORMAT_VERSION:
         raise VersionError(f"unsupported format version {doc.get('version')}")
     try:
-        order = doc["order"]
-        dims = doc["dims"]
-        ranks = doc["ranks"]
-        payload = doc["cores"]
+        order, dims, ranks = doc["order"], doc["dims"], doc["ranks"]
+        head = struct.pack("<4sII", _MAGIC, _FORMAT_VERSION, order)
+        head += struct.pack(f"<{order}Q", *dims) + struct.pack(f"<{order + 1}Q", *ranks)
+        payload = [base64.b64decode(p, validate=True) for p in doc["cores"]]
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from exc
-    if not (len(dims) == order and len(ranks) == order + 1 and len(payload) == order):
-        raise FormatError("inconsistent order/dims/ranks/cores lengths")
-    cores = []
-    for k in range(order):
-        raw = base64.b64decode(payload[k])
-        count = ranks[k] * dims[k] * ranks[k + 1]
-        if len(raw) != count * 8:
-            raise FormatError(f"core {k + 1} payload has {len(raw)} bytes, expected {count * 8}")
-        data = np.frombuffer(raw, dtype="<f8", count=count)
-        cores.append(data.astype(float).reshape(ranks[k], dims[k], ranks[k + 1]))
-    return TensorTrain(cores)
+    except (TypeError, ValueError, struct.error) as exc:
+        raise FormatError(f"malformed descriptor: {exc}") from exc
+    sizes = [len(raw) for raw in payload]
+    need = [ranks[k] * dims[k] * ranks[k + 1] * 8 for k in range(order)]
+    if sizes != need:
+        raise FormatError(f"core payloads have {sizes} bytes, expected {need}")
+    return _tt_from_bytes(head + b"".join(payload))

@@ -92,19 +92,19 @@ def solve_state(model, m, u0=None, tol=1e-10, max_iter=50):
 
 
 class DerivativeEngine:
-    """Forward and adjoint derivative lattices at a fixed base point.
+    """Forward and adjoint derivative lattices at the base point m0 = 0.
 
     Lattice nodes are cached by direction identity, so the solve counters see
     each node once.  Serves one caller at a time, as a numpy ``Generator``
     does: the cache and counters have no synchronisation.
     """
 
-    def __init__(self, model, order, m0=None):
+    def __init__(self, model, order):
         if order < 1:
             raise ShapeError(f"derivative order must be >= 1, got {order}")
         self.model = model
         self.order = order
-        self.m0 = np.zeros(model.n_m) if m0 is None else np.asarray(m0, dtype=float).ravel()
+        self.m0 = np.zeros(model.n_m)
         self.u0, self.newton_iterations = solve_state(model, self.m0)
         self.factor = model.factorize(self.m0, self.u0)
         self.forward_solves = 0
@@ -274,7 +274,7 @@ class WhitenedMap:
         return self._f0
 
 
-def make_derivative_oracle(model, order, whitener=None, m0=None):
+def make_derivative_oracle(model, order, whitener=None):
     """Wrap an order-k derivative tensor as an :class:`~ttaction.core.ActionOracle`.
 
     The oracle has k derivative modes of size n_m followed by one output mode
@@ -288,7 +288,7 @@ def make_derivative_oracle(model, order, whitener=None, m0=None):
     The returned oracle carries the underlying engine as ``oracle.engine``
     (solve counters, cache control) and forwards ``clear_cache``.
     """
-    engine = DerivativeEngine(model, order, m0=m0)
+    engine = DerivativeEngine(model, order)
     d = order + 1
     dims = (model.n_m,) * order + (model.n_q,)
 

@@ -13,10 +13,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceWarning, DegenerateRangeError, RankClampWarning, ShapeError
-from .core import fix_signs
+from .core import _truncated_svd
 
 #: Default number of extra samples beyond the requested rank.
 DEFAULT_OVERSAMPLING = 5
@@ -58,15 +57,13 @@ class RangeBasis:
 
     ``basis`` has orthonormal columns spanning the estimated range;
     ``samples`` keeps the raw outputs (one column per sample) so posterior
-    error checks need no further evaluations.  ``singular_values`` are those
-    of the sample matrix.  ``converged`` is False only when an adaptive
-    search hit its rank ceiling without meeting the tolerance.
+    error checks need no further evaluations.  ``converged`` is False only
+    when an adaptive search hit its rank ceiling without meeting the
+    tolerance.
     """
 
     basis: np.ndarray
     samples: np.ndarray
-    singular_values: np.ndarray
-    oversampling: int
     converged: bool = True
 
     @property
@@ -89,15 +86,14 @@ def _collect_samples(problem, indices):
 
 
 def _orthobasis(samples, rank):
-    """Thin SVD of the sample matrix, truncated and sign-fixed."""
-    u, s, _ = scipy.linalg.svd(samples, full_matrices=False, check_finite=False)
-    if s.size == 0 or s[min(rank, s.size) - 1] == 0.0:
+    """Leading ``rank`` left singular vectors of the sample matrix, sign-fixed."""
+    # adaptive_range starts at rank 2 even on a one-dimensional output
+    u, s, _ = _truncated_svd(samples, rank=min(rank, len(samples)))
+    if s[-1] == 0.0:
         raise DegenerateRangeError(
             f"sample matrix has a zero singular value within rank {rank}"
         )
-    u = np.ascontiguousarray(u[:, :rank])
-    fix_signs(u)
-    return u, s
+    return u
 
 
 def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
@@ -122,8 +118,7 @@ def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
     n_samples = rank + oversampling
     cols = _collect_samples(problem, range(n_samples))
     samples = np.column_stack(cols)
-    basis, s = _orthobasis(samples, rank)
-    return RangeBasis(basis, samples, s, oversampling)
+    return RangeBasis(_orthobasis(samples, rank), samples)
 
 
 def posterior_error(basis, samples, relative=False):
@@ -168,10 +163,10 @@ def adaptive_range(
     cols = _collect_samples(problem, range(rank + oversampling))
     while True:
         samples = np.column_stack(cols)
-        basis, s = _orthobasis(samples, rank)
+        basis = _orthobasis(samples, rank)
         err = posterior_error(basis, samples, relative=relative)
         if err < tol:
-            return RangeBasis(basis, samples, s, oversampling)
+            return RangeBasis(basis, samples)
         if rank >= ceiling:
             warnings.warn(
                 f"posterior error {err:.3e} above tolerance {tol:.3e} at the "
@@ -179,6 +174,6 @@ def adaptive_range(
                 ConvergenceWarning,
                 stacklevel=2,
             )
-            return RangeBasis(basis, samples, s, oversampling, converged=False)
+            return RangeBasis(basis, samples, converged=False)
         rank += 1
         cols.extend(_collect_samples(problem, [len(cols)]))

@@ -127,6 +127,7 @@ def test_scalar_rank_broadcast():
     truth = random_tt(np.random.default_rng(24), dims, (2, 2))
     built, _ = tt_from_actions(oracle_from_tt(truth), BuildConfig(ranks=3, seed=0))
     assert built.ranks == (3, 3)
+    assert predicted_action_count(dims, 3) == predicted_action_count(dims, (3, 3))
 
 
 def test_built_cores_are_left_orthonormal():
@@ -263,3 +264,15 @@ def test_report_structure(dims, ranks):
 def test_predicted_action_count_validation():
     with pytest.raises(ShapeError):
         predicted_action_count((4, 4, 4), (2,))
+
+
+@pytest.mark.parametrize("dims,ranks", CASES[3:], ids=["d5", "d6"])
+def test_predicted_action_count_refuses_what_the_build_refuses(dims, ranks):
+    # tau = ceil(3 / N_2) + 2 = 3 sets at stage 3, but core 1 has rank 2
+    oracle = oracle_from_tt(random_tt(np.random.default_rng(32), dims, ranks))
+    with pytest.raises(BuildStageError) as err:
+        tt_from_actions(oracle, BuildConfig(ranks=list(ranks), tau_extra=2))
+    assert isinstance(err.value.cause, BacktrackingRequiredError)
+    assert err.value.stage == 3
+    with pytest.raises(BacktrackingRequiredError, match="core 1 has rank 2"):
+        predicted_action_count(dims, ranks, tau_extra=2)

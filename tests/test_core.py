@@ -1,5 +1,8 @@
 """Dense actions, train algebra, compression, and serialization."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from ttaction import (
     tt_svd,
     tt_to_dense,
 )
+from ttaction.core import _truncated_svd
 from ttaction.errors import (
     CapacityError,
     FormatError,
@@ -236,6 +240,19 @@ def test_tt_svd_rank_clamp_warns():
     assert relative_error(dense, tt_to_dense(tt)) < 1e-12
 
 
+def test_truncated_svd_wide_branch():
+    # n > max(8 m, 65536): the SVD goes through a QR of the transpose
+    mat = np.random.default_rng(21).standard_normal((3, 70000))
+    u, s, vt = _truncated_svd(mat, rank=2)
+    np.testing.assert_allclose(s, np.linalg.svd(mat, compute_uv=False)[:2], rtol=1e-12)
+    assert vt.shape == (2, 70000) and vt.flags.c_contiguous
+    np.testing.assert_allclose(vt @ vt.T, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
+    # a train whose first unfolding (2 x 192000) takes the same branch
+    dense = np.random.default_rng(22).standard_normal((2, 3, 40, 40, 40))
+    assert relative_error(dense, tt_to_dense(tt_svd(dense))) < 1e-12
+
+
 def test_tt_round_identity_and_truncation_match_tt_svd():
     rng = np.random.default_rng(13)
     tt = random_tt(rng, (6, 7, 5), (4, 3))
@@ -346,6 +363,62 @@ def test_load_rejects_truncated_payload(tmp_path):
     clipped.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
         tt_load(clipped)
+
+
+def _edit(change):
+    """Corruption that edits the parsed descriptor and writes it back."""
+
+    def corrupt(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+
+    return corrupt
+
+
+def _set(field, value):
+    return _edit(lambda doc: doc.update({field: value}))
+
+
+def _short_then_long(doc):
+    # the two payloads still add up to the right total length
+    a, b = (base64.b64decode(c) for c in doc["cores"])
+    doc["cores"] = [base64.b64encode(x).decode() for x in (a[:-8], a[-8:] + b)]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text.replace('"cores": [\n    "', '"cores": [\n    "!'),
+        lambda text: "[1, 2, 3]\n",
+        lambda text: text.replace('"dims"', '"d\u00e9ms"'),
+        lambda text: text[: len(text) // 2],
+        _set("dims", "33"),
+        _set("dims", [3.0, 3]),
+        _set("dims", [3]),
+        _set("ranks", [1, -2, 1]),
+        _set("ranks", [2, 2, 1]),
+        _set("order", "2"),
+        _set("order", 1),
+        _set("cores", [7, 7]),
+        _set("cores", ["AAAA"]),
+        _edit(_short_then_long),
+    ],
+    ids=[
+        "bad-base64", "json-array", "non-ascii", "truncated-json",
+        "string-dims", "float-dims", "short-dims", "negative-rank",
+        "boundary-rank", "string-order", "order-1", "numeric-cores",
+        "missing-core", "short-then-long-core",
+    ],
+)
+def test_json_load_rejects_corruption(tmp_path, corrupt):
+    tt = random_tt(np.random.default_rng(23), (3, 3), (2,))
+    path = tmp_path / "train.json"
+    tt_save_json(tt, path)
+    bad = corrupt(path.read_text(encoding="ascii"))
+    path.write_bytes(bad.encode("utf-8"))
+    with pytest.raises(FormatError):
+        tt_load_json(path)
 
 
 def test_version_exported():
