@@ -20,7 +20,6 @@ from .core import (
     tt_dense_error,
     tt_load,
     tt_load_json,
-    tt_partial_apply,
     tt_round,
     tt_save,
     tt_save_json,
@@ -70,7 +69,6 @@ __all__ = [
     "tt_from_actions",
     "tt_load",
     "tt_load_json",
-    "tt_partial_apply",
     "tt_round",
     "tt_save",
     "tt_save_json",

@@ -170,13 +170,13 @@ def interpolation_set(cores, level, tau):
     return psis, xis, a_mats
 
 
-def solve_interpolation(a_mats, residual_tol=1e-6):
+def solve_interpolation(a_mats):
     """Minimum-norm vectors eta with  sum_i A_i^T eta_i = e_j  for every j.
 
     Stacks the transposed partial-map matrices, factorizes with column-pivoted
     QR, and completes to the minimum-norm solution.  Returns the solution as
     an array of shape (tau, N, r) indexed (set, mode entry, target) plus the
-    worst residual over targets; residuals beyond ``residual_tol`` raise
+    worst residual over targets; residuals beyond 1e-6 raise
     :class:`~ttaction.errors.InterpolationError`.
     """
     tau = len(a_mats)
@@ -195,9 +195,9 @@ def solve_interpolation(a_mats, residual_tol=1e-6):
     target = np.eye(r)[piv, :]
     sol = q @ scipy.linalg.solve_triangular(rr, target, trans="T", check_finite=False)
     resid = float(np.linalg.norm(stacked @ sol - np.eye(r), axis=0).max())
-    if resid > residual_tol:
+    if resid > 1e-6:
         raise InterpolationError(
-            f"interpolation residual {resid:.3e} exceeds {residual_tol:.3e}",
+            f"interpolation residual {resid:.3e} exceeds 1.000e-06",
             residual=resid,
         )
     return sol.reshape(tau, n, r), resid

@@ -9,12 +9,10 @@ taylor      surrogate accuracy statistics over Gaussian samples
 info        environment and defaults as JSON on stdout
 
 Every file-writing command drops a ``<command>_manifest.json`` next to its
-outputs recording the configuration, library versions, and timestamps.  The
-library runs single-threaded, so data files are deterministic for a fixed
-seed; ``--threads`` is still accepted and recorded but has no effect.
-``--no-timing`` zeroes the seconds columns so reruns compare byte for byte
-(manifests keep real timestamps).  Exit codes: 0 success, 2 bad
-configuration, 3 numerical failure.
+outputs recording the configuration, library versions, and timestamps.  Data
+files are deterministic for a fixed seed; ``--no-timing`` zeroes the seconds
+columns so reruns compare byte for byte (manifests keep real timestamps).
+Exit codes: 0 success, 2 bad configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ from .errors import (
     FormatError,
     InterpolationError,
     NewtonError,
+    NonFiniteActionError,
     ShapeError,
     ZeroNormError,
 )
@@ -63,6 +62,7 @@ from .hovd import (
     compress_derivative,
     taylor_error_stats,
 )
+from .rangefinder import DEFAULT_OVERSAMPLING
 
 _NUMERICAL_ERRORS = (
     BacktrackingRequiredError,
@@ -71,9 +71,13 @@ _NUMERICAL_ERRORS = (
     DegenerateRangeError,
     InterpolationError,
     NewtonError,
+    NonFiniteActionError,
     ZeroNormError,
     np.linalg.LinAlgError,
 )
+
+#: Default grid points per side of the PDE model (``--n``).
+MODEL_GRID = 12
 
 
 def _int_tuple(text):
@@ -113,15 +117,14 @@ def _jsonable(value):
     return value
 
 
-def _finish(args, command, outputs, started, t0):
-    out_dir = Path(args.out_dir)
+def _finish(args, outputs, started, t0):
     config = {
         key: _jsonable(val)
         for key, val in sorted(vars(args).items())
         if key != "func"
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": args.seed,
         "versions": {
@@ -137,7 +140,7 @@ def _finish(args, command, outputs, started, t0):
         },
         "outputs": [Path(p).name for p in outputs],
     }
-    _write_json(out_dir / f"{command}_manifest.json", manifest)
+    _write_json(Path(args.out_dir) / f"{args.command}_manifest.json", manifest)
 
 
 def _seconds(args, value):
@@ -149,10 +152,7 @@ def cmd_hilbert(args):
         raise ShapeError(f"--max-rank must be >= 2, got {args.max_rank}")
     if len(args.dims) < 2 or min(args.dims) < 2:
         raise ShapeError(f"--dims must be at least 2 modes of size >= 2: {args.dims}")
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dims = args.dims
     ranks = list(range(2, args.max_rank + 1))
     caps = unfolding_caps(dims)
@@ -186,7 +186,6 @@ def cmd_hilbert(args):
     ]
     path = out_dir / "hilbert.csv"
     _write_csv(path, ("rank", "method", "rel_error", "actions", "seconds"), rows)
-    _finish(args, "hilbert", [path], started, t0)
     return [path]
 
 
@@ -199,10 +198,8 @@ def cmd_synthetic(args):
     build_ranks = args.build_ranks or args.true_ranks
     if len(build_ranks) != d - 1:
         raise ShapeError(f"--build-ranks needs {d - 1} entries, got {len(build_ranks)}")
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
 
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 7001)))
     bounds = (1,) + tuple(args.true_ranks) + (1,)
@@ -263,17 +260,13 @@ def cmd_synthetic(args):
     }
     path = out_dir / "synthetic.json"
     _write_json(path, payload)
-    _finish(args, "synthetic", [path], started, t0)
     return [path]
 
 
 def cmd_derivative(args):
     if (args.rank is None) == (args.eps is None):
         raise ShapeError("give exactly one of --rank and --eps")
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = ReactionDiffusionModel(args.n)
     train, info = compress_derivative(
         model,
@@ -291,7 +284,6 @@ def cmd_derivative(args):
     tt_save(train, tt_path)
     path = out_dir / "derivative.json"
     _write_json(path, info)
-    _finish(args, "derivative", [path, tt_path], started, t0)
     return [path, tt_path]
 
 
@@ -300,10 +292,7 @@ def cmd_taylor(args):
         raise ShapeError(f"--max-order must be >= 1, got {args.max_order}")
     if args.samples < 1:
         raise ShapeError(f"--samples must be >= 1, got {args.samples}")
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = ReactionDiffusionModel(args.n)
     whitener = WhitenedMap(model)
     surrogate, _reports = build_taylor_surrogate(
@@ -333,7 +322,6 @@ def cmd_taylor(args):
     ]
     samples_path = out_dir / "taylor_samples.csv"
     _write_csv(samples_path, ("order", "sample", "error"), sample_rows)
-    _finish(args, "taylor", [stats_path, samples_path], started, t0)
     return [stats_path, samples_path]
 
 
@@ -341,9 +329,9 @@ def cmd_info(args):
     payload = {
         "defaults": {
             "hilbert_dims": list(DEFAULT_DIMS),
-            "oversampling": 5,
-            "tau_extra": 1,
-            "model_grid": 12,
+            "oversampling": DEFAULT_OVERSAMPLING,
+            "tau_extra": BuildConfig.tau_extra,
+            "model_grid": MODEL_GRID,
         },
         "dense_guard_entries": DENSE_GUARD,
         "platform": platform.platform(),
@@ -364,14 +352,11 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
     common.add_argument(
-        "--threads", type=int, default=1,
-        help="kept for compatibility with existing scripts; has no effect",
+        "--p", type=int, default=DEFAULT_OVERSAMPLING,
+        help="range-finder oversampling",
     )
     common.add_argument(
-        "--p", type=int, default=5, help="range-finder oversampling"
-    )
-    common.add_argument(
-        "--tau-extra", type=int, default=1,
+        "--tau-extra", type=int, default=BuildConfig.tau_extra,
         help="extra interpolation slices beyond ceil(rank / mode size)",
     )
     common.add_argument(
@@ -405,7 +390,7 @@ def build_parser():
         "derivative", parents=[common],
         help="compress a whitened derivative tensor of the PDE map",
     )
-    p_d.add_argument("--n", type=int, default=12, help="grid points per side")
+    p_d.add_argument("--n", type=int, default=MODEL_GRID, help="grid points per side")
     p_d.add_argument("--k", type=int, default=2, help="derivative order")
     p_d.add_argument("--rank", type=int, default=None)
     p_d.add_argument("--eps", type=float, default=None,
@@ -417,7 +402,7 @@ def build_parser():
         "taylor", parents=[common],
         help="surrogate error statistics over Gaussian samples",
     )
-    p_t.add_argument("--n", type=int, default=12, help="grid points per side")
+    p_t.add_argument("--n", type=int, default=MODEL_GRID, help="grid points per side")
     p_t.add_argument("--max-order", type=int, default=3)
     p_t.add_argument("--rank", type=int, default=10)
     p_t.add_argument("--samples", type=int, default=200)
@@ -434,8 +419,16 @@ def main(argv=None):
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return 2
+    # every command but info writes its outputs plus a manifest to --out-dir
+    writes = args.command != "info"
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    t0 = time.perf_counter()
     try:
-        args.func(args)
+        if writes:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        outputs = args.func(args)
+        if writes:
+            _finish(args, outputs, started, t0)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

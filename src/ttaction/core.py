@@ -19,6 +19,7 @@ import scipy.linalg
 from .errors import (
     CapacityError,
     FormatError,
+    NonFiniteActionError,
     RankClampWarning,
     ShapeError,
     VersionError,
@@ -121,8 +122,20 @@ class ActionOracle:
     def reset_count(self):
         self._count = 0
 
+    def clear_cache(self):
+        """Drop work cached between actions; this base oracle caches none.
+
+        Subclasses that cache override it.  Callers clear before each run
+        that must not reuse an earlier run's work, such as every start of a
+        power iteration.  Clearing must not change what an action returns.
+        """
+
     def action(self, free_mode, vectors):
-        """Saturate all modes but ``free_mode`` (1-based) and return the fiber."""
+        """Saturate all modes but ``free_mode`` (1-based) and return the fiber.
+
+        Raises :class:`~ttaction.errors.NonFiniteActionError` when the fiber
+        holds a NaN or an infinity.
+        """
         _check_free_mode(free_mode, self.order)
         vectors = _check_vectors(self.dims, free_mode, vectors)
         self._count += 1
@@ -131,6 +144,10 @@ class ActionOracle:
             raise ShapeError(
                 f"action returned shape {out.shape}, expected "
                 f"({self.dims[free_mode - 1]},)"
+            )
+        if not np.isfinite(out).all():
+            raise NonFiniteActionError(
+                f"action with free mode {free_mode} returned non-finite entries"
             )
         return out
 
@@ -234,26 +251,6 @@ def prefix_contract(cores, vectors):
     return out
 
 
-def tt_partial_apply(tt, k, vectors):
-    """Contract cores 1..k with k vectors, returning a length-r_k vector.
-
-    This is the partially built map used during interpolation: feeding the
-    first k modes of the train and leaving the remaining chain untouched.
-    ``k`` is 1-based and must be at most ``order - 1``.
-    """
-    if not 1 <= k <= tt.order - 1:
-        raise ShapeError(f"k must be in 1..{tt.order - 1}, got {k}")
-    if len(vectors) != k:
-        raise ShapeError(f"expected {k} vectors, got {len(vectors)}")
-    vs = []
-    for j in range(k):
-        v = np.asarray(vectors[j], dtype=float)
-        if v.shape != (tt.dims[j],):
-            raise ShapeError(f"vector {j + 1} has shape {v.shape}, expected ({tt.dims[j]},)")
-        vs.append(v)
-    return prefix_contract(tt.cores[:k], vs)
-
-
 def tt_to_dense(tt):
     """Materialize a tensor train as a dense array.
 
@@ -348,18 +345,17 @@ def tt_dense_error(dense, tt):
     return float(np.sqrt(err2 / ref2))
 
 
-def fix_signs(u, companion=None):
+def fix_signs(u, companion):
     """Force the largest-magnitude entry of each column of ``u`` positive.
 
-    Makes SVD-derived bases deterministic.  If ``companion`` is given, its
-    rows are flipped alongside so any factorization ``u @ companion`` is
-    preserved; both arrays are modified in place and returned.
+    Makes SVD-derived bases deterministic.  The rows of ``companion`` are
+    flipped alongside so any factorization ``u @ companion`` is preserved;
+    both arrays are modified in place and returned.
     """
     idx = np.abs(u).argmax(axis=0)
     flip = u[idx, np.arange(u.shape[1])] < 0
     u[:, flip] *= -1.0
-    if companion is not None:
-        companion[flip, :] *= -1.0
+    companion[flip, :] *= -1.0
     return u, companion
 
 

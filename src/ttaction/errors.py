@@ -62,6 +62,10 @@ class BuildStageError(RuntimeError):
         self.cause = cause
 
 
+class NonFiniteActionError(RuntimeError):
+    """An action returned NaN or infinite entries."""
+
+
 class NewtonError(RuntimeError):
     """The nonlinear state solve did not reach tolerance."""
 

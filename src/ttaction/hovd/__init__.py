@@ -13,7 +13,6 @@ from .lattice import (
     block_signature,
     canonical_directions,
     expansion,
-    lattice_size,
     sub_multisets,
 )
 from .model import ReactionDiffusionModel
@@ -44,7 +43,6 @@ __all__ = [
     "compress_derivative",
     "expansion",
     "jacobian_rsvd",
-    "lattice_size",
     "make_derivative_oracle",
     "oracle_difference",
     "sigma1_estimate",

@@ -58,14 +58,6 @@ def sub_multisets(counts):
     return subs
 
 
-def lattice_size(counts):
-    """Number of lattice nodes including the root state."""
-    out = 1
-    for c in counts:
-        out *= c + 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def expansion(counts):
     """Symbolic total derivative of X(m, u(m)) for a direction multiset.

@@ -45,7 +45,7 @@ def _line_search(model, m, u, rnorm, step):
     return None
 
 
-def solve_state(model, m, u0=None, tol=1e-10, max_iter=50):
+def solve_state(model, m, u0=None, max_iter=50):
     """Solve G(m, u) = 0 by Newton's method with a backtracking line search.
 
     Starts from zero.  The pure Newton direction is tried first; when it is
@@ -53,14 +53,14 @@ def solve_state(model, m, u0=None, tol=1e-10, max_iter=50):
     reaction vanishes and the Neumann operator keeps constants in its
     nullspace) the step is recomputed with an escalating diagonal shift
     until the line search accepts it.  Iterates until
-    ``||G|| < tol * max(1, ||rho||)`` with the model's source norm as scale.
+    ``||G|| < 1e-10 * max(1, ||rho||)`` with the model's source norm as scale.
     Returns (state, iteration count); raises
     :class:`~ttaction.errors.NewtonError` after ``max_iter`` iterations or
     when no damped step succeeds.
     """
     m = np.asarray(m, dtype=float).ravel()
     u = np.zeros(model.n_u) if u0 is None else np.asarray(u0, dtype=float).ravel()
-    target = tol * max(1.0, float(np.linalg.norm(model.rho)))
+    target = 1e-10 * max(1.0, float(np.linalg.norm(model.rho)))
     res = model.residual(m, u)
     rnorm = float(np.linalg.norm(res))
     iters = 0
@@ -274,6 +274,22 @@ class WhitenedMap:
         return self._f0
 
 
+class DerivativeOracle(ActionOracle):
+    """An action oracle served by a :class:`DerivativeEngine`.
+
+    ``engine`` holds the solve counters and the lattice cache that
+    :meth:`clear_cache` empties.  Built by :func:`make_derivative_oracle`.
+    """
+
+    def __init__(self, dims, apply_fn, engine):
+        super().__init__(dims, apply_fn)
+        self.engine = engine
+
+    def clear_cache(self):
+        """Drop the engine's cached lattice nodes; its state and LU stay."""
+        self.engine.clear_cache()
+
+
 def make_derivative_oracle(model, order, whitener=None):
     """Wrap an order-k derivative tensor as an :class:`~ttaction.core.ActionOracle`.
 
@@ -285,8 +301,9 @@ def make_derivative_oracle(model, order, whitener=None):
     raw-space vectors, which are smoothed on the way in, and free-slot
     outputs are smoothed on the way back out.
 
-    The returned oracle carries the underlying engine as ``oracle.engine``
-    (solve counters, cache control) and forwards ``clear_cache``.
+    The returned :class:`DerivativeOracle` carries the underlying engine as
+    ``oracle.engine`` (solve counters), and its ``clear_cache`` empties the
+    engine's lattice cache.
     """
     engine = DerivativeEngine(model, order)
     d = order + 1
@@ -312,7 +329,4 @@ def make_derivative_oracle(model, order, whitener=None):
         g = engine.mode_free(ps, q)
         return whitener.apply(g) if whitener else g
 
-    oracle = ActionOracle(dims, apply_fn)
-    oracle.engine = engine
-    oracle.clear_cache = engine.clear_cache
-    return oracle
+    return DerivativeOracle(dims, apply_fn, engine)

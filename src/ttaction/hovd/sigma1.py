@@ -40,28 +40,29 @@ class Sigma1Result:
         return self.value
 
 
+class _DifferenceOracle(ActionOracle):
+    """Action oracle for ``a - b``; clearing clears both operands."""
+
+    def __init__(self, a, b):
+        super().__init__(
+            a.dims, lambda k, vs: a.action(k, vs) - b.action(k, vs)
+        )
+        self._operands = (a, b)
+
+    def clear_cache(self):
+        for o in self._operands:
+            o.clear_cache()
+
+
 def oracle_difference(a, b):
     """Action oracle for the difference of two same-shaped oracles.
 
     Differences of multilinear maps are multilinear, so the result is again a
-    valid oracle; ``clear_cache`` is forwarded to both operands when present.
+    valid oracle; its ``clear_cache`` clears both operands.
     """
     if tuple(a.dims) != tuple(b.dims):
         raise ShapeError(f"dims differ: {a.dims} vs {b.dims}")
-
-    def apply_fn(free_mode, vectors):
-        return a.action(free_mode, vectors) - b.action(free_mode, vectors)
-
-    oracle = ActionOracle(a.dims, apply_fn)
-
-    def clear_cache():
-        for o in (a, b):
-            fn = getattr(o, "clear_cache", None)
-            if fn is not None:
-                fn()
-
-    oracle.clear_cache = clear_cache
-    return oracle
+    return _DifferenceOracle(a, b)
 
 
 def sigma1_estimate(
@@ -74,12 +75,14 @@ def sigma1_estimate(
 ):
     """Estimate sigma_1 of an action oracle by shifted power iteration.
 
-    Runs ``n_starts`` random unit starts; each start walks the shift schedule
-    until the iterate change drops below ``tol`` within ``max_iter``
-    iterations.  Returns the square root of the best Rayleigh value over
-    starts (as a float, or a :class:`Sigma1Result` with ``return_info``).  If
-    no start converges the best iterate's value is still returned, with a
-    :class:`~ttaction.errors.ConvergenceWarning`.
+    Runs ``n_starts`` random unit starts, clearing the oracle's cache before
+    each; each start walks the shift schedule until the iterate change drops
+    below ``tol`` within ``max_iter`` iterations.  Returns the square root of
+    the best Rayleigh value over starts (as a float, or a
+    :class:`Sigma1Result` with ``return_info``).  If no start converges the
+    best iterate's value is still returned, with a
+    :class:`~ttaction.errors.ConvergenceWarning`.  A non-finite action raises
+    :class:`~ttaction.errors.NonFiniteActionError` from the oracle.
     """
     dims = tuple(oracle.dims)
     d = len(dims)
@@ -88,11 +91,9 @@ def sigma1_estimate(
     if any(m != n for m in dims[:k]):
         raise ShapeError(f"derivative slots must have equal size, got {dims}")
 
-    clear = getattr(oracle, "clear_cache", None)
     start_values, start_ok, start_iters = [], [], []
     for s in range(n_starts):
-        if clear is not None:
-            clear()
+        oracle.clear_cache()
         rng = np.random.default_rng(np.random.SeedSequence((seed, s)))
         x0 = rng.standard_normal(n)
         x0 /= np.linalg.norm(x0)

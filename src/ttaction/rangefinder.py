@@ -140,18 +140,12 @@ def posterior_error(basis, samples, relative=False):
     return worst / scale
 
 
-def adaptive_range(
-    problem,
-    tol,
-    oversampling=DEFAULT_OVERSAMPLING,
-    start_rank=2,
-    max_rank=None,
-    relative=True,
-):
+def adaptive_range(problem, tol, oversampling=DEFAULT_OVERSAMPLING, max_rank=None):
     """Grow the rank one sample at a time until the posterior error meets ``tol``.
 
-    Starts at ``start_rank`` (never below 2) and reuses all previous samples,
-    so finishing at rank r costs exactly ``r + oversampling`` evaluations.
+    The error is relative to the largest sample.  Starts at rank 2 and reuses
+    all previous samples, so finishing at rank r costs exactly
+    ``r + oversampling`` evaluations.
     If the ceiling ``max_rank`` (default: the output dimension) is reached
     without convergence the basis is returned with ``converged=False`` and a
     :class:`~ttaction.errors.ConvergenceWarning`.
@@ -159,12 +153,12 @@ def adaptive_range(
     if tol <= 0:
         raise ShapeError(f"tolerance must be positive, got {tol}")
     ceiling = problem.output_dim if max_rank is None else min(max_rank, problem.output_dim)
-    rank = max(2, min(start_rank, ceiling))
+    rank = 2
     cols = _collect_samples(problem, range(rank + oversampling))
     while True:
         samples = np.column_stack(cols)
         basis = _orthobasis(samples, rank)
-        err = posterior_error(basis, samples, relative=relative)
+        err = posterior_error(basis, samples, relative=True)
         if err < tol:
             return RangeBasis(basis, samples)
         if rank >= ceiling:

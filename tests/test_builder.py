@@ -27,6 +27,7 @@ from ttaction.errors import (
     BuildStageError,
     DegenerateRangeError,
     InterpolationError,
+    NonFiniteActionError,
     ShapeError,
 )
 
@@ -191,14 +192,25 @@ def _last_mode_fails_oracle():
     return ActionOracle(truth.dims, apply_fn)
 
 
+def _nan_mode_two_oracle():
+    truth = random_tt(np.random.default_rng(32), (5, 6, 7, 5), (2, 3, 2))
+
+    def apply_fn(free_mode, vectors):
+        out = tt_apply(truth, free_mode, vectors)
+        return out * np.nan if free_mode == 2 else out
+
+    return ActionOracle(truth.dims, apply_fn)
+
+
 @pytest.mark.parametrize(
     "make_oracle,ranks,tau_extra,stage,cause",
     [
         (_backtracking_oracle, (2, 2, 2), 3, 3, BacktrackingRequiredError),
         (_zero_oracle, (2, 2), 1, 1, DegenerateRangeError),
         (_last_mode_fails_oracle, (2, 3, 2), 1, 4, ValueError),
+        (_nan_mode_two_oracle, (2, 3, 2), 1, 2, NonFiniteActionError),
     ],
-    ids=["backtracking", "zero-first-stage", "failing-last-mode"],
+    ids=["backtracking", "zero-first-stage", "failing-last-mode", "nan-second-stage"],
 )
 def test_backtracking_surfaces_as_stage_error(make_oracle, ranks, tau_extra, stage, cause):
     with pytest.raises(BuildStageError) as err:

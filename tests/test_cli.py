@@ -10,6 +10,7 @@ import pytest
 
 from ttaction import tt_load
 from ttaction.cli import main
+from ttaction.errors import NonFiniteActionError
 
 
 def read_csv(path):
@@ -80,13 +81,12 @@ def test_synthetic_bad_ranks_exits_two(tmp_path):
 
 
 def test_synthetic_rerun_byte_identical(tmp_path):
-    for threads, sub in (("1", "a"), ("3", "b")):
+    for sub in ("a", "b"):
         assert main(
             [
                 "synthetic",
                 "--shape", "8,9,10",
                 "--true-ranks", "3,4",
-                "--threads", threads,
                 "--no-timing",
                 "--out-dir", str(tmp_path / sub),
             ]
@@ -168,6 +168,15 @@ def test_derivative_unreachable_eps_exits_three(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_nonfinite_action_exits_three(tmp_path, monkeypatch):
+    def nan_compress(*args, **kwargs):
+        raise NonFiniteActionError("action with free mode 3 returned non-finite entries")
+
+    monkeypatch.setattr("ttaction.cli.compress_derivative", nan_compress)
+    argv = ["derivative", "--n", "5", "--rank", "2", "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
 
 
 def test_taylor_small(tmp_path):

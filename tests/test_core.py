@@ -20,14 +20,13 @@ from ttaction import (
     tt_dense_error,
     tt_load,
     tt_load_json,
-    tt_partial_apply,
     tt_round,
     tt_save,
     tt_save_json,
     tt_svd,
     tt_to_dense,
 )
-from ttaction.core import _truncated_svd
+from ttaction.core import _truncated_svd, prefix_contract
 from ttaction.errors import (
     CapacityError,
     FormatError,
@@ -162,18 +161,17 @@ def test_tt_apply_matches_dense_action_all_modes():
         )
 
 
-def test_tt_partial_apply_prefix_contraction():
+def test_prefix_contract_partial_contraction():
     rng = np.random.default_rng(6)
     dims, ranks = (3, 4, 5), (2, 3)
     tt = random_tt(rng, dims, ranks)
     x, y = rng.standard_normal(3), rng.standard_normal(4)
-    out = tt_partial_apply(tt, 2, [x, y])
+    out = prefix_contract(tt.cores[:2], [x, y])
     expect = np.einsum(
         "anb,n,bmc,m->c", tt.cores[0], x, tt.cores[1], y, optimize=True
     )
     np.testing.assert_allclose(out, expect, atol=1e-12)
-    with pytest.raises(ShapeError):
-        tt_partial_apply(tt, 3, [x, y, np.zeros(5)])
+    np.testing.assert_array_equal(prefix_contract([], []), np.ones(1))
 
 
 def test_oracle_from_tt_agrees_with_dense():

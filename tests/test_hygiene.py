@@ -1,0 +1,41 @@
+"""Source hygiene: every import in the library is used.
+
+Package ``__init__.py`` files are exempt, since their imports are the
+re-exported public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ttaction
+
+PACKAGE = Path(ttaction.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """(line, bound name) for each import whose bound name is never read."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_scan_flags_an_unused_import():
+    source = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "d")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

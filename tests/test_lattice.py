@@ -8,7 +8,6 @@ from ttaction.hovd.lattice import (
     block_signature,
     canonical_directions,
     expansion,
-    lattice_size,
     sub_multisets,
 )
 
@@ -36,12 +35,6 @@ def test_sub_multisets_counts_and_order():
     assert subs[0] in [(1, 0), (0, 1)]
     orders = [sum(s) for s in subs]
     assert orders == sorted(orders)  # lowest total order first
-
-
-def test_lattice_size():
-    assert lattice_size((3,)) == 4
-    assert lattice_size((1, 1, 1)) == 8
-    assert lattice_size((1, 2)) == 6
 
 
 def expansion_dict(counts):

@@ -109,7 +109,7 @@ def test_posterior_error_reuses_samples():
 
 def test_adaptive_growth_stops_at_true_rank():
     problem, mat, calls = low_rank_matrix_problem(30, 24, rank=5, seed=7)
-    result = adaptive_range(problem, tol=1e-10, oversampling=3, start_rank=2)
+    result = adaptive_range(problem, tol=1e-10, oversampling=3)
     assert result.rank == 5
     assert result.converged
     # rank r plus oversampling evaluations, samples reused on the way up

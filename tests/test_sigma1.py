@@ -3,9 +3,21 @@
 import numpy as np
 import pytest
 
-from ttaction import oracle_from_dense, oracle_from_tt, tt_apply, tt_svd
-from ttaction.errors import ConvergenceWarning, ShapeError
-from ttaction.hovd import oracle_difference, sigma1_estimate
+from ttaction import (
+    ActionOracle,
+    TensorTrain,
+    oracle_from_dense,
+    oracle_from_tt,
+    tt_apply,
+    tt_svd,
+)
+from ttaction.errors import ConvergenceWarning, NonFiniteActionError, ShapeError
+from ttaction.hovd import (
+    ReactionDiffusionModel,
+    make_derivative_oracle,
+    oracle_difference,
+    sigma1_estimate,
+)
 
 
 def test_matrix_case_recovers_largest_singular_value():
@@ -96,3 +108,56 @@ def test_difference_sigma1_matches_truncation_error():
     diff = oracle_difference(oracle_from_dense(mat), oracle_from_dense(trunc))
     est = sigma1_estimate(diff, seed=0)
     assert abs(est - s[3]) < 1e-6 * s[3]
+
+
+def test_nonfinite_action_raises_instead_of_nan():
+    oracle = ActionOracle((5, 5, 4), lambda k, vs: np.full((5, 5, 4)[k - 1], np.nan))
+    with pytest.raises(NonFiniteActionError):
+        sigma1_estimate(oracle, n_starts=1, seed=0)
+
+
+class SpyOracle(ActionOracle):
+    def __init__(self, tensor):
+        super().__init__(tensor.shape, oracle_from_dense(tensor).action)
+        self.clears = 0
+
+    def clear_cache(self):
+        self.clears += 1
+
+
+def test_cache_cleared_once_per_start():
+    rng = np.random.default_rng(8)
+    w, c = rng.standard_normal(5), rng.standard_normal(4)
+    spy = SpyOracle(np.einsum("i,j,k->ijk", w, w, c))
+    sigma1_estimate(spy, n_starts=4, seed=0)
+    assert spy.clears == 4
+
+
+def test_difference_clears_derivative_engine_cache():
+    model = ReactionDiffusionModel(4)
+    deriv = make_derivative_oracle(model, 2)
+    rng = np.random.default_rng(9)
+    dims = deriv.dims
+    train = TensorTrain(
+        [
+            rng.standard_normal((1, dims[0], 2)),
+            rng.standard_normal((2, dims[1], 2)),
+            rng.standard_normal((2, dims[2], 1)),
+        ]
+    )
+    diff = oracle_difference(deriv, oracle_from_tt(train))
+    diff.action(3, [rng.standard_normal(dims[0]), rng.standard_normal(dims[1])])
+    assert deriv.engine._cache
+    diff.clear_cache()
+    assert not deriv.engine._cache
+    assert not hasattr(diff, "engine")
+
+
+def test_plain_oracle_clear_cache_is_a_no_op():
+    tensor = np.random.default_rng(10).standard_normal((4, 5, 3))
+    oracle = oracle_from_dense(tensor)
+    vs = [np.ones(4), np.ones(5)]
+    before = oracle.action(3, vs)
+    assert oracle.clear_cache() is None
+    np.testing.assert_array_equal(oracle.action(3, vs), before)
+    assert oracle.action_count == 2
