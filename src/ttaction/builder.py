@@ -41,9 +41,11 @@ from .rangefinder import (
     DEFAULT_OVERSAMPLING,
     RangeProblem,
     adaptive_range,
-    posterior_error,
     randomized_range,
 )
+
+#: Default number of interpolation sets per stage beyond ceil(r_k / N_k).
+DEFAULT_TAU_EXTRA = 1
 
 
 @dataclass
@@ -55,14 +57,15 @@ class BuildConfig:
     growth, starting at rank 2) must be given.  ``oversampling`` is the
     number of range-finder samples beyond each stage's rank.  ``tau_extra``
     is added to the minimal number of interpolation sets ceil(r_k / N_k)
-    each stage needs; the default of 1 gives two sets in the common
-    r_k < N_k case.  ``seed`` is the root of every stage's sample stream.
+    each stage needs; the default :data:`DEFAULT_TAU_EXTRA` of 1 gives two
+    sets in the common r_k < N_k case.  ``seed`` is the root of every
+    stage's sample stream.
     """
 
     ranks: object = None
     tol: float = None
     oversampling: int = DEFAULT_OVERSAMPLING
-    tau_extra: int = 1
+    tau_extra: int = DEFAULT_TAU_EXTRA
     seed: int = 0
 
 
@@ -88,12 +91,14 @@ class BuildReport:
     converged: bool = True
 
 
-def required_tau(rank, mode_size, tau_extra=1):
+def required_tau(rank, mode_size, tau_extra=DEFAULT_TAU_EXTRA):
     """Interpolation sets needed at a stage: ceil(r / N) plus slack."""
     return math.ceil(rank / mode_size) + tau_extra
 
 
-def predicted_action_count(dims, ranks, oversampling=DEFAULT_OVERSAMPLING, tau_extra=1):
+def predicted_action_count(
+    dims, ranks, oversampling=DEFAULT_OVERSAMPLING, tau_extra=DEFAULT_TAU_EXTRA
+):
     """Closed-form number of oracle actions for a fixed-rank build.
 
     For d >= 3 modes with internal ranks (r_1, ..., r_{d-1}) and
@@ -166,7 +171,8 @@ def interpolation_set(cores, level, tau):
     a_mats = []
     for xi in xis:
         prefix = prefix_contract(cores[: level - 1], [*psis, xi])
-        a_mats.append(np.einsum("a,anb->nb", prefix, cores[level - 1], optimize=True))
+        a, n, b = cores[level - 1].shape
+        a_mats.append((prefix @ cores[level - 1].reshape(a, n * b)).reshape(n, b))
     return psis, xis, a_mats
 
 
@@ -206,11 +212,8 @@ def solve_interpolation(a_mats):
 def _find_range(problem, rank, config):
     """Run the fixed-rank or adaptive range finder for one stage."""
     if rank is not None:
-        basis = randomized_range(problem, rank, oversampling=config.oversampling)
-    else:
-        basis = adaptive_range(problem, config.tol, oversampling=config.oversampling)
-    err = posterior_error(basis, basis.samples, relative=True)
-    return basis, err
+        return randomized_range(problem, rank, oversampling=config.oversampling)
+    return adaptive_range(problem, config.tol, oversampling=config.oversampling)
 
 
 def tt_from_actions(oracle, config):
@@ -291,11 +294,11 @@ def tt_from_actions(oracle, config):
             output_dim=len(rows) * dims[c - 1],
             seed=subseed(config.seed, c),
         )
-        basis, err = _find_range(
-            problem, None if ranks is None else ranks[c - 1], config
-        )
+        basis = _find_range(problem, None if ranks is None else ranks[c - 1], config)
         cores.append(basis.basis.reshape(len(rows), dims[c - 1], basis.rank))
-        info.update(rank=basis.rank, posterior_error=err, converged=basis.converged)
+        info.update(
+            rank=basis.rank, posterior_error=basis.error, converged=basis.converged
+        )
         return info
 
     for c in range(1, d + 1):

@@ -160,7 +160,8 @@ def oracle_from_dense(tensor):
 
 def oracle_from_tt(tt):
     """Wrap a :class:`TensorTrain` as an :class:`ActionOracle`."""
-    return ActionOracle(tt.dims, lambda k, vs: tt_apply(tt, k, vs))
+    # the oracle has validated the vectors already
+    return ActionOracle(tt.dims, lambda k, vs: _contract(tt.cores, k - 1, vs))
 
 
 class TensorTrain:
@@ -228,26 +229,38 @@ def tt_apply(tt, free_mode, vectors):
     """
     _check_free_mode(free_mode, tt.order)
     vectors = _check_vectors(tt.dims, free_mode, vectors)
-    k = free_mode - 1
-    left = prefix_contract(tt.cores[:k], vectors[:k])
+    return _contract(tt.cores, free_mode - 1, vectors)
+
+
+def _contract(cores, k, vectors):
+    """The action with 0-based free core ``k``, as reshapes and matmuls.
+
+    ``vectors`` are the validated saturating vectors in mode order.  Each
+    right-sweep step takes core (a, N, b) as an (a N, b) matrix times the
+    right rank vector, then the (a, N) result times the mode's vector.
+    """
+    left = prefix_contract(cores[:k], vectors[:k])
     right = np.ones(1)
-    for j in range(tt.order - 1, k, -1):
-        right = np.einsum(
-            "anb,n,b->a", tt.cores[j], vectors[j - 1], right, optimize=True
-        )
-    return np.einsum("a,anb,b->n", left, tt.cores[k], right, optimize=True)
+    for j in range(len(cores) - 1, k, -1):
+        a, n, b = cores[j].shape
+        right = (cores[j].reshape(a * n, b) @ right).reshape(a, n) @ vectors[j - 1]
+    a, n, b = cores[k].shape
+    return (left @ cores[k].reshape(a, n * b)).reshape(n, b) @ right
 
 
 def prefix_contract(cores, vectors):
     """Sweep ``vectors`` through the leading ``cores``, returning a rank vector.
 
     Each step contracts left (r_{j-1}) x core (r_{j-1}, N_j, r_j) x vector
-    (N_j) into (r_j), starting from the boundary rank 1.  Shapes are not
-    checked here; callers validate.
+    (N_j) into (r_j), starting from the boundary rank 1: the left vector
+    times the core as an (r_{j-1}, N_j r_j) matrix, then the vector times
+    that product as an (N_j, r_j) matrix.  Shapes are not checked here;
+    callers validate.
     """
     out = np.ones(1)
     for c, v in zip(cores, vectors):
-        out = np.einsum("a,anb,n->b", out, c, v, optimize=True)
+        a, n, b = c.shape
+        out = v @ (out @ c.reshape(a, n * b)).reshape(n, b)
     return out
 
 

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from ..builder import BuildConfig, tt_from_actions
+from ..builder import DEFAULT_TAU_EXTRA, BuildConfig, tt_from_actions
 from ..core import TensorTrain, oracle_from_tt, subseed, tt_round, unfolding_caps
 from ..errors import CapacityError, ShapeError
 from ..rangefinder import DEFAULT_OVERSAMPLING
@@ -31,6 +31,16 @@ def _matrix_train(u, s, vt):
     return TensorTrain([left, np.ascontiguousarray(u.T)[:, :, None]])
 
 
+def _sigma1(oracle, seed):
+    """Three-start sigma_1 estimate and its diagnostics for the report."""
+    result = sigma1_estimate(oracle, seed=seed, n_starts=3, return_info=True)
+    return result.value, {
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "start_values": result.start_values,
+    }
+
+
 def compress_derivative(
     model,
     order,
@@ -38,7 +48,7 @@ def compress_derivative(
     eps=None,
     seed=0,
     oversampling=DEFAULT_OVERSAMPLING,
-    tau_extra=1,
+    tau_extra=DEFAULT_TAU_EXTRA,
     max_rank=None,
     whitener=None,
 ):
@@ -48,7 +58,11 @@ def compress_derivative(
     rank until the relative spectral error drops below it) must be given.
     Order 1 is compressed by randomized SVD instead of the train builder.
     Returns (train, info) where info records the rank, the spectral error,
-    solver and action counters, and wall time.
+    solver and action counters, and wall time.  Every sigma_1 estimate keeps
+    its diagnostics: whether any start converged, the iterations of each
+    start and each start's best Rayleigh value (sigma_1 squared), in
+    ``info["sigma1_info"]`` for the full tensor and in each
+    ``info["trials"]`` entry for the differences.
     """
     if (rank is None) == (eps is None):
         raise ShapeError("give exactly one of rank and eps")
@@ -58,9 +72,7 @@ def compress_derivative(
     whitener = whitener or WhitenedMap(model)
     oracle = make_derivative_oracle(model, order, whitener=whitener)
     engine = oracle.engine
-    sigma_full = float(
-        sigma1_estimate(oracle, seed=subseed(seed, 2), n_starts=3)
-    )
+    sigma_full, sigma_info = _sigma1(oracle, subseed(seed, 2))
 
     caps = unfolding_caps(oracle.dims)
 
@@ -80,19 +92,21 @@ def compress_derivative(
         train, _ = tt_from_actions(oracle, config)
         return train
 
-    def rel_error(train, r):
+    def trial(train, r, build_rank):
         diff = oracle_difference(oracle, oracle_from_tt(train))
-        value = float(
-            sigma1_estimate(diff, seed=subseed(seed, 3, r), n_starts=3)
+        value, diagnostics = _sigma1(diff, subseed(seed, 3, r))
+        error = value / sigma_full
+        trials.append(
+            {"rank": r, "build_rank": build_rank, "sigma1_rel_error": error}
+            | diagnostics
         )
-        return value / sigma_full
+        return error
 
     trials = []
     if rank is not None:
         train = build(rank)
-        achieved = rel_error(train, rank)
+        achieved = trial(train, rank, rank)
         found = rank
-        trials.append({"rank": rank, "build_rank": rank, "sigma1_rel_error": achieved})
     else:
         ceiling = max_rank or min(max(caps), 48)
         found = None
@@ -101,10 +115,7 @@ def compress_derivative(
             big = build(build_rank)
             for r in range(2, build_rank + 1):
                 train = tt_round(big, ranks=[min(r, c) for c in big.ranks])
-                achieved = rel_error(train, r)
-                trials.append(
-                    {"rank": r, "build_rank": build_rank, "sigma1_rel_error": achieved}
-                )
+                achieved = trial(train, r, build_rank)
                 if achieved < eps:
                     found = r
                     break
@@ -127,6 +138,7 @@ def compress_derivative(
         "rank": found,
         "eps": eps,
         "sigma1": sigma_full,
+        "sigma1_info": sigma_info,
         "sigma1_rel_error": achieved,
         "forward_solves": engine.forward_solves,
         "adjoint_solves": engine.adjoint_solves,

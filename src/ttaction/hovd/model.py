@@ -86,11 +86,15 @@ class ReactionDiffusionModel:
                 rows * n + plus[cols],
             )
         )
+        # memo of the base edge factors exp(mean m): (bytes of m, factors)
+        self._base_coeff = (None, None)
 
     # -- grid plumbing ------------------------------------------------------
 
     def _grid(self, v, name):
         """Flat float vector from an (n, n) grid or an (n^2,) vector."""
+        if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (self.n_u,):
+            return v
         v = np.asarray(v, dtype=float)
         if v.shape in ((self.n, self.n), (self.n_u,)):
             return v.ravel()
@@ -101,8 +105,17 @@ class ReactionDiffusionModel:
         return np.bincount(self._nbr.ravel(), weights=t.ravel(), minlength=self.n_u)
 
     def _edge_coeff(self, m, vs):
-        """Edge factors exp(mean m) times each direction mean, one row per neighbour."""
-        c = np.exp((m + m[self._nbr]) * 0.5)
+        """Edge factors exp(mean m) times each direction mean, one row per neighbour.
+
+        The base factors are computed once per base point m and kept
+        read-only in ``_base_coeff``.
+        """
+        key = m.tobytes()
+        if key != self._base_coeff[0]:
+            base = np.exp((m + m[self._nbr]) * 0.5)
+            base.flags.writeable = False
+            self._base_coeff = (key, base)
+        c = self._base_coeff[1]
         for v in vs:
             c = c * ((v + v[self._nbr]) * 0.5)
         return c

@@ -124,6 +124,22 @@ class DerivativeEngine:
             self._cache[key] = compute()
         return self._cache[key]
 
+    def _canonical(self, directions, count):
+        """Check ``count`` directions of length n_m once, then group them.
+
+        This is the engine boundary: every direction a partial sees later is
+        a flat float vector of the right length.
+        """
+        if len(directions) != count:
+            raise ShapeError(f"need {count} directions, got {len(directions)}")
+        unique, counts, digests = canonical_directions(directions)
+        for v in unique:
+            if v.shape != (self.model.n_m,):
+                raise ShapeError(
+                    f"direction has shape {v.shape}, expected ({self.model.n_m},)"
+                )
+        return unique, counts, digests
+
     # -- forward lattice ----------------------------------------------------
 
     def _m_pairs(self, unique, j_counts):
@@ -162,9 +178,7 @@ class DerivativeEngine:
 
     def output_free(self, directions):
         """T(p_1, ..., p_k, .): all derivative slots saturated, output free."""
-        if len(directions) != self.order:
-            raise ShapeError(f"need {self.order} directions, got {len(directions)}")
-        unique, counts, digests = canonical_directions(directions)
+        unique, counts, digests = self._canonical(directions, self.order)
         values = self._forward_values(unique, counts, digests)
         return self._forward_sum(
             self.model.partial_f, self.model.n_q, unique, counts, values
@@ -226,14 +240,10 @@ class DerivativeEngine:
         ``directions`` are the k-1 saturated derivative slots; ``q`` weights
         the output slot.  Returns a vector in parameter space.
         """
-        if len(directions) != self.order - 1:
-            raise ShapeError(
-                f"need {self.order - 1} directions, got {len(directions)}"
-            )
         q = np.asarray(q, dtype=float).ravel()
         if q.shape != (self.model.n_q,):
             raise ShapeError(f"q has shape {q.shape}, expected ({self.model.n_q},)")
-        unique, counts, digests = canonical_directions(directions)
+        unique, counts, digests = self._canonical(directions, self.order - 1)
         values = self._forward_values(unique, counts, digests)
         lams = self._adjoint_values(unique, counts, digests, q, values)
         return self._adjoint_sum("m", unique, counts, values, q, lams)

@@ -56,14 +56,15 @@ class RangeBasis:
     """Result of a range-finding pass.
 
     ``basis`` has orthonormal columns spanning the estimated range;
-    ``samples`` keeps the raw outputs (one column per sample) so posterior
-    error checks need no further evaluations.  ``converged`` is False only
-    when an adaptive search hit its rank ceiling without meeting the
-    tolerance.
+    ``samples`` keeps the raw outputs (one column per sample) and ``error``
+    is the :func:`posterior_error` of the basis on them, computed once when
+    the basis is found.  ``converged`` is False only when an adaptive search
+    hit its rank ceiling without meeting the tolerance.
     """
 
     basis: np.ndarray
     samples: np.ndarray
+    error: float
     converged: bool = True
 
     @property
@@ -118,22 +119,21 @@ def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
     n_samples = rank + oversampling
     cols = _collect_samples(problem, range(n_samples))
     samples = np.column_stack(cols)
-    return RangeBasis(_orthobasis(samples, rank), samples)
+    basis = _orthobasis(samples, rank)
+    return RangeBasis(basis, samples, posterior_error(basis, samples))
 
 
-def posterior_error(basis, samples, relative=False):
-    """Worst-sample residual outside the span of ``basis``.
+def posterior_error(basis, samples):
+    """Worst-sample residual outside the span of ``basis``, relative.
 
-    Returns ``max_i ||y_i - U U^T y_i||`` over the sample columns, divided by
-    ``max_i ||y_i||`` when ``relative`` is set.  Reuses the samples already
-    paid for; no new evaluations.
+    Returns ``max_i ||y_i - U U^T y_i||`` over the sample columns divided by
+    ``max_i ||y_i||``.  Reuses the samples already paid for; no new
+    evaluations.
     """
     u = basis.basis if isinstance(basis, RangeBasis) else np.asarray(basis)
     samples = np.asarray(samples, dtype=float)
     resid = samples - u @ (u.T @ samples)
     worst = float(np.linalg.norm(resid, axis=0).max())
-    if not relative:
-        return worst
     scale = float(np.linalg.norm(samples, axis=0).max())
     if scale == 0.0:
         raise DegenerateRangeError("all samples are zero; no relative error")
@@ -158,9 +158,9 @@ def adaptive_range(problem, tol, oversampling=DEFAULT_OVERSAMPLING, max_rank=Non
     while True:
         samples = np.column_stack(cols)
         basis = _orthobasis(samples, rank)
-        err = posterior_error(basis, samples, relative=True)
+        err = posterior_error(basis, samples)
         if err < tol:
-            return RangeBasis(basis, samples)
+            return RangeBasis(basis, samples, err)
         if rank >= ceiling:
             warnings.warn(
                 f"posterior error {err:.3e} above tolerance {tol:.3e} at the "
@@ -168,6 +168,6 @@ def adaptive_range(problem, tol, oversampling=DEFAULT_OVERSAMPLING, max_rank=Non
                 ConvergenceWarning,
                 stacklevel=2,
             )
-            return RangeBasis(basis, samples, converged=False)
+            return RangeBasis(basis, samples, err, converged=False)
         rank += 1
         cols.extend(_collect_samples(problem, [len(cols)]))

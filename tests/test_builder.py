@@ -163,6 +163,24 @@ def test_required_tau():
     assert required_tau(3, 10, tau_extra=0) == 1
 
 
+def test_interpolation_matrices_match_dense_contraction():
+    rng = np.random.default_rng(12)
+    cores = random_tt(rng, (3, 4, 1, 5, 4), (2, 3, 3, 2)).cores
+    for level in range(2, 5):
+        tau = min(2, cores[level - 2].shape[2])
+        psis, xis, a_mats = interpolation_set(cores, level, tau)
+        # cores 1..level as one dense array, right bond left open
+        partial = cores[0][0]
+        for c in cores[1:level]:
+            partial = np.tensordot(partial, c, axes=(-1, 0))
+        assert len(a_mats) == tau
+        for xi, a in zip(xis, a_mats):
+            expect = partial
+            for v in [*psis, xi]:
+                expect = np.tensordot(v, expect, axes=(0, 0))
+            np.testing.assert_allclose(a, expect, rtol=1e-12, atol=1e-12)
+
+
 def test_interpolation_set_needs_enough_rank():
     rng = np.random.default_rng(27)
     cores = [rng.standard_normal((1, 4, 2)), rng.standard_normal((2, 4, 3))]

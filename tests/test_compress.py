@@ -1,5 +1,7 @@
 """Spectral-error-targeted compression of whitened derivative tensors."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,12 @@ def test_fixed_rank_mode_order_two():
     assert info["newton_iterations"] > 0
     assert info["actions"] > 0
     assert info["seconds"] > 0.0
-    assert info["trials"] == [
-        {"rank": 6, "build_rank": 6, "sigma1_rel_error": info["sigma1_rel_error"]}
-    ]
+    [trial] = info["trials"]
+    assert {k: trial[k] for k in ("rank", "build_rank", "sigma1_rel_error")} == {
+        "rank": 6,
+        "build_rank": 6,
+        "sigma1_rel_error": info["sigma1_rel_error"],
+    }
 
 
 @pytest.mark.filterwarnings("ignore::ttaction.errors.ConvergenceWarning")
@@ -54,6 +59,23 @@ def test_eps_mode_finds_small_rank():
     for t in info["trials"][:-1]:
         if t["build_rank"] == final_build:
             assert t["sigma1_rel_error"] >= 0.2
+
+
+def test_sigma1_diagnostics_kept_for_every_estimate():
+    model = ReactionDiffusionModel(5)
+    _, info = compress_derivative(model, order=2, eps=0.2, seed=0)
+    estimates = [info["sigma1_info"], *info["trials"]]
+    for est in estimates:
+        assert isinstance(est["converged"], bool)
+        assert len(est["iterations"]) == len(est["start_values"]) == 3
+        assert all(isinstance(it, int) and it >= 1 for it in est["iterations"])
+    # each reported value is the best start's Rayleigh value, square-rooted
+    assert info["sigma1"] == np.sqrt(max(info["sigma1_info"]["start_values"]))
+    for t in info["trials"]:
+        best = np.sqrt(max(0.0, max(t["start_values"])))
+        assert t["sigma1_rel_error"] == best / info["sigma1"]
+    # the report stays plain JSON
+    assert json.loads(json.dumps(info))["trials"][-1]["converged"] in (True, False)
 
 
 def test_eps_mode_unreachable_raises():

@@ -148,13 +148,24 @@ def test_train_entry_is_product_of_slices():
     assert abs(dense[1, 2, 3] - entry[0, 0]) < 1e-12
 
 
-def test_tt_apply_matches_dense_action_all_modes():
+@pytest.mark.parametrize(
+    "dims,ranks",
+    [
+        ((5, 7), (3,)),  # the matrix case
+        ((1, 5, 4), (1, 3)),  # a mode of size 1 at the boundary
+        ((4, 5, 3, 6), (3, 4, 2)),
+        ((3, 4, 2, 5, 3), (1, 1, 1, 1)),  # all bonds of rank 1
+        ((2, 3, 1, 4, 2, 3), (2, 1, 3, 2, 2)),  # a size-1 mode inside
+    ],
+    ids=lambda v: "x".join(map(str, v)),
+)
+def test_tt_apply_matches_dense_action_all_modes(dims, ranks):
+    # wrong reshapes fail quietly on size-1 modes and rank-1 bonds
     rng = np.random.default_rng(5)
-    dims, ranks = (4, 5, 3, 6), (3, 4, 2)
     tt = random_tt(rng, dims, ranks)
     dense = tt_to_dense(tt)
     vectors = [rng.standard_normal(n) for n in dims]
-    for mode in range(1, 5):
+    for mode in range(1, len(dims) + 1):
         rest = [v for j, v in enumerate(vectors) if j != mode - 1]
         np.testing.assert_allclose(
             tt_apply(tt, mode, rest), dense_action(dense, mode, rest), atol=1e-11

@@ -165,6 +165,13 @@ def test_engine_validation():
         engine.output_free([np.zeros(model.n_m)])
     with pytest.raises(ShapeError):
         engine.mode_free([np.zeros(model.n_m)], np.zeros(3))
+    # directions are checked once, at the engine boundary, before any solve
+    short = np.ones(model.n_m - 1)
+    with pytest.raises(ShapeError):
+        engine.output_free([np.ones(model.n_m), short])
+    with pytest.raises(ShapeError):
+        engine.mode_free([short], np.ones(model.n_q))
+    assert engine.forward_solves == engine.adjoint_solves == 0
 
 
 def test_whitener_is_symmetric_and_smooths():

@@ -1,7 +1,8 @@
-"""Source hygiene: every import in the library is used.
+"""Source hygiene: every import in the library is used, and no contraction
+pays for an einsum path search on each call.
 
-Package ``__init__.py`` files are exempt, since their imports are the
-re-exported public names.
+Package ``__init__.py`` files are exempt from the import check, since their
+imports are the re-exported public names.
 """
 
 import ast
@@ -13,6 +14,7 @@ import ttaction
 
 PACKAGE = Path(ttaction.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 
 
 def unused_imports(source):
@@ -39,3 +41,26 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def optimized_einsums(source):
+    """Line of each ``einsum`` call that passes ``optimize``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+        and any(k.arg == "optimize" for k in node.keywords)
+    ]
+
+
+def test_scan_flags_an_optimized_einsum():
+    source = (PACKAGE / "core.py").read_text()
+    planted = "np.einsum('anb,n->ab', c, v, optimize=True)\n"
+    assert optimized_einsums(source + planted) == [source.count("\n") + 1]
+    assert optimized_einsums("np.einsum('ij,j->i', a, b)\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_optimized_einsum(path):
+    assert optimized_einsums(path.read_text()) == []

@@ -121,6 +121,24 @@ def test_jacobian_u_matches_directional_partial():
     )
 
 
+def test_base_point_memo_follows_m():
+    # base edge factors are kept per base point; a new m, or an m changed in
+    # place, must give what a fresh model gives
+    model, rng, m, u = make(5, seed=11)
+    pairs = [("m", rng.standard_normal(model.n_m)), ("u", rng.standard_normal(model.n_u))]
+    other = m + 0.1 * rng.standard_normal(model.n_m)
+    for point in (m, other, m):
+        model.jacobian_u(point, u)
+        np.testing.assert_array_equal(
+            model.partial_g(point, u, pairs),
+            ReactionDiffusionModel(5).partial_g(point, u, pairs),
+        )
+    m[3] += 0.5
+    np.testing.assert_array_equal(
+        model.residual(m, u), ReactionDiffusionModel(5).residual(m, u)
+    )
+
+
 # at n=4 every node lies on a wall or is the mirror source of a wall node's
 # missing neighbour; two m directions multiply two edge means
 @pytest.mark.parametrize("n_dirs", [1, 2])
@@ -217,6 +235,8 @@ def test_validation():
     model, rng, m, u = make(5, seed=10)
     with pytest.raises(ShapeError):
         model.residual(m[:-1], u)
+    with pytest.raises(ShapeError):
+        model.partial_g(m, u, [("m", np.zeros(model.n_m + 1))])
     with pytest.raises(ShapeError):
         model.partial_g(m, u, [("x", u)])
     with pytest.raises(ShapeError):

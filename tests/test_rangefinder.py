@@ -101,10 +101,11 @@ def test_posterior_error_reuses_samples():
     n_calls = len(calls)
     err = posterior_error(result, result.samples)
     assert err < 1e-10
+    assert err == result.error
     assert len(calls) == n_calls  # no new evaluations
     # dropping a basis direction leaves visible residual
     short = result.basis[:, :2]
-    assert posterior_error(short, result.samples, relative=True) > 1e-3
+    assert posterior_error(short, result.samples) > 1e-3
 
 
 def test_adaptive_growth_stops_at_true_rank():
@@ -112,6 +113,8 @@ def test_adaptive_growth_stops_at_true_rank():
     result = adaptive_range(problem, tol=1e-10, oversampling=3)
     assert result.rank == 5
     assert result.converged
+    # the error that stopped the growth is the one the basis carries
+    assert result.error == posterior_error(result, result.samples) < 1e-10
     # rank r plus oversampling evaluations, samples reused on the way up
     assert len(calls) == result.rank + 3
     resid = mat - result.basis @ (result.basis.T @ mat)
@@ -139,7 +142,7 @@ def test_degenerate_map_raises():
     with pytest.raises(DegenerateRangeError):
         randomized_range(problem, rank=2)
     with pytest.raises(DegenerateRangeError):
-        posterior_error(np.zeros((7, 2)), np.zeros((7, 3)), relative=True)
+        posterior_error(np.zeros((7, 2)), np.zeros((7, 3)))
 
 
 def test_evaluate_shape_checked():
