@@ -89,6 +89,20 @@ class ReactionDiffusionModel:
         # memo of the base edge factors exp(mean m): (bytes of m, factors)
         self._base_coeff = (None, None)
 
+        # the CSC pattern of dG/du, fixed by the neighbour table.  Its 9 n_u
+        # entries come in a fixed order (reaction, then per table row the
+        # centre and neighbour entries); _jac_slot sends each to its place in
+        # the CSC data, so duplicates always sum in that order
+        node = np.arange(self.n_u)
+        centre = np.broadcast_to(node, self._nbr.shape)
+        cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))
+        keys, self._jac_slot = np.unique(
+            cols * self.n_u + np.tile(node, 9), return_inverse=True
+        )
+        key_cols, self._jac_indices = np.divmod(keys, self.n_u)
+        self._jac_indptr = np.searchsorted(key_cols, np.arange(self.n_u + 1))
+        self._jac_diag = np.searchsorted(keys, node * (self.n_u + 1))
+
     # -- grid plumbing ------------------------------------------------------
 
     def _grid(self, v, name):
@@ -234,30 +248,29 @@ class ReactionDiffusionModel:
         raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
 
     def jacobian_u(self, m, u):
-        """Sparse state Jacobian dG/du at (m, u)."""
+        """Sparse state Jacobian dG/du at (m, u), in CSC form.
+
+        The sparsity pattern is fixed at construction; each call only sums
+        the entry values into their precomputed slots.
+        """
         m, u = self._grid(m, "m"), self._grid(u, "u")
         cf = self._edge_coeff(m, []) * (1.0 / self.h**2)
-        # reaction entries, then per table row the centre and neighbour
-        # entries: a fixed order, so duplicate entries always sum alike
-        node = np.arange(self.n_u)
-        centre = np.broadcast_to(node, cf.shape)
-        rows = np.tile(node, 9)
-        cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))
         vals = np.concatenate((3.0 * u**2, np.stack((cf, -cf), axis=1).ravel()))
-        mat = scipy.sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(self.n_u, self.n_u)
+        data = np.bincount(self._jac_slot, weights=vals, minlength=self._jac_indices.size)
+        return scipy.sparse.csc_matrix(
+            (data, self._jac_indices, self._jac_indptr), shape=(self.n_u, self.n_u)
         )
-        return mat.tocsc()
 
     def factorize(self, m, u, shift=0.0):
         """LU-factorized state Jacobian with forward and transpose solves.
 
         ``shift`` adds a multiple of the identity before factorizing; Newton
-        damping uses this where the plain Jacobian is singular.
+        damping uses this where the plain Jacobian is singular.  The shift
+        goes onto the diagonal slots of the pattern fixed at construction.
         """
         mat = self.jacobian_u(m, u)
         if shift:
-            mat = (mat + shift * scipy.sparse.identity(self.n_u)).tocsc()
+            mat.data[self._jac_diag] += shift
         return FactorizedJacobian(mat)
 
     def whitening_matrix(self):

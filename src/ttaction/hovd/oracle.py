@@ -48,11 +48,12 @@ def _line_search(model, m, u, rnorm, step):
 def solve_state(model, m, u0=None, max_iter=50):
     """Solve G(m, u) = 0 by Newton's method with a backtracking line search.
 
-    Starts from zero.  The pure Newton direction is tried first; when it is
-    unusable (the Jacobian is singular exactly at u = 0, where the cubic
-    reaction vanishes and the Neumann operator keeps constants in its
-    nullspace) the step is recomputed with an escalating diagonal shift
-    until the line search accepts it.  Iterates until
+    Starts from ``u0``, or from zero when ``u0`` is not given.  The pure
+    Newton direction is tried first; when it is unusable (the Jacobian is
+    singular exactly at u = 0, where the cubic reaction vanishes and the
+    Neumann operator keeps constants in its nullspace) the step is
+    recomputed with an escalating diagonal shift until the line search
+    accepts it.  Iterates until
     ``||G|| < 1e-10 * max(1, ||rho||)`` with the model's source norm as scale.
     Returns (state, iteration count); raises
     :class:`~ttaction.errors.NewtonError` after ``max_iter`` iterations or
@@ -256,12 +257,24 @@ class WhitenedMap:
     operator (-Laplace + I) before entering the model, which damps rough
     components the way a squared-inverse-elliptic covariance would.  The
     smoother is its own transpose.
+
+    The state at m = 0 is solved once, on first use, and every evaluation
+    warm-starts its Newton solve there.  The state equation has one solution
+    for each m (e^m > 0 and u^3 is monotone), so the start changes only the
+    iterations spent, not the root.
     """
 
     def __init__(self, model):
         self.model = model
         self._lu = scipy.sparse.linalg.splu(model.whitening_matrix())
-        self._f0 = None
+        self._u0 = None
+
+    def _base_state(self):
+        """Solved state at m = 0, read-only."""
+        if self._u0 is None:
+            self._u0, _ = solve_state(self.model, np.zeros(self.model.n_m))
+            self._u0.flags.writeable = False
+        return self._u0
 
     def apply(self, x):
         """The smoothing half-power: solve (-Laplace + I) p = x."""
@@ -271,17 +284,17 @@ class WhitenedMap:
         return self._lu.solve(x)
 
     def evaluate(self, x):
-        """Observed output at the smoothed parameter, via a full state solve."""
+        """Observed output at the smoothed parameter, via a full state solve.
+
+        The solve starts from the base state at m = 0.
+        """
         m = self.apply(x)
-        u, _ = solve_state(self.model, m)
+        u, _ = solve_state(self.model, m, u0=self._base_state())
         return self.model.qoi(m, u)
 
     def base_value(self):
-        """Output at x = 0, cached."""
-        if self._f0 is None:
-            u, _ = solve_state(self.model, np.zeros(self.model.n_m))
-            self._f0 = self.model.qoi(np.zeros(self.model.n_m), u)
-        return self._f0
+        """Output at x = 0, read from the base state."""
+        return self.model.qoi(np.zeros(self.model.n_m), self._base_state())
 
 
 class DerivativeOracle(ActionOracle):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttaction.errors import NewtonError, ShapeError
+from ttaction.hovd import oracle as oracle_module
 from ttaction.hovd import (
     DerivativeEngine,
     ReactionDiffusionModel,
@@ -57,6 +58,49 @@ def test_state_responds_quadratically_to_source_scaling():
     g_big, _ = gap(0.02)
     assert g_small < 0.05 * step_small  # remainder is higher order
     assert 3.0 < g_big / g_small < 5.0  # and scales like s^2
+
+
+def recorded_solves(monkeypatch):
+    """Route the oracle module's state solves through a recorder.
+
+    Each entry is (warm-started, Newton iterations).
+    """
+    calls = []
+
+    def recording(*args, **kwargs):
+        out = solve_state(*args, **kwargs)
+        calls.append((kwargs.get("u0") is not None, out[1]))
+        return out
+
+    monkeypatch.setattr(oracle_module, "solve_state", recording)
+    return calls
+
+
+def test_whitened_evaluate_warm_start_finds_the_cold_root(monkeypatch):
+    model = ReactionDiffusionModel(8)
+    whitener = WhitenedMap(model)
+    calls = recorded_solves(monkeypatch)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        x = rng.standard_normal(model.n_m)
+        got = whitener.evaluate(x)
+        warm, warm_iters = calls[-1]
+        m = whitener.apply(x)
+        u, cold_iters = solve_state(model, m)
+        want = model.qoi(m, u)
+        assert warm and warm_iters < cold_iters
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_whitened_base_state_is_solved_once(monkeypatch):
+    model = ReactionDiffusionModel(8)
+    whitener = WhitenedMap(model)
+    calls = recorded_solves(monkeypatch)
+    base = whitener.base_value()
+    np.testing.assert_array_equal(whitener.evaluate(np.zeros(model.n_m)), base)
+    np.testing.assert_array_equal(whitener.base_value(), base)
+    assert [warm for warm, _ in calls] == [False, True]
+    assert calls[1][1] == 0
 
 
 def fd_map_derivative(model, p, order, h):

@@ -229,6 +229,54 @@ def test_factorization_shift():
     np.testing.assert_allclose(shifted @ x, b, atol=1e-8)
 
 
+def coo_jacobian(model, m, u):
+    """dG/du through COO -> CSC, reaction entries first, then per neighbour
+    table row the centre and neighbour entries."""
+    cf = np.exp((m + m[model._nbr]) * 0.5) * (1.0 / model.h**2)
+    node = np.arange(model.n_u)
+    cols = [node]
+    vals = [3.0 * u**2]
+    for k in range(4):
+        cols += [node, model._nbr[k]]
+        vals += [cf[k], -cf[k]]
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.tile(node, 9), np.concatenate(cols))),
+        shape=(model.n_u, model.n_u),
+    ).tocsc()
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12])
+def test_jacobian_u_matches_coo_assembly_bit_for_bit(n):
+    model, _, m, u = make(n, seed=12)
+    jac, ref = model.jacobian_u(m, u), coo_jacobian(model, m, u)
+    assert jac.format == "csc"
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(jac, part), getattr(ref, part))
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.5])
+def test_factorization_matches_coo_assembly_bit_for_bit(shift):
+    model, rng, m, u = make(8, seed=13)
+    ref = (coo_jacobian(model, m, u) + shift * scipy.sparse.identity(model.n_u)).tocsc()
+    b = rng.standard_normal(model.n_u)
+    np.testing.assert_array_equal(
+        model.factorize(m, u, shift=shift).solve(b), scipy.sparse.linalg.splu(ref).solve(b)
+    )
+
+
+def test_jacobian_assembly_reuses_the_construction_pattern(monkeypatch):
+    model, _, m, u = make(6, seed=14)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Jacobian assembled through a per-call sparse build")
+
+    monkeypatch.setattr(scipy.sparse, "coo_matrix", refuse)
+    monkeypatch.setattr(scipy.sparse, "identity", refuse)
+    model.jacobian_u(m, u)
+    model.factorize(m, u)
+    model.factorize(m, u, shift=2.5)
+
+
 def test_validation():
     with pytest.raises(ShapeError):
         ReactionDiffusionModel(3)
