@@ -92,16 +92,26 @@ class ReactionDiffusionModel:
         # the CSC pattern of dG/du, fixed by the neighbour table.  Its 9 n_u
         # entries come in a fixed order (reaction, then per table row the
         # centre and neighbour entries); _jac_slot sends each to its place in
-        # the CSC data, so duplicates always sum in that order
+        # the CSC data, so duplicates always sum in that order.  Column c
+        # holds row c and the rows whose table neighbour is c; the wall rule
+        # reflects inwards, so those are c's own table neighbours, found
+        # among c - n, c - 1, c + 1, c + n without sorting
         node = np.arange(self.n_u)
         centre = np.broadcast_to(node, self._nbr.shape)
         cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))
-        keys, self._jac_slot = np.unique(
-            cols * self.n_u + np.tile(node, 9), return_inverse=True
-        )
-        key_cols, self._jac_indices = np.divmod(keys, self.n_u)
-        self._jac_indptr = np.searchsorted(key_cols, np.arange(self.n_u + 1))
+        cand = node[:, None] + np.array([-n, -1, 0, 1, n])
+        table = np.vstack((node, self._nbr)).T
+        present = (cand[:, :, None] == table[:, None, :]).any(axis=2)
+        keys = (node[:, None] * self.n_u + cand)[present]
+        self._jac_slot = np.searchsorted(keys, cols * self.n_u + np.tile(node, 9))
         self._jac_diag = np.searchsorted(keys, node * (self.n_u + 1))
+        # in scipy's index dtype and read-only, so csc_matrix neither scans
+        # nor copies them on each call
+        idx = scipy.sparse.get_index_dtype(maxval=cols.size)
+        self._jac_indices = cand[present].astype(idx)
+        self._jac_indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).astype(idx)
+        self._jac_indices.flags.writeable = False
+        self._jac_indptr.flags.writeable = False
 
     # -- grid plumbing ------------------------------------------------------
 

@@ -14,10 +14,7 @@ one by construction.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -69,32 +66,20 @@ class TaylorSurrogate:
         return self.jacobian[2].shape[1]
 
 
-def _order(surrogate, order):
-    """``order`` as an int, checked against the surrogate's order."""
-    order = int(order)
-    if order < 0 or order > surrogate.order:
-        raise ShapeError(f"order must be in 0..{surrogate.order}, got {order}")
-    return order
-
-
-def _terms(surrogate, x, order):
-    """Yield the terms f(0), J x, T_j(x, ..., x, .) / j! for j <= ``order``.
-
-    f(0) comes as a copy, so left-to-right sums of the terms are new arrays.
-    """
-    yield surrogate.base.copy()
-    if order >= 1:
-        u, s, vt = surrogate.jacobian
-        yield u @ (s * (vt @ x))
-    for j in range(2, order + 1):
-        yield tt_apply(surrogate.trains[j], j + 1, [x] * j) / math.factorial(j)
-
-
 def taylor_eval(surrogate, x, order=None):
     """Evaluate the surrogate truncated at ``order`` (default: full)."""
-    order = _order(surrogate, surrogate.order if order is None else order)
+    order = surrogate.order if order is None else int(order)
+    if order < 0 or order > surrogate.order:
+        raise ShapeError(f"order must be in 0..{surrogate.order}, got {order}")
     x = np.asarray(x, dtype=float).ravel()
-    return reduce(operator.add, _terms(surrogate, x, order))
+    out = surrogate.base.copy()
+    if order >= 1:
+        u, s, vt = surrogate.jacobian
+        out = out + u @ (s * (vt @ x))
+    for j in range(2, order + 1):
+        train = surrogate.trains[j]
+        out = out + tt_apply(train, j + 1, [x] * j) / math.factorial(j)
+    return out
 
 
 def build_taylor_surrogate(
@@ -146,7 +131,6 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0, orders=None):
     if n_samples < 1:
         raise ShapeError(f"need at least one sample, got {n_samples}")
     orders = list(range(surrogate.order + 1)) if orders is None else list(orders)
-    checked = [_order(surrogate, order) for order in orders]
     dim = surrogate.input_dim
     xs, fs = [], []
     for i in range(n_samples):
@@ -159,11 +143,12 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0, orders=None):
     if normalizer == 0.0:
         raise ZeroNormError("map is constant over the samples; nothing to normalize")
     errors = np.empty((len(orders), n_samples))
-    for i, (x, f) in enumerate(zip(xs, fs)):
-        # prefix sums of the terms, added in taylor_eval's order
-        sums = accumulate(_terms(surrogate, x, max(checked, default=0)))
-        by_order = [float(np.linalg.norm(f - out)) / normalizer for out in sums]
-        errors[:, i] = [by_order[order] for order in checked]
+    for row, order in enumerate(orders):
+        for i, (x, f) in enumerate(zip(xs, fs)):
+            errors[row, i] = (
+                float(np.linalg.norm(f - taylor_eval(surrogate, x, order)))
+                / normalizer
+            )
     return {
         "orders": orders,
         "means": errors.mean(axis=1).tolist(),

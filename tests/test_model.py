@@ -272,7 +272,10 @@ def test_jacobian_assembly_reuses_the_construction_pattern(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse, "coo_matrix", refuse)
     monkeypatch.setattr(scipy.sparse, "identity", refuse)
-    model.jacobian_u(m, u)
+    jac = model.jacobian_u(m, u)
+    # the index arrays are the construction pattern itself, not per-call copies
+    assert np.shares_memory(jac.indices, model._jac_indices)
+    assert np.shares_memory(jac.indptr, model._jac_indptr)
     model.factorize(m, u)
     model.factorize(m, u, shift=2.5)
 
