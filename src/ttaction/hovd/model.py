@@ -159,6 +159,20 @@ class ReactionDiffusionModel:
         t = 0.5 * z * self._edge_coeff(m, vs) * (y - y[self._nbr])
         return (t.sum(axis=0) + self._gather_t(t)) / self.h**2
 
+    def _reaction(self, u, k, ws):
+        """k-th u-derivative (k <= 3) of the reaction u^3 - rho, times each of ``ws``."""
+        if k == 0:
+            out = u**3 - self.rho
+        elif k == 1:
+            out = 3.0 * u**2
+        elif k == 2:
+            out = 6.0 * u
+        else:
+            out = 6.0
+        for w in ws:
+            out = out * w
+        return out
+
     # -- public contract ----------------------------------------------------
 
     def residual(self, m, u):
@@ -202,28 +216,16 @@ class ReactionDiffusionModel:
                 out += self._diffusion(m, vs, u)
             elif s == 1:
                 out += self._diffusion(m, vs, ws[0])
-            if j == 0:
-                if s == 0:
-                    out += u**3 - self.rho
-                elif s == 1:
-                    out += 3.0 * u**2 * ws[0]
-                elif s == 2:
-                    out += 6.0 * u * ws[0] * ws[1]
-                elif s == 3:
-                    out += 6.0 * ws[0] * ws[1] * ws[2]
+            if j == 0 and s <= 3:
+                out += self._reaction(u, s, ws)
             return out
         z = self._grid(weight, "weight")
         if free == "u":
             out = np.zeros(self.n_u)
             if s == 0:
                 out += self._diffusion_free_u(m, vs, z)
-            if j == 0:
-                if s == 0:
-                    out += 3.0 * u**2 * z
-                elif s == 1:
-                    out += 6.0 * u * ws[0] * z
-                elif s == 2:
-                    out += 6.0 * ws[0] * ws[1] * z
+            if j == 0 and s <= 2:
+                out += self._reaction(u, s + 1, ws + [z])
             return out
         if free == "m":
             if s == 0:
@@ -245,7 +247,7 @@ class ReactionDiffusionModel:
             if j == 0 and s == 0:
                 return self.qoi(m, u)
             if j == 0 and s == 1:
-                return self.boundary_weights * ws[0][self.boundary]
+                return self.qoi(m, ws[0])
             return np.zeros(self.n_q)
         if free == "u":
             out = np.zeros(self.n_u)
@@ -265,7 +267,9 @@ class ReactionDiffusionModel:
         """
         m, u = self._grid(m, "m"), self._grid(u, "u")
         cf = self._edge_coeff(m, []) * (1.0 / self.h**2)
-        vals = np.concatenate((3.0 * u**2, np.stack((cf, -cf), axis=1).ravel()))
+        vals = np.concatenate(
+            (self._reaction(u, 1, []), np.stack((cf, -cf), axis=1).ravel())
+        )
         data = np.bincount(self._jac_slot, weights=vals, minlength=self._jac_indices.size)
         return scipy.sparse.csc_matrix(
             (data, self._jac_indices, self._jac_indptr), shape=(self.n_u, self.n_u)

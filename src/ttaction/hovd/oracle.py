@@ -8,7 +8,9 @@ forward through a lattice of linear solves with the state Jacobian; leaving a
 derivative slot free instead contracts the output slot with a weight vector
 and runs a second lattice of transposed solves, the high-order analogue of
 the adjoint gradient.  Both lattices share one LU factorization of the state
-Jacobian, computed once per base point.
+Jacobian at the base point m0 = 0.  That base point (state, Newton iterations
+and LU) is solved once per model and shared by every :class:`WhitenedMap` and
+:class:`DerivativeEngine` on it.
 
 Lattice nodes are cached by the byte identity of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
@@ -17,6 +19,7 @@ fully symmetric direction tuple collapses the 2^k lattice to a chain.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -92,11 +95,31 @@ def solve_state(model, m, u0=None, max_iter=50):
     return u, iters
 
 
+# model -> its base point; weak, so a dropped model takes its entry with it
+_BASE_POINTS = weakref.WeakKeyDictionary()
+
+
+def _base_point(model):
+    """(read-only state, Newton iterations, state LU) at m = 0, solved once.
+
+    A model is not changed after construction, so its base point holds for
+    as long as the model lives.
+    """
+    if model not in _BASE_POINTS:
+        m0 = np.zeros(model.n_m)
+        u0, iters = solve_state(model, m0)
+        u0.flags.writeable = False
+        _BASE_POINTS[model] = (u0, iters, model.factorize(m0, u0))
+    return _BASE_POINTS[model]
+
+
 class DerivativeEngine:
     """Forward and adjoint derivative lattices at the base point m0 = 0.
 
-    Lattice nodes are cached by direction identity, so the solve counters see
-    each node once.  Serves one caller at a time, as a numpy ``Generator``
+    The base state ``u0``, its ``newton_iterations`` and the LU ``factor``
+    are the model's shared base point.  Lattice nodes are cached by direction
+    identity, so the solve counters see each node once; a solve that raises
+    caches nothing.  Serves one caller at a time, as a numpy ``Generator``
     does: the cache and counters have no synchronisation.
     """
 
@@ -106,8 +129,7 @@ class DerivativeEngine:
         self.model = model
         self.order = order
         self.m0 = np.zeros(model.n_m)
-        self.u0, self.newton_iterations = solve_state(model, self.m0)
-        self.factor = model.factorize(self.m0, self.u0)
+        self.u0, self.newton_iterations, self.factor = _base_point(model)
         self.forward_solves = 0
         self.adjoint_solves = 0
         self._cache = {}
@@ -115,15 +137,6 @@ class DerivativeEngine:
     def clear_cache(self):
         """Drop cached lattice nodes; the state and its LU stay."""
         self._cache.clear()
-
-    def _cached(self, key, compute):
-        """Cached value of ``key``; ``compute`` runs only on a miss.
-
-        A raised exception caches nothing.
-        """
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
 
     def _canonical(self, directions, count):
         """Check ``count`` directions of length n_m once, then group them.
@@ -165,16 +178,14 @@ class DerivativeEngine:
         values = {}
         for beta in sub_multisets(counts):
             key = ("u", block_signature(digests, beta))
-
-            def compute(beta=beta):
+            if key not in self._cache:
                 rhs = self._forward_sum(
                     self.model.partial_g, self.model.n_u, unique, beta, values,
                     unknown=beta,
                 )
                 self.forward_solves += 1
-                return self.factor.solve(-rhs)
-
-            values[beta] = self._cached(key, compute)
+                self._cache[key] = self.factor.solve(-rhs)
+            values[beta] = self._cache[key]
         return values
 
     def output_free(self, directions):
@@ -215,24 +226,19 @@ class DerivativeEngine:
         """Adjoint sensitivities lambda^beta for beta <= counts, q fixed."""
         q = np.ascontiguousarray(q, dtype=float)
         qsig = q.tobytes()
-
-        def compute_base():
+        key = ("l", qsig, ())
+        if key not in self._cache:
             rhs = self.model.partial_f(self.m0, self.u0, [], weight=q, free="u")
             self.adjoint_solves += 1
-            return self.factor.solve_t(-rhs)
-
-        lams = {(0,) * len(counts): self._cached(("l", qsig, ()), compute_base)}
+            self._cache[key] = self.factor.solve_t(-rhs)
+        lams = {(0,) * len(counts): self._cache[key]}
         for beta in sub_multisets(counts):
             key = ("l", qsig, block_signature(digests, beta))
-
-            def compute(beta=beta):
-                rhs = self._adjoint_sum(
-                    "u", unique, beta, values, q, lams, unknown=beta
-                )
+            if key not in self._cache:
+                rhs = self._adjoint_sum("u", unique, beta, values, q, lams, unknown=beta)
                 self.adjoint_solves += 1
-                return self.factor.solve_t(-rhs)
-
-            lams[beta] = self._cached(key, compute)
+                self._cache[key] = self.factor.solve_t(-rhs)
+            lams[beta] = self._cache[key]
         return lams
 
     def mode_free(self, directions, q):
@@ -258,23 +264,15 @@ class WhitenedMap:
     components the way a squared-inverse-elliptic covariance would.  The
     smoother is its own transpose.
 
-    The state at m = 0 is solved once, on first use, and every evaluation
-    warm-starts its Newton solve there.  The state equation has one solution
-    for each m (e^m > 0 and u^3 is monotone), so the start changes only the
-    iterations spent, not the root.
+    Every evaluation warm-starts its Newton solve at the model's shared base
+    state at m = 0, solved on first use.  The state equation has one
+    solution for each m (e^m > 0 and u^3 is monotone), so the start changes
+    only the iterations spent, not the root.
     """
 
     def __init__(self, model):
         self.model = model
         self._lu = scipy.sparse.linalg.splu(model.whitening_matrix())
-        self._u0 = None
-
-    def _base_state(self):
-        """Solved state at m = 0, read-only."""
-        if self._u0 is None:
-            self._u0, _ = solve_state(self.model, np.zeros(self.model.n_m))
-            self._u0.flags.writeable = False
-        return self._u0
 
     def apply(self, x):
         """The smoothing half-power: solve (-Laplace + I) p = x."""
@@ -284,17 +282,14 @@ class WhitenedMap:
         return self._lu.solve(x)
 
     def evaluate(self, x):
-        """Observed output at the smoothed parameter, via a full state solve.
-
-        The solve starts from the base state at m = 0.
-        """
+        """Observed output at the smoothed parameter, via a full state solve."""
         m = self.apply(x)
-        u, _ = solve_state(self.model, m, u0=self._base_state())
+        u, _ = solve_state(self.model, m, u0=_base_point(self.model)[0])
         return self.model.qoi(m, u)
 
     def base_value(self):
         """Output at x = 0, read from the base state."""
-        return self.model.qoi(np.zeros(self.model.n_m), self._base_state())
+        return self.model.qoi(np.zeros(self.model.n_m), _base_point(self.model)[0])
 
 
 class DerivativeOracle(ActionOracle):

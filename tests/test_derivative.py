@@ -1,5 +1,8 @@
 """Implicit-map derivative tensors: state solve, lattices, counters, oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,72 @@ def test_whitened_base_state_is_solved_once(monkeypatch):
     np.testing.assert_array_equal(whitener.base_value(), base)
     assert [warm for warm, _ in calls] == [False, True]
     assert calls[1][1] == 0
+
+
+def test_base_point_is_solved_once_per_model(monkeypatch):
+    model = ReactionDiffusionModel(6)
+    calls = recorded_solves(monkeypatch)
+    whitener = WhitenedMap(model)
+    oracles = [make_derivative_oracle(model, k, whitener=whitener) for k in (1, 2, 3)]
+    whitener.base_value()
+    whitener.evaluate(np.random.default_rng(22).standard_normal(model.n_m))
+    assert [warm for warm, _ in calls] == [False, True]
+    engines = [oracle.engine for oracle in oracles]
+    assert all(e.factor is engines[0].factor for e in engines)
+    assert all(e.u0 is engines[0].u0 for e in engines)
+    assert {e.newton_iterations for e in engines} == {calls[0][1]}
+
+
+def test_base_state_is_read_only():
+    engine = DerivativeEngine(ReactionDiffusionModel(5), 1)
+    assert not engine.u0.flags.writeable
+    with pytest.raises(ValueError):
+        engine.u0[0] = 1.0
+
+
+def test_base_point_is_dropped_with_its_model():
+    model = ReactionDiffusionModel(5)
+    whitener = WhitenedMap(model)
+    oracles = [make_derivative_oracle(model, k, whitener=whitener) for k in (1, 2, 3)]
+    whitener.base_value()
+    alive = weakref.ref(model)
+    del model, whitener, oracles
+    gc.collect()
+    assert alive() is None
+
+
+@pytest.mark.parametrize("method,kind", [("solve", "u"), ("solve_t", "l")])
+def test_failed_solve_caches_nothing(monkeypatch, method, kind):
+    # the first forward (or adjoint) solve raises: no node of that lattice
+    # may be cached, and the retry must match a fresh engine bit for bit
+    model = ReactionDiffusionModel(5)
+    rng = np.random.default_rng(23)
+    p1, p2 = rng.standard_normal(model.n_m), rng.standard_normal(model.n_m)
+    q = rng.standard_normal(model.n_q)
+
+    def act(engine):
+        if method == "solve":
+            return engine.output_free([p1, p2])
+        return engine.mode_free([p1], q)
+
+    engine = DerivativeEngine(model, 2)
+    original = getattr(engine.factor, method)
+    failed = []
+
+    def fail_once(b):
+        if not failed:
+            failed.append(True)
+            raise RuntimeError("planted solve failure")
+        return original(b)
+
+    monkeypatch.setattr(engine.factor, method, fail_once)
+    with pytest.raises(RuntimeError, match="planted"):
+        act(engine)
+    assert not [key for key in engine._cache if key[0] == kind]
+    got = act(engine)
+    monkeypatch.undo()
+    fresh = DerivativeEngine(ReactionDiffusionModel(5), 2)
+    np.testing.assert_array_equal(got, act(fresh))
 
 
 def fd_map_derivative(model, p, order, h):
