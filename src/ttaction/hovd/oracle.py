@@ -10,7 +10,9 @@ and runs a second lattice of transposed solves, the high-order analogue of
 the adjoint gradient.  Both lattices share one LU factorization of the state
 Jacobian at the base point m0 = 0.  That base point (state, Newton iterations
 and LU) is solved once per model and shared by every :class:`WhitenedMap` and
-:class:`DerivativeEngine` on it.
+:class:`DerivativeEngine` on it; a whitened evaluation starts its state solve
+there and keeps the base LU for chord steps while they contract.  This module
+is the one home of LU work on the state Jacobian.
 
 Lattice nodes are cached by the byte identity of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
@@ -48,40 +50,51 @@ def _line_search(model, m, u, rnorm, step):
     return None
 
 
-def solve_state(model, m, u0=None, max_iter=50):
+def solve_state(model, m, u0=None, lu=None, max_iter=50):
     """Solve G(m, u) = 0 by Newton's method with a backtracking line search.
 
-    Starts from ``u0``, or from zero when ``u0`` is not given.  The pure
-    Newton direction is tried first; when it is unusable (the Jacobian is
-    singular exactly at u = 0, where the cubic reaction vanishes and the
-    Neumann operator keeps constants in its nullspace) the step is
-    recomputed with an escalating diagonal shift until the line search
-    accepts it.  Iterates until
-    ``||G|| < 1e-10 * max(1, ||rho||)`` with the model's source norm as scale.
-    Returns (state, iteration count); raises
-    :class:`~ttaction.errors.NewtonError` after ``max_iter`` iterations or
-    when no damped step succeeds.
+    Starts from ``u0``, or from zero when ``u0`` is not given.  A starting
+    ``lu`` (an LU of dG/du near ``u0``, such as the base point's) is reused
+    for chord steps while each accepted step at least halves the residual;
+    after the first step that does not, or once the line search rejects a
+    chord step, it is dropped for good (Kelley 1995, ch. 5).  Every other
+    step is a Newton step: it factorizes dG/du at the iterate, and that LU
+    serves only its own step.  The pure Newton direction is tried first;
+    when it is unusable (the Jacobian is singular exactly at u = 0, where the
+    cubic reaction vanishes and the Neumann operator keeps constants in its
+    nullspace) the step is recomputed with an escalating diagonal shift
+    until the line search accepts it.  Iterates until
+    ``||G|| < 1e-10 * max(1, ||rho||)`` with the model's source norm as
+    scale.  Returns (state, Newton steps), chord steps not counted; raises
+    :class:`~ttaction.errors.NewtonError` after ``max_iter`` steps of either
+    kind or when no damped step succeeds.
     """
     m = np.asarray(m, dtype=float).ravel()
     u = np.zeros(model.n_u) if u0 is None else np.asarray(u0, dtype=float).ravel()
     target = 1e-10 * max(1.0, float(np.linalg.norm(model.rho)))
     res = model.residual(m, u)
     rnorm = float(np.linalg.norm(res))
-    iters = 0
+    iters = steps = 0
     while rnorm >= target:
-        if iters >= max_iter:
+        if steps >= max_iter:
             raise NewtonError(
                 f"no convergence in {max_iter} iterations (residual {rnorm:.3e})"
             )
         accepted = None
-        try:
-            step = model.factorize(m, u).solve(-res)
-            # a singular Jacobian shows up as a step of absurd length; skip
-            # the doomed line search and go straight to damping
-            if float(np.linalg.norm(step)) <= 1e12 * max(1.0, float(np.linalg.norm(u))):
-                accepted = _line_search(model, m, u, rnorm, step)
-        except RuntimeError:
-            accepted = None
+        if lu is not None:
+            accepted = _line_search(model, m, u, rnorm, lu.solve(-res))
+            if accepted is None or accepted[2] > 0.5 * rnorm:
+                lu = None  # the kept LU stopped contracting
+        if accepted is None:
+            iters += 1
+            try:
+                step = model.factorize(m, u).solve(-res)
+                # a singular Jacobian shows up as a step of absurd length;
+                # skip the doomed line search and go straight to damping
+                if float(np.linalg.norm(step)) <= 1e12 * max(1.0, float(np.linalg.norm(u))):
+                    accepted = _line_search(model, m, u, rnorm, step)
+            except RuntimeError:
+                accepted = None
         if accepted is None:
             for shift in (1e-6, 1e-4, 1e-2, 1.0, 1e2):
                 damped = model.factorize(m, u, shift=shift * rnorm).solve(-res)
@@ -91,7 +104,7 @@ def solve_state(model, m, u0=None, max_iter=50):
             else:
                 raise NewtonError(f"line search stalled (residual {rnorm:.3e})")
         u, res, rnorm = accepted
-        iters += 1
+        steps += 1
     return u, iters
 
 
@@ -265,9 +278,11 @@ class WhitenedMap:
     smoother is its own transpose.
 
     Every evaluation warm-starts its Newton solve at the model's shared base
-    state at m = 0, solved on first use.  The state equation has one
-    solution for each m (e^m > 0 and u^3 is monotone), so the start changes
-    only the iterations spent, not the root.
+    state at m = 0, solved on first use, and takes chord steps with the base
+    point's LU until they stop halving the residual; only then does it
+    factorize.  The state equation has one solution for each m (e^m > 0 and
+    u^3 is monotone), so the start and the steps change only the iterations
+    spent, not the root.
     """
 
     def __init__(self, model):
@@ -284,7 +299,8 @@ class WhitenedMap:
     def evaluate(self, x):
         """Observed output at the smoothed parameter, via a full state solve."""
         m = self.apply(x)
-        u, _ = solve_state(self.model, m, u0=_base_point(self.model)[0])
+        u0, _, lu = _base_point(self.model)
+        u, _ = solve_state(self.model, m, u0=u0, lu=lu)
         return self.model.qoi(m, u)
 
     def base_value(self):
@@ -316,8 +332,9 @@ def make_derivative_oracle(model, order, whitener=None):
     action; freeing any derivative mode uses the symmetry of the derivative
     slots and runs the adjoint path, so every mode of the tensor is available
     to a tensor-train builder.  With a ``whitener`` the derivative slots take
-    raw-space vectors, which are smoothed on the way in, and free-slot
-    outputs are smoothed on the way back out.
+    raw-space vectors, which are smoothed on the way in (a raw vector that
+    repeats within one action or across two consecutive ones is smoothed
+    once), and free-slot outputs are smoothed on the way back out.
 
     The returned :class:`DerivativeOracle` carries the underlying engine as
     ``oracle.engine`` (solve counters), and its ``clear_cache`` empties the
@@ -327,14 +344,25 @@ def make_derivative_oracle(model, order, whitener=None):
     d = order + 1
     dims = (model.n_m,) * order + (model.n_q,)
 
+    # raw bytes -> read-only smoothed vector for the directions of the last
+    # action, so a direction repeated within an action or by the next one is
+    # smoothed once; at most k entries are kept
+    last = {}
+
+    def smooth(v):
+        p = whitener.apply(v)
+        p.flags.writeable = False
+        return p
+
     def smooth_all(vectors):
-        seen = {}
-        out = []
+        nonlocal last
+        seen, out = {}, []
         for v in vectors:
             key = np.ascontiguousarray(v, dtype=float).tobytes()
             if key not in seen:
-                seen[key] = whitener.apply(v)
+                seen[key] = last[key] if key in last else smooth(v)
             out.append(seen[key])
+        last = seen
         return out
 
     def apply_fn(free_mode, vectors):

@@ -138,6 +138,120 @@ def test_base_point_is_dropped_with_its_model():
     assert alive() is None
 
 
+def counted_factorizations(monkeypatch):
+    """Count ``ReactionDiffusionModel.factorize`` calls in a one-item list."""
+    count = [0]
+    original = ReactionDiffusionModel.factorize
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReactionDiffusionModel, "factorize", counting)
+    return count
+
+
+def criterion6_samples(dim, count):
+    """Raw-space draws as ``taylor_error_stats`` makes them for criterion 6."""
+    seed = int(np.random.SeedSequence((0, 9)).generate_state(1)[0])
+    return [
+        np.random.default_rng(np.random.SeedSequence((seed, i))).standard_normal(dim)
+        for i in range(count)
+    ]
+
+
+def assert_solves(model, m, u):
+    target = 1e-10 * max(1.0, np.linalg.norm(model.rho))
+    assert np.linalg.norm(model.residual(m, u)) < target
+    cold, _ = solve_state(model, m)
+    assert np.linalg.norm(u - cold) <= 1e-9 * np.linalg.norm(cold)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_whitened_samples_keep_the_base_lu(monkeypatch, n):
+    model = ReactionDiffusionModel(n)
+    whitener = WhitenedMap(model)
+    u0, _, lu = oracle_module._base_point(model)
+    xs = criterion6_samples(model.n_m, 20)
+    factorizations = counted_factorizations(monkeypatch)
+    outputs = [whitener.evaluate(x) for x in xs]
+    states = [solve_state(model, whitener.apply(x), u0=u0, lu=lu) for x in xs]
+    assert factorizations[0] == 0
+    assert {iters for _, iters in states} == {0}  # chord steps only
+    for x, got, (u, _) in zip(xs, outputs, states):
+        m = whitener.apply(x)
+        np.testing.assert_array_equal(got, model.qoi(m, u))
+        assert_solves(model, m, u)
+
+
+def test_kept_lu_that_stalls_is_dropped(monkeypatch):
+    # at ten times the usual amplitude the base LU stops halving the
+    # residual; the solve drops it, factorizes, and still converges
+    model = ReactionDiffusionModel(4)
+    whitener = WhitenedMap(model)
+    u0, _, lu = oracle_module._base_point(model)
+    x = 10.0 * np.random.default_rng(0).standard_normal(model.n_m)
+    m = whitener.apply(x)
+    chord_steps = []
+
+    class CountingLU:
+        def solve(self, b):
+            chord_steps.append(True)
+            return lu.solve(b)
+
+    factorizations = counted_factorizations(monkeypatch)
+    u, iters = solve_state(model, m, u0=u0, lu=CountingLU())
+    assert chord_steps and iters > 0 and factorizations[0] >= iters
+    assert_solves(model, m, u)
+    np.testing.assert_array_equal(whitener.evaluate(x), model.qoi(m, u))
+
+
+def test_cold_solve_factorizes_every_iteration(monkeypatch):
+    assert oracle_module._base_point(ReactionDiffusionModel(8))[1] == 6
+    model = ReactionDiffusionModel(6)
+    m = 0.2 * np.random.default_rng(24).standard_normal(model.n_m)
+    factorizations = counted_factorizations(monkeypatch)
+    _, iters = solve_state(model, m)
+    assert iters > 0 and factorizations[0] >= iters
+
+
+def test_consecutive_actions_smooth_a_repeated_direction_once(monkeypatch):
+    model = ReactionDiffusionModel(5)
+    whitener = WhitenedMap(model)
+    rng = np.random.default_rng(25)
+    p1, p2, p3 = (rng.standard_normal(model.n_m) for _ in range(3))
+    q = rng.standard_normal(model.n_q)
+    calls = [
+        (4, [p1, p2, p2]),
+        (4, [p2, p3, p1]),  # p1 and p2 were in the last action
+        (1, [p3, p3, q]),  # p3 was; the free slot's output is smoothed too
+        (4, [p1, p1, p1]),  # p1 was not in the last action
+    ]
+    # the same actions on an unwhitened oracle, smoothing done outside it
+    plain = make_derivative_oracle(model, 3)
+    want = []
+    for mode, vectors in calls:
+        if mode == 4:
+            want.append(plain.action(4, [whitener.apply(v) for v in vectors]))
+        else:
+            ps = [whitener.apply(v) for v in vectors[:2]]
+            want.append(whitener.apply(plain.action(mode, ps + vectors[2:])))
+    smoothed = []
+    original = WhitenedMap.apply
+
+    def recording(self, x):
+        smoothed.append(True)
+        return original(self, x)
+
+    monkeypatch.setattr(WhitenedMap, "apply", recording)
+    oracle = make_derivative_oracle(model, 3, whitener=whitener)
+    counts = []
+    for (mode, vectors), expected in zip(calls, want):
+        np.testing.assert_array_equal(oracle.action(mode, vectors), expected)
+        counts.append(len(smoothed))
+    assert counts == [2, 3, 4, 5]
+
+
 @pytest.mark.parametrize("method,kind", [("solve", "u"), ("solve_t", "l")])
 def test_failed_solve_caches_nothing(monkeypatch, method, kind):
     # the first forward (or adjoint) solve raises: no node of that lattice

@@ -1,5 +1,6 @@
-"""Source hygiene: every import in the library is used, and no contraction
-pays for an einsum path search on each call.
+"""Source hygiene: every import in the library is used, no contraction pays
+for an einsum path search on each call, and LU work on the state Jacobian
+has one home, ``hovd/oracle.py``.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -64,3 +65,31 @@ def test_scan_flags_an_optimized_einsum():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_optimized_einsum(path):
     assert optimized_einsums(path.read_text()) == []
+
+
+def factorize_calls(source):
+    """Line of each ``.factorize(...)`` call."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "factorize"
+    ]
+
+
+def test_scan_flags_a_factorize_call():
+    source = (PACKAGE / "hovd" / "taylor.py").read_text()
+    planted = "lu = model.factorize(m, u, shift=1.0)\n"
+    assert factorize_calls(source + planted) == [source.count("\n") + 1]
+    assert factorize_calls("def factorize(self, m, u):\n    pass\n") == []
+    assert factorize_calls((PACKAGE / "hovd" / "oracle.py").read_text())  # the home
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p != PACKAGE / "hovd" / "oracle.py"],
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_no_factorize_outside_the_oracle(path):
+    assert factorize_calls(path.read_text()) == []
