@@ -11,8 +11,8 @@ the adjoint gradient.  Both lattices share one LU factorization of the state
 Jacobian at the base point m0 = 0.  That base point (state, Newton iterations
 and LU) is solved once per model and shared by every :class:`WhitenedMap` and
 :class:`DerivativeEngine` on it; a whitened evaluation starts its state solve
-there and keeps the base LU for chord steps while they contract.  This module
-is the one home of LU work on the state Jacobian.
+there and solves its Newton steps with the base LU while refinement on it
+converges.  This module is the one home of LU work on the state Jacobian.
 
 Lattice nodes are cached by the byte identity of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
@@ -50,43 +50,67 @@ def _line_search(model, m, u, rnorm, step):
     return None
 
 
+def _kept_lu_step(model, m, u, res, rnorm, lu, goal):
+    """Newton step J s = -G solved by refinement sweeps on a kept LU.
+
+    Each sweep adds ``lu.solve(r)`` to the step, where r = -G - J s is the
+    linear residual, with J = dG/du at the iterate applied through
+    ``partial_g``.  Returns the step once ||r|| <= ``goal``, or None as soon
+    as a sweep fails to halve ||r|| (the LU is too far from J to converge).
+    """
+    step, lin, lnorm = 0.0, -res, rnorm
+    while lnorm > goal:
+        trial = step + lu.solve(lin)
+        trial_lin = -res - model.partial_g(m, u, [("u", trial)])
+        trial_norm = float(np.linalg.norm(trial_lin))
+        if not trial_norm <= 0.5 * lnorm:
+            return None
+        step, lin, lnorm = trial, trial_lin, trial_norm
+    return step
+
+
 def solve_state(model, m, u0=None, lu=None, max_iter=50):
     """Solve G(m, u) = 0 by Newton's method with a backtracking line search.
 
-    Starts from ``u0``, or from zero when ``u0`` is not given.  A starting
-    ``lu`` (an LU of dG/du near ``u0``, such as the base point's) is reused
-    for chord steps while each accepted step at least halves the residual;
-    after the first step that does not, or once the line search rejects a
-    chord step, it is dropped for good (Kelley 1995, ch. 5).  Every other
-    step is a Newton step: it factorizes dG/du at the iterate, and that LU
-    serves only its own step.  The pure Newton direction is tried first;
-    when it is unusable (the Jacobian is singular exactly at u = 0, where the
-    cubic reaction vanishes and the Neumann operator keeps constants in its
-    nullspace) the step is recomputed with an escalating diagonal shift
-    until the line search accepts it.  Iterates until
-    ``||G|| < 1e-10 * max(1, ||rho||)`` with the model's source norm as
-    scale.  Returns (state, Newton steps), chord steps not counted; raises
-    :class:`~ttaction.errors.NewtonError` after ``max_iter`` steps of either
-    kind or when no damped step succeeds.
+    Starts from ``u0``, or from zero when ``u0`` is not given.  Each step
+    solves dG/du s = -G at the iterate.  A starting ``lu`` (an LU of dG/du
+    near ``u0``, such as the base point's) solves that system by refinement
+    sweeps, to a linear residual of ``||G|| * min(0.5, ||G|| / scale)``: a
+    forcing term of the size of ``||G||`` keeps Newton's quadratic
+    convergence (Dembo, Eisenstat & Steihaug 1982).  Once a sweep fails to
+    halve the linear residual, or the line search rejects the step, the LU
+    is dropped for good and every later step factorizes dG/du at the
+    iterate; that LU serves only its own step.  The pure Newton direction is
+    tried first; when it is unusable (the Jacobian is singular exactly at
+    u = 0, where the cubic reaction vanishes and the Neumann operator keeps
+    constants in its nullspace) the step is recomputed with an escalating
+    diagonal shift until the line search accepts it.  Iterates until
+    ``||G|| < 1e-10 * scale`` with ``scale = max(1, ||rho||)``, the model's
+    source norm.  Returns (state, Newton steps taken); raises
+    :class:`~ttaction.errors.NewtonError` after ``max_iter`` steps or when
+    no damped step succeeds.
     """
     m = np.asarray(m, dtype=float).ravel()
     u = np.zeros(model.n_u) if u0 is None else np.asarray(u0, dtype=float).ravel()
-    target = 1e-10 * max(1.0, float(np.linalg.norm(model.rho)))
+    scale = max(1.0, float(np.linalg.norm(model.rho)))
+    target = 1e-10 * scale
     res = model.residual(m, u)
     rnorm = float(np.linalg.norm(res))
-    iters = steps = 0
+    iters = 0
     while rnorm >= target:
-        if steps >= max_iter:
+        if iters >= max_iter:
             raise NewtonError(
                 f"no convergence in {max_iter} iterations (residual {rnorm:.3e})"
             )
         accepted = None
         if lu is not None:
-            accepted = _line_search(model, m, u, rnorm, lu.solve(-res))
-            if accepted is None or accepted[2] > 0.5 * rnorm:
-                lu = None  # the kept LU stopped contracting
+            goal = rnorm * min(0.5, rnorm / scale)
+            step = _kept_lu_step(model, m, u, res, rnorm, lu, goal)
+            if step is not None:
+                accepted = _line_search(model, m, u, rnorm, step)
+            if accepted is None:
+                lu = None  # the kept LU stopped serving
         if accepted is None:
-            iters += 1
             try:
                 step = model.factorize(m, u).solve(-res)
                 # a singular Jacobian shows up as a step of absurd length;
@@ -104,7 +128,7 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
             else:
                 raise NewtonError(f"line search stalled (residual {rnorm:.3e})")
         u, res, rnorm = accepted
-        steps += 1
+        iters += 1
     return u, iters
 
 
@@ -278,11 +302,11 @@ class WhitenedMap:
     smoother is its own transpose.
 
     Every evaluation warm-starts its Newton solve at the model's shared base
-    state at m = 0, solved on first use, and takes chord steps with the base
-    point's LU until they stop halving the residual; only then does it
-    factorize.  The state equation has one solution for each m (e^m > 0 and
-    u^3 is monotone), so the start and the steps change only the iterations
-    spent, not the root.
+    state at m = 0, solved on first use, and solves its Newton steps by
+    refinement on the base point's LU until a sweep stops halving the linear
+    residual; only then does it factorize.  The state equation has one
+    solution for each m (e^m > 0 and u^3 is monotone), so the start and the
+    linear solver change only the work spent, not the root.
     """
 
     def __init__(self, model):
