@@ -55,12 +55,14 @@ def compress_derivative(
     """Compress the whitened order-``order`` derivative tensor at m = 0.
 
     Exactly one of ``rank`` (build once at that rank) and ``eps`` (grow the
-    rank until the relative spectral error drops below it) must be given.
+    rank until the relative spectral error drops below it) must be given;
+    a rank below 1, an eps that is not finite and > 0, or a ``max_rank``
+    below 2 raises :class:`~ttaction.errors.ShapeError` before any solve.
     Order 1 is compressed by randomized SVD instead of the train builder.
     Returns (train, info) where info records the rank, the spectral error,
     solver and action counters, and wall time.  Every sigma_1 estimate keeps
     its diagnostics: whether any start converged, the iterations of each
-    start and each start's best Rayleigh value (sigma_1 squared), in
+    start and each start's final Rayleigh value (sigma_1 squared), in
     ``info["sigma1_info"]`` for the full tensor and in each
     ``info["trials"]`` entry for the differences.
     """
@@ -68,6 +70,12 @@ def compress_derivative(
         raise ShapeError("give exactly one of rank and eps")
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")
+    if rank is not None and rank < 1:
+        raise ShapeError(f"rank must be >= 1, got {rank}")
+    if eps is not None and not (np.isfinite(eps) and eps > 0):
+        raise ShapeError(f"eps must be finite and > 0, got {eps}")
+    if max_rank is not None and max_rank < 2:
+        raise ShapeError(f"max_rank must be >= 2, got {max_rank}")
     t0 = time.perf_counter()
     whitener = whitener or WhitenedMap(model)
     oracle = make_derivative_oracle(model, order, whitener=whitener)
@@ -108,7 +116,7 @@ def compress_derivative(
         achieved = trial(train, rank, rank)
         found = rank
     else:
-        ceiling = max_rank or min(max(caps), 48)
+        ceiling = min(max(caps), 48) if max_rank is None else max_rank
         found = None
         build_rank = min(8, ceiling)
         while found is None:

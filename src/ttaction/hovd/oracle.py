@@ -80,15 +80,15 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
     convergence (Dembo, Eisenstat & Steihaug 1982).  Once a sweep fails to
     halve the linear residual, or the line search rejects the step, the LU
     is dropped for good and every later step factorizes dG/du at the
-    iterate; that LU serves only its own step.  The pure Newton direction is
-    tried first; when it is unusable (the Jacobian is singular exactly at
-    u = 0, where the cubic reaction vanishes and the Neumann operator keeps
-    constants in its nullspace) the step is recomputed with an escalating
-    diagonal shift until the line search accepts it.  Iterates until
-    ``||G|| < 1e-10 * scale`` with ``scale = max(1, ||rho||)``, the model's
-    source norm.  Returns (state, Newton steps taken); raises
+    iterate; that LU serves only its own step.  Those steps try the diagonal
+    shifts ``(0, 1e-6, ..., 1e2) * ||G||`` in turn until the line search
+    accepts one: shift 0, the pure Newton direction, is unusable where the
+    Jacobian is singular (exactly at u = 0, where the cubic reaction
+    vanishes and the Neumann operator keeps constants in its nullspace).
+    Iterates until ``||G|| < 1e-10 * scale`` with ``scale = max(1, ||rho||)``,
+    the model's source norm.  Returns (state, Newton steps taken); raises
     :class:`~ttaction.errors.NewtonError` after ``max_iter`` steps or when
-    no damped step succeeds.
+    no shift gives an accepted step.
     """
     m = np.asarray(m, dtype=float).ravel()
     u = np.zeros(model.n_u) if u0 is None else np.asarray(u0, dtype=float).ravel()
@@ -111,20 +111,17 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
             if accepted is None:
                 lu = None  # the kept LU stopped serving
         if accepted is None:
-            try:
-                step = model.factorize(m, u).solve(-res)
+            for shift in (0.0, 1e-6, 1e-4, 1e-2, 1.0, 1e2):
+                try:
+                    step = model.factorize(m, u, shift=shift * rnorm).solve(-res)
+                except RuntimeError:
+                    continue
                 # a singular Jacobian shows up as a step of absurd length;
-                # skip the doomed line search and go straight to damping
+                # skip the doomed line search and damp more
                 if float(np.linalg.norm(step)) <= 1e12 * max(1.0, float(np.linalg.norm(u))):
                     accepted = _line_search(model, m, u, rnorm, step)
-            except RuntimeError:
-                accepted = None
-        if accepted is None:
-            for shift in (1e-6, 1e-4, 1e-2, 1.0, 1e2):
-                damped = model.factorize(m, u, shift=shift * rnorm).solve(-res)
-                accepted = _line_search(model, m, u, rnorm, damped)
-                if accepted is not None:
-                    break
+                    if accepted is not None:
+                        break
             else:
                 raise NewtonError(f"line search stalled (residual {rnorm:.3e})")
         u, res, rnorm = accepted

@@ -154,6 +154,7 @@ def test_derivative_requires_one_target(tmp_path):
     base = ["derivative", "--n", "5", "--out-dir", str(tmp_path)]
     assert main(base) == 2
     assert main(base + ["--rank", "3", "--eps", "0.1"]) == 2
+    assert main(base + ["--eps", "0"]) == 2
 
 
 def test_derivative_unreachable_eps_exits_three(tmp_path):

@@ -92,6 +92,30 @@ def test_validation():
         compress_derivative(model, order=2, rank=4, eps=0.1)
     with pytest.raises(ShapeError):
         compress_derivative(model, order=0, rank=4)
+    # bad targets are refused before any solve
+    for kwargs in (
+        {"eps": 0.0},
+        {"eps": float("nan")},
+        {"eps": -1.0},
+        {"eps": float("inf")},
+        {"rank": 0},
+        {"eps": 0.1, "max_rank": 1},
+        {"eps": 0.1, "max_rank": 0},
+    ):
+        with pytest.raises(ShapeError):
+            compress_derivative(model, order=2, **kwargs)
+
+
+def test_derivative_eps_seed0_counts():
+    # the benchmark's derivative-eps workload pins these counts at seed 0
+    _, info = compress_derivative(ReactionDiffusionModel(8), 2, eps=1e-2, seed=0)
+    assert info["rank"] == 11
+    assert info["actions"] == 11330
+    assert info["forward_solves"] == 10962
+    assert info["adjoint_solves"] == 11350
+    estimates = [info["sigma1_info"]] + info["trials"]
+    assert all(e["converged"] for e in estimates)
+    assert sum(sum(e["iterations"]) for e in estimates) == 5404
 
 
 def test_deterministic_given_seed():

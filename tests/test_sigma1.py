@@ -78,12 +78,18 @@ def test_nonconvergence_warns():
         )
     assert not res.converged
     assert res.value >= 0.0
+    assert res.iterations == [1]
 
 
 def test_unequal_derivative_slots_rejected():
     oracle = oracle_from_dense(np.zeros((4, 5, 3)))
     with pytest.raises(ShapeError):
         sigma1_estimate(oracle)
+    # empty loop bounds are refused too
+    square = oracle_from_dense(np.ones((4, 4, 3)))
+    for kwargs in ({"n_starts": 0}, {"max_iter": 0}):
+        with pytest.raises(ShapeError):
+            sigma1_estimate(square, **kwargs)
 
 
 def test_oracle_difference():
