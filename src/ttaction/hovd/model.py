@@ -104,7 +104,6 @@ class ReactionDiffusionModel:
         present = (cand[:, :, None] == table[:, None, :]).any(axis=2)
         keys = (node[:, None] * self.n_u + cand)[present]
         self._jac_slot = np.searchsorted(keys, cols * self.n_u + np.tile(node, 9))
-        self._jac_diag = np.searchsorted(keys, node * (self.n_u + 1))
         # in scipy's index dtype and read-only, so csc_matrix neither scans
         # nor copies them on each call
         idx = scipy.sparse.get_index_dtype(maxval=cols.size)
@@ -275,17 +274,9 @@ class ReactionDiffusionModel:
             (data, self._jac_indices, self._jac_indptr), shape=(self.n_u, self.n_u)
         )
 
-    def factorize(self, m, u, shift=0.0):
-        """LU-factorized state Jacobian with forward and transpose solves.
-
-        ``shift`` adds a multiple of the identity before factorizing; Newton
-        damping uses this where the plain Jacobian is singular.  The shift
-        goes onto the diagonal slots of the pattern fixed at construction.
-        """
-        mat = self.jacobian_u(m, u)
-        if shift:
-            mat.data[self._jac_diag] += shift
-        return FactorizedJacobian(mat)
+    def factorize(self, m, u):
+        """LU-factorized state Jacobian with forward and transpose solves."""
+        return FactorizedJacobian(self.jacobian_u(m, u))
 
     def whitening_matrix(self):
         """Symmetric positive definite discretization of (-Laplace + I).

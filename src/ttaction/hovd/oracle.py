@@ -10,9 +10,9 @@ and runs a second lattice of transposed solves, the high-order analogue of
 the adjoint gradient.  Both lattices share one LU factorization of the state
 Jacobian at the base point m0 = 0.  That base point (state, Newton iterations
 and LU) is solved once per model and shared by every :class:`WhitenedMap` and
-:class:`DerivativeEngine` on it; a whitened evaluation starts its state solve
-there and solves its Newton steps with the base LU while refinement on it
-converges.  This module is the one home of LU work on the state Jacobian.
+:class:`DerivativeEngine` on it.  A state solve refines each Newton step on
+the LU in hand and factorizes only when that stalls.  This module is the one
+home of LU work on the state Jacobian.
 
 Lattice nodes are cached by the byte identity of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
@@ -51,7 +51,7 @@ def _line_search(model, m, u, rnorm, step):
 
 
 def _kept_lu_step(model, m, u, res, rnorm, lu, goal):
-    """Newton step J s = -G solved by refinement sweeps on a kept LU.
+    """Newton step J s = -G solved by refinement sweeps on the LU in hand.
 
     Each sweep adds ``lu.solve(r)`` to the step, where r = -G - J s is the
     linear residual, with J = dG/du at the iterate applied through
@@ -72,26 +72,25 @@ def _kept_lu_step(model, m, u, res, rnorm, lu, goal):
 def solve_state(model, m, u0=None, lu=None, max_iter=50):
     """Solve G(m, u) = 0 by Newton's method with a backtracking line search.
 
-    Starts from ``u0``, or from zero when ``u0`` is not given.  Each step
-    solves dG/du s = -G at the iterate.  A starting ``lu`` (an LU of dG/du
-    near ``u0``, such as the base point's) solves that system by refinement
-    sweeps, to a linear residual of ``||G|| * min(0.5, ||G|| / scale)``: a
-    forcing term of the size of ``||G||`` keeps Newton's quadratic
-    convergence (Dembo, Eisenstat & Steihaug 1982).  Once a sweep fails to
-    halve the linear residual, or the line search rejects the step, the LU
-    is dropped for good and every later step factorizes dG/du at the
-    iterate; that LU serves only its own step.  Those steps try the diagonal
-    shifts ``(0, 1e-6, ..., 1e2) * ||G||`` in turn until the line search
-    accepts one: shift 0, the pure Newton direction, is unusable where the
-    Jacobian is singular (exactly at u = 0, where the cubic reaction
-    vanishes and the Neumann operator keeps constants in its nullspace).
-    Iterates until ``||G|| < 1e-10 * scale`` with ``scale = max(1, ||rho||)``,
-    the model's source norm.  Returns (state, Newton steps taken); raises
+    Starts from ``u0``, or from the cube root of the source.  Each step
+    solves dG/du s = -G at the iterate by refinement sweeps on the LU in
+    hand, the caller's ``lu`` (such as the base point's) or the last one this
+    solve factorized, to a linear residual of ``||G|| * min(0.5, ||G|| /
+    scale)``: a forcing term of the size of ``||G||`` keeps Newton's
+    quadratic convergence (Dembo, Eisenstat & Steihaug 1982).  With no LU
+    yet, a sweep that fails to halve the linear residual, or a step the line
+    search rejects, the solve factorizes dG/du at the iterate, takes that
+    exact Newton step and keeps the new LU.  Iterates until ``||G|| < 1e-10 *
+    scale`` with ``scale = max(1, ||rho||)``, the model's source norm.
+    Returns (state, Newton steps taken); raises
     :class:`~ttaction.errors.NewtonError` after ``max_iter`` steps or when
-    no shift gives an accepted step.
+    the line search rejects an exact Newton step.
     """
     m = np.asarray(m, dtype=float).ravel()
-    u = np.zeros(model.n_u) if u0 is None else np.asarray(u0, dtype=float).ravel()
+    # dG/du = L(m) + 3 diag(u^2), L of zero row sums and non-positive off-diagonals
+    # on a connected grid, is irreducibly diagonally dominant, so nonsingular, unless
+    # u = 0; the root of the reaction alone starts away from that one singular point
+    u = np.cbrt(model.rho) if u0 is None else np.asarray(u0, dtype=float).ravel()
     scale = max(1.0, float(np.linalg.norm(model.rho)))
     target = 1e-10 * scale
     res = model.residual(m, u)
@@ -108,21 +107,10 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
             step = _kept_lu_step(model, m, u, res, rnorm, lu, goal)
             if step is not None:
                 accepted = _line_search(model, m, u, rnorm, step)
-            if accepted is None:
-                lu = None  # the kept LU stopped serving
         if accepted is None:
-            for shift in (0.0, 1e-6, 1e-4, 1e-2, 1.0, 1e2):
-                try:
-                    step = model.factorize(m, u, shift=shift * rnorm).solve(-res)
-                except RuntimeError:
-                    continue
-                # a singular Jacobian shows up as a step of absurd length;
-                # skip the doomed line search and damp more
-                if float(np.linalg.norm(step)) <= 1e12 * max(1.0, float(np.linalg.norm(u))):
-                    accepted = _line_search(model, m, u, rnorm, step)
-                    if accepted is not None:
-                        break
-            else:
+            lu = model.factorize(m, u)
+            accepted = _line_search(model, m, u, rnorm, lu.solve(-res))
+            if accepted is None:
                 raise NewtonError(f"line search stalled (residual {rnorm:.3e})")
         u, res, rnorm = accepted
         iters += 1
@@ -299,9 +287,9 @@ class WhitenedMap:
     smoother is its own transpose.
 
     Every evaluation warm-starts its Newton solve at the model's shared base
-    state at m = 0, solved on first use, and solves its Newton steps by
-    refinement on the base point's LU until a sweep stops halving the linear
-    residual; only then does it factorize.  The state equation has one
+    state at m = 0, solved on first use, with the base point's LU in hand:
+    :func:`solve_state` refines on that LU and replaces it by a factorization
+    at the iterate only where refinement stalls.  The state equation has one
     solution for each m (e^m > 0 and u^3 is monotone), so the start and the
     linear solver change only the work spent, not the root.
     """

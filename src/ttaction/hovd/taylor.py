@@ -126,11 +126,15 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0, orders=None):
     every requested order are scaled by the sampled mean of
     ``||truth(x) - f(0)||``; the order-0 row therefore has mean one.  Returns
     a dict with orders, per-order means and standard deviations, and the
-    per-sample normalized errors (orders by samples).
+    per-sample normalized errors (orders by samples).  Refuses an order
+    outside 0..``surrogate.order`` before sampling ``truth``.
     """
     if n_samples < 1:
         raise ShapeError(f"need at least one sample, got {n_samples}")
     orders = list(range(surrogate.order + 1)) if orders is None else list(orders)
+    bad = [order for order in orders if not 0 <= order <= surrogate.order]
+    if bad:
+        raise ShapeError(f"orders must be in 0..{surrogate.order}, got {bad}")
     dim = surrogate.input_dim
     xs, fs = [], []
     for i in range(n_samples):

@@ -80,7 +80,7 @@ def factorize_calls(source):
 
 def test_scan_flags_a_factorize_call():
     source = (PACKAGE / "hovd" / "taylor.py").read_text()
-    planted = "lu = model.factorize(m, u, shift=1.0)\n"
+    planted = "lu = model.factorize(m, u)\n"
     assert factorize_calls(source + planted) == [source.count("\n") + 1]
     assert factorize_calls("def factorize(self, m, u):\n    pass\n") == []
     assert factorize_calls((PACKAGE / "hovd" / "oracle.py").read_text())  # the home

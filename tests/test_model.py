@@ -221,12 +221,19 @@ def test_factorization_solves_both_transposes():
     np.testing.assert_allclose(jac.T @ fac.solve_t(b), b, atol=1e-8)
 
 
-def test_factorization_shift():
-    model, rng, m, u = make(5, seed=9)
-    shifted = model.jacobian_u(m, u) + 2.5 * scipy.sparse.identity(model.n_u)
+def test_state_jacobian_is_singular_only_at_zero_state():
+    # dG/du = L(m) + 3 diag(u^2), with L of zero row sums: constants are a
+    # null vector at u = 0, and any nonzero entry of u makes the matrix
+    # irreducibly diagonally dominant, hence nonsingular
+    model, rng, m, _ = make(8, seed=15)
     b = rng.standard_normal(model.n_u)
-    x = model.factorize(m, u, shift=2.5).solve(b)
-    np.testing.assert_allclose(shifted @ x, b, atol=1e-8)
+    one_hot = np.zeros(model.n_u)
+    one_hot[rng.integers(model.n_u)] = 1.0
+    for u in (np.cbrt(model.rho), one_hot):
+        x = model.factorize(m, u).solve(b)
+        assert np.linalg.norm(model.jacobian_u(m, u) @ x - b) < 1e-10 * np.linalg.norm(b)
+    jac0 = model.jacobian_u(m, np.zeros(model.n_u))
+    assert np.linalg.norm(jac0 @ np.ones(model.n_u)) < 1e-12 * abs(jac0).sum(axis=1).max()
 
 
 def coo_jacobian(model, m, u):
@@ -254,13 +261,12 @@ def test_jacobian_u_matches_coo_assembly_bit_for_bit(n):
         np.testing.assert_array_equal(getattr(jac, part), getattr(ref, part))
 
 
-@pytest.mark.parametrize("shift", [0.0, 2.5])
-def test_factorization_matches_coo_assembly_bit_for_bit(shift):
+def test_factorization_matches_coo_assembly_bit_for_bit():
     model, rng, m, u = make(8, seed=13)
-    ref = (coo_jacobian(model, m, u) + shift * scipy.sparse.identity(model.n_u)).tocsc()
     b = rng.standard_normal(model.n_u)
     np.testing.assert_array_equal(
-        model.factorize(m, u, shift=shift).solve(b), scipy.sparse.linalg.splu(ref).solve(b)
+        model.factorize(m, u).solve(b),
+        scipy.sparse.linalg.splu(coo_jacobian(model, m, u)).solve(b),
     )
 
 
@@ -277,7 +283,6 @@ def test_jacobian_assembly_reuses_the_construction_pattern(monkeypatch):
     assert np.shares_memory(jac.indices, model._jac_indices)
     assert np.shares_memory(jac.indptr, model._jac_indptr)
     model.factorize(m, u)
-    model.factorize(m, u, shift=2.5)
 
 
 def test_validation():

@@ -106,6 +106,16 @@ def test_error_stats_requested_orders_and_validation():
     assert stats["errors"].shape == (2, 4)
     with pytest.raises(ShapeError):
         taylor_error_stats(surrogate, whitener.evaluate, n_samples=0)
+    truths = []
+
+    def truth(x):
+        truths.append(x)
+        return whitener.evaluate(x)
+
+    for orders in ([0, 7], [-1]):
+        with pytest.raises(ShapeError):
+            taylor_error_stats(surrogate, truth, n_samples=50, orders=orders)
+    assert not truths  # refused before any truth solve
 
 
 def test_error_stats_zero_map_rejected():
