@@ -91,6 +91,13 @@ class BuildReport:
     converged: bool = True
 
 
+def check_slack(oversampling, tau_extra):
+    """Refuse a negative ``oversampling`` or ``tau_extra`` with ShapeError."""
+    for name, value in (("oversampling", oversampling), ("tau_extra", tau_extra)):
+        if value < 0:
+            raise ShapeError(f"{name} must be >= 0, got {value}")
+
+
 def required_tau(rank, mode_size, tau_extra=DEFAULT_TAU_EXTRA):
     """Interpolation sets needed at a stage: ceil(r / N) plus slack."""
     return math.ceil(rank / mode_size) + tau_extra
@@ -110,10 +117,12 @@ def predicted_action_count(
       + tau_{d-1} r_{d-1}                           last core
 
     with tau_k = ceil(r_k / N_k) + tau_extra.  For d = 2 the count is
-    (r_1 + p) + r_1.  A scalar rank is broadcast.  Ranks the builder would
-    refuse, where tau_{c-1} exceeds r_{c-2}, raise
-    :class:`~ttaction.errors.BacktrackingRequiredError` as the build does.
+    (r_1 + p) + r_1.  A scalar rank is broadcast.  A negative p or
+    ``tau_extra`` raises :class:`~ttaction.errors.ShapeError`, and ranks the
+    builder would refuse, where tau_{c-1} exceeds r_{c-2}, raise
+    :class:`~ttaction.errors.BacktrackingRequiredError`, as the build does.
     """
+    check_slack(oversampling, tau_extra)
     d = len(dims)
     ranks = rank_list(ranks, d)
     total = 0
@@ -225,6 +234,8 @@ def tt_from_actions(oracle, config):
         The tensor, d >= 2 modes.  Its counter is read before and after each
         stage for the report but is never reset.
     config : BuildConfig
+        A negative ``oversampling`` or ``tau_extra`` raises
+        :class:`~ttaction.errors.ShapeError` before any action.
 
     Returns
     -------
@@ -240,6 +251,7 @@ def tt_from_actions(oracle, config):
     """
     if (config.ranks is None) == (config.tol is None):
         raise ShapeError("exactly one of ranks and tol must be set")
+    check_slack(config.oversampling, config.tau_extra)
     dims = oracle.dims
     d = oracle.order
     ranks = rank_list(config.ranks, d)

@@ -105,24 +105,8 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 def _finish(args, outputs, started, t0):
-    config = {
-        key: _jsonable(val)
-        for key, val in sorted(vars(args).items())
-        if key != "func"
-    }
+    config = {key: val for key, val in sorted(vars(args).items()) if key != "func"}
     manifest = {
         "command": args.command,
         "config": config,

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from ..builder import DEFAULT_TAU_EXTRA, BuildConfig, tt_from_actions
+from ..builder import DEFAULT_TAU_EXTRA, BuildConfig, check_slack, tt_from_actions
 from ..core import TensorTrain, oracle_from_tt, subseed, tt_round, unfolding_caps
 from ..errors import CapacityError, ShapeError
 from ..rangefinder import DEFAULT_OVERSAMPLING
@@ -56,8 +56,9 @@ def compress_derivative(
 
     Exactly one of ``rank`` (build once at that rank) and ``eps`` (grow the
     rank until the relative spectral error drops below it) must be given;
-    a rank below 1, an eps that is not finite and > 0, or a ``max_rank``
-    below 2 raises :class:`~ttaction.errors.ShapeError` before any solve.
+    a rank below 1, an eps that is not finite and > 0, a ``max_rank`` below
+    2, or a negative ``oversampling`` or ``tau_extra`` raises
+    :class:`~ttaction.errors.ShapeError` before any solve.
     Order 1 is compressed by randomized SVD instead of the train builder.
     Returns (train, info) where info records the rank, the spectral error,
     solver and action counters, and wall time.  Every sigma_1 estimate keeps
@@ -76,6 +77,7 @@ def compress_derivative(
         raise ShapeError(f"eps must be finite and > 0, got {eps}")
     if max_rank is not None and max_rank < 2:
         raise ShapeError(f"max_rank must be >= 2, got {max_rank}")
+    check_slack(oversampling, tau_extra)
     t0 = time.perf_counter()
     whitener = whitener or WhitenedMap(model)
     oracle = make_derivative_oracle(model, order, whitener=whitener)

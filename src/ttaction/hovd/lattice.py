@@ -4,10 +4,10 @@ Differentiating a map X(m, u(m)) repeatedly in directions p_1, ..., p_k
 produces, by the chain rule, a sum of partial derivatives of X contracted
 with the directions and with state sensitivities u^B, one per block B of
 directions routed through the state.  Directions are canonicalized into a
-multiset (distinct vectors with multiplicities), so a derivative node is a
-sub-multiset and the dependency lattice of an order-k derivative has one node
-per sub-multiset: k + 1 nodes when all directions coincide, 2^k when all
-differ.
+multiset (distinct vectors, keyed by their float64 bytes, with
+multiplicities), so a derivative node is a sub-multiset and the dependency
+lattice of an order-k derivative has one node per sub-multiset: k + 1 nodes
+when all directions coincide, 2^k when all differ.
 
 ``expansion`` builds the symbolic term list for the full total derivative of
 a generic X once per multiset signature; evaluators then substitute concrete
@@ -19,7 +19,6 @@ unknown.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -30,24 +29,17 @@ import numpy as np
 def canonical_directions(vectors):
     """Group identical direction vectors.
 
-    Returns (unique vectors, multiplicities, digests): the distinct vectors
-    in first-appearance order, how often each occurs, and a stable byte
-    digest per distinct vector for cache keying.  Identity is exact bitwise
-    equality of the float64 representation.
+    Returns (unique vectors, multiplicities, keys): the distinct vectors in
+    first-appearance order, how often each occurs, and each one's float64
+    bytes as its cache key.  Identity is exact bitwise equality of the
+    float64 representation.
     """
-    unique, counts, digests = [], [], []
-    seen = {}
+    groups = {}
     for v in vectors:
         v = np.ascontiguousarray(v, dtype=float)
-        dig = hashlib.blake2b(v.tobytes(), digest_size=16).digest()
-        if dig in seen:
-            counts[seen[dig]] += 1
-        else:
-            seen[dig] = len(unique)
-            unique.append(v)
-            counts.append(1)
-            digests.append(dig)
-    return unique, tuple(counts), tuple(digests)
+        groups.setdefault(v.tobytes(), [v, 0])[1] += 1
+    unique = [v for v, _ in groups.values()]
+    return unique, tuple(c for _, c in groups.values()), tuple(groups)
 
 
 def sub_multisets(counts):
@@ -93,6 +85,6 @@ def expansion(counts):
     return tuple(terms.items())
 
 
-def block_signature(digests, counts):
+def block_signature(keys, counts):
     """Stable cache key for the sub-multiset ``counts`` of directions."""
-    return tuple(sorted((digests[i], c) for i, c in enumerate(counts) if c))
+    return tuple(sorted((keys[i], c) for i, c in enumerate(counts) if c))

@@ -14,9 +14,11 @@ and LU) is solved once per model and shared by every :class:`WhitenedMap` and
 the LU in hand and factorizes only when that stalls.  This module is the one
 home of LU work on the state Jacobian.
 
-Lattice nodes are cached by the byte identity of the direction vectors, so
+Lattice nodes are cached by the float64 bytes of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
-fully symmetric direction tuple collapses the 2^k lattice to a chain.
+fully symmetric direction tuple collapses the 2^k lattice to a chain.  For a
+whitened tensor the engine also smooths: each distinct raw direction once per
+cache, keyed by the same bytes, and each free-slot output on the way out.
 """
 
 from __future__ import annotations
@@ -139,17 +141,21 @@ class DerivativeEngine:
     """Forward and adjoint derivative lattices at the base point m0 = 0.
 
     The base state ``u0``, its ``newton_iterations`` and the LU ``factor``
-    are the model's shared base point.  Lattice nodes are cached by direction
-    identity, so the solve counters see each node once; a solve that raises
-    caches nothing.  Serves one caller at a time, as a numpy ``Generator``
-    does: the cache and counters have no synchronisation.
+    are the model's shared base point.  Directions are keyed by their float64
+    bytes and lattice nodes by those keys, so the solve counters see each
+    node once; a solve that raises caches nothing.  With a ``whitener`` the
+    directions are raw-space vectors: each distinct one is smoothed on its
+    first use and kept, read-only, in the same cache, and :meth:`mode_free`
+    smooths its output.  Serves one caller at a time, as a numpy
+    ``Generator`` does: the cache and counters have no synchronisation.
     """
 
-    def __init__(self, model, order):
+    def __init__(self, model, order, whitener=None):
         if order < 1:
             raise ShapeError(f"derivative order must be >= 1, got {order}")
         self.model = model
         self.order = order
+        self.whitener = whitener
         self.m0 = np.zeros(model.n_m)
         self.u0, self.newton_iterations, self.factor = _base_point(model)
         self.forward_solves = 0
@@ -157,24 +163,30 @@ class DerivativeEngine:
         self._cache = {}
 
     def clear_cache(self):
-        """Drop cached lattice nodes; the state and its LU stay."""
+        """Drop cached lattice nodes and smoothed directions; the state stays."""
         self._cache.clear()
 
     def _canonical(self, directions, count):
-        """Check ``count`` directions of length n_m once, then group them.
+        """Check ``count`` directions of length n_m once, group and smooth them.
 
         This is the engine boundary: every direction a partial sees later is
-        a flat float vector of the right length.
+        a flat float vector of the right length, smoothed if whitened.
         """
         if len(directions) != count:
             raise ShapeError(f"need {count} directions, got {len(directions)}")
-        unique, counts, digests = canonical_directions(directions)
-        for v in unique:
+        unique, counts, keys = canonical_directions(directions)
+        for i, v in enumerate(unique):
             if v.shape != (self.model.n_m,):
                 raise ShapeError(
                     f"direction has shape {v.shape}, expected ({self.model.n_m},)"
                 )
-        return unique, counts, digests
+            if self.whitener is not None:
+                key = ("p", keys[i])
+                if key not in self._cache:
+                    self._cache[key] = self.whitener.apply(v)
+                    self._cache[key].flags.writeable = False
+                unique[i] = self._cache[key]
+        return unique, counts, keys
 
     # -- forward lattice ----------------------------------------------------
 
@@ -195,11 +207,11 @@ class DerivativeEngine:
             out += coef * partial(self.m0, self.u0, pairs)
         return out
 
-    def _forward_values(self, unique, counts, digests):
+    def _forward_values(self, unique, counts, keys):
         """Ensure and return the state sensitivities u^beta for beta <= counts."""
         values = {}
         for beta in sub_multisets(counts):
-            key = ("u", block_signature(digests, beta))
+            key = ("u", block_signature(keys, beta))
             if key not in self._cache:
                 rhs = self._forward_sum(
                     self.model.partial_g, self.model.n_u, unique, beta, values,
@@ -212,8 +224,8 @@ class DerivativeEngine:
 
     def output_free(self, directions):
         """T(p_1, ..., p_k, .): all derivative slots saturated, output free."""
-        unique, counts, digests = self._canonical(directions, self.order)
-        values = self._forward_values(unique, counts, digests)
+        unique, counts, keys = self._canonical(directions, self.order)
+        values = self._forward_values(unique, counts, keys)
         return self._forward_sum(
             self.model.partial_f, self.model.n_q, unique, counts, values
         )
@@ -244,7 +256,7 @@ class DerivativeEngine:
                 out += coef * mult * g
         return out
 
-    def _adjoint_values(self, unique, counts, digests, q, values):
+    def _adjoint_values(self, unique, counts, keys, q, values):
         """Adjoint sensitivities lambda^beta for beta <= counts, q fixed."""
         q = np.ascontiguousarray(q, dtype=float)
         qsig = q.tobytes()
@@ -255,7 +267,7 @@ class DerivativeEngine:
             self._cache[key] = self.factor.solve_t(-rhs)
         lams = {(0,) * len(counts): self._cache[key]}
         for beta in sub_multisets(counts):
-            key = ("l", qsig, block_signature(digests, beta))
+            key = ("l", qsig, block_signature(keys, beta))
             if key not in self._cache:
                 rhs = self._adjoint_sum("u", unique, beta, values, q, lams, unknown=beta)
                 self.adjoint_solves += 1
@@ -267,15 +279,17 @@ class DerivativeEngine:
         """S(., p_2, ..., p_k, q): one derivative slot free, output contracted.
 
         ``directions`` are the k-1 saturated derivative slots; ``q`` weights
-        the output slot.  Returns a vector in parameter space.
+        the output slot.  Returns a vector in parameter space, smoothed if
+        whitened (the smoother is its own transpose).
         """
         q = np.asarray(q, dtype=float).ravel()
         if q.shape != (self.model.n_q,):
             raise ShapeError(f"q has shape {q.shape}, expected ({self.model.n_q},)")
-        unique, counts, digests = self._canonical(directions, self.order - 1)
-        values = self._forward_values(unique, counts, digests)
-        lams = self._adjoint_values(unique, counts, digests, q, values)
-        return self._adjoint_sum("m", unique, counts, values, q, lams)
+        unique, counts, keys = self._canonical(directions, self.order - 1)
+        values = self._forward_values(unique, counts, keys)
+        lams = self._adjoint_values(unique, counts, keys, q, values)
+        g = self._adjoint_sum("m", unique, counts, values, q, lams)
+        return g if self.whitener is None else self.whitener.apply(g)
 
 
 class WhitenedMap:
@@ -320,8 +334,9 @@ class WhitenedMap:
 class DerivativeOracle(ActionOracle):
     """An action oracle served by a :class:`DerivativeEngine`.
 
-    ``engine`` holds the solve counters and the lattice cache that
-    :meth:`clear_cache` empties.  Built by :func:`make_derivative_oracle`.
+    ``engine`` holds the solve counters and the one cache, of lattice nodes
+    and smoothed directions, that :meth:`clear_cache` empties.  Built by
+    :func:`make_derivative_oracle`.
     """
 
     def __init__(self, dims, apply_fn, engine):
@@ -329,7 +344,7 @@ class DerivativeOracle(ActionOracle):
         self.engine = engine
 
     def clear_cache(self):
-        """Drop the engine's cached lattice nodes; its state and LU stay."""
+        """Empty the engine's cache; its state and LU stay."""
         self.engine.clear_cache()
 
 
@@ -341,47 +356,19 @@ def make_derivative_oracle(model, order, whitener=None):
     action; freeing any derivative mode uses the symmetry of the derivative
     slots and runs the adjoint path, so every mode of the tensor is available
     to a tensor-train builder.  With a ``whitener`` the derivative slots take
-    raw-space vectors, which are smoothed on the way in (a raw vector that
-    repeats within one action or across two consecutive ones is smoothed
-    once), and free-slot outputs are smoothed on the way back out.
+    raw-space vectors, which the engine smooths on the way in and on the way
+    back out of a free derivative slot.
 
     The returned :class:`DerivativeOracle` carries the underlying engine as
     ``oracle.engine`` (solve counters), and its ``clear_cache`` empties the
-    engine's lattice cache.
+    engine's cache, the only one the oracle holds.
     """
-    engine = DerivativeEngine(model, order)
-    d = order + 1
+    engine = DerivativeEngine(model, order, whitener)
     dims = (model.n_m,) * order + (model.n_q,)
 
-    # raw bytes -> read-only smoothed vector for the directions of the last
-    # action, so a direction repeated within an action or by the next one is
-    # smoothed once; at most k entries are kept
-    last = {}
-
-    def smooth(v):
-        p = whitener.apply(v)
-        p.flags.writeable = False
-        return p
-
-    def smooth_all(vectors):
-        nonlocal last
-        seen, out = {}, []
-        for v in vectors:
-            key = np.ascontiguousarray(v, dtype=float).tobytes()
-            if key not in seen:
-                seen[key] = last[key] if key in last else smooth(v)
-            out.append(seen[key])
-        last = seen
-        return out
-
     def apply_fn(free_mode, vectors):
-        if free_mode == d:
-            ps = smooth_all(vectors) if whitener else vectors
-            return engine.output_free(ps)
-        ps, q = vectors[:-1], vectors[-1]
-        if whitener:
-            ps = smooth_all(ps)
-        g = engine.mode_free(ps, q)
-        return whitener.apply(g) if whitener else g
+        if free_mode == order + 1:
+            return engine.output_free(vectors)
+        return engine.mode_free(vectors[:-1], vectors[-1])
 
     return DerivativeOracle(dims, apply_fn, engine)

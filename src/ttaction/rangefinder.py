@@ -152,6 +152,8 @@ def adaptive_range(problem, tol, oversampling=DEFAULT_OVERSAMPLING, max_rank=Non
     """
     if tol <= 0:
         raise ShapeError(f"tolerance must be positive, got {tol}")
+    if oversampling < 0:
+        raise ShapeError(f"oversampling must be nonnegative, got {oversampling}")
     ceiling = problem.output_dim if max_rank is None else min(max_rank, problem.output_dim)
     rank = 2
     cols = _collect_samples(problem, range(rank + oversampling))

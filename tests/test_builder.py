@@ -296,6 +296,23 @@ def test_predicted_action_count_validation():
         predicted_action_count((4, 4, 4), (2,))
 
 
+@pytest.mark.parametrize(
+    "slack", [{"oversampling": -1}, {"tau_extra": -1}, {"oversampling": -3}]
+)
+def test_negative_slack_is_refused_before_any_action(slack):
+    dims, ranks = (5, 6, 7, 5), (3, 4, 3)
+    oracle = oracle_from_tt(random_tt(np.random.default_rng(33), dims, ranks))
+    for config in (
+        BuildConfig(ranks=list(ranks), **slack),
+        BuildConfig(tol=1e-8, **slack),
+    ):
+        with pytest.raises(ShapeError, match="must be >= 0"):
+            tt_from_actions(oracle, config)
+    assert oracle.action_count == 0
+    with pytest.raises(ShapeError, match="must be >= 0"):
+        predicted_action_count(dims, ranks, **slack)
+
+
 @pytest.mark.parametrize("dims,ranks", CASES[3:], ids=["d5", "d6"])
 def test_predicted_action_count_refuses_what_the_build_refuses(dims, ranks):
     # tau = ceil(3 / N_2) + 2 = 3 sets at stage 3, but core 1 has rank 2

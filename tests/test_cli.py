@@ -209,6 +209,22 @@ def test_taylor_validation(tmp_path):
     assert main(["taylor", "--n", "5", "--samples", "0", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synthetic", "--shape", "6,7,8", "--true-ranks", "2,3"],
+        ["hilbert", "--dims", "6,7,8", "--max-rank", "3"],
+        ["derivative", "--n", "4", "--rank", "3"],
+        ["taylor", "--n", "4", "--max-order", "2", "--rank", "3", "--samples", "2"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_negative_slack_exits_two(tmp_path, command):
+    assert main(command + ["--p", "-1", "--out-dir", str(tmp_path)]) == 2
+    if command[0] != "taylor":  # taylor builds with the default tau_extra
+        assert main(command + ["--tau-extra", "-2", "--out-dir", str(tmp_path)]) == 2
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ttaction.cli", "info"],

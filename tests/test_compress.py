@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from ttaction.errors import CapacityError, ShapeError
-from ttaction.hovd import ReactionDiffusionModel, WhitenedMap, compress_derivative
+from ttaction.hovd import (
+    ReactionDiffusionModel,
+    WhitenedMap,
+    compress,
+    compress_derivative,
+)
 
 
 def test_fixed_rank_mode_order_two():
@@ -84,8 +89,10 @@ def test_eps_mode_unreachable_raises():
         compress_derivative(model, order=2, eps=1e-12, max_rank=3, seed=0)
 
 
-def test_validation():
+def test_validation(monkeypatch):
     model = ReactionDiffusionModel(5)
+    # bad arguments are refused before the first sigma_1 estimate
+    monkeypatch.setattr(compress, "sigma1_estimate", None)
     with pytest.raises(ShapeError):
         compress_derivative(model, order=2)
     with pytest.raises(ShapeError):
@@ -101,6 +108,9 @@ def test_validation():
         {"rank": 0},
         {"eps": 0.1, "max_rank": 1},
         {"eps": 0.1, "max_rank": 0},
+        {"eps": 0.1, "oversampling": -1},
+        {"eps": 0.1, "tau_extra": -2},
+        {"rank": 4, "tau_extra": -1},
     ):
         with pytest.raises(ShapeError):
             compress_derivative(model, order=2, **kwargs)

@@ -224,7 +224,7 @@ def test_cold_solve_factorizes_fewer_times_than_it_steps(monkeypatch):
     assert 0 < factorizations[0] < iters
 
 
-def test_consecutive_actions_smooth_a_repeated_direction_once(monkeypatch):
+def test_each_distinct_direction_is_smoothed_once_per_cache(monkeypatch):
     model = ReactionDiffusionModel(5)
     whitener = WhitenedMap(model)
     rng = np.random.default_rng(25)
@@ -232,9 +232,9 @@ def test_consecutive_actions_smooth_a_repeated_direction_once(monkeypatch):
     q = rng.standard_normal(model.n_q)
     calls = [
         (4, [p1, p2, p2]),
-        (4, [p2, p3, p1]),  # p1 and p2 were in the last action
-        (1, [p3, p3, q]),  # p3 was; the free slot's output is smoothed too
-        (4, [p1, p1, p1]),  # p1 was not in the last action
+        (4, [p2, p3, p1]),  # p1 and p2 are cached
+        (1, [p3, p3, q]),  # p3 is; the free slot's output is smoothed too
+        (4, [p1, p1, p1]),  # p1 is still cached two actions later
     ]
     # the same actions on an unwhitened oracle, smoothing done outside it
     plain = make_derivative_oracle(model, 3)
@@ -258,7 +258,12 @@ def test_consecutive_actions_smooth_a_repeated_direction_once(monkeypatch):
     for (mode, vectors), expected in zip(calls, want):
         np.testing.assert_array_equal(oracle.action(mode, vectors), expected)
         counts.append(len(smoothed))
-    assert counts == [2, 3, 4, 5]
+    assert counts == [2, 3, 4, 4]
+    # clearing the cache drops the smoothed directions with the lattice nodes
+    oracle.clear_cache()
+    mode, vectors = calls[0]
+    np.testing.assert_array_equal(oracle.action(mode, vectors), want[0])
+    assert len(smoothed) == 6
 
 
 @pytest.mark.parametrize("method,kind", [("solve", "u"), ("solve_t", "l")])
@@ -447,6 +452,21 @@ def test_oracle_derivative_modes_are_symmetric():
     third = oracle.action(3, [p2, p3, q])
     np.testing.assert_allclose(first, second, atol=1e-11)
     np.testing.assert_allclose(first, third, atol=1e-11)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_whitened_oracle_duality(order):
+    # <T_w(p_1, ..., p_k, .), q> = <T_w(., p_2, ..., p_k, q), p_1>: the
+    # forward path smooths p_1 on the way in, the adjoint path smooths its
+    # free-slot output on the way out
+    model = ReactionDiffusionModel(5)
+    oracle = make_derivative_oracle(model, order, whitener=WhitenedMap(model))
+    rng = np.random.default_rng(26)
+    ps = [rng.standard_normal(model.n_m) for _ in range(order)]
+    q = rng.standard_normal(model.n_q)
+    forward = oracle.action(order + 1, ps) @ q
+    adjoint = oracle.action(1, ps[1:] + [q]) @ ps[0]
+    assert abs(forward - adjoint) <= 1e-11 * abs(forward)
 
 
 def test_whitened_oracle_transpose_consistency():

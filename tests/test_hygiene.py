@@ -1,6 +1,6 @@
 """Source hygiene: every import in the library is used, no contraction pays
-for an einsum path search on each call, and LU work on the state Jacobian
-has one home, ``hovd/oracle.py``.
+for an einsum path search on each call, LU work on the state Jacobian has
+one home, ``hovd/oracle.py``, and no closure keeps state between calls.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -93,3 +93,28 @@ def test_scan_flags_a_factorize_call():
 )
 def test_no_factorize_outside_the_oracle(path):
     assert factorize_calls(path.read_text()) == []
+
+
+def nonlocal_statements(source):
+    """Line of each ``nonlocal`` statement.
+
+    State that lives between calls belongs on an object whose
+    ``clear_cache`` reaches it, not in a closure.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Nonlocal)
+    ]
+
+
+def test_scan_flags_a_nonlocal():
+    source = (PACKAGE / "hovd" / "oracle.py").read_text()
+    planted = "def outer():\n    last = {}\n\n    def inner():\n        nonlocal last\n"
+    assert nonlocal_statements(source + planted) == [source.count("\n") + 5]
+    assert nonlocal_statements("def f():\n    global g\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_nonlocal(path):
+    assert nonlocal_statements(path.read_text()) == []

@@ -15,11 +15,11 @@ from ttaction.hovd.lattice import (
 def test_canonical_directions_groups_bitwise_equal():
     v = np.array([1.0, 2.0, 3.0])
     w = np.array([1.0, 2.0, 4.0])
-    unique, counts, digests = canonical_directions([v, w, v.copy(), 1.0 * v])
+    unique, counts, keys = canonical_directions([v, w, v.copy(), 1.0 * v])
     assert len(unique) == 2
     assert counts == (3, 1)
     np.testing.assert_array_equal(unique[0], v)
-    assert len(set(digests)) == 2
+    assert keys == (v.tobytes(), w.tobytes())
     # any bit flip separates
     nudged = v.copy()
     nudged[0] = np.nextafter(nudged[0], 2.0)
@@ -143,10 +143,10 @@ def test_expansion_numerically_exact_scalar_composition():
 
 
 def test_block_signature_invariant_under_relabeling():
-    _, _, digests = canonical_directions(
+    _, _, keys = canonical_directions(
         [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     )
-    swapped = (digests[1], digests[0])
-    assert block_signature(digests, (1, 2)) == block_signature(swapped, (2, 1))
+    swapped = (keys[1], keys[0])
+    assert block_signature(keys, (1, 2)) == block_signature(swapped, (2, 1))
     # zero-count entries are dropped entirely
-    assert block_signature(digests, (0, 2)) == block_signature((digests[1],), (2,))
+    assert block_signature(keys, (0, 2)) == block_signature((keys[1],), (2,))

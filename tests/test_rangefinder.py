@@ -159,3 +159,6 @@ def test_parameter_validation():
         randomized_range(problem, rank=2, oversampling=-1)
     with pytest.raises(ShapeError):
         adaptive_range(problem, tol=0.0)
+    # one sample would read as a converged rank-1 basis of a rank-2 map
+    with pytest.raises(ShapeError):
+        adaptive_range(problem, tol=1e-8, oversampling=-1)
