@@ -20,6 +20,7 @@ from .core import (
     tt_dense_error,
     tt_load,
     tt_load_json,
+    tt_relative_error,
     tt_round,
     tt_save,
     tt_save_json,
@@ -69,6 +70,7 @@ __all__ = [
     "tt_from_actions",
     "tt_load",
     "tt_load_json",
+    "tt_relative_error",
     "tt_round",
     "tt_save",
     "tt_save_json",

@@ -34,12 +34,12 @@ from .builder import BuildConfig, predicted_action_count, tt_from_actions
 from .core import (
     DENSE_GUARD,
     TensorTrain,
+    _tt_norm,
     oracle_from_tt,
     subseed,
-    tt_dense_error,
+    tt_relative_error,
     tt_round,
     tt_save,
-    tt_to_dense,
     unfolding_caps,
 )
 from .errors import (
@@ -54,7 +54,7 @@ from .errors import (
     ShapeError,
     ZeroNormError,
 )
-from .hilbert import DEFAULT_DIMS, hilbert_dense, hilbert_oracle, ttsvd_error_curve
+from .hilbert import DEFAULT_DIMS, hilbert_oracle, hilbert_train
 from .hovd import (
     ReactionDiffusionModel,
     WhitenedMap,
@@ -136,39 +136,31 @@ def cmd_hilbert(args):
         raise ShapeError(f"--max-rank must be >= 2, got {args.max_rank}")
     if len(args.dims) < 2 or min(args.dims) < 2:
         raise ShapeError(f"--dims must be at least 2 modes of size >= 2: {args.dims}")
-    out_dir = Path(args.out_dir)
     dims = args.dims
-    ranks = list(range(2, args.max_rank + 1))
     caps = unfolding_caps(dims)
-    dense = hilbert_dense(dims)
-    curve, setup_seconds = ttsvd_error_curve(dense, ranks)
-    shared = setup_seconds / len(ranks)
-    by_rank = {}
-    for rank, error, seconds in curve:
-        by_rank[rank] = [("svd", error, 0, seconds + shared)]
+    exact = hilbert_train(dims)
     oracle = hilbert_oracle(dims)
-    for rank in ranks:
+    rows = []
+    for rank in range(2, args.max_rank + 1):
+        ranks = [min(rank, c) for c in caps]
         oracle.reset_count()
-        t_build = time.perf_counter()
+        t0 = time.perf_counter()
         train, report = tt_from_actions(
             oracle,
             BuildConfig(
-                ranks=[min(rank, c) for c in caps],
+                ranks=ranks,
                 oversampling=args.p,
                 tau_extra=args.tau_extra,
                 seed=args.seed,
             ),
         )
-        error = tt_dense_error(dense, train)
-        by_rank[rank].insert(
-            0, ("rsvd", error, report.total_actions, time.perf_counter() - t_build)
-        )
-    rows = [
-        (rank, method, error, actions, _seconds(args, seconds))
-        for rank in ranks
-        for method, error, actions, seconds in by_rank[rank]
-    ]
-    path = out_dir / "hilbert.csv"
+        error = tt_relative_error(exact, train)
+        seconds = _seconds(args, time.perf_counter() - t0)
+        rows.append((rank, "rsvd", error, report.total_actions, seconds))
+        t0 = time.perf_counter()
+        error = tt_relative_error(exact, tt_round(exact, ranks=ranks))
+        rows.append((rank, "svd", error, 0, _seconds(args, time.perf_counter() - t0)))
+    path = Path(args.out_dir) / "hilbert.csv"
     _write_csv(path, ("rank", "method", "rel_error", "actions", "seconds"), rows)
     return [path]
 
@@ -192,7 +184,7 @@ def cmd_synthetic(args):
         for k in range(d)
     ]
     true_tt = TensorTrain(cores)
-    norm = float(np.linalg.norm(tt_round(true_tt).cores[-1]))
+    norm = _tt_norm(true_tt)
     if norm == 0.0:
         raise ZeroNormError("degenerate random train")
     cores[0] = cores[0] / norm
@@ -208,22 +200,7 @@ def cmd_synthetic(args):
             seed=args.seed,
         ),
     )
-    if int(np.prod(args.shape, dtype=np.int64)) <= DENSE_GUARD:
-        dense = tt_to_dense(true_tt)
-        error = tt_dense_error(dense, train)
-        error_method = "dense"
-    else:
-        probe_rng = np.random.default_rng(np.random.SeedSequence((args.seed, 7002)))
-        num = den = 0.0
-        built_oracle = oracle_from_tt(train)
-        for _ in range(32):
-            vectors = [probe_rng.standard_normal(n) for n in args.shape[:-1]]
-            ref = oracle.action(d, vectors)
-            err = built_oracle.action(d, vectors) - ref
-            num += float(err @ err)
-            den += float(ref @ ref)
-        error = float(np.sqrt(num / den))
-        error_method = "probes"
+    error = tt_relative_error(true_tt, train)
     predicted = predicted_action_count(
         args.shape, build_ranks, oversampling=args.p, tau_extra=args.tau_extra
     )
@@ -233,7 +210,6 @@ def cmd_synthetic(args):
         "build_ranks": list(build_ranks),
         "ranks_built": list(train.ranks),
         "relative_error": error,
-        "error_method": error_method,
         "pass": bool(error < 1e-6),
         "actions_observed": report.total_actions,
         "actions_predicted": predicted,
@@ -336,12 +312,15 @@ def build_parser():
         help="range-finder oversampling",
     )
     common.add_argument(
-        "--tau-extra", type=int, default=BuildConfig.tau_extra,
-        help="extra interpolation slices beyond ceil(rank / mode size)",
-    )
-    common.add_argument(
         "--no-timing", action="store_true",
         help="write 0.0 in seconds columns so reruns compare byte for byte",
+    )
+
+    # only the commands that pass it on to their builds take --tau-extra
+    slices = argparse.ArgumentParser(add_help=False)
+    slices.add_argument(
+        "--tau-extra", type=int, default=BuildConfig.tau_extra,
+        help="extra interpolation slices beyond ceil(rank / mode size)",
     )
 
     parser = argparse.ArgumentParser(
@@ -351,7 +330,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     p_h = sub.add_parser(
-        "hilbert", parents=[common],
+        "hilbert", parents=[common, slices],
         help="error-vs-rank curves on the Hilbert tensor",
     )
     p_h.add_argument("--dims", type=_int_tuple, default=DEFAULT_DIMS)
@@ -359,7 +338,7 @@ def build_parser():
     p_h.set_defaults(func=cmd_hilbert)
 
     p_s = sub.add_parser(
-        "synthetic", parents=[common], help="exact-recovery harness"
+        "synthetic", parents=[common, slices], help="exact-recovery harness"
     )
     p_s.add_argument("--shape", type=_int_tuple, default=(20, 20, 20, 20, 20))
     p_s.add_argument("--true-ranks", type=_int_tuple, default=(4, 5, 6, 4))
@@ -367,7 +346,7 @@ def build_parser():
     p_s.set_defaults(func=cmd_synthetic)
 
     p_d = sub.add_parser(
-        "derivative", parents=[common],
+        "derivative", parents=[common, slices],
         help="compress a whitened derivative tensor of the PDE map",
     )
     p_d.add_argument("--n", type=int, default=MODEL_GRID, help="grid points per side")

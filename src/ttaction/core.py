@@ -34,6 +34,14 @@ _FORMAT_VERSION = 1
 _JSON_FORMAT = "ttaction-tt"
 
 
+def _check_dims(dims):
+    """Mode sizes as a tuple of ints: at least 2 modes, each of positive size."""
+    dims = tuple(int(n) for n in dims)
+    if len(dims) < 2 or any(n < 1 for n in dims):
+        raise ShapeError(f"need at least 2 modes of positive size, got {dims}")
+    return dims
+
+
 def _check_free_mode(free_mode, order):
     if not 1 <= free_mode <= order:
         raise ShapeError(f"free_mode must be in 1..{order}, got {free_mode}")
@@ -103,10 +111,7 @@ class ActionOracle:
     """
 
     def __init__(self, dims, apply_fn):
-        dims = tuple(int(n) for n in dims)
-        if len(dims) < 2 or any(n < 1 for n in dims):
-            raise ShapeError(f"need at least 2 modes of positive size, got {dims}")
-        self.dims = dims
+        self.dims = _check_dims(dims)
         self._apply = apply_fn
         self._count = 0
 
@@ -358,6 +363,39 @@ def tt_dense_error(dense, tt):
     return float(np.sqrt(err2 / ref2))
 
 
+def tt_relative_error(reference, tt):
+    """Relative Frobenius distance ``||reference - tt|| / ||reference||`` of two trains.
+
+    Neither train is densified.  Their difference is a train whose ranks are
+    the sums of theirs: first cores side by side, inner cores block
+    diagonal, last cores stacked.
+    """
+    if reference.dims != tt.dims:
+        raise ShapeError(f"shape mismatch: {reference.dims} vs {tt.dims}")
+    (a, b), *inner, (y, z) = zip(reference.cores, tt.cores)
+    cores = [np.concatenate((a, -b), axis=2)]
+    for a, b in inner:
+        (ra, n, sa), (rb, _, sb) = a.shape, b.shape
+        block = np.zeros((ra + rb, n, sa + sb))
+        block[:ra, :, :sa] = a
+        block[ra:, :, sa:] = b
+        cores.append(block)
+    cores.append(np.concatenate((y, z), axis=0))
+    ref = _tt_norm(reference)
+    if ref == 0.0:
+        raise ZeroNormError("reference train has zero norm")
+    return _tt_norm(TensorTrain(cores)) / ref
+
+
+def _tt_norm(tt):
+    """Frobenius norm of a train.
+
+    Rounding leaves cores 1..d-1 with orthonormal unfoldings, so the last
+    core carries the norm.
+    """
+    return float(np.linalg.norm(tt_round(tt).cores[-1]))
+
+
 def fix_signs(u, companion):
     """Force the largest-magnitude entry of each column of ``u`` positive.
 
@@ -375,29 +413,13 @@ def fix_signs(u, companion):
 def _truncated_svd(mat, rank=None, delta=None, warn_label="rank"):
     """Thin SVD of ``mat`` truncated by rank or Frobenius budget.
 
-    Returns (U_r, s_r, V_r^T).  For very wide matrices the SVD is computed
-    through a QR factorization of the transpose so the workspace stays at one
-    extra copy of the input, and the large right factor is only formed for the
-    retained rank.
+    Returns (U_r, s_r, V_r^T).
     """
-    m, n = mat.shape
-    if n > max(8 * m, 65536):
-        # mat^T = Q R  ->  mat = R^T Q^T; the (m x m) SVD of R^T is exact
-        qt = np.array(mat.T, order="F", copy=True)
-        q, r = scipy.linalg.qr(qt, mode="economic", overwrite_a=True, check_finite=False)
-        del qt
-        u, s, wt = scipy.linalg.svd(r.T, full_matrices=False, check_finite=False)
-        keep = _truncation_index(s, rank, delta, min(m, n), warn_label)
-        u = np.ascontiguousarray(u[:, :keep])
-        vt = np.ascontiguousarray((q @ wt[:keep].T).T)
-        del q
-        s = s[:keep].copy()
-    else:
-        u, s, vt = scipy.linalg.svd(mat, full_matrices=False, check_finite=False)
-        keep = _truncation_index(s, rank, delta, min(m, n), warn_label)
-        u = np.ascontiguousarray(u[:, :keep])
-        vt = np.ascontiguousarray(vt[:keep])
-        s = s[:keep].copy()
+    u, s, vt = scipy.linalg.svd(mat, full_matrices=False, check_finite=False)
+    keep = _truncation_index(s, rank, delta, min(mat.shape), warn_label)
+    u = np.ascontiguousarray(u[:, :keep])
+    vt = np.ascontiguousarray(vt[:keep])
+    s = s[:keep].copy()
     fix_signs(u, vt)
     return u, s, vt
 

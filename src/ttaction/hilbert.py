@@ -4,18 +4,17 @@ The tensor has entries 1 / (i_1 + ... + i_d) with 1-based indices, the
 d-mode generalization of the Hilbert matrix.  Its special structure makes the
 action cheap without ever materializing entries: contracting all modes but
 one reduces to a convolution of the saturating vectors followed by a
-correlation against the reciprocal weights 1 / (d + t).
+correlation against the reciprocal weights 1 / (d + t).  The same structure
+gives an exact tensor train whose rank index is the partial index sum.
 """
 
 from __future__ import annotations
 
-import time
 from functools import reduce
 
 import numpy as np
 
-from .core import ActionOracle, TensorTrain, _truncated_svd, tt_dense_error, tt_svd
-from .errors import ShapeError
+from .core import ActionOracle, TensorTrain, _check_dims
 
 #: Mode sizes used by the compression experiment.
 DEFAULT_DIMS = (41, 42, 43, 44, 45)
@@ -26,11 +25,11 @@ def hilbert_dense(dims):
 
     Builds the index-sum grid in place, so the peak footprint is a single
     float64 array of ``prod(dims)`` entries.  The caller is responsible for
-    choosing sizes that fit in memory.
+    choosing sizes that fit in memory; the library itself uses
+    :func:`hilbert_train`, and this dense form is the reference tests
+    compare against.
     """
-    dims = tuple(int(n) for n in dims)
-    if len(dims) < 2 or any(n < 1 for n in dims):
-        raise ShapeError(f"need at least 2 modes of positive size, got {dims}")
+    dims = _check_dims(dims)
     out = np.zeros(dims)
     for k, n in enumerate(dims):
         shape = [1] * len(dims)
@@ -38,6 +37,31 @@ def hilbert_dense(dims):
         out += np.arange(1, n + 1, dtype=float).reshape(shape)
     np.divide(1.0, out, out=out)
     return out
+
+
+def hilbert_train(dims):
+    """The Hilbert tensor as an exact tensor train, built without its entries.
+
+    With 0-based offsets z_j = i_j - 1, the rank index after mode k is the
+    partial sum a = z_1 + ... + z_k: every core but the last maps rank index
+    a to a + z_k, and the last core holds 1 / (d + a + z_d).  Rank k is
+    therefore 1 + sum_{j <= k} (N_j - 1), a few hundred at most for the
+    experiment's sizes.  Rounding this train with :func:`~ttaction.core.tt_round`
+    gives the TT-SVD of the tensor: the unfoldings, and so their singular
+    values, are the same.
+    """
+    dims = _check_dims(dims)
+    cores = []
+    left = 1
+    for n in dims[:-1]:
+        core = np.zeros((left, n, left + n - 1))
+        a, z = np.meshgrid(np.arange(left), np.arange(n), indexing="ij")
+        core[a, z, a + z] = 1.0
+        cores.append(core)
+        left += n - 1
+    sums = np.arange(left)[:, None] + np.arange(dims[-1])
+    cores.append((1.0 / (len(dims) + sums))[:, :, None])
+    return TensorTrain(cores)
 
 
 def hilbert_oracle(dims):
@@ -61,41 +85,3 @@ def hilbert_oracle(dims):
         return np.correlate(weights, conv, mode="valid")
 
     return ActionOracle(dims, apply_fn)
-
-
-def ttsvd_error_curve(dense, ranks):
-    """Relative tensor-train SVD error at several uniform ranks.
-
-    Equivalent to calling :func:`~ttaction.core.tt_svd` per rank: the first
-    unfolding's factorization does not depend on the requested rank, so it is
-    computed once at the largest rank and sliced.  The per-rank errors agree
-    with direct calls to rounding while doing the expensive wide
-    factorization once.
-
-    Returns (curve, setup_seconds) where curve is a list of
-    (rank, relative_error, seconds) triples covering the per-rank work and
-    setup_seconds is the shared factorization time.
-    """
-    dense = np.asarray(dense, dtype=float)
-    dims = dense.shape
-    ranks = sorted(int(r) for r in ranks)
-    top = ranks[-1]
-    t0 = time.perf_counter()
-    mat = dense.reshape(dims[0], -1)
-    u, s, vt = _truncated_svd(mat, rank=top)
-    setup_seconds = time.perf_counter() - t0
-    curve = []
-    for r in ranks:
-        t0 = time.perf_counter()
-        head = u[:, :r].reshape(1, dims[0], r)
-        tail_mat = s[:r, None] * vt[:r]
-        tail = tt_svd(
-            tail_mat.reshape((r,) + dims[1:]), ranks=[r] * (len(dims) - 1)
-        )
-        # absorb the leading rank dimension: the tail train's first core is
-        # (1, r, r'); fold it into the head boundary rank
-        first = tail.cores[0][0]
-        cores = [np.tensordot(head, first, axes=([2], [0]))] + tail.cores[1:]
-        error = tt_dense_error(dense, TensorTrain(cores))
-        curve.append((r, error, time.perf_counter() - t0))
-    return curve, setup_seconds

@@ -181,7 +181,7 @@ class ReactionDiffusionModel:
 
     def qoi(self, m, u):
         """Weighted boundary trace of the state."""
-        u = np.asarray(u, dtype=float).ravel()
+        u = self._grid(u, "u")
         return self.boundary_weights * u[self.boundary]
 
     def _split_pairs(self, pairs):
@@ -251,7 +251,9 @@ class ReactionDiffusionModel:
         if free == "u":
             out = np.zeros(self.n_u)
             if j == 0 and s == 0:
-                w = np.asarray(weight, dtype=float).ravel()
+                w = np.asarray(weight, dtype=float)
+                if w.shape != (self.n_q,):
+                    raise ShapeError(f"weight has shape {w.shape}, expected ({self.n_q},)")
                 out[self.boundary] = self.boundary_weights * w
             return out
         if free == "m":

@@ -56,7 +56,6 @@ def test_synthetic_small(tmp_path):
     payload = read_json(tmp_path / "synthetic.json")
     assert payload["pass"] is True
     assert payload["relative_error"] < 1e-6
-    assert payload["error_method"] == "dense"
     assert payload["actions_observed"] == payload["actions_predicted"]
     assert payload["ranks_built"] == [3, 4, 3]
     assert payload["seconds"] == 0.0
@@ -65,6 +64,23 @@ def test_synthetic_small(tmp_path):
     assert manifest["outputs"] == ["synthetic.json"]
     assert manifest["config"]["shape"] == [8, 9, 10, 8]
     assert manifest["versions"]["numpy"] == np.__version__
+
+
+def test_synthetic_huge_shape_exact_error(tmp_path):
+    # 1e10 entries: the error is measured between the trains, never densely
+    code = main(
+        [
+            "synthetic",
+            "--shape", "100,100,100,100,100",
+            "--true-ranks", "2,3,3,2",
+            "--out-dir", str(tmp_path),
+            "--no-timing",
+        ]
+    )
+    assert code == 0
+    payload = read_json(tmp_path / "synthetic.json")
+    assert payload["relative_error"] < 1e-10
+    assert payload["pass"] is True
 
 
 def test_synthetic_bad_ranks_exits_two(tmp_path):
@@ -119,6 +135,16 @@ def test_hilbert_small(tmp_path):
     manifest = read_json(tmp_path / "hilbert_manifest.json")
     assert manifest["config"]["dims"] == [8, 9, 10]
     assert manifest["outputs"] == ["hilbert.csv"]
+
+
+def test_hilbert_ranks_above_the_unfolding_caps(tmp_path):
+    # caps (4, 6): ranks 6..8 clamp in the builds and in the svd rows alike
+    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "8", "--no-timing"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    body = read_csv(tmp_path / "hilbert.csv")[1:]
+    assert len(body) == 7 * 2
+    for rank, method, rel_error, actions, seconds in body:
+        assert float(rel_error) < (1e-12 if int(rank) >= 6 else 1e-2)
 
 
 def test_hilbert_rejects_bad_rank(tmp_path):
@@ -223,6 +249,13 @@ def test_negative_slack_exits_two(tmp_path, command):
     assert main(command + ["--p", "-1", "--out-dir", str(tmp_path)]) == 2
     if command[0] != "taylor":  # taylor builds with the default tau_extra
         assert main(command + ["--tau-extra", "-2", "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["taylor", "info"])
+def test_tau_extra_only_where_a_build_uses_it(tmp_path, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--tau-extra", "2", "--out-dir", str(tmp_path)])
+    assert err.value.code == 2
 
 
 def test_console_script_runs():

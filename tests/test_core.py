@@ -20,6 +20,7 @@ from ttaction import (
     tt_dense_error,
     tt_load,
     tt_load_json,
+    tt_relative_error,
     tt_round,
     tt_save,
     tt_save_json,
@@ -33,6 +34,7 @@ from ttaction.errors import (
     RankClampWarning,
     ShapeError,
     VersionError,
+    ZeroNormError,
 )
 
 
@@ -250,14 +252,14 @@ def test_tt_svd_rank_clamp_warns():
 
 
 def test_truncated_svd_wide_branch():
-    # n > max(8 m, 65536): the SVD goes through a QR of the transpose
+    # a wide matrix keeps a thin right factor
     mat = np.random.default_rng(21).standard_normal((3, 70000))
     u, s, vt = _truncated_svd(mat, rank=2)
     np.testing.assert_allclose(s, np.linalg.svd(mat, compute_uv=False)[:2], rtol=1e-12)
     assert vt.shape == (2, 70000) and vt.flags.c_contiguous
     np.testing.assert_allclose(vt @ vt.T, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
-    # a train whose first unfolding (2 x 192000) takes the same branch
+    # a train whose first unfolding is 2 x 192000
     dense = np.random.default_rng(22).standard_normal((2, 3, 40, 40, 40))
     assert relative_error(dense, tt_to_dense(tt_svd(dense))) < 1e-12
 
@@ -292,6 +294,24 @@ def test_tt_dense_error_matches_direct():
     assert abs(tt_dense_error(dense, tt) - direct) < 1e-12
     with pytest.raises(ShapeError):
         tt_dense_error(dense[:, :, :4], tt)
+
+
+@pytest.mark.parametrize("dims", [(5, 6), (5, 6, 7), (4, 3, 5, 2)])
+def test_tt_relative_error_matches_dense(dims):
+    rng = np.random.default_rng(len(dims))
+    ranks = [2] * (len(dims) - 1)
+    reference = random_tt(rng, dims, ranks)
+    tt = random_tt(rng, dims, [3] * (len(dims) - 1))
+    dense = tt_to_dense(reference)
+    for other in (tt, TensorTrain([c * 1e-3 for c in tt.cores[:1]] + tt.cores[1:])):
+        expected = relative_error(dense, tt_to_dense(other))
+        assert tt_relative_error(reference, other) == pytest.approx(expected, rel=1e-12)
+    assert tt_relative_error(reference, reference) < 1e-14
+    with pytest.raises(ShapeError):
+        tt_relative_error(reference, random_tt(rng, dims[:-1] + (3,), ranks))
+    zero = TensorTrain([np.zeros_like(c) for c in reference.cores])
+    with pytest.raises(ZeroNormError):
+        tt_relative_error(zero, tt)
 
 
 def test_frobenius_and_relative_error():

@@ -1,11 +1,20 @@
-"""Hilbert tensor: entries, convolution-based action, error curves."""
+"""Hilbert tensor: entries, exact train, convolution-based action, error curves."""
 
 import numpy as np
 import pytest
 
-from ttaction import BuildConfig, dense_action, tt_dense_error, tt_from_actions, tt_svd
+from ttaction import (
+    BuildConfig,
+    dense_action,
+    tt_dense_error,
+    tt_from_actions,
+    tt_relative_error,
+    tt_round,
+    tt_svd,
+    tt_to_dense,
+)
 from ttaction.errors import ShapeError
-from ttaction.hilbert import DEFAULT_DIMS, hilbert_dense, hilbert_oracle, ttsvd_error_curve
+from ttaction.hilbert import DEFAULT_DIMS, hilbert_dense, hilbert_oracle, hilbert_train
 
 
 def test_entries_one_based():
@@ -22,10 +31,19 @@ def test_default_dims():
 
 
 def test_dense_validation():
-    with pytest.raises(ShapeError):
-        hilbert_dense((7,))
-    with pytest.raises(ShapeError):
-        hilbert_dense((4, 0))
+    for make in (hilbert_dense, hilbert_train):
+        with pytest.raises(ShapeError):
+            make((7,))
+        with pytest.raises(ShapeError):
+            make((4, 0))
+
+
+@pytest.mark.parametrize("dims", [(6, 7), (5, 6, 7), (4, 5, 4, 6), (1, 3, 2)])
+def test_train_is_exact(dims):
+    train = hilbert_train(dims)
+    # rank k is one more than the largest partial index sum over modes 1..k
+    assert list(train.ranks) == list(np.cumsum([n - 1 for n in dims[:-1]]) + 1)
+    np.testing.assert_allclose(tt_to_dense(train), hilbert_dense(dims), rtol=1e-15)
 
 
 @pytest.mark.parametrize("dims", [(6, 7), (5, 6, 7), (4, 5, 4, 6)])
@@ -44,20 +62,21 @@ def test_oracle_matches_dense_action(dims):
 
 
 def test_error_curve_matches_per_rank_tt_svd():
-    dense = hilbert_dense((8, 9, 10))
-    curve, setup = ttsvd_error_curve(dense, ranks=range(2, 7))
-    assert setup >= 0.0
-    assert [r for r, _, _ in curve] == [2, 3, 4, 5, 6]
-    for rank, error, seconds in curve:
-        direct = tt_dense_error(dense, tt_svd(dense, ranks=[rank, rank]))
-        assert error == pytest.approx(direct, rel=1e-10, abs=1e-15)
-        assert seconds >= 0.0
+    dims = (8, 9, 10)
+    exact = hilbert_train(dims)
+    dense = hilbert_dense(dims)
+    for rank in range(2, 7):
+        error = tt_relative_error(exact, tt_round(exact, ranks=rank))
+        direct = tt_dense_error(dense, tt_svd(dense, ranks=rank))
+        assert direct > 1e-11
+        assert error == pytest.approx(direct, rel=1e-8)
 
 
 def test_error_curve_monotone_and_small():
-    dense = hilbert_dense((10, 11, 12))
-    curve, _ = ttsvd_error_curve(dense, ranks=range(2, 9))
-    errors = [e for _, e, _ in curve]
+    exact = hilbert_train((10, 11, 12))
+    errors = [
+        tt_relative_error(exact, tt_round(exact, ranks=rank)) for rank in range(2, 9)
+    ]
     assert all(a >= b - 1e-14 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-7  # fast singular value decay
 

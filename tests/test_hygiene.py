@@ -1,6 +1,7 @@
 """Source hygiene: every import in the library is used, no contraction pays
 for an einsum path search on each call, LU work on the state Jacobian has
-one home, ``hovd/oracle.py``, and no closure keeps state between calls.
+one home, ``hovd/oracle.py``, no closure keeps state between calls, and the
+library never densifies a tensor.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -118,3 +119,33 @@ def test_scan_flags_a_nonlocal():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_nonlocal(path):
     assert nonlocal_statements(path.read_text()) == []
+
+
+DENSIFIERS = ("hilbert_dense", "tt_to_dense", "tt_dense_error")
+
+
+def densifying_calls(source):
+    """Line of each call to a function that materializes a dense tensor.
+
+    Those functions are references for tests; the library measures errors
+    between trains (``tt_relative_error``) so memory stays bounded.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in DENSIFIERS
+    ]
+
+
+def test_scan_flags_a_densifying_call():
+    source = (PACKAGE / "cli.py").read_text()
+    planted = "dense = hilbert_dense(dims)\nerr = core.tt_dense_error(tt_to_dense(a), b)\n"
+    line = source.count("\n") + 1
+    assert densifying_calls(source + planted) == [line, line + 1, line + 1]
+    assert densifying_calls("def tt_to_dense(tt):\n    return tt\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_densifying_call(path):
+    assert densifying_calls(path.read_text()) == []

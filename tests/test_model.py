@@ -299,3 +299,13 @@ def test_validation():
         model.partial_g(m, u, [], weight=u, free="q")
     with pytest.raises(ShapeError):
         model.partial_f(m, u, [], weight=u, free="q")
+    # observation vectors of the wrong length: one too long used to return
+    # n_q values, one too short to raise IndexError, a short weight a bare
+    # broadcast ValueError
+    for bad in (np.zeros(model.n_u + 1), np.zeros(model.n_u - 1)):
+        with pytest.raises(ShapeError):
+            model.qoi(m, bad)
+        with pytest.raises(ShapeError):
+            model.partial_f(m, u, [("u", bad)])
+    with pytest.raises(ShapeError):
+        model.partial_f(m, u, [], weight=np.zeros(5), free="u")
