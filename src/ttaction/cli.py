@@ -42,18 +42,7 @@ from .core import (
     tt_save,
     unfolding_caps,
 )
-from .errors import (
-    BacktrackingRequiredError,
-    BuildStageError,
-    CapacityError,
-    DegenerateRangeError,
-    FormatError,
-    InterpolationError,
-    NewtonError,
-    NonFiniteActionError,
-    ShapeError,
-    ZeroNormError,
-)
+from .errors import FormatError, NumericalError, ShapeError, ZeroNormError
 from .hilbert import DEFAULT_DIMS, hilbert_oracle, hilbert_train
 from .hovd import (
     ReactionDiffusionModel,
@@ -63,18 +52,6 @@ from .hovd import (
     taylor_error_stats,
 )
 from .rangefinder import DEFAULT_OVERSAMPLING
-
-_NUMERICAL_ERRORS = (
-    BacktrackingRequiredError,
-    BuildStageError,
-    CapacityError,
-    DegenerateRangeError,
-    InterpolationError,
-    NewtonError,
-    NonFiniteActionError,
-    ZeroNormError,
-    np.linalg.LinAlgError,
-)
 
 #: Default grid points per side of the PDE model (``--n``).
 MODEL_GRID = 12
@@ -388,7 +365,7 @@ def main(argv=None):
         outputs = args.func(args)
         if writes:
             _finish(args, outputs, started, t0)
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ShapeError, FormatError, OSError) as exc:

@@ -388,12 +388,8 @@ def tt_relative_error(reference, tt):
 
 
 def _tt_norm(tt):
-    """Frobenius norm of a train.
-
-    Rounding leaves cores 1..d-1 with orthonormal unfoldings, so the last
-    core carries the norm.
-    """
-    return float(np.linalg.norm(tt_round(tt).cores[-1]))
+    """Frobenius norm of a train: that of core 1 once the rest are orthogonal."""
+    return float(np.linalg.norm(_orthogonalize_right(tt)[0]))
 
 
 def fix_signs(u, companion):
@@ -498,6 +494,24 @@ def tt_svd(tensor, ranks=None, tol=None):
     return _sweep(tensor, tensor.shape, ranks, delta, lambda k, sv: sv)
 
 
+def _orthogonalize_right(tt):
+    """The cores of ``tt`` after a right-to-left QR sweep.
+
+    Cores 2..d come out row-orthonormal, so core 1 carries the norm.
+    """
+    cores = [np.asarray(c, dtype=float) for c in tt.cores]
+    for k in range(tt.order - 1, 0, -1):
+        r_prev, n_k, r_k = cores[k].shape
+        q, rr = scipy.linalg.qr(
+            cores[k].reshape(r_prev, n_k * r_k).T,
+            mode="economic",
+            check_finite=False,
+        )
+        cores[k] = q.T.reshape(-1, n_k, r_k)
+        cores[k - 1] = np.tensordot(cores[k - 1], rr.T, axes=(2, 0))
+    return cores
+
+
 def tt_round(tt, ranks=None, tol=None):
     """Truncate a train to lower ranks without densifying.
 
@@ -508,19 +522,9 @@ def tt_round(tt, ranks=None, tol=None):
     """
     d = tt.order
     ranks = rank_list(ranks, d)
-    cores = [np.asarray(c, dtype=float) for c in tt.cores]
-    for k in range(d - 1, 0, -1):
-        r_prev, n_k, r_k = cores[k].shape
-        q, rr = scipy.linalg.qr(
-            cores[k].reshape(r_prev, n_k * r_k).T,
-            mode="economic",
-            check_finite=False,
-        )
-        cores[k] = q.T.reshape(-1, n_k, r_k)
-        cores[k - 1] = np.tensordot(cores[k - 1], rr.T, axes=(2, 0))
+    cores = _orthogonalize_right(tt)
     delta = None
     if ranks is None and tol is not None:
-        # cores 2..d are now row-orthonormal, so core 1 carries the norm
         delta = tol * float(np.linalg.norm(cores[0])) / np.sqrt(d - 1)
 
     def absorb(k, sv):

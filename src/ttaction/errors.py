@@ -5,11 +5,15 @@ class ShapeError(ValueError):
     """Inputs have inconsistent dimensions or an out-of-range mode index."""
 
 
-class CapacityError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Base of the failures of a computation, as opposed to its configuration."""
+
+
+class CapacityError(NumericalError):
     """Refusal to materialize a dense array beyond the entry budget."""
 
 
-class ZeroNormError(ValueError):
+class ZeroNormError(NumericalError, ValueError):
     """A relative quantity was requested against a zero reference norm."""
 
 
@@ -30,11 +34,11 @@ class VersionError(FormatError):
     """A serialized tensor train uses an unsupported format version."""
 
 
-class DegenerateRangeError(RuntimeError):
+class DegenerateRangeError(NumericalError):
     """Sampled range had numerically zero content in a requested direction."""
 
 
-class InterpolationError(RuntimeError):
+class InterpolationError(NumericalError):
     """An interpolation system was too ill-conditioned to trust.
 
     The worst residual over right-hand sides is stored in ``residual``.
@@ -45,7 +49,7 @@ class InterpolationError(RuntimeError):
         self.residual = residual
 
 
-class BacktrackingRequiredError(RuntimeError):
+class BacktrackingRequiredError(NumericalError):
     """A stage would need more interpolation sets than the previous rank allows.
 
     Recovering would mean re-running earlier stages at higher rank, which the
@@ -53,7 +57,7 @@ class BacktrackingRequiredError(RuntimeError):
     """
 
 
-class BuildStageError(RuntimeError):
+class BuildStageError(NumericalError):
     """Wraps a failure inside the core-by-core build with the stage index."""
 
     def __init__(self, stage, cause):
@@ -62,11 +66,11 @@ class BuildStageError(RuntimeError):
         self.cause = cause
 
 
-class NonFiniteActionError(RuntimeError):
+class NonFiniteActionError(NumericalError):
     """An action returned NaN or infinite entries."""
 
 
-class NewtonError(RuntimeError):
+class NewtonError(NumericalError):
     """The nonlinear state solve did not reach tolerance."""
 
 

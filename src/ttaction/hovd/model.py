@@ -13,10 +13,10 @@ Because the coefficient enters through e^m and the reaction is cubic, every
 mixed directional partial of the residual has a short closed form: each
 m-derivative multiplies the edge coefficients by the direction's edge
 average, and u-derivatives beyond the third kill the reaction term.  The
-``partial_g``/``partial_f`` entry points evaluate those forms for any list of
-(variable, direction) pairs, optionally with one extra differentiation slot
-left free and the output contracted against a weight vector; the free-slot
-variants are what adjoint computations need.
+``partial_g``/``partial_f`` entry points evaluate those forms for a list
+``vs`` of m-directions and a list ``ws`` of u-directions, optionally with one
+extra differentiation slot left free and the output contracted against a
+weight vector; the free-slot variants are what adjoint computations need.
 """
 
 from __future__ import annotations
@@ -88,29 +88,6 @@ class ReactionDiffusionModel:
         )
         # memo of the base edge factors exp(mean m): (bytes of m, factors)
         self._base_coeff = (None, None)
-
-        # the CSC pattern of dG/du, fixed by the neighbour table.  Its 9 n_u
-        # entries come in a fixed order (reaction, then per table row the
-        # centre and neighbour entries); _jac_slot sends each to its place in
-        # the CSC data, so duplicates always sum in that order.  Column c
-        # holds row c and the rows whose table neighbour is c; the wall rule
-        # reflects inwards, so those are c's own table neighbours, found
-        # among c - n, c - 1, c + 1, c + n without sorting
-        node = np.arange(self.n_u)
-        centre = np.broadcast_to(node, self._nbr.shape)
-        cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))
-        cand = node[:, None] + np.array([-n, -1, 0, 1, n])
-        table = np.vstack((node, self._nbr)).T
-        present = (cand[:, :, None] == table[:, None, :]).any(axis=2)
-        keys = (node[:, None] * self.n_u + cand)[present]
-        self._jac_slot = np.searchsorted(keys, cols * self.n_u + np.tile(node, 9))
-        # in scipy's index dtype and read-only, so csc_matrix neither scans
-        # nor copies them on each call
-        idx = scipy.sparse.get_index_dtype(maxval=cols.size)
-        self._jac_indices = cand[present].astype(idx)
-        self._jac_indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).astype(idx)
-        self._jac_indices.flags.writeable = False
-        self._jac_indptr.flags.writeable = False
 
     # -- grid plumbing ------------------------------------------------------
 
@@ -184,30 +161,20 @@ class ReactionDiffusionModel:
         u = self._grid(u, "u")
         return self.boundary_weights * u[self.boundary]
 
-    def _split_pairs(self, pairs):
-        vs, ws = [], []
-        for var, vec in pairs:
-            if var == "m":
-                vs.append(self._grid(vec, "m direction"))
-            elif var == "u":
-                ws.append(self._grid(vec, "u direction"))
-            else:
-                raise ShapeError(f"unknown variable {var!r}; use 'm' or 'u'")
-        return vs, ws
-
-    def partial_g(self, m, u, pairs, weight=None, free=None):
+    def partial_g(self, m, u, vs=(), ws=(), weight=None, free=None):
         """Directional partial of the residual.
 
-        ``pairs`` lists differentiation directions as ("m"|"u", vector).
-        With ``free=None`` the contracted partial itself is returned (length
-        n_u).  With ``free="u"`` or ``free="m"`` one further derivative is
-        taken in that variable, the output slot is contracted with ``weight``
-        and the new derivative slot is returned free, giving a vector in the
-        corresponding space.  Empty ``pairs`` with ``free=None`` reproduces
-        the residual.
+        ``vs`` lists the m-directions and ``ws`` the u-directions of
+        differentiation.  With ``free=None`` the contracted partial itself is
+        returned (length n_u).  With ``free="u"`` or ``free="m"`` one further
+        derivative is taken in that variable, the output slot is contracted
+        with ``weight`` and the new derivative slot is returned free, giving a
+        vector in the corresponding space.  No directions with ``free=None``
+        reproduces the residual.
         """
         m, u = self._grid(m, "m"), self._grid(u, "u")
-        vs, ws = self._split_pairs(pairs)
+        vs = [self._grid(v, "m direction") for v in vs]
+        ws = [self._grid(w, "u direction") for w in ws]
         j, s = len(vs), len(ws)
         if free is None:
             out = np.zeros(self.n_u)
@@ -234,13 +201,14 @@ class ReactionDiffusionModel:
             return np.zeros(self.n_m)
         raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
 
-    def partial_f(self, m, u, pairs, weight=None, free=None):
+    def partial_f(self, m, u, vs=(), ws=(), weight=None, free=None):
         """Directional partial of the observation; same calling convention.
 
         The observation is linear in u with no explicit m dependence, so only
         the s <= 1 pure-u partials and the free-u gradient survive.
         """
-        vs, ws = self._split_pairs(pairs)
+        vs = [self._grid(v, "m direction") for v in vs]
+        ws = [self._grid(w, "u direction") for w in ws]
         j, s = len(vs), len(ws)
         if free is None:
             if j == 0 and s == 0:
@@ -263,18 +231,21 @@ class ReactionDiffusionModel:
     def jacobian_u(self, m, u):
         """Sparse state Jacobian dG/du at (m, u), in CSC form.
 
-        The sparsity pattern is fixed at construction; each call only sums
-        the entry values into their precomputed slots.
+        Assembled through COO with the reaction entries first, then per
+        neighbour table row the centre and neighbour entries; the conversion
+        sums duplicates in that order.
         """
         m, u = self._grid(m, "m"), self._grid(u, "u")
         cf = self._edge_coeff(m, []) * (1.0 / self.h**2)
+        node = np.arange(self.n_u)
+        centre = np.broadcast_to(node, self._nbr.shape)
+        cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))
         vals = np.concatenate(
             (self._reaction(u, 1, []), np.stack((cf, -cf), axis=1).ravel())
         )
-        data = np.bincount(self._jac_slot, weights=vals, minlength=self._jac_indices.size)
-        return scipy.sparse.csc_matrix(
-            (data, self._jac_indices, self._jac_indptr), shape=(self.n_u, self.n_u)
-        )
+        return scipy.sparse.coo_matrix(
+            (vals, (np.tile(node, 9), cols)), shape=(self.n_u, self.n_u)
+        ).tocsc()
 
     def factorize(self, m, u):
         """LU-factorized state Jacobian with forward and transpose solves."""

@@ -63,7 +63,7 @@ def _kept_lu_step(model, m, u, res, rnorm, lu, goal):
     step, lin, lnorm = 0.0, -res, rnorm
     while lnorm > goal:
         trial = step + lu.solve(lin)
-        trial_lin = -res - model.partial_g(m, u, [("u", trial)])
+        trial_lin = -res - model.partial_g(m, u, [], [trial])
         trial_norm = float(np.linalg.norm(trial_lin))
         if not trial_norm <= 0.5 * lnorm:
             return None
@@ -141,9 +141,13 @@ class DerivativeEngine:
     """Forward and adjoint derivative lattices at the base point m0 = 0.
 
     The base state ``u0``, its ``newton_iterations`` and the LU ``factor``
-    are the model's shared base point.  Directions are keyed by their float64
-    bytes and lattice nodes by those keys, so the solve counters see each
-    node once; a solve that raises caches nothing.  With a ``whitener`` the
+    are the model's shared base point.  The observation is taken as the
+    model states it: linear in u and independent of m.  So an output-free
+    action is ``model.qoi`` of one state sensitivity, the adjoint seed is the
+    observation's only partial (``partial_f`` once per distinct weight q),
+    and the adjoint sums run over ``partial_g`` alone.  Directions are keyed
+    by their float64 bytes and lattice nodes by those keys, so the solve
+    counters see each node once; a solve that raises caches nothing.  With a ``whitener`` the
     directions are raw-space vectors: each distinct one is smoothed on its
     first use and kept, read-only, in the same cache, and :meth:`mode_free`
     smooths its output.  Serves one caller at a time, as a numpy
@@ -190,21 +194,18 @@ class DerivativeEngine:
 
     # -- forward lattice ----------------------------------------------------
 
-    def _m_pairs(self, unique, j_counts):
-        return [("m", unique[i]) for i, c in enumerate(j_counts) for _ in range(c)]
+    def _forward_sum(self, unique, beta, values):
+        """Chain-rule sum of ``partial_g`` over the expansion of ``beta``.
 
-    def _forward_sum(self, partial, size, unique, beta, values, unknown=None):
-        """Chain-rule sum of ``partial`` over the expansion of ``beta``.
-
-        Leaves out the term that is u^unknown alone (a solve's unknown).
+        Leaves out the term that is u^beta alone (the solve's unknown).
         """
-        out = np.zeros(size)
+        out = np.zeros(self.model.n_u)
         for (j_counts, blocks), coef in expansion(beta):
-            if not any(j_counts) and blocks == (unknown,):
+            if not any(j_counts) and blocks == (beta,):
                 continue  # the unknown itself
-            pairs = self._m_pairs(unique, j_counts)
-            pairs += [("u", values[b]) for b in blocks]
-            out += coef * partial(self.m0, self.u0, pairs)
+            vs = [v for v, c in zip(unique, j_counts) for _ in range(c)]
+            ws = [values[b] for b in blocks]
+            out += coef * self.model.partial_g(self.m0, self.u0, vs, ws)
         return out
 
     def _forward_values(self, unique, counts, keys):
@@ -213,10 +214,7 @@ class DerivativeEngine:
         for beta in sub_multisets(counts):
             key = ("u", block_signature(keys, beta))
             if key not in self._cache:
-                rhs = self._forward_sum(
-                    self.model.partial_g, self.model.n_u, unique, beta, values,
-                    unknown=beta,
-                )
+                rhs = self._forward_sum(unique, beta, values)
                 self.forward_solves += 1
                 self._cache[key] = self.factor.solve(-rhs)
             values[beta] = self._cache[key]
@@ -226,13 +224,11 @@ class DerivativeEngine:
         """T(p_1, ..., p_k, .): all derivative slots saturated, output free."""
         unique, counts, keys = self._canonical(directions, self.order)
         values = self._forward_values(unique, counts, keys)
-        return self._forward_sum(
-            self.model.partial_f, self.model.n_q, unique, counts, values
-        )
+        return self.model.qoi(self.m0, values[counts])
 
     # -- adjoint lattice ----------------------------------------------------
 
-    def _adjoint_sum(self, free, unique, beta, values, q, lams, unknown=None):
+    def _adjoint_sum(self, free, unique, beta, values, lams, unknown=None):
         """Adjoint chain-rule sum over the expansion of ``beta``.
 
         ``free="u"`` gives the right-hand side of an adjoint solve, ``"m"`` a
@@ -242,17 +238,16 @@ class DerivativeEngine:
         out = np.zeros(model.n_u if free == "u" else model.n_m)
         base_lam = lams[(0,) * len(beta)]
         for (j_counts, blocks), coef in expansion(beta):
-            m_pairs = self._m_pairs(unique, j_counts)
-            pairs_all = m_pairs + [("u", values[b]) for b in blocks]
-            out += coef * model.partial_g(m0, u0, pairs_all, weight=base_lam, free=free)
-            out += coef * model.partial_f(m0, u0, pairs_all, weight=q, free=free)
+            vs = [v for v, c in zip(unique, j_counts) for _ in range(c)]
+            ws = [values[b] for b in blocks]
+            out += coef * model.partial_g(m0, u0, vs, ws, weight=base_lam, free=free)
             if not any(j_counts) and blocks == (unknown,):
                 continue  # the unknown itself
             for block, mult in Counter(blocks).items():
                 rest = list(blocks)
                 rest.remove(block)
-                pairs = m_pairs + [("u", values[b]) for b in rest]
-                g = model.partial_g(m0, u0, pairs, weight=lams[block], free=free)
+                ws = [values[b] for b in rest]
+                g = model.partial_g(m0, u0, vs, ws, weight=lams[block], free=free)
                 out += coef * mult * g
         return out
 
@@ -262,14 +257,14 @@ class DerivativeEngine:
         qsig = q.tobytes()
         key = ("l", qsig, ())
         if key not in self._cache:
-            rhs = self.model.partial_f(self.m0, self.u0, [], weight=q, free="u")
+            rhs = self.model.partial_f(self.m0, self.u0, weight=q, free="u")
             self.adjoint_solves += 1
             self._cache[key] = self.factor.solve_t(-rhs)
         lams = {(0,) * len(counts): self._cache[key]}
         for beta in sub_multisets(counts):
             key = ("l", qsig, block_signature(keys, beta))
             if key not in self._cache:
-                rhs = self._adjoint_sum("u", unique, beta, values, q, lams, unknown=beta)
+                rhs = self._adjoint_sum("u", unique, beta, values, lams, unknown=beta)
                 self.adjoint_solves += 1
                 self._cache[key] = self.factor.solve_t(-rhs)
             lams[beta] = self._cache[key]
@@ -288,7 +283,7 @@ class DerivativeEngine:
         unique, counts, keys = self._canonical(directions, self.order - 1)
         values = self._forward_values(unique, counts, keys)
         lams = self._adjoint_values(unique, counts, keys, q, values)
-        g = self._adjoint_sum("m", unique, counts, values, q, lams)
+        g = self._adjoint_sum("m", unique, counts, values, lams)
         return g if self.whitener is None else self.whitener.apply(g)
 
 

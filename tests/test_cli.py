@@ -1,6 +1,7 @@
 """Command line front end: outputs, manifests, exit codes, determinism."""
 
 import csv
+import inspect
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from ttaction import tt_load
 from ttaction.cli import main
+from ttaction import errors
 from ttaction.errors import NonFiniteActionError
 
 
@@ -204,6 +206,44 @@ def test_nonfinite_action_exits_three(tmp_path, monkeypatch):
     monkeypatch.setattr("ttaction.cli.compress_derivative", nan_compress)
     argv = ["derivative", "--n", "5", "--rank", "2", "--out-dir", str(tmp_path)]
     assert main(argv) == 3
+
+
+NUMERICAL_ERRORS = [
+    errors.BacktrackingRequiredError,
+    errors.BuildStageError,
+    errors.CapacityError,
+    errors.DegenerateRangeError,
+    errors.InterpolationError,
+    errors.NewtonError,
+    errors.NonFiniteActionError,
+    errors.ZeroNormError,
+]
+
+
+def test_numerical_error_list_is_complete():
+    found = {
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.NumericalError) and cls is not errors.NumericalError
+    }
+    assert found == set(NUMERICAL_ERRORS)
+    assert issubclass(errors.ZeroNormError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "cls,code",
+    [(cls, 3) for cls in NUMERICAL_ERRORS] + [(errors.ShapeError, 2)],
+    ids=lambda x: x.__name__ if isinstance(x, type) else str(x),
+)
+def test_library_error_exit_codes(tmp_path, monkeypatch, cls, code):
+    def failing(*args, **kwargs):
+        if cls is errors.BuildStageError:
+            raise cls(1, RuntimeError("cause"))
+        raise cls("planted failure")
+
+    monkeypatch.setattr("ttaction.cli.compress_derivative", failing)
+    argv = ["derivative", "--n", "5", "--rank", "2", "--out-dir", str(tmp_path)]
+    assert main(argv) == code
 
 
 def test_taylor_small(tmp_path):

@@ -314,6 +314,20 @@ def test_tt_relative_error_matches_dense(dims):
         tt_relative_error(zero, tt)
 
 
+def test_tt_relative_error_takes_no_svd(monkeypatch):
+    # a train's norm needs only the orthogonalizing QR sweep
+    rng = np.random.default_rng(7)
+    reference = random_tt(rng, (5, 6, 7), [2, 3])
+    tt = random_tt(rng, (5, 6, 7), [3, 2])
+    expected = relative_error(tt_to_dense(reference), tt_to_dense(tt))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD taken for a norm")
+
+    monkeypatch.setattr(ttaction.core, "_truncated_svd", refuse)
+    assert tt_relative_error(reference, tt) == pytest.approx(expected, rel=1e-12)
+
+
 def test_frobenius_and_relative_error():
     a = np.array([[3.0, 4.0]])
     assert abs(frobenius(a) - 5.0) < 1e-15

@@ -397,6 +397,31 @@ def test_repeated_actions_count_each_node_once():
         np.testing.assert_array_equal(r, results[0])
 
 
+def test_observation_partial_only_seeds_the_adjoint(monkeypatch):
+    # the observation is linear in u and free of m, so the engine reads it
+    # through qoi and calls partial_f only for the adjoint seed, with no
+    # directions, once per distinct weight q
+    model = ReactionDiffusionModel(5)
+    rng = np.random.default_rng(8)
+    a, b, c = (rng.standard_normal(model.n_m) for _ in range(3))
+    q1, q2 = rng.standard_normal(model.n_q), rng.standard_normal(model.n_q)
+    calls = []
+    original = ReactionDiffusionModel.partial_f
+
+    def spy(self, m, u, vs=(), ws=(), weight=None, free=None):
+        calls.append((len(vs), len(ws), free))
+        return original(self, m, u, vs, ws, weight=weight, free=free)
+
+    monkeypatch.setattr(ReactionDiffusionModel, "partial_f", spy)
+    engine = DerivativeEngine(model, 3)
+    engine.output_free([a, b, c])
+    engine.output_free([a, a, b])
+    assert calls == []
+    for dirs, q in (([a, b], q1), ([b, b], q1), ([a, c], q2), ([a, b], q2)):
+        engine.mode_free(dirs, q)
+    assert calls == [(0, 0, "u")] * 2
+
+
 def test_engine_validation():
     model = ReactionDiffusionModel(5)
     with pytest.raises(ShapeError):

@@ -1,6 +1,8 @@
 """Direction multisets and the symbolic total-derivative expansion."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -102,6 +104,50 @@ def test_expansion_has_single_top_block_term():
             if blocks == (counts,)
         ]
         assert top == [1]  # the term carrying the highest-order sensitivity
+
+
+def set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def brute_force_expansion(counts):
+    """Faa di Bruno by enumeration: label each direction copy, then take
+    every explicit subset J and every set partition of the rest into state
+    blocks, and group the labelled terms by their count-vector key."""
+    labels = [i for i, c in enumerate(counts) for _ in range(c)]
+
+    def count_vector(slots):
+        return tuple(sum(labels[s] == i for s in slots) for i in range(len(counts)))
+
+    terms = Counter()
+    slots = range(len(labels))
+    for size in range(len(labels) + 1):
+        for explicit in itertools.combinations(slots, size):
+            rest = [s for s in slots if s not in explicit]
+            for part in set_partitions(rest):
+                blocks = tuple(sorted(count_vector(b) for b in part))
+                terms[(count_vector(explicit), blocks)] += 1
+    return dict(terms)
+
+
+def test_expansion_matches_brute_force_faa_di_bruno():
+    # every count vector of length 1-4 and total order 0-5, zero entries
+    # included (the lattice expands sub-multisets such as (1, 0))
+    checked = 0
+    for length in range(1, 5):
+        for counts in itertools.product(range(6), repeat=length):
+            if sum(counts) <= 5:
+                assert expansion_dict(counts) == brute_force_expansion(counts), counts
+                checked += 1
+    assert checked == sum(math.comb(5 + length, length) for length in range(1, 5))
 
 
 def test_expansion_numerically_exact_scalar_composition():
