@@ -7,25 +7,19 @@ actions.
 """
 
 from .core import (
-    DENSE_GUARD,
     ActionOracle,
     TensorTrain,
     dense_action,
     fix_signs,
-    frobenius,
     oracle_from_dense,
     oracle_from_tt,
-    relative_error,
     tt_apply,
-    tt_dense_error,
     tt_load,
     tt_load_json,
     tt_relative_error,
     tt_round,
     tt_save,
     tt_save_json,
-    tt_svd,
-    tt_to_dense,
 )
 from .builder import (
     BuildConfig,
@@ -49,7 +43,6 @@ __all__ = [
     "ActionOracle",
     "BuildConfig",
     "BuildReport",
-    "DENSE_GUARD",
     "RangeBasis",
     "RangeProblem",
     "TensorTrain",
@@ -57,16 +50,13 @@ __all__ = [
     "dense_action",
     "errors",
     "fix_signs",
-    "frobenius",
     "oracle_from_dense",
     "oracle_from_tt",
     "posterior_error",
     "predicted_action_count",
     "randomized_range",
-    "relative_error",
     "solve_interpolation",
     "tt_apply",
-    "tt_dense_error",
     "tt_from_actions",
     "tt_load",
     "tt_load_json",
@@ -74,7 +64,5 @@ __all__ = [
     "tt_round",
     "tt_save",
     "tt_save_json",
-    "tt_svd",
-    "tt_to_dense",
     "__version__",
 ]

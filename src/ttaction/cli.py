@@ -32,7 +32,6 @@ import scipy
 from . import __version__
 from .builder import BuildConfig, predicted_action_count, tt_from_actions
 from .core import (
-    DENSE_GUARD,
     TensorTrain,
     _tt_norm,
     oracle_from_tt,
@@ -266,7 +265,6 @@ def cmd_info(args):
             "tau_extra": BuildConfig.tau_extra,
             "model_grid": MODEL_GRID,
         },
-        "dense_guard_entries": DENSE_GUARD,
         "platform": platform.platform(),
         "versions": {
             "python": platform.python_version(),

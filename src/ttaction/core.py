@@ -1,9 +1,11 @@
-"""Tensors given by their action, tensor-train containers, and dense references.
+"""Tensors given by their action, tensor-train containers, rounding, and serialization.
 
 A d-th order tensor is used here only through its *action*: saturate every
 mode but one with a vector and return the remaining fiber.  For d = 2 this is
 the familiar matrix-vector product.  Mode numbers in the public interface are
 1-based; storage is plain 0-based numpy.
+
+A dense array enters only through its action; no train is ever densified.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    CapacityError,
     FormatError,
     NonFiniteActionError,
     RankClampWarning,
@@ -25,9 +26,6 @@ from .errors import (
     VersionError,
     ZeroNormError,
 )
-
-#: Largest dense array, in entries, that densification helpers will allocate.
-DENSE_GUARD = 100_000_000
 
 _MAGIC = b"TTAC"
 _FORMAT_VERSION = 1
@@ -208,23 +206,6 @@ class TensorTrain:
         """Internal ranks (r_1, ..., r_{d-1})."""
         return tuple(c.shape[2] for c in self.cores[:-1])
 
-    def entry_count(self):
-        """Total number of stored core entries."""
-        return sum(c.size for c in self.cores)
-
-    def left_orthogonality_defect(self):
-        """Worst deviation of cores 1..d-1 from column-orthonormal unfoldings.
-
-        Returns max over k < d of ``||Q_k^T Q_k - I||_max`` where Q_k is core k
-        reshaped to (left_rank * mode_size, right_rank).
-        """
-        worst = 0.0
-        for c in self.cores[:-1]:
-            q = c.reshape(-1, c.shape[2])
-            g = q.T @ q
-            worst = max(worst, float(np.abs(g - np.eye(g.shape[0])).max()))
-        return worst
-
 
 def tt_apply(tt, free_mode, vectors):
     """Action of a tensor train without densifying it.
@@ -269,28 +250,6 @@ def prefix_contract(cores, vectors):
     return out
 
 
-def tt_to_dense(tt):
-    """Materialize a tensor train as a dense array.
-
-    Refuses trains above :data:`DENSE_GUARD` entries.
-    """
-    total = int(np.prod(tt.dims, dtype=np.int64))
-    if total > DENSE_GUARD:
-        raise CapacityError(
-            f"refusing to densify {total} entries (budget {DENSE_GUARD})"
-        )
-    return _chain(tt.cores).reshape(tt.dims)
-
-
-def _chain(cores):
-    """Product of a core chain as a matrix ending in the last core's columns."""
-    out = cores[0]
-    for c in cores[1:]:
-        r = c.shape[0]
-        out = out.reshape(-1, r) @ c.reshape(r, -1)
-    return out
-
-
 def rank_list(ranks, order):
     """The d-1 internal ranks as ints: None passes, a scalar is broadcast."""
     if ranks is None:
@@ -314,53 +273,6 @@ def unfolding_caps(dims):
 def subseed(seed, *tag):
     """Derived integer seed for the stream labelled ``tag`` under ``seed``."""
     return int(np.random.SeedSequence((seed,) + tag).generate_state(1)[0])
-
-
-def frobenius(array):
-    """Frobenius norm of a dense array of any order."""
-    return float(np.linalg.norm(np.asarray(array).ravel()))
-
-
-def relative_error(reference, candidate):
-    """Relative Frobenius distance ``||reference - candidate|| / ||reference||``."""
-    reference = np.asarray(reference, dtype=float)
-    candidate = np.asarray(candidate, dtype=float)
-    if reference.shape != candidate.shape:
-        raise ShapeError(
-            f"shape mismatch: {reference.shape} vs {candidate.shape}"
-        )
-    denom = frobenius(reference)
-    if denom == 0.0:
-        raise ZeroNormError("reference tensor has zero norm")
-    return frobenius(reference - candidate) / denom
-
-
-def tt_dense_error(dense, tt):
-    """Relative Frobenius distance between a dense tensor and a train.
-
-    Streams over first-mode slabs so the train is never densified; only a
-    (r_1 x prod(N_2..N_d)) composite of the trailing cores is formed.  Useful
-    when the full tensor would trip :data:`DENSE_GUARD` arithmetic twice over.
-    """
-    dense = np.asarray(dense, dtype=float)
-    if dense.shape != tt.dims:
-        raise ShapeError(f"shape mismatch: {dense.shape} vs {tt.dims}")
-    tail = int(np.prod(tt.dims[1:], dtype=np.int64))
-    r1 = tt.cores[0].shape[2]
-    if r1 * tail > DENSE_GUARD:
-        raise CapacityError("trailing-core composite exceeds the entry budget")
-    w = _chain(tt.cores[1:]).reshape(r1, tail)
-    head = tt.cores[0].reshape(tt.dims[0], r1)
-    err2 = 0.0
-    ref2 = 0.0
-    for i in range(tt.dims[0]):
-        slab = dense[i].ravel()
-        diff = slab - head[i] @ w
-        err2 += float(diff @ diff)
-        ref2 += float(slab @ slab)
-    if ref2 == 0.0:
-        raise ZeroNormError("reference tensor has zero norm")
-    return float(np.sqrt(err2 / ref2))
 
 
 def tt_relative_error(reference, tt):
@@ -406,92 +318,27 @@ def fix_signs(u, companion):
     return u, companion
 
 
-def _truncated_svd(mat, rank=None, delta=None, warn_label="rank"):
-    """Thin SVD of ``mat`` truncated by rank or Frobenius budget.
+def _truncated_svd(mat, rank=None, warn_label="rank"):
+    """Thin SVD of ``mat`` truncated to ``rank`` (default: full), signs fixed.
 
-    Returns (U_r, s_r, V_r^T).
+    A rank beyond ``min(mat.shape)`` is clamped with a
+    :class:`~ttaction.errors.RankClampWarning`.  Returns (U_r, s_r, V_r^T).
     """
     u, s, vt = scipy.linalg.svd(mat, full_matrices=False, check_finite=False)
-    keep = _truncation_index(s, rank, delta, min(mat.shape), warn_label)
-    u = np.ascontiguousarray(u[:, :keep])
-    vt = np.ascontiguousarray(vt[:keep])
-    s = s[:keep].copy()
-    fix_signs(u, vt)
-    return u, s, vt
-
-
-def _truncation_index(s, rank, delta, full, warn_label):
+    keep = full = min(mat.shape)
     if rank is not None:
         if rank > full:
             warnings.warn(
                 f"{warn_label} {rank} exceeds matrix capacity {full}; clamped",
                 RankClampWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-        return max(1, min(rank, full))
-    if delta is None:
-        return full
-    tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||
-    keep = full
-    while keep > 1 and tails[keep - 1] <= delta:
-        keep -= 1
-    return keep
-
-
-def _sweep(current, dims, ranks, delta, absorb):
-    """Left-to-right truncated SVDs, the pass shared by TT-SVD and rounding.
-
-    Step k keeps the left singular vectors of ``current`` (rows: left rank
-    times N_k) as core k + 1 and continues with ``absorb(k, S V^T)``.
-    """
-    cores = []
-    left = 1
-    for k in range(len(dims) - 1):
-        u, s, vt = _truncated_svd(
-            current.reshape(left * dims[k], -1),
-            rank=None if ranks is None else ranks[k],
-            delta=delta,
-            warn_label=f"rank r_{k + 1}",
-        )
-        r = u.shape[1]
-        cores.append(u.reshape(left, dims[k], r))
-        current = absorb(k, s[:, None] * vt)
-        left = r
-    cores.append(current.reshape(left, dims[-1], 1))
-    return TensorTrain(cores)
-
-
-def tt_svd(tensor, ranks=None, tol=None):
-    """Compress a dense tensor into a train by sequential thin SVDs.
-
-    Parameters
-    ----------
-    tensor : ndarray
-        Dense array of order >= 2.
-    ranks : int or sequence of int, optional
-        Internal ranks (r_1, ..., r_{d-1}); a scalar is broadcast.  Requested
-        ranks beyond what an unfolding supports are clamped with a warning.
-    tol : float, optional
-        Relative Frobenius tolerance used when ``ranks`` is omitted; each
-        unfolding is truncated against the budget ``tol * ||T|| / sqrt(d-1)``.
-
-    Returns
-    -------
-    TensorTrain
-        Cores 1..d-1 have column-orthonormal unfoldings.  With full ranks the
-        reconstruction error is at machine precision.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    d = tensor.ndim
-    if d < 2:
-        raise ShapeError("tensor must have at least 2 modes")
-    if ranks is None and tol is None:
-        ranks = unfolding_caps(tensor.shape)
-    ranks = rank_list(ranks, d)
-    delta = None
-    if ranks is None:
-        delta = tol * frobenius(tensor) / np.sqrt(d - 1)
-    return _sweep(tensor, tensor.shape, ranks, delta, lambda k, sv: sv)
+        keep = max(1, min(rank, full))
+    u = np.ascontiguousarray(u[:, :keep])
+    vt = np.ascontiguousarray(vt[:keep])
+    s = s[:keep].copy()
+    fix_signs(u, vt)
+    return u, s, vt
 
 
 def _orthogonalize_right(tt):
@@ -512,25 +359,31 @@ def _orthogonalize_right(tt):
     return cores
 
 
-def tt_round(tt, ranks=None, tol=None):
-    """Truncate a train to lower ranks without densifying.
+def tt_round(tt, ranks=None):
+    """Truncate a train to ``ranks`` (a scalar is broadcast) without densifying.
 
-    Right-to-left orthogonalization sweep followed by a left-to-right SVD
-    truncation sweep; ``ranks`` and ``tol`` behave as in :func:`tt_svd`.
-    With neither given, only exact rank deadwood is removed.  Cores 1..d-1
-    of the result have column-orthonormal unfoldings.
+    A right-to-left QR sweep, then left-to-right truncated SVDs, each keeping
+    U as core k and carrying S V^T into core k + 1.  A rank beyond what its
+    unfolding supports is clamped with a warning; without ``ranks`` every
+    rank is only capped there.  Cores 1..d-1 come out left-orthonormal.
     """
-    d = tt.order
-    ranks = rank_list(ranks, d)
+    ranks = rank_list(ranks, tt.order)
     cores = _orthogonalize_right(tt)
-    delta = None
-    if ranks is None and tol is not None:
-        delta = tol * float(np.linalg.norm(cores[0])) / np.sqrt(d - 1)
-
-    def absorb(k, sv):
-        return np.tensordot(sv, cores[k + 1], axes=(1, 0))
-
-    return _sweep(cores[0], tt.dims, ranks, delta, absorb)
+    dims = tt.dims
+    out = []
+    current, left = cores[0], 1
+    for k in range(tt.order - 1):
+        u, s, vt = _truncated_svd(
+            current.reshape(left * dims[k], -1),
+            rank=None if ranks is None else ranks[k],
+            warn_label=f"rank r_{k + 1}",
+        )
+        r = u.shape[1]
+        out.append(u.reshape(left, dims[k], r))
+        current = np.tensordot(s[:, None] * vt, cores[k + 1], axes=(1, 0))
+        left = r
+    out.append(current.reshape(left, dims[-1], 1))
+    return TensorTrain(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ class NumericalError(RuntimeError):
 
 
 class CapacityError(NumericalError):
-    """Refusal to materialize a dense array beyond the entry budget."""
+    """A rank search reached its ceiling without meeting the error target.
+
+    Raised by :func:`~ttaction.hovd.compress_derivative`.
+    """
 
 
 class ZeroNormError(NumericalError, ValueError):

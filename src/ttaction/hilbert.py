@@ -20,25 +20,6 @@ from .core import ActionOracle, TensorTrain, _check_dims
 DEFAULT_DIMS = (41, 42, 43, 44, 45)
 
 
-def hilbert_dense(dims):
-    """Materialize the Hilbert tensor with the given mode sizes.
-
-    Builds the index-sum grid in place, so the peak footprint is a single
-    float64 array of ``prod(dims)`` entries.  The caller is responsible for
-    choosing sizes that fit in memory; the library itself uses
-    :func:`hilbert_train`, and this dense form is the reference tests
-    compare against.
-    """
-    dims = _check_dims(dims)
-    out = np.zeros(dims)
-    for k, n in enumerate(dims):
-        shape = [1] * len(dims)
-        shape[k] = n
-        out += np.arange(1, n + 1, dtype=float).reshape(shape)
-    np.divide(1.0, out, out=out)
-    return out
-
-
 def hilbert_train(dims):
     """The Hilbert tensor as an exact tensor train, built without its entries.
 

@@ -12,11 +12,12 @@ trapezoid weights along the perimeter.
 Because the coefficient enters through e^m and the reaction is cubic, every
 mixed directional partial of the residual has a short closed form: each
 m-derivative multiplies the edge coefficients by the direction's edge
-average, and u-derivatives beyond the third kill the reaction term.  The
-``partial_g``/``partial_f`` entry points evaluate those forms for a list
-``vs`` of m-directions and a list ``ws`` of u-directions, optionally with one
-extra differentiation slot left free and the output contracted against a
-weight vector; the free-slot variants are what adjoint computations need.
+average, and u-derivatives beyond the third kill the reaction term.
+``partial_g`` evaluates those forms for a list ``vs`` of m-directions and a
+list ``ws`` of u-directions, optionally with one extra differentiation slot
+left free and the output contracted against a weight vector, as adjoint
+computations need.  The observation, linear in u and free of m, has one
+partial: its transpose, ``partial_f``.
 """
 
 from __future__ import annotations
@@ -201,32 +202,19 @@ class ReactionDiffusionModel:
             return np.zeros(self.n_m)
         raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
 
-    def partial_f(self, m, u, vs=(), ws=(), weight=None, free=None):
-        """Directional partial of the observation; same calling convention.
+    def partial_f(self, m, u, weight):
+        """The observation's transpose applied to ``weight``, a u-space vector.
 
-        The observation is linear in u with no explicit m dependence, so only
-        the s <= 1 pure-u partials and the free-u gradient survive.
+        The observation is linear in u with no m dependence, so this gradient
+        of ``weight . qoi(m, u)`` in u is its one nonzero partial beyond
+        ``qoi`` itself; it seeds the adjoint lattice.
         """
-        vs = [self._grid(v, "m direction") for v in vs]
-        ws = [self._grid(w, "u direction") for w in ws]
-        j, s = len(vs), len(ws)
-        if free is None:
-            if j == 0 and s == 0:
-                return self.qoi(m, u)
-            if j == 0 and s == 1:
-                return self.qoi(m, ws[0])
-            return np.zeros(self.n_q)
-        if free == "u":
-            out = np.zeros(self.n_u)
-            if j == 0 and s == 0:
-                w = np.asarray(weight, dtype=float)
-                if w.shape != (self.n_q,):
-                    raise ShapeError(f"weight has shape {w.shape}, expected ({self.n_q},)")
-                out[self.boundary] = self.boundary_weights * w
-            return out
-        if free == "m":
-            return np.zeros(self.n_m)
-        raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
+        w = np.asarray(weight, dtype=float)
+        if w.shape != (self.n_q,):
+            raise ShapeError(f"weight has shape {w.shape}, expected ({self.n_q},)")
+        out = np.zeros(self.n_u)
+        out[self.boundary] = self.boundary_weights * w
+        return out
 
     def jacobian_u(self, m, u):
         """Sparse state Jacobian dG/du at (m, u), in CSC form.

@@ -257,7 +257,7 @@ class DerivativeEngine:
         qsig = q.tobytes()
         key = ("l", qsig, ())
         if key not in self._cache:
-            rhs = self.model.partial_f(self.m0, self.u0, weight=q, free="u")
+            rhs = self.model.partial_f(self.m0, self.u0, q)
             self.adjoint_solves += 1
             self._cache[key] = self.factor.solve_t(-rhs)
         lams = {(0,) * len(counts): self._cache[key]}

@@ -67,11 +67,13 @@ class TaylorSurrogate:
 
 
 def taylor_eval(surrogate, x, order=None):
-    """Evaluate the surrogate truncated at ``order`` (default: full)."""
+    """The surrogate at an ``input_dim``-vector ``x``, truncated at ``order`` (or full)."""
     order = surrogate.order if order is None else int(order)
     if order < 0 or order > surrogate.order:
         raise ShapeError(f"order must be in 0..{surrogate.order}, got {order}")
     x = np.asarray(x, dtype=float).ravel()
+    if x.shape != (surrogate.input_dim,):
+        raise ShapeError(f"x has {x.size} entries, expected {surrogate.input_dim}")
     out = surrogate.base.copy()
     if order >= 1:
         u, s, vt = surrogate.jacobian
@@ -127,7 +129,8 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0, orders=None):
     ``||truth(x) - f(0)||``; the order-0 row therefore has mean one.  Returns
     a dict with orders, per-order means and standard deviations, and the
     per-sample normalized errors (orders by samples).  Refuses an order
-    outside 0..``surrogate.order`` before sampling ``truth``.
+    outside 0..``surrogate.order`` before sampling ``truth``, and a ``truth``
+    whose output shape differs from ``surrogate.base``.
     """
     if n_samples < 1:
         raise ShapeError(f"need at least one sample, got {n_samples}")
@@ -140,8 +143,13 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0, orders=None):
     for i in range(n_samples):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         x = rng.standard_normal(dim)
+        f = np.asarray(truth(x), dtype=float)
+        if f.shape != surrogate.base.shape:
+            raise ShapeError(
+                f"truth(x) of sample {i} has shape {f.shape}, not {surrogate.base.shape}"
+            )
         xs.append(x)
-        fs.append(np.asarray(truth(x), dtype=float))
+        fs.append(f)
     base_dist = [float(np.linalg.norm(f - surrogate.base)) for f in fs]
     normalizer = float(np.mean(base_dist))
     if normalizer == 0.0:

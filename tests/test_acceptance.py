@@ -17,9 +17,7 @@ from ttaction import (
     oracle_from_dense,
     oracle_from_tt,
     predicted_action_count,
-    tt_dense_error,
     tt_from_actions,
-    tt_to_dense,
 )
 from ttaction.cli import main as cli_main
 from ttaction.hovd import (
@@ -32,6 +30,8 @@ from ttaction.hovd import (
     solve_state,
     taylor_error_stats,
 )
+
+from dense_reference import tt_dense_error, tt_to_dense
 
 
 def record(log, num, ok, detail):

@@ -6,15 +6,14 @@ import pytest
 from ttaction import (
     BuildConfig,
     dense_action,
-    tt_dense_error,
     tt_from_actions,
     tt_relative_error,
     tt_round,
-    tt_svd,
-    tt_to_dense,
 )
 from ttaction.errors import ShapeError
-from ttaction.hilbert import DEFAULT_DIMS, hilbert_dense, hilbert_oracle, hilbert_train
+from ttaction.hilbert import DEFAULT_DIMS, hilbert_oracle, hilbert_train
+
+from dense_reference import hilbert_dense, tt_dense_error, tt_svd, tt_to_dense
 
 
 def test_entries_one_based():

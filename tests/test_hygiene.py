@@ -1,18 +1,22 @@
 """Source hygiene: every import in the library is used, no contraction pays
 for an einsum path search on each call, LU work on the state Jacobian has
-one home, ``hovd/oracle.py``, no closure keeps state between calls, and the
-library never densifies a tensor.
+one home, ``hovd/oracle.py``, no closure keeps state between calls, the
+library neither calls nor defines the dense test references, and every
+exported name resolves.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+import dense_reference
 import ttaction
+import ttaction.hovd
 
 PACKAGE = Path(ttaction.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -121,11 +125,33 @@ def test_no_nonlocal(path):
     assert nonlocal_statements(path.read_text()) == []
 
 
-DENSIFIERS = ("hilbert_dense", "tt_to_dense", "tt_dense_error")
+#: What ``tests/dense_reference.py`` holds: references that densify, or exist
+#: only to check the library, and so stay out of it.
+DENSE_REFERENCES = (
+    "entry_count",
+    "frobenius",
+    "hilbert_dense",
+    "left_orthogonality_defect",
+    "relative_error",
+    "tt_dense_error",
+    "tt_svd",
+    "tt_to_dense",
+)
+
+
+def test_dense_references_are_what_the_test_module_defines():
+    defined = {
+        name
+        for name, value in vars(dense_reference).items()
+        if inspect.isfunction(value)
+        and value.__module__ == dense_reference.__name__
+        and not name.startswith("_")
+    }
+    assert defined == set(DENSE_REFERENCES)
 
 
 def densifying_calls(source):
-    """Line of each call to a function that materializes a dense tensor.
+    """Line of each call to a dense reference.
 
     Those functions are references for tests; the library measures errors
     between trains (``tt_relative_error``) so memory stays bounded.
@@ -134,7 +160,7 @@ def densifying_calls(source):
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) in DENSIFIERS
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in DENSE_REFERENCES
     ]
 
 
@@ -149,3 +175,38 @@ def test_scan_flags_a_densifying_call():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_densifying_call(path):
     assert densifying_calls(path.read_text()) == []
+
+
+def reference_definitions(source):
+    """Line of each function, class or assignment that defines a dense reference."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        if any(name in DENSE_REFERENCES for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_flags_a_reference_definition():
+    source = (PACKAGE / "core.py").read_text()
+    planted = "class T:\n    def entry_count(self):\n        pass\ntt_svd = None\n"
+    line = source.count("\n") + 1
+    assert reference_definitions(source + planted) == [line + 1, line + 3]
+    assert reference_definitions("x = tt_svd(a)\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_library_defines_no_dense_reference(path):
+    assert reference_definitions(path.read_text()) == []
+
+
+@pytest.mark.parametrize("package", [ttaction, ttaction.hovd], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(package):
+    assert len(set(package.__all__)) == len(package.__all__)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []

@@ -9,7 +9,6 @@ from ttaction import (
     oracle_from_dense,
     oracle_from_tt,
     tt_apply,
-    tt_svd,
 )
 from ttaction.errors import ConvergenceWarning, NonFiniteActionError, ShapeError
 from ttaction.hovd import (
@@ -18,6 +17,8 @@ from ttaction.hovd import (
     oracle_difference,
     sigma1_estimate,
 )
+
+from dense_reference import tt_svd
 
 
 def test_matrix_case_recovers_largest_singular_value():

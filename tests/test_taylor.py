@@ -1,5 +1,7 @@
 """Derivative-based polynomial surrogates and their error statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ttaction.hovd import (
     WhitenedMap,
     build_taylor_surrogate,
     jacobian_rsvd,
+    make_derivative_oracle,
     taylor_error_stats,
     taylor_eval,
 )
@@ -84,6 +87,36 @@ def test_eval_orders_nest():
         taylor_eval(surrogate, x, order=4)
 
 
+def test_eval_refuses_a_wrong_length_x():
+    # every order refuses, order 0 included, though it reads no part of x
+    _, _, surrogate, _ = surrogate_fixture(order=2)
+    for n in (surrogate.input_dim - 1, surrogate.input_dim + 1):
+        for order in range(surrogate.order + 1):
+            with pytest.raises(ShapeError):
+                taylor_eval(surrogate, np.zeros(n), order=order)
+
+
+def test_exact_series_falls_by_order():
+    # the order-j term T_j(x, ..., x) / j! is one output-free action of the
+    # order-j oracle; against the true map the truncated series improves at
+    # least threefold per order through order 6
+    model = ReactionDiffusionModel(8)
+    whitener = WhitenedMap(model)
+    oracles = [make_derivative_oracle(model, j, whitener=whitener) for j in range(1, 7)]
+    base = whitener.base_value()
+    errors = np.empty((7, 20))
+    for i in range(errors.shape[1]):
+        x = np.random.default_rng(np.random.SeedSequence((0, i))).standard_normal(model.n_m)
+        f = whitener.evaluate(x)
+        series = base.copy()
+        errors[0, i] = np.linalg.norm(f - series)
+        for j, oracle in enumerate(oracles, start=1):
+            series = series + oracle.action(j + 1, [x] * j) / math.factorial(j)
+            errors[j, i] = np.linalg.norm(f - series)
+    means = errors.mean(axis=1)
+    assert (means[1:] * 3.0 <= means[:-1]).all(), means / means[0]
+
+
 def test_error_stats_normalization_and_decrease():
     model, whitener, surrogate, _ = surrogate_fixture(order=3, rank=8, n=5)
     stats = taylor_error_stats(surrogate, whitener.evaluate, n_samples=20, seed=3)
@@ -116,6 +149,23 @@ def test_error_stats_requested_orders_and_validation():
         with pytest.raises(ShapeError):
             taylor_error_stats(surrogate, truth, n_samples=50, orders=orders)
     assert not truths  # refused before any truth solve
+
+
+def test_error_stats_refuses_a_truth_of_the_wrong_shape():
+    # a (1,)-shaped truth would broadcast against the base
+    surrogate = TaylorSurrogate(
+        base=np.ones(3),
+        jacobian=(np.zeros((3, 1)), np.zeros(1), np.zeros((1, 4))),
+        order=1,
+    )
+    calls = []
+
+    def truth(x):
+        calls.append(x)
+        return np.zeros(3) if len(calls) < 3 else np.zeros(1)
+
+    with pytest.raises(ShapeError, match="sample 2"):
+        taylor_error_stats(surrogate, truth, n_samples=5)
 
 
 def test_error_stats_zero_map_rejected():
