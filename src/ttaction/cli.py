@@ -33,15 +33,17 @@ from . import __version__
 from .builder import BuildConfig, predicted_action_count, tt_from_actions
 from .core import (
     TensorTrain,
+    _check_dims,
     _tt_norm,
     oracle_from_tt,
+    rank_list,
     subseed,
     tt_relative_error,
     tt_round,
     tt_save,
     unfolding_caps,
 )
-from .errors import FormatError, NumericalError, ShapeError, ZeroNormError
+from .errors import FormatError, NumericalError, ShapeError
 from .hilbert import DEFAULT_DIMS, hilbert_oracle, hilbert_train
 from .hovd import (
     ReactionDiffusionModel,
@@ -119,7 +121,6 @@ def cmd_hilbert(args):
     rows = []
     for rank in range(2, args.max_rank + 1):
         ranks = [min(rank, c) for c in caps]
-        oracle.reset_count()
         t0 = time.perf_counter()
         train, report = tt_from_actions(
             oracle,
@@ -142,14 +143,13 @@ def cmd_hilbert(args):
 
 
 def cmd_synthetic(args):
-    d = len(args.shape)
-    if d < 2:
-        raise ShapeError("--shape needs at least 2 modes")
-    if len(args.true_ranks) != d - 1:
-        raise ShapeError(f"--true-ranks needs {d - 1} entries, got {len(args.true_ranks)}")
+    d = len(_check_dims(args.shape))
     build_ranks = args.build_ranks or args.true_ranks
-    if len(build_ranks) != d - 1:
-        raise ShapeError(f"--build-ranks needs {d - 1} entries, got {len(build_ranks)}")
+    for flag, ranks in ("--true-ranks", args.true_ranks), ("--build-ranks", build_ranks):
+        try:
+            rank_list(ranks, d)
+        except ShapeError as exc:
+            raise ShapeError(f"{flag}: {exc}") from exc
     out_dir = Path(args.out_dir)
     t0 = time.perf_counter()
 
@@ -159,11 +159,8 @@ def cmd_synthetic(args):
         rng.standard_normal((bounds[k], args.shape[k], bounds[k + 1]))
         for k in range(d)
     ]
-    true_tt = TensorTrain(cores)
-    norm = _tt_norm(true_tt)
-    if norm == 0.0:
-        raise ZeroNormError("degenerate random train")
-    cores[0] = cores[0] / norm
+    # Gaussian cores of positive sizes and ranks have a nonzero norm
+    cores[0] = cores[0] / _tt_norm(TensorTrain(cores))
     true_tt = TensorTrain(cores)
 
     oracle = oracle_from_tt(true_tt)

@@ -119,11 +119,8 @@ class ActionOracle:
 
     @property
     def action_count(self):
-        """Number of actions performed since construction or the last reset."""
+        """Number of actions performed since construction."""
         return self._count
-
-    def reset_count(self):
-        self._count = 0
 
     def clear_cache(self):
         """Drop work cached between actions; this base oracle caches none.
@@ -251,14 +248,21 @@ def prefix_contract(cores, vectors):
 
 
 def rank_list(ranks, order):
-    """The d-1 internal ranks as ints: None passes, a scalar is broadcast."""
+    """The d-1 internal ranks as ints: None passes, a scalar is broadcast.
+
+    A wrong count or a rank below 1 raises
+    :class:`~ttaction.errors.ShapeError`.
+    """
     if ranks is None:
         return None
     if np.isscalar(ranks):
-        return [int(ranks)] * (order - 1)
+        ranks = [ranks] * (order - 1)
     if len(ranks) != order - 1:
         raise ShapeError(f"need {order - 1} ranks for {order} modes, got {len(ranks)}")
-    return [int(r) for r in ranks]
+    ranks = [int(r) for r in ranks]
+    if any(r < 1 for r in ranks):
+        raise ShapeError(f"ranks must be >= 1, got {ranks}")
+    return ranks
 
 
 def unfolding_caps(dims):
@@ -333,7 +337,7 @@ def _truncated_svd(mat, rank=None, warn_label="rank"):
                 RankClampWarning,
                 stacklevel=2,
             )
-        keep = max(1, min(rank, full))
+        keep = min(rank, full)
     u = np.ascontiguousarray(u[:, :keep])
     vt = np.ascontiguousarray(vt[:keep])
     s = s[:keep].copy()

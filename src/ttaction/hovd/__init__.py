@@ -26,7 +26,7 @@ from .sigma1 import Sigma1Result, oracle_difference, sigma1_estimate
 from .taylor import (
     TaylorSurrogate,
     build_taylor_surrogate,
-    jacobian_rsvd,
+    jacobian_train,
     taylor_error_stats,
     taylor_eval,
 )
@@ -42,7 +42,7 @@ __all__ = [
     "canonical_directions",
     "compress_derivative",
     "expansion",
-    "jacobian_rsvd",
+    "jacobian_train",
     "make_derivative_oracle",
     "oracle_difference",
     "sigma1_estimate",

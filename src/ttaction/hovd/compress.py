@@ -17,18 +17,12 @@ import time
 import numpy as np
 
 from ..builder import DEFAULT_TAU_EXTRA, BuildConfig, check_slack, tt_from_actions
-from ..core import TensorTrain, oracle_from_tt, subseed, tt_round, unfolding_caps
+from ..core import oracle_from_tt, subseed, tt_round, unfolding_caps
 from ..errors import CapacityError, ShapeError
 from ..rangefinder import DEFAULT_OVERSAMPLING
 from .oracle import WhitenedMap, make_derivative_oracle
 from .sigma1 import oracle_difference, sigma1_estimate
-from .taylor import jacobian_rsvd
-
-
-def _matrix_train(u, s, vt):
-    """Two-core train equal to the matrix U diag(s) Vt, input mode first."""
-    left = (s[:, None] * vt).T[None, :, :]
-    return TensorTrain([left, np.ascontiguousarray(u.T)[:, :, None]])
+from .taylor import jacobian_train
 
 
 def _sigma1(oracle, seed):
@@ -59,7 +53,8 @@ def compress_derivative(
     a rank below 1, an eps that is not finite and > 0, a ``max_rank`` below
     2, or a negative ``oversampling`` or ``tau_extra`` raises
     :class:`~ttaction.errors.ShapeError` before any solve.
-    Order 1 is compressed by randomized SVD instead of the train builder.
+    Order 1 is read by :func:`~ttaction.hovd.taylor.jacobian_train` instead
+    of the train builder.
     Returns (train, info) where info records the rank, the spectral error,
     solver and action counters, and wall time.  Every sigma_1 estimate keeps
     its diagnostics: whether any start converged, the iterations of each
@@ -89,10 +84,9 @@ def compress_derivative(
     def build(r):
         oracle.clear_cache()
         if order == 1:
-            u, s, vt = jacobian_rsvd(
+            return jacobian_train(
                 oracle, r, oversampling=oversampling, seed=subseed(seed, 1)
             )
-            return _matrix_train(u, s, vt)
         config = BuildConfig(
             ranks=[min(r, c) for c in caps],
             oversampling=oversampling,

@@ -60,16 +60,10 @@ class ReactionDiffusionModel:
 
         # boundary walk, counterclockwise from the origin corner; every node
         # carries weight h because the perimeter is a closed polyline
-        idx = []
-        for j in range(n):
-            idx.append((0, j))
-        for i in range(1, n):
-            idx.append((i, n - 1))
-        for j in range(n - 2, -1, -1):
-            idx.append((n - 1, j))
-        for i in range(n - 2, 0, -1):
-            idx.append((i, 0))
-        self.boundary = np.array([i * n + j for i, j in idx], dtype=np.intp)
+        grid = np.arange(self.n_u, dtype=np.intp).reshape(n, n)
+        self.boundary = np.concatenate(
+            (grid[0], grid[1:, -1], grid[-1, -2::-1], grid[-2:0:-1, 0])
+        )
         self.boundary_weights = np.full(self.n_q, self.h)
 
         # the wall rule: row k of _nbr holds the north, south, west or east
@@ -242,33 +236,14 @@ class ReactionDiffusionModel:
     def whitening_matrix(self):
         """Symmetric positive definite discretization of (-Laplace + I).
 
-        Assembled edge by edge (graph Laplacian scaled by 1/h^2 plus the
-        identity) so the operator, and hence its inverse, is exactly
-        symmetric.
+        The grid Laplacian is the Kronecker sum of two 1-D path Laplacians,
+        scaled by 1/h^2, plus the identity, so the operator, and hence its
+        inverse, is exactly symmetric.
         """
         n = self.n
-        inv_h2 = 1.0 / self.h**2
-        rows, cols, vals = [], [], []
-
-        def add_edges(a, b):
-            rows.extend((a, b, a, b))
-            cols.extend((a, b, b, a))
-            vals.extend(
-                (
-                    np.full(a.size, inv_h2),
-                    np.full(a.size, inv_h2),
-                    np.full(a.size, -inv_h2),
-                    np.full(a.size, -inv_h2),
-                )
-            )
-
-        grid = np.arange(n * n).reshape(n, n)
-        add_edges(grid[:, :-1].ravel(), grid[:, 1:].ravel())
-        add_edges(grid[:-1, :].ravel(), grid[1:, :].ravel())
-        lap = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_m, self.n_m),
-        )
+        ends = np.r_[1.0, np.full(n - 2, 2.0), 1.0]
+        path = scipy.sparse.diags((-np.ones(n - 1), ends, -np.ones(n - 1)), (-1, 0, 1))
+        lap = scipy.sparse.kronsum(path, path) / self.h**2
         return (lap + scipy.sparse.identity(self.n_m)).tocsc()
 
 

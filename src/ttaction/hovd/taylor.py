@@ -2,36 +2,35 @@
 
 The order-k surrogate of a map f around zero is
 
-    f_k(x) = f(0) + J x + sum over j = 2..k of T_j(x, ..., x, .) / j!
+    f_k(x) = f(0) + sum over j = 1..k of T_j(x, ..., x, .) / j!
 
-with the Jacobian J kept as randomized-SVD factors and each higher
-derivative tensor T_j kept as a tensor train built from actions.  Surrogate
-quality is summarized by the normalized error ||f(x) - f_k(x)|| divided by
-the sampled mean of ||f(x) - f(0)||, so the order-0 surrogate has mean error
-one by construction.
+with each derivative tensor T_j, the Jacobian T_1 included, kept as a tensor
+train built from actions.  Surrogate quality is summarized by the normalized
+error ||f(x) - f_k(x)|| divided by the sampled mean of ||f(x) - f(0)||, so
+the order-0 surrogate has mean error one by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ..builder import BuildConfig, tt_from_actions
-from ..core import fix_signs, subseed, tt_apply
+from ..core import TensorTrain, subseed, tt_apply
 from ..errors import ShapeError, ZeroNormError
 from ..rangefinder import DEFAULT_OVERSAMPLING, RangeProblem, randomized_range
 from .oracle import WhitenedMap, make_derivative_oracle
 
 
-def jacobian_rsvd(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
-    """Randomized SVD factors (U, s, Vt) of an order-1 derivative oracle.
+def jacobian_train(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
+    """The order-1 oracle J as the input-first train with cores (Q^T J)^T, Q^T.
 
-    Samples the forward action with Gaussian probes for the column space,
-    then reads the row space through the free-derivative-slot action, for
-    ``rank + oversampling`` plus ``rank`` actions in total.
+    The train builder's two-mode read-off, modes swapped: Gaussian probes
+    of the forward action give the orthonormal output basis Q, then one
+    free-input-slot action per column reads Q^T J, for ``rank +
+    oversampling`` plus ``rank`` actions in total.
     """
     if oracle.order != 2:
         raise ShapeError(f"expected a 2-mode oracle, got {oracle.order} modes")
@@ -42,28 +41,25 @@ def jacobian_rsvd(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
         output_dim=n_out,
         seed=seed,
     )
-    basis = randomized_range(problem, rank, oversampling=oversampling)
-    rows = np.stack(
-        [oracle.action(1, [basis.basis[:, i]]) for i in range(basis.rank)]
-    )
-    u_small, s, vt = scipy.linalg.svd(rows, full_matrices=False, check_finite=False)
-    u = basis.basis @ u_small
-    fix_signs(u, vt)
-    return u, s, vt
+    q = randomized_range(problem, rank, oversampling=oversampling).basis
+    rows = np.stack([oracle.action(1, [col]) for col in q.T])
+    return TensorTrain([rows.T[None], q.T[:, :, None]])
 
 
 @dataclass
 class TaylorSurrogate:
-    """Truncated derivative expansion of a whitened forward map."""
+    """Truncated derivative expansion: ``trains[j]`` is T_j, j = 1..order."""
 
     base: np.ndarray
-    jacobian: tuple
-    trains: dict = field(default_factory=dict)
-    order: int = 1
+    trains: dict
+
+    @property
+    def order(self):
+        return len(self.trains)
 
     @property
     def input_dim(self):
-        return self.jacobian[2].shape[1]
+        return self.trains[1].dims[0]
 
 
 def taylor_eval(surrogate, x, order=None):
@@ -75,12 +71,8 @@ def taylor_eval(surrogate, x, order=None):
     if x.shape != (surrogate.input_dim,):
         raise ShapeError(f"x has {x.size} entries, expected {surrogate.input_dim}")
     out = surrogate.base.copy()
-    if order >= 1:
-        u, s, vt = surrogate.jacobian
-        out = out + u @ (s * (vt @ x))
-    for j in range(2, order + 1):
-        train = surrogate.trains[j]
-        out = out + tt_apply(train, j + 1, [x] * j) / math.factorial(j)
+    for j in range(1, order + 1):
+        out = out + tt_apply(surrogate.trains[j], j + 1, [x] * j) / math.factorial(j)
     return out
 
 
@@ -94,20 +86,17 @@ def build_taylor_surrogate(
 ):
     """Assemble a surrogate of the whitened map up to derivative ``order``.
 
-    Order 1 uses randomized-SVD factors; each order j >= 2 compresses the
-    whitened derivative tensor with the action-based train builder at uniform
-    rank ``rank``.  Returns the surrogate and the per-order build reports.
+    Order 1 is read by :func:`jacobian_train`; each order j >= 2 compresses
+    the whitened derivative tensor with the action-based train builder, all
+    at rank ``rank``.  Returns the surrogate and the per-order reports.
     """
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")
     whitener = whitener or WhitenedMap(model)
     f0 = whitener.base_value()
-    jac_oracle = make_derivative_oracle(model, 1, whitener=whitener)
-    jacobian = jacobian_rsvd(
-        jac_oracle, rank, oversampling=oversampling, seed=subseed(seed, 1)
-    )
-    reports = {1: {"actions": jac_oracle.action_count, "rank": int(jacobian[1].size)}}
-    trains = {}
+    jac = make_derivative_oracle(model, 1, whitener=whitener)
+    trains = {1: jacobian_train(jac, rank, oversampling, subseed(seed, 1))}
+    reports = {1: {"actions": jac.action_count, "rank": trains[1].ranks[0]}}
     for j in range(2, order + 1):
         oracle = make_derivative_oracle(model, j, whitener=whitener)
         config = BuildConfig(
@@ -115,10 +104,8 @@ def build_taylor_surrogate(
             oversampling=oversampling,
             seed=subseed(seed, j),
         )
-        trains[j], report = tt_from_actions(oracle, config)
-        reports[j] = report
-    surrogate = TaylorSurrogate(base=f0, jacobian=jacobian, trains=trains, order=order)
-    return surrogate, reports
+        trains[j], reports[j] = tt_from_actions(oracle, config)
+    return TaylorSurrogate(base=f0, trains=trains), reports
 
 
 def taylor_error_stats(surrogate, truth, n_samples, seed=0, orders=None):

@@ -294,6 +294,17 @@ def test_report_structure(dims, ranks):
 def test_predicted_action_count_validation():
     with pytest.raises(ShapeError):
         predicted_action_count((4, 4, 4), (2,))
+    with pytest.raises(ShapeError, match="ranks must be >= 1"):
+        predicted_action_count((4, 4, 4), (2, 0))
+
+
+@pytest.mark.parametrize("ranks", [0, [0, 1, 1], [2, -1, 2]])
+def test_rank_below_one_is_refused_before_any_action(ranks):
+    dims = (5, 6, 7, 5)
+    oracle = oracle_from_tt(random_tt(np.random.default_rng(34), dims, (3, 4, 3)))
+    with pytest.raises(ShapeError, match="ranks must be >= 1"):
+        tt_from_actions(oracle, BuildConfig(ranks=ranks))
+    assert oracle.action_count == 0
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,22 @@ def test_synthetic_bad_ranks_exits_two(tmp_path):
     assert not (tmp_path / "synthetic.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--build-ranks", "0,1,1,1"],
+        ["--shape", "5,6,7", "--true-ranks", "2,2", "--build-ranks", "2,-1"],
+        ["--shape", "5,6,7", "--true-ranks", "0,2"],
+        ["--shape", "0,5", "--true-ranks", "1"],
+    ],
+    ids=["build-rank-0", "build-rank-negative", "true-rank-0", "shape-0"],
+)
+def test_synthetic_nonpositive_size_or_rank_exits_two(tmp_path, capsys, flags):
+    assert main(["synthetic", *flags, "--out-dir", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "synthetic.json").exists()
+
+
 def test_synthetic_rerun_byte_identical(tmp_path):
     for sub in ("a", "b"):
         assert main(

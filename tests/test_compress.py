@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from ttaction.core import subseed
 from ttaction.errors import CapacityError, ShapeError
 from ttaction.hovd import (
     ReactionDiffusionModel,
     WhitenedMap,
     compress,
     compress_derivative,
+    jacobian_train,
+    make_derivative_oracle,
 )
 
 
@@ -46,9 +49,19 @@ def test_order_one_uses_matrix_factors():
     full = min(model.n_m, model.n_q)
     train, info = compress_derivative(model, order=1, rank=full, seed=0)
     assert train.dims == (model.n_m, model.n_q)
-    assert len(train.cores) == 2
-    # full rank: the factorization is essentially exact
+    assert train.ranks == (full,)
+    # full rank: the two cores factor the Jacobian essentially exactly
     assert info["sigma1_rel_error"] < 1e-8
+
+
+def test_order_one_is_the_jacobian_train():
+    model = ReactionDiffusionModel(5)
+    whitener = WhitenedMap(model)
+    train, _ = compress_derivative(model, order=1, rank=4, seed=3, whitener=whitener)
+    oracle = make_derivative_oracle(model, 1, whitener=whitener)
+    reference = jacobian_train(oracle, 4, seed=subseed(3, 1))
+    for a, b in zip(train.cores, reference.cores):
+        assert np.array_equal(a, b)
 
 
 def test_eps_mode_finds_small_rank():

@@ -106,17 +106,17 @@ def test_dense_action_wrong_vector_count_and_length():
 # oracle wrapper
 
 
-def test_oracle_counts_and_resets():
+def test_oracle_counts_every_action():
+    # the count only grows; callers take a run's share as a difference
     t = np.random.default_rng(2).standard_normal((5, 6))
     oracle = oracle_from_dense(t)
+    assert oracle.action_count == 0
     vec = np.ones(6)
     for _ in range(200):
         oracle.action(1, [vec])
     assert oracle.action_count == 200
-    oracle.reset_count()
-    assert oracle.action_count == 0
     oracle.action(2, [np.ones(5)])
-    assert oracle.action_count == 1
+    assert oracle.action_count == 201
 
 
 def test_oracle_validates_result_shape():
@@ -260,6 +260,13 @@ def test_tt_round_identity_and_truncation_match_tt_svd():
     np.testing.assert_allclose(
         tt_to_dense(rounded), tt_to_dense(direct), atol=1e-10
     )
+
+
+@pytest.mark.parametrize("ranks", [0, [2, 0], [-1, 2]])
+def test_tt_round_refuses_a_rank_below_one(ranks):
+    tt = random_tt(np.random.default_rng(14), (6, 7, 5), (4, 3))
+    with pytest.raises(ShapeError, match="ranks must be >= 1"):
+        tt_round(tt, ranks)
 
 
 def test_tt_dense_error_matches_direct():

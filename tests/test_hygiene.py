@@ -1,8 +1,8 @@
 """Source hygiene: every import in the library is used, no contraction pays
 for an einsum path search on each call, LU work on the state Jacobian has
-one home, ``hovd/oracle.py``, no closure keeps state between calls, the
-library neither calls nor defines the dense test references, and every
-exported name resolves.
+one home, ``hovd/oracle.py``, and the SVD sweep one, ``core._truncated_svd``,
+no closure keeps state between calls, the library neither calls nor defines
+the dense test references, and every exported name resolves.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -98,6 +98,57 @@ def test_scan_flags_a_factorize_call():
 )
 def test_no_factorize_outside_the_oracle(path):
     assert factorize_calls(path.read_text()) == []
+
+
+def svd_calls(source):
+    """(enclosing function, line) of each call to a function named ``svd``.
+
+    Module-level calls have enclosing function None.
+    """
+    calls = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "attr", getattr(child.func, "id", None)) == "svd"
+            ):
+                calls.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return calls
+
+
+def test_scan_flags_an_svd_call():
+    source = (PACKAGE / "hovd" / "taylor.py").read_text()
+    planted = (
+        "def f(a):\n    return np.linalg.svd(a)\n"
+        "u = scipy.linalg.svd(b, full_matrices=False)\nsvd(c)\n"
+    )
+    line = source.count("\n") + 1
+    assert svd_calls(source + planted) == [
+        ("f", line + 1),
+        (None, line + 2),
+        (None, line + 3),
+    ]
+    assert svd_calls("def svd(a):\n    return a\nnp.linalg.svdvals(a)\n") == []
+    # the home: one call, inside the truncated SVD
+    assert [owner for owner, _ in svd_calls((PACKAGE / "core.py").read_text())] == [
+        "_truncated_svd"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p != PACKAGE / "core.py"],
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_no_svd_outside_the_truncated_svd(path):
+    assert svd_calls(path.read_text()) == []
 
 
 def nonlocal_statements(source):

@@ -268,6 +268,44 @@ def test_factorization_matches_coo_assembly_bit_for_bit():
     )
 
 
+def walked_boundary(n):
+    """Flat boundary indices, walked counterclockwise from the origin corner."""
+    idx = [(0, j) for j in range(n)]
+    idx += [(i, n - 1) for i in range(1, n)]
+    idx += [(n - 1, j) for j in range(n - 2, -1, -1)]
+    idx += [(i, 0) for i in range(n - 2, 0, -1)]
+    return np.array([i * n + j for i, j in idx], dtype=np.intp)
+
+
+def edge_whitening(model):
+    """(-Laplace + I) assembled edge by edge through COO -> CSC: each grid
+    edge adds 1/h^2 on its two diagonal entries and -1/h^2 off them."""
+    n, inv_h2 = model.n, 1.0 / model.h**2
+    grid = np.arange(n * n).reshape(n, n)
+    rows, cols = [], []
+    for a, b in ((grid[:, :-1], grid[:, 1:]), (grid[:-1, :], grid[1:, :])):
+        a, b = a.ravel(), b.ravel()
+        rows += [a, b, a, b]
+        cols += [a, b, b, a]
+    signs = np.repeat([1.0, 1.0, -1.0, -1.0] * 2, [r.size for r in rows])
+    lap = scipy.sparse.coo_matrix(
+        (signs * inv_h2, (np.concatenate(rows), np.concatenate(cols))),
+        shape=(model.n_m, model.n_m),
+    )
+    return (lap + scipy.sparse.identity(model.n_m)).tocsc()
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 32])
+def test_grid_structure_matches_the_walks_bit_for_bit(n):
+    model = ReactionDiffusionModel(n)
+    assert model.boundary.dtype == np.intp
+    np.testing.assert_array_equal(model.boundary, walked_boundary(n))
+    w, ref = model.whitening_matrix(), edge_whitening(model)
+    assert w.format == "csc"
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(w, part), getattr(ref, part))
+
+
 def test_validation():
     with pytest.raises(ShapeError):
         ReactionDiffusionModel(3)

@@ -5,45 +5,45 @@ import math
 import numpy as np
 import pytest
 
-from ttaction import oracle_from_dense
+from ttaction import TensorTrain, oracle_from_dense, tt_apply
 from ttaction.errors import ShapeError, ZeroNormError
 from ttaction.hovd import (
     ReactionDiffusionModel,
     TaylorSurrogate,
     WhitenedMap,
     build_taylor_surrogate,
-    jacobian_rsvd,
+    jacobian_train,
     make_derivative_oracle,
     taylor_error_stats,
     taylor_eval,
 )
 
 
-def test_jacobian_rsvd_recovers_low_rank_matrix():
+def test_jacobian_train_recovers_low_rank_matrix():
     rng = np.random.default_rng(0)
     mat = rng.standard_normal((14, 4)) @ rng.standard_normal((4, 11))
-    # oracle modes: (input slot, output slot); the factors are of the
-    # forward map, outputs by inputs
+    # oracle modes: (input slot, output slot), as the train's are
     oracle = oracle_from_dense(mat.T)
-    u, s, vt = jacobian_rsvd(oracle, rank=4, oversampling=3, seed=0)
-    np.testing.assert_allclose(u @ (s[:, None] * vt), mat, atol=1e-10)
+    train = jacobian_train(oracle, rank=4, oversampling=3, seed=0)
+    assert train.dims == (11, 14) and train.ranks == (4,)
+    first, second = train.cores[0][0], train.cores[1][:, :, 0]
+    np.testing.assert_allclose(first @ second, mat.T, atol=1e-10)
     assert oracle.action_count == (4 + 3) + 4
-    np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(vt @ vt.T, np.eye(4), atol=1e-12)
-    assert (np.diff(s) <= 0).all()
+    # core 2 is Q^T, the range finder's orthonormal output basis
+    np.testing.assert_allclose(second @ second.T, np.eye(4), atol=1e-12)
 
 
-def test_jacobian_rsvd_deterministic():
+def test_jacobian_train_deterministic():
     rng = np.random.default_rng(1)
     mat = rng.standard_normal((10, 8))
-    runs = [jacobian_rsvd(oracle_from_dense(mat), rank=5, seed=7) for _ in range(2)]
-    for a, b in zip(runs[0], runs[1]):
+    runs = [jacobian_train(oracle_from_dense(mat), rank=5, seed=7) for _ in range(2)]
+    for a, b in zip(runs[0].cores, runs[1].cores):
         assert np.array_equal(a, b)
 
 
-def test_jacobian_rsvd_requires_two_modes():
+def test_jacobian_train_requires_two_modes():
     with pytest.raises(ShapeError):
-        jacobian_rsvd(oracle_from_dense(np.zeros((3, 3, 3))), rank=2)
+        jacobian_train(oracle_from_dense(np.zeros((3, 3, 3))), rank=2)
 
 
 def surrogate_fixture(order=3, rank=6, n=5):
@@ -60,7 +60,8 @@ def test_surrogate_structure():
     assert isinstance(surrogate, TaylorSurrogate)
     assert surrogate.order == 3
     assert surrogate.input_dim == model.n_m
-    assert set(surrogate.trains) == {2, 3}
+    assert set(surrogate.trains) == {1, 2, 3}
+    assert surrogate.trains[1].dims == (model.n_m, model.n_q)
     assert surrogate.trains[2].dims == (model.n_m, model.n_m, model.n_q)
     assert set(reports) == {1, 2, 3}
     assert reports[2].total_actions == reports[2].predicted_actions
@@ -78,10 +79,11 @@ def test_eval_orders_nest():
     x = np.random.default_rng(2).standard_normal(surrogate.input_dim)
     full = taylor_eval(surrogate, x)
     np.testing.assert_array_equal(full, taylor_eval(surrogate, x, order=3))
-    # linear part alone matches the jacobian factors
-    u, s, vt = surrogate.jacobian
+    # linear part alone is the Jacobian train's action
     np.testing.assert_allclose(
-        taylor_eval(surrogate, x, order=1), surrogate.base + u @ (s * (vt @ x)), atol=1e-12
+        taylor_eval(surrogate, x, order=1),
+        surrogate.base + tt_apply(surrogate.trains[1], 2, [x]),
+        atol=1e-12,
     )
     with pytest.raises(ShapeError):
         taylor_eval(surrogate, x, order=4)
@@ -151,13 +153,13 @@ def test_error_stats_requested_orders_and_validation():
     assert not truths  # refused before any truth solve
 
 
+#: A zero map from 4 inputs to 3 outputs.
+ZERO_JACOBIAN = TensorTrain([np.zeros((1, 4, 1)), np.zeros((1, 3, 1))])
+
+
 def test_error_stats_refuses_a_truth_of_the_wrong_shape():
     # a (1,)-shaped truth would broadcast against the base
-    surrogate = TaylorSurrogate(
-        base=np.ones(3),
-        jacobian=(np.zeros((3, 1)), np.zeros(1), np.zeros((1, 4))),
-        order=1,
-    )
+    surrogate = TaylorSurrogate(base=np.ones(3), trains={1: ZERO_JACOBIAN})
     calls = []
 
     def truth(x):
@@ -169,11 +171,7 @@ def test_error_stats_refuses_a_truth_of_the_wrong_shape():
 
 
 def test_error_stats_zero_map_rejected():
-    surrogate = TaylorSurrogate(
-        base=np.zeros(3),
-        jacobian=(np.zeros((3, 1)), np.zeros(1), np.zeros((1, 4))),
-        order=1,
-    )
+    surrogate = TaylorSurrogate(base=np.zeros(3), trains={1: ZERO_JACOBIAN})
     with pytest.raises(ZeroNormError):
         taylor_error_stats(surrogate, lambda x: np.zeros(3), n_samples=3)
 
