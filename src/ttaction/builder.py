@@ -13,12 +13,14 @@ mode-c unfolding:
   saturates mode c-1 with the vector eta[i, :, j] from
   :func:`solve_interpolation`, and the row is the sum of the ``tau`` actions.
 
-For c < d a randomized range finder turns that map into an orthonormal core;
-for c = d the map has no inputs left and the last core is read off, one
-action per saturating prefix.  The tensor is therefore touched only through
-full actions.  Action counts follow a closed form in the ranks,
-oversampling, and the number of interpolation sets per stage, and the
-oracle counter is expected to match it exactly.
+Each evaluation of that map is one block action over every row's prefixes,
+a column per (row, set) pair.  For c < d a randomized range finder turns the
+map into an orthonormal core, one block per sample; for c = d the map has no
+inputs left and the last core is read off as one block.  The tensor is
+therefore touched only through full actions.  Action counts, one per block
+column, follow a closed form in the ranks, oversampling, and the number of
+interpolation sets per stage, and the oracle counter is expected to match it
+exactly.
 """
 
 from __future__ import annotations
@@ -134,23 +136,24 @@ def predicted_action_count(
             tau = 1
             if c >= 3:
                 tau = required_tau(ranks[c - 2], dims[c - 2], tau_extra)
-                _check_sets(tau, ranks[c - 3], c - 2)
+                _check_sets(tau, ranks[c - 3], c)
             prefixes = tau * ranks[c - 2]
         total += prefixes * (ranks[c - 1] + oversampling if c < d else 1)
     return total
 
 
-def _check_sets(tau, rank, core):
-    """Refuse ``tau`` interpolation sets drawn from a core of smaller rank."""
+def _check_sets(tau, rank, stage):
+    """Refuse ``tau`` sets at ``stage`` drawn from core stage-2 of smaller rank."""
     if tau > rank:
         raise BacktrackingRequiredError(
-            f"stage needs {tau} interpolation sets but core {core} has "
-            f"rank {rank}; earlier ranks would have to grow"
+            f"stage {stage} needs {tau} interpolation sets but core {stage - 2} "
+            f"has rank {rank}; earlier ranks would have to grow",
+            stage,
         )
 
 
 def interpolation_set(cores, level, tau):
-    """Fixed vectors and partial-map matrices for interpolation at ``level``.
+    """Saturating blocks and partial-map matrices for interpolation at ``level``.
 
     Parameters
     ----------
@@ -163,26 +166,25 @@ def interpolation_set(cores, level, tau):
 
     Returns
     -------
-    psis : list of ndarray
-        First fibers of cores 1..level-2, saturating the leading modes.
-    xis : list of ndarray
-        ``tau`` fibers of core level-1, one per interpolation set.
-    a_mats : list of ndarray
-        ``A_i = T_level(psis..., xi_i, .)`` as (N_level, r_level) matrices,
-        computed from the cores alone (no oracle actions).
+    fixed : list of ndarray
+        One (N_j, tau) block per mode j = 1..level-1; column i saturates
+        those modes for set i.  Modes 1..level-2 take the first fiber of
+        their core in every column, and mode level-1 takes fiber i of core
+        level-1 in column i.
+    a_mats : ndarray
+        ``A_i = T_level(fixed[:, i]..., .)`` stacked as (tau, N_level,
+        r_level), computed from the cores alone (no oracle actions).
     """
     if level < 2 or level > len(cores):
         raise ShapeError(f"level must be in 2..{len(cores)}, got {level}")
     prev = cores[level - 2]
-    _check_sets(tau, prev.shape[2], level - 1)
-    psis = [c[0, :, 0] for c in cores[: level - 2]]
-    xis = [prev[0, :, i] for i in range(tau)]
-    a_mats = []
-    for xi in xis:
-        prefix = prefix_contract(cores[: level - 1], [*psis, xi])
-        a, n, b = cores[level - 1].shape
-        a_mats.append((prefix @ cores[level - 1].reshape(a, n * b)).reshape(n, b))
-    return psis, xis, a_mats
+    _check_sets(tau, prev.shape[2], level + 1)
+    fixed = [np.repeat(c[0, :, :1], tau, axis=1) for c in cores[: level - 2]]
+    fixed.append(prev[0, :, :tau])
+    prefix = prefix_contract(cores[: level - 1], fixed)
+    a, n, b = cores[level - 1].shape
+    a_mats = prefix.T[:, None, :] @ cores[level - 1].reshape(a, n * b)
+    return fixed, a_mats.reshape(tau, n, b)
 
 
 def solve_interpolation(a_mats):
@@ -235,7 +237,11 @@ def tt_from_actions(oracle, config):
         stage for the report but is never reset.
     config : BuildConfig
         A negative ``oversampling`` or ``tau_extra`` raises
-        :class:`~ttaction.errors.ShapeError` before any action.
+        :class:`~ttaction.errors.ShapeError`, and fixed ranks that
+        :func:`predicted_action_count` refuses raise
+        :class:`~ttaction.errors.BuildStageError` wrapping its
+        :class:`~ttaction.errors.BacktrackingRequiredError`, both before any
+        action.
 
     Returns
     -------
@@ -246,8 +252,8 @@ def tt_from_actions(oracle, config):
     Notes
     -----
     For d = 2 the build reduces to a randomized SVD: an orthonormal column
-    basis from sampled actions, then one action per basis vector to read off
-    the second factor.
+    basis from sampled actions, then one block of actions, a column per
+    basis vector, to read off the second factor.
     """
     if (config.ranks is None) == (config.tol is None):
         raise ShapeError("exactly one of ranks and tol must be set")
@@ -255,6 +261,12 @@ def tt_from_actions(oracle, config):
     dims = oracle.dims
     d = oracle.order
     ranks = rank_list(config.ranks, d)
+    if ranks is not None:
+        # ranks the count law refuses are refused before the first action
+        try:
+            predicted_action_count(dims, ranks, config.oversampling, config.tau_extra)
+        except BacktrackingRequiredError as exc:
+            raise BuildStageError(exc.stage, exc) from exc
 
     report = BuildReport(
         dims=dims,
@@ -267,27 +279,35 @@ def tt_from_actions(oracle, config):
     cores = []
 
     def stage(c):
-        # rows[j]: the prefixes saturating modes 1..c-1 whose summed actions
-        # give block j of the mode-c unfolding
+        # prefix: one (N_k, R tau) block per mode 1..c-1; column j tau + i
+        # saturates those modes for set i of row j, and the sum of a row's
+        # tau actions gives block j of the mode-c unfolding
         if c == 1:
-            rows, tau, resid = [[[]]], None, None
+            prefix, tau, resid = [], None, None
         elif c == 2:
             # exact interpolation through the orthonormal first core
-            rows, tau, resid = [[[h]] for h in cores[0][0].T], 1, 0.0
+            prefix, tau, resid = [cores[0][0]], 1, 0.0
         else:
             r_prev = cores[-1].shape[2]
             tau = required_tau(r_prev, dims[c - 2], config.tau_extra)
-            psis, xis, a_mats = interpolation_set(cores, c - 1, tau)
+            fixed, a_mats = interpolation_set(cores, c - 1, tau)
             eta, resid = solve_interpolation(a_mats)
-            rows = [
-                [[*psis, xis[i], eta[i, :, j]] for i in range(tau)]
-                for j in range(r_prev)
-            ]
+            prefix = [np.tile(v, r_prev) for v in fixed]
+            prefix.append(eta.transpose(1, 2, 0).reshape(dims[c - 2], -1))
+        sets = tau or 1
+        width = prefix[0].shape[1] if prefix else 1
+        n_rows = width // sets
 
         def evaluate(vs):
-            return np.concatenate(
-                [sum(oracle.action(c, [*p, *vs]) for p in row) for row in rows]
-            )
+            # one block action, every column given the same sample vectors;
+            # each row's sets are summed left to right
+            samples = [np.broadcast_to(v[:, None], (v.size, width)) for v in vs]
+            out = oracle.action(c, [*prefix, *samples])
+            out = out.reshape(dims[c - 1], n_rows, sets)
+            total = np.zeros((dims[c - 1], n_rows))
+            for i in range(sets):
+                total += out[:, :, i]
+            return total.T.ravel()
 
         info = {
             "rank": None,
@@ -297,17 +317,17 @@ def tt_from_actions(oracle, config):
             "converged": True,
         }
         if c == d:
-            # the last core is read off: one action per prefix
-            cores.append(evaluate([]).reshape(len(rows), dims[c - 1], 1))
+            # the last core is read off: one block, a column per prefix
+            cores.append(evaluate([]).reshape(n_rows, dims[c - 1], 1))
             return info
         problem = RangeProblem(
             evaluate=evaluate,
             input_dims=dims[c:],
-            output_dim=len(rows) * dims[c - 1],
+            output_dim=n_rows * dims[c - 1],
             seed=subseed(config.seed, c),
         )
         basis = _find_range(problem, None if ranks is None else ranks[c - 1], config)
-        cores.append(basis.basis.reshape(len(rows), dims[c - 1], basis.rank))
+        cores.append(basis.basis.reshape(n_rows, dims[c - 1], basis.rank))
         info.update(
             rank=basis.rank, posterior_error=basis.error, converged=basis.converged
         )

@@ -2,8 +2,10 @@
 
 A d-th order tensor is used here only through its *action*: saturate every
 mode but one with a vector and return the remaining fiber.  For d = 2 this is
-the familiar matrix-vector product.  Mode numbers in the public interface are
-1-based; storage is plain 0-based numpy.
+the familiar matrix-vector product.  A block of b actions saturates each mode
+with an (N_k, b) matrix, one action per column, and counts as b actions.
+Mode numbers in the public interface are 1-based; storage is plain 0-based
+numpy.
 
 A dense array enters only through its action; no train is ever densified.
 """
@@ -14,6 +16,7 @@ import base64
 import json
 import struct
 import warnings
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +29,11 @@ from .errors import (
     VersionError,
     ZeroNormError,
 )
+
+# the boundary rank as a stack of one 1 x 1 matrix, shared read-only by
+# every contraction
+_BOUNDARY = np.ones((1, 1, 1))
+_BOUNDARY.flags.writeable = False
 
 _MAGIC = b"TTAC"
 _FORMAT_VERSION = 1
@@ -46,20 +54,33 @@ def _check_free_mode(free_mode, order):
 
 
 def _check_vectors(dims, free_mode, vectors):
-    """Coerce the d-1 saturating vectors and verify their lengths."""
+    """Coerce the d-1 saturating entries to blocks and verify their shapes.
+
+    Each entry is an (N_k, b) matrix whose column j belongs to action j, or
+    a plain (N_k,) vector, a block of one.  The entries must be all vectors
+    or all matrices, with one common column count b >= 1.  Returns the
+    blocks and whether the entries were plain vectors.
+    """
     other = [n for k, n in enumerate(dims, start=1) if k != free_mode]
     if len(vectors) != len(other):
         raise ShapeError(
             f"expected {len(other)} vectors for a {len(dims)}-mode tensor "
             f"with free mode {free_mode}, got {len(vectors)}"
         )
-    out = []
+    blocks, plain, width = [], None, 0
     for n, v in zip(other, vectors):
         v = np.asarray(v, dtype=float)
-        if v.shape != (n,):
-            raise ShapeError(f"saturating vector has shape {v.shape}, expected ({n},)")
-        out.append(v)
-    return out
+        if plain is None:
+            plain = v.ndim == 1
+            width = 1 if plain else v.shape[1] if v.ndim == 2 else 0
+        if width < 1 or v.shape != ((n,) if plain else (n, width)):
+            raise ShapeError(
+                "saturating entries must be all vectors or all (N_k, b) blocks "
+                f"with one b >= 1; got shapes {[np.shape(v) for v in vectors]} "
+                f"for mode sizes {other}"
+            )
+        blocks.append(v[:, None] if plain else v)
+    return blocks, plain
 
 
 def dense_action(tensor, free_mode, vectors):
@@ -72,23 +93,28 @@ def dense_action(tensor, free_mode, vectors):
     free_mode : int
         1-based index of the mode left free.
     vectors : sequence of ndarray
-        One vector per saturated mode, in increasing mode order.
+        One vector, or one (N_k, b) block of b vectors, per saturated mode,
+        in increasing mode order.
 
     Returns
     -------
     ndarray
-        The free-mode fiber, shape ``(tensor.shape[free_mode - 1],)``.
+        The free-mode fiber, shape ``(tensor.shape[free_mode - 1],)``, or one
+        fiber per block column, shape ``(tensor.shape[free_mode - 1], b)``.
     """
     tensor = np.asarray(tensor, dtype=float)
-    d = tensor.ndim
+    d = len(_check_dims(tensor.shape))
     _check_free_mode(free_mode, d)
-    vectors = _check_vectors(tensor.shape, free_mode, vectors)
-    axes = [k for k in range(d) if k != free_mode - 1]
-    out = tensor
-    # contract highest axis first so the remaining axis numbers stay valid
-    for ax, v in sorted(zip(axes, vectors), reverse=True, key=lambda t: t[0]):
-        out = np.tensordot(out, v, axes=([ax], [0]))
-    return out
+    blocks, plain = _check_vectors(tensor.shape, free_mode, vectors)
+    # column j of the Khatri-Rao product is the Kronecker product of the
+    # saturating vectors of column j, first saturated mode slowest
+    width = blocks[0].shape[1]
+    kron = reduce(
+        lambda a, v: (a[:, None, :] * v[None, :, :]).reshape(-1, width), blocks
+    )
+    free = np.moveaxis(tensor, free_mode - 1, 0)
+    out = free.reshape(free.shape[0], -1) @ kron
+    return out[:, 0] if plain else out
 
 
 class ActionOracle:
@@ -99,8 +125,12 @@ class ActionOracle:
     dims : sequence of int
         Mode sizes (N_1, ..., N_d), d >= 2.
     apply_fn : callable
-        ``apply_fn(free_mode, vectors) -> ndarray`` implementing the action.
-        ``vectors`` arrive validated and in increasing mode order.
+        ``apply_fn(free_mode, blocks) -> ndarray`` implementing the action.
+        ``blocks`` arrive validated and in increasing mode order, one
+        (N_k, b) matrix per saturated mode whose column j belongs to action
+        j; the result is the (N_free, b) matrix of their fibers.  A plain
+        vector passed to :meth:`action` reaches ``apply_fn`` as a block of
+        one.
 
     Notes
     -----
@@ -119,7 +149,7 @@ class ActionOracle:
 
     @property
     def action_count(self):
-        """Number of actions performed since construction."""
+        """Number of actions performed since construction, one per block column."""
         return self._count
 
     def clear_cache(self):
@@ -133,23 +163,26 @@ class ActionOracle:
     def action(self, free_mode, vectors):
         """Saturate all modes but ``free_mode`` (1-based) and return the fiber.
 
-        Raises :class:`~ttaction.errors.NonFiniteActionError` when the fiber
-        holds a NaN or an infinity.
+        ``vectors`` holds one vector per saturated mode, or one (N_k, b)
+        block per saturated mode for b independent actions at once; a block
+        returns the (N_free, b) matrix of fibers and counts b actions.
+        Entries are checked before the counter moves.  Raises
+        :class:`~ttaction.errors.NonFiniteActionError` when a fiber holds a
+        NaN or an infinity.
         """
         _check_free_mode(free_mode, self.order)
-        vectors = _check_vectors(self.dims, free_mode, vectors)
-        self._count += 1
-        out = np.asarray(self._apply(free_mode, vectors), dtype=float)
-        if out.shape != (self.dims[free_mode - 1],):
-            raise ShapeError(
-                f"action returned shape {out.shape}, expected "
-                f"({self.dims[free_mode - 1]},)"
-            )
+        blocks, plain = _check_vectors(self.dims, free_mode, vectors)
+        width = blocks[0].shape[1]
+        self._count += width
+        out = np.asarray(self._apply(free_mode, blocks), dtype=float)
+        shape = (self.dims[free_mode - 1], width)
+        if out.shape != shape:
+            raise ShapeError(f"action returned shape {out.shape}, expected {shape}")
         if not np.isfinite(out).all():
             raise NonFiniteActionError(
                 f"action with free mode {free_mode} returned non-finite entries"
             )
-        return out
+        return out[:, 0] if plain else out
 
 
 def oracle_from_dense(tensor):
@@ -160,7 +193,7 @@ def oracle_from_dense(tensor):
 
 def oracle_from_tt(tt):
     """Wrap a :class:`TensorTrain` as an :class:`ActionOracle`."""
-    # the oracle has validated the vectors already
+    # the oracle has validated the blocks already
     return ActionOracle(tt.dims, lambda k, vs: _contract(tt.cores, k - 1, vs))
 
 
@@ -207,44 +240,55 @@ class TensorTrain:
 def tt_apply(tt, free_mode, vectors):
     """Action of a tensor train without densifying it.
 
-    Sweeps the saturating vectors through the cores from both ends and
-    contracts them into the free core, costing O(d N r^2).
+    Takes vectors or (N_k, b) blocks as :meth:`ActionOracle.action` does and
+    returns the fiber or the (N_free, b) block of fibers.  Sweeps the
+    saturating vectors through the cores from both ends and contracts them
+    into the free core, costing O(d N r^2) per column.
     """
     _check_free_mode(free_mode, tt.order)
-    vectors = _check_vectors(tt.dims, free_mode, vectors)
-    return _contract(tt.cores, free_mode - 1, vectors)
+    blocks, plain = _check_vectors(tt.dims, free_mode, vectors)
+    out = _contract(tt.cores, free_mode - 1, blocks)
+    return out[:, 0] if plain else out
 
 
-def _contract(cores, k, vectors):
-    """The action with 0-based free core ``k``, as reshapes and matmuls.
+def _contract(cores, k, blocks):
+    """The (N, b) block of actions with 0-based free core ``k``.
 
-    ``vectors`` are the validated saturating vectors in mode order.  Each
-    right-sweep step takes core (a, N, b) as an (a N, b) matrix times the
-    right rank vector, then the (a, N) result times the mode's vector.
+    ``blocks`` are the validated (N_j, b) saturating blocks in mode order.
+    Every step is a stack of b matrix-vector products, one per column, so a
+    block of one has the bits of a single action.  Each right-sweep step
+    takes core (a, N, c) as an (a N, c) matrix times the right rank vector,
+    then the (a, N) result times the mode's vector.
     """
-    left = prefix_contract(cores[:k], vectors[:k])
-    right = np.ones(1)
+    left = prefix_contract(cores[:k], blocks[:k]).T[:, None, :]
+    right = _BOUNDARY
     for j in range(len(cores) - 1, k, -1):
-        a, n, b = cores[j].shape
-        right = (cores[j].reshape(a * n, b) @ right).reshape(a, n) @ vectors[j - 1]
-    a, n, b = cores[k].shape
-    return (left @ cores[k].reshape(a, n * b)).reshape(n, b) @ right
+        a, n, c = cores[j].shape
+        right = (cores[j].reshape(a * n, c) @ right).reshape(-1, a, n)
+        right = right @ np.ascontiguousarray(blocks[j - 1].T)[:, :, None]
+    a, n, c = cores[k].shape
+    out = (left @ cores[k].reshape(a, n * c)).reshape(-1, n, c) @ right
+    return out.reshape(-1, n).T
 
 
-def prefix_contract(cores, vectors):
-    """Sweep ``vectors`` through the leading ``cores``, returning a rank vector.
+def prefix_contract(cores, blocks):
+    """Sweep (N_j, b) blocks through the leading ``cores`` into an (r, b) block.
 
-    Each step contracts left (r_{j-1}) x core (r_{j-1}, N_j, r_j) x vector
-    (N_j) into (r_j), starting from the boundary rank 1: the left vector
-    times the core as an (r_{j-1}, N_j r_j) matrix, then the vector times
-    that product as an (N_j, r_j) matrix.  Shapes are not checked here;
-    callers validate.
+    Column j is the rank vector that saturating modes 1..len(cores) with
+    column j of each block leaves.  Each step contracts left (r_{j-1}) x
+    core (r_{j-1}, N_j, r_j) x vector (N_j) into (r_j) for every column, as
+    stacked matmuls: the left vector times the core as an (r_{j-1}, N_j r_j)
+    matrix, then the vector times that product as an (N_j, r_j) matrix.
+    Starts from the boundary rank 1 as one column, which broadcasts against
+    any number of columns; with no cores the result is ``ones((1, 1))``.
+    Shapes are not checked here; callers validate.
     """
-    out = np.ones(1)
-    for c, v in zip(cores, vectors):
-        a, n, b = c.shape
-        out = v @ (out @ c.reshape(a, n * b)).reshape(n, b)
-    return out
+    out = _BOUNDARY
+    for c, v in zip(cores, blocks):
+        a, n, r = c.shape
+        out = (out @ c.reshape(a, n * r)).reshape(-1, n, r)
+        out = np.ascontiguousarray(v.T)[:, None, :] @ out
+    return out[:, 0].T
 
 
 def rank_list(ranks, order):

@@ -56,8 +56,13 @@ class BacktrackingRequiredError(NumericalError):
     """A stage would need more interpolation sets than the previous rank allows.
 
     Recovering would mean re-running earlier stages at higher rank, which the
-    builder does not attempt; raise to the caller instead.
+    builder does not attempt; raise to the caller instead.  ``stage`` is the
+    1-based build stage that needs the sets.
     """
+
+    def __init__(self, message, stage=None):
+        super().__init__(message)
+        self.stage = stage
 
 
 class BuildStageError(NumericalError):

@@ -10,9 +10,8 @@ gives an exact tensor train whose rank index is the partial index sum.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ActionOracle, TensorTrain, _check_dims
 
@@ -53,16 +52,24 @@ def hilbert_oracle(dims):
 
         out[z] = sum_s c[s] / (d + z + s),
 
-    where c is the full convolution of the saturating vectors.  One action
-    costs O(N^2) instead of the O(N^d) of a dense contraction.
+    where c is the full convolution of the saturating vectors.  A block of
+    b actions convolves all its columns at once through one real FFT per
+    mode, then applies the Hankel matrix H[z, s] = w[z + s], read from the
+    one weight vector w[t] = 1 / (d + t), to all b convolutions in one
+    product.  One action costs O(N^2) instead of the O(N^d) of a dense
+    contraction.
     """
-    dims = tuple(int(n) for n in dims)
-    d = len(dims)
+    dims = _check_dims(dims)
+    weights = 1.0 / (len(dims) + np.arange(sum(dims) - len(dims) + 1, dtype=float))
 
-    def apply_fn(free_mode, vectors):
-        conv = reduce(np.convolve, vectors)
-        n_free = dims[free_mode - 1]
-        weights = 1.0 / (d + np.arange(n_free + conv.size - 1, dtype=float))
-        return np.correlate(weights, conv, mode="valid")
+    def apply_fn(free_mode, blocks):
+        size = sum(v.shape[0] for v in blocks) - len(blocks) + 1
+        nfft = 1 << (size - 1).bit_length()
+        spectrum = np.fft.rfft(blocks[0], nfft, axis=0)
+        for v in blocks[1:]:
+            spectrum *= np.fft.rfft(v, nfft, axis=0)
+        conv = np.fft.irfft(spectrum, nfft, axis=0)[:size]
+        hankel = sliding_window_view(weights, size)[: dims[free_mode - 1]]
+        return np.ascontiguousarray(hankel) @ conv
 
     return ActionOracle(dims, apply_fn)

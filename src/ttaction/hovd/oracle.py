@@ -29,7 +29,7 @@ from collections import Counter
 import numpy as np
 import scipy.sparse.linalg
 
-from ..core import ActionOracle
+from ..core import ActionOracle, _check_free_mode, _check_vectors
 from ..errors import NewtonError, ShapeError
 from .lattice import (
     block_signature,
@@ -338,6 +338,22 @@ class DerivativeOracle(ActionOracle):
         super().__init__(dims, apply_fn)
         self.engine = engine
 
+    def action(self, free_mode, vectors):
+        """Serve a block one column per counted single action.
+
+        Vectors and blocks of one column go to :meth:`ActionOracle.action` as
+        they are, which checks every entry.  A wider block is checked whole,
+        then each column walks the engine's lattice as a single action would,
+        so its solves, counts and bits are those of the single action.
+        """
+        single = super().action
+        if not vectors or np.shape(vectors[0])[1:] in ((), (1,)):
+            return single(free_mode, vectors)
+        _check_free_mode(free_mode, self.order)
+        blocks, _ = _check_vectors(self.dims, free_mode, vectors)
+        columns = zip(*(v.T for v in blocks))
+        return np.column_stack([single(free_mode, vs) for vs in columns])
+
     def clear_cache(self):
         """Empty the engine's cache; its state and LU stay."""
         self.engine.clear_cache()
@@ -361,9 +377,11 @@ def make_derivative_oracle(model, order, whitener=None):
     engine = DerivativeEngine(model, order, whitener)
     dims = (model.n_m,) * order + (model.n_q,)
 
-    def apply_fn(free_mode, vectors):
+    def apply_fn(free_mode, blocks):
+        # DerivativeOracle.action hands over one column at a time
+        vs = [v[:, 0] for v in blocks]
         if free_mode == order + 1:
-            return engine.output_free(vectors)
-        return engine.mode_free(vectors[:-1], vectors[-1])
+            return engine.output_free(vs)[:, None]
+        return engine.mode_free(vs[:-1], vs[-1])[:, None]
 
     return DerivativeOracle(dims, apply_fn, engine)

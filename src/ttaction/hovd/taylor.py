@@ -29,8 +29,8 @@ def jacobian_train(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
 
     The train builder's two-mode read-off, modes swapped: Gaussian probes
     of the forward action give the orthonormal output basis Q, then one
-    free-input-slot action per column reads Q^T J, for ``rank +
-    oversampling`` plus ``rank`` actions in total.
+    block of free-input-slot actions, a column per basis vector, reads
+    Q^T J, for ``rank + oversampling`` plus ``rank`` actions in total.
     """
     if oracle.order != 2:
         raise ShapeError(f"expected a 2-mode oracle, got {oracle.order} modes")
@@ -42,8 +42,7 @@ def jacobian_train(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
         seed=seed,
     )
     q = randomized_range(problem, rank, oversampling=oversampling).basis
-    rows = np.stack([oracle.action(1, [col]) for col in q.T])
-    return TensorTrain([rows.T[None], q.T[:, :, None]])
+    return TensorTrain([oracle.action(1, [q])[None], q.T[:, :, None]])
 
 
 @dataclass

@@ -168,16 +168,17 @@ def test_interpolation_matrices_match_dense_contraction():
     cores = random_tt(rng, (3, 4, 1, 5, 4), (2, 3, 3, 2)).cores
     for level in range(2, 5):
         tau = min(2, cores[level - 2].shape[2])
-        psis, xis, a_mats = interpolation_set(cores, level, tau)
+        fixed, a_mats = interpolation_set(cores, level, tau)
         # cores 1..level as one dense array, right bond left open
         partial = cores[0][0]
         for c in cores[1:level]:
             partial = np.tensordot(partial, c, axes=(-1, 0))
         assert len(a_mats) == tau
-        for xi, a in zip(xis, a_mats):
+        assert [v.shape for v in fixed] == [(c.shape[1], tau) for c in cores[: level - 1]]
+        for i, a in enumerate(a_mats):
             expect = partial
-            for v in [*psis, xi]:
-                expect = np.tensordot(v, expect, axes=(0, 0))
+            for v in fixed:
+                expect = np.tensordot(v[:, i], expect, axes=(0, 0))
             np.testing.assert_allclose(a, expect, rtol=1e-12, atol=1e-12)
 
 
@@ -332,5 +333,30 @@ def test_predicted_action_count_refuses_what_the_build_refuses(dims, ranks):
         tt_from_actions(oracle, BuildConfig(ranks=list(ranks), tau_extra=2))
     assert isinstance(err.value.cause, BacktrackingRequiredError)
     assert err.value.stage == 3
+    assert oracle.action_count == 0  # refused before the first stage
     with pytest.raises(BacktrackingRequiredError, match="core 1 has rank 2"):
         predicted_action_count(dims, ranks, tau_extra=2)
+
+
+class CallCountingOracle(ActionOracle):
+    """A train oracle that also counts calls to ``action``, whatever their width."""
+
+    def __init__(self, tt):
+        super().__init__(tt.dims, lambda k, vs: tt_apply(tt, k, vs))
+        self.calls = 0
+
+    def action(self, free_mode, vectors):
+        self.calls += 1
+        return super().action(free_mode, vectors)
+
+
+@pytest.mark.parametrize("dims,ranks", CASES)
+def test_build_makes_one_block_call_per_sample(dims, ranks):
+    # each range-finder sample of stages 1..d-1 is one call, and so is the
+    # last core; the calls still spend the closed-form count of actions
+    oracle = CallCountingOracle(random_tt(np.random.default_rng(45), dims, ranks))
+    config = BuildConfig(ranks=list(ranks), oversampling=3)
+    _, report = tt_from_actions(oracle, config)
+    assert oracle.calls == sum(r + config.oversampling for r in ranks) + 1
+    assert oracle.action_count == predicted_action_count(dims, ranks, oversampling=3)
+    assert report.total_actions == oracle.action_count

@@ -25,6 +25,7 @@ from ttaction import (
 from ttaction.core import _truncated_svd, prefix_contract
 from ttaction.errors import (
     FormatError,
+    NonFiniteActionError,
     RankClampWarning,
     ShapeError,
     VersionError,
@@ -133,6 +134,83 @@ def test_oracle_rejects_degenerate_dims():
 
 
 # ---------------------------------------------------------------------------
+# block actions
+
+
+def _block_oracles(rng, dims, ranks):
+    tt = random_tt(rng, dims, ranks)
+    return {"train": oracle_from_tt(tt), "dense": oracle_from_dense(tt_to_dense(tt))}
+
+
+@pytest.mark.parametrize("kind", ["train", "dense"])
+@pytest.mark.parametrize(
+    "dims,ranks",
+    [((5, 7), (3,)), ((4, 1, 5, 3), (2, 2, 3)), ((3, 4, 2, 5, 3), (2, 3, 2, 2))],
+    ids=lambda v: "x".join(map(str, v)),
+)
+def test_block_equals_single_actions(kind, dims, ranks):
+    rng = np.random.default_rng(40)
+    oracle = _block_oracles(rng, dims, ranks)[kind]
+    width = 6
+    for mode in range(1, len(dims) + 1):
+        blocks = [rng.standard_normal((n, width)) for k, n in enumerate(dims, 1) if k != mode]
+        before = oracle.action_count
+        got = oracle.action(mode, blocks)
+        assert got.shape == (dims[mode - 1], width)
+        assert oracle.action_count == before + width
+        for j in range(width):
+            want = oracle.action(mode, [v[:, j].copy() for v in blocks])
+            assert np.linalg.norm(got[:, j] - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_block_of_one_is_bitwise_a_single_train_action():
+    rng = np.random.default_rng(41)
+    tt = random_tt(rng, (6, 5, 7, 4), (3, 4, 2))
+    for mode in range(1, 5):
+        vs = [rng.standard_normal(n) for k, n in enumerate(tt.dims, 1) if k != mode]
+        single = tt_apply(tt, mode, vs)
+        block = tt_apply(tt, mode, [v[:, None] for v in vs])
+        assert block.shape == (tt.dims[mode - 1], 1)
+        np.testing.assert_array_equal(block[:, 0], single)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [np.ones((4, 2)), np.ones(5)],  # a vector beside a block
+        [np.ones((4, 2)), np.ones((5, 3))],  # unequal column counts
+        [np.ones((4, 2)), np.ones((6, 2))],  # wrong row count
+        [np.ones((4, 0)), np.ones((5, 0))],  # no columns
+        [np.ones((4, 2, 1)), np.ones((5, 2, 1))],  # not a matrix
+    ],
+    ids=["mixed", "unequal-columns", "wrong-rows", "empty", "three-dims"],
+)
+def test_malformed_block_is_refused_before_the_counter_moves(blocks):
+    tt = random_tt(np.random.default_rng(42), (3, 4, 5), (2, 2))
+    oracle = oracle_from_tt(tt)
+    with pytest.raises(ShapeError):
+        oracle.action(1, blocks)
+    assert oracle.action_count == 0
+    with pytest.raises(ShapeError):
+        tt_apply(tt, 1, blocks)
+
+
+def test_block_with_one_nan_column_is_refused():
+    tt = random_tt(np.random.default_rng(43), (3, 4, 5), (2, 2))
+    oracle = oracle_from_tt(tt)
+    blocks = [np.ones((3, 4)), np.ones((5, 4))]
+    blocks[1][2, 3] = np.nan
+    with pytest.raises(NonFiniteActionError):
+        oracle.action(2, blocks)
+
+
+def test_apply_fn_result_of_wrong_block_shape_is_refused():
+    oracle = ActionOracle((3, 4), lambda k, vs: np.zeros((3, 1)))
+    with pytest.raises(ShapeError):
+        oracle.action(1, [np.zeros((4, 2))])
+
+
+# ---------------------------------------------------------------------------
 # tensor train container and contractions
 
 
@@ -182,13 +260,15 @@ def test_prefix_contract_partial_contraction():
     rng = np.random.default_rng(6)
     dims, ranks = (3, 4, 5), (2, 3)
     tt = random_tt(rng, dims, ranks)
-    x, y = rng.standard_normal(3), rng.standard_normal(4)
+    x, y = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
     out = prefix_contract(tt.cores[:2], [x, y])
-    expect = np.einsum(
-        "anb,n,bmc,m->c", tt.cores[0], x, tt.cores[1], y, optimize=True
-    )
-    np.testing.assert_allclose(out, expect, atol=1e-12)
-    np.testing.assert_array_equal(prefix_contract([], []), np.ones(1))
+    assert out.shape == (3, 2)
+    for j in range(2):
+        expect = np.einsum(
+            "anb,n,bmc,m->c", tt.cores[0], x[:, j], tt.cores[1], y[:, j], optimize=True
+        )
+        np.testing.assert_allclose(out[:, j], expect, atol=1e-12)
+    np.testing.assert_array_equal(prefix_contract([], []), np.ones((1, 1)))
 
 
 def test_oracle_from_tt_agrees_with_dense():

@@ -507,3 +507,37 @@ def test_whitened_oracle_transpose_consistency():
         [oracle.action(1, [np.eye(model.n_q)[:, i]]) for i in range(model.n_q)]
     )  # (n_m, n_q): column i is T(., e_i)
     np.testing.assert_allclose(rows, cols.T, atol=1e-11)
+
+
+def test_derivative_block_is_served_as_single_actions(monkeypatch):
+    # a block walks the lattice one column per counted single action, so
+    # its bits, action count and solve counts are those of the singles
+    from ttaction.core import ActionOracle
+
+    calls = []
+    single = ActionOracle.action
+
+    def counted(self, free_mode, vectors):
+        calls.append(free_mode)
+        return single(self, free_mode, vectors)
+
+    monkeypatch.setattr(ActionOracle, "action", counted)
+    model = ReactionDiffusionModel(4)
+    whitener = WhitenedMap(model)
+    block_oracle = make_derivative_oracle(model, 2, whitener=whitener)
+    single_oracle = make_derivative_oracle(model, 2, whitener=whitener)
+    rng = np.random.default_rng(44)
+    width = 4
+    for mode, sizes in ((3, (model.n_m, model.n_m)), (1, (model.n_m, model.n_q))):
+        blocks = [rng.standard_normal((n, width)) for n in sizes]
+        blocks[0][:, 3] = blocks[0][:, 1]  # a repeated direction hits the cache
+        calls.clear()
+        got = block_oracle.action(mode, blocks)
+        assert calls == [mode] * width
+        want = np.column_stack(
+            [single_oracle.action(mode, [v[:, j].copy() for v in blocks]) for j in range(width)]
+        )
+        np.testing.assert_array_equal(got, want)
+    assert block_oracle.action_count == single_oracle.action_count == 2 * width
+    for counter in ("forward_solves", "adjoint_solves"):
+        assert getattr(block_oracle.engine, counter) == getattr(single_oracle.engine, counter)

@@ -60,6 +60,33 @@ def test_oracle_matches_dense_action(dims):
     assert oracle.action_count == len(dims)
 
 
+def _direct_action(dims, mode, vectors):
+    """out[z] = sum_s c[s] / (d + z + s), c the direct convolution of the vectors."""
+    conv = vectors[0]
+    for v in vectors[1:]:
+        conv = np.convolve(conv, v)
+    n = dims[mode - 1]
+    weights = 1.0 / (len(dims) + np.arange(n + conv.size - 1))
+    return np.correlate(weights, conv, mode="valid")
+
+
+@pytest.mark.parametrize("dims", [(6, 7), DEFAULT_DIMS, (100,) * 6])
+def test_block_equals_single_actions(dims):
+    rng = np.random.default_rng(11)
+    oracle = hilbert_oracle(dims)
+    width = 5
+    for mode in (1, len(dims) // 2 + 1, len(dims)):
+        blocks = [rng.standard_normal((n, width)) for k, n in enumerate(dims, 1) if k != mode]
+        before = oracle.action_count
+        got = oracle.action(mode, blocks)
+        assert got.shape == (dims[mode - 1], width)
+        assert oracle.action_count == before + width
+        for j in range(width):
+            column = [v[:, j].copy() for v in blocks]
+            for want in (oracle.action(mode, column), _direct_action(dims, mode, column)):
+                assert np.linalg.norm(got[:, j] - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_error_curve_matches_per_rank_tt_svd():
     dims = (8, 9, 10)
     exact = hilbert_train(dims)

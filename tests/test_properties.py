@@ -1,4 +1,5 @@
-"""Property tests: rounding invariants and loaders refusing truncated files.
+"""Property tests: rounding invariants, loaders refusing truncated files, and
+the action-count law of fixed-rank builds.
 
 Examples are derandomized, so every run checks the same small trains.
 """
@@ -7,7 +8,11 @@ import numpy as np
 import pytest
 
 from ttaction import (
+    BuildConfig,
     TensorTrain,
+    oracle_from_tt,
+    predicted_action_count,
+    tt_from_actions,
     tt_load,
     tt_load_json,
     tt_relative_error,
@@ -15,7 +20,8 @@ from ttaction import (
     tt_save,
     tt_save_json,
 )
-from ttaction.errors import FormatError
+from ttaction.core import unfolding_caps
+from ttaction.errors import BacktrackingRequiredError, BuildStageError, FormatError
 
 from dense_reference import left_orthogonality_defect, tt_svd, tt_to_dense
 
@@ -93,3 +99,54 @@ def test_every_strict_prefix_of_a_saved_file_is_refused(tt, tmp_path_factory):
             cut.write_bytes(blob[:end])
             with pytest.raises(FormatError):
                 load(cut)
+
+
+@st.composite
+def build_cases(draw):
+    """Small dims, fixed ranks each stage can hold, and the build's slack.
+
+    Rank r_k stays within ``unfolding_caps`` and within r_{k-1} N_k, the
+    rows stage k samples, so no stage clamps it.  From k = 2 it also stays
+    within N_{k-1} N_k: every interpolation prefix of stage k + 1 is a
+    contraction of core k-1 with one of its mode fibers, so the prefixes
+    span at most N_{k-1} dimensions and the interpolation system at most
+    N_{k-1} N_k.  The truth has the caps as ranks, so every requested rank
+    is a truncation of a generic tensor.
+    """
+    order = draw(st.integers(2, 5))
+    dims = tuple(draw(st.lists(st.integers(2, 7), min_size=order, max_size=order)))
+    caps = unfolding_caps(dims)
+    ranks, rows, before = [], 1, None
+    for n, cap in zip(dims, caps):
+        most = min(cap, rows * n) if before is None else min(cap, rows * n, before * n)
+        rows, before = draw(st.integers(1, most)), n
+        ranks.append(rows)
+    slack = {
+        "oversampling": draw(st.integers(0, 3)),
+        "tau_extra": draw(st.integers(0, 2)),
+    }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bounds = [1, *caps, 1]
+    truth = TensorTrain(
+        [rng.standard_normal((bounds[k], n, bounds[k + 1])) for k, n in enumerate(dims)]
+    )
+    return truth, ranks, slack
+
+
+@hypothesis.settings(SETTINGS, max_examples=60)
+@hypothesis.given(case=build_cases())
+def test_build_spends_the_count_law_or_both_refuse(case):
+    truth, ranks, slack = case
+    oracle = oracle_from_tt(truth)
+    config = BuildConfig(ranks=ranks, seed=0, **slack)
+    try:
+        law = predicted_action_count(truth.dims, ranks, **slack)
+    except BacktrackingRequiredError:
+        with pytest.raises(BuildStageError) as err:
+            tt_from_actions(oracle, config)
+        assert isinstance(err.value.cause, BacktrackingRequiredError)
+        assert oracle.action_count == 0
+        return
+    built, report = tt_from_actions(oracle, config)
+    assert built.ranks == tuple(ranks)
+    assert oracle.action_count == report.total_actions == law

@@ -118,7 +118,9 @@ def test_difference_sigma1_matches_truncation_error():
 
 
 def test_nonfinite_action_raises_instead_of_nan():
-    oracle = ActionOracle((5, 5, 4), lambda k, vs: np.full((5, 5, 4)[k - 1], np.nan))
+    oracle = ActionOracle(
+        (5, 5, 4), lambda k, vs: np.full(((5, 5, 4)[k - 1], vs[0].shape[1]), np.nan)
+    )
     with pytest.raises(NonFiniteActionError):
         sigma1_estimate(oracle, n_starts=1, seed=0)
 
