@@ -119,16 +119,16 @@ def predicted_action_count(
       + tau_{d-1} r_{d-1}                           last core
 
     with tau_k = ceil(r_k / N_k) + tau_extra.  For d = 2 the count is
-    (r_1 + p) + r_1.  A scalar rank is broadcast.  A negative p or
-    ``tau_extra`` raises :class:`~ttaction.errors.ShapeError`, and ranks the
-    builder would refuse, where tau_{c-1} exceeds r_{c-2}, raise
-    :class:`~ttaction.errors.BacktrackingRequiredError`, as the build does.
+    (r_1 + p) + r_1.  A scalar rank is broadcast, and the ranks are first
+    cut as :func:`build_ranks` cuts them.  A negative p or ``tau_extra``
+    raises :class:`~ttaction.errors.ShapeError`, and ranks the builder
+    would refuse raise :class:`~ttaction.errors.BacktrackingRequiredError`,
+    as the build does.
     """
     check_slack(oversampling, tau_extra)
-    d = len(dims)
-    ranks = rank_list(ranks, d)
+    ranks = build_ranks(dims, ranks)
     total = 0
-    for c in range(1, d + 1):
+    for c in range(1, len(dims) + 1):
         # prefixes saturating modes 1..c-1, times samples of the free rest
         if c == 1:
             prefixes = 1
@@ -137,9 +137,25 @@ def predicted_action_count(
             if c >= 3:
                 tau = required_tau(ranks[c - 2], dims[c - 2], tau_extra)
                 _check_sets(tau, ranks[c - 3], c)
+                _check_span(ranks[c - 2], dims[c - 3], dims[c - 2], c)
             prefixes = tau * ranks[c - 2]
-        total += prefixes * (ranks[c - 1] + oversampling if c < d else 1)
+        total += prefixes * (ranks[c - 1] + oversampling if c < len(dims) else 1)
     return total
+
+
+def build_ranks(dims, ranks):
+    """The internal ranks a fixed-rank build realizes.
+
+    Stage k samples r_{k-1} N_k rows, so the range finder cuts a rank r_k
+    beyond that to r_{k-1} N_k, with a
+    :class:`~ttaction.errors.RankClampWarning`; the cut rank is the one the
+    later stages see.  A scalar rank is broadcast.
+    """
+    realized, rows = [], 1
+    for n, r in zip(dims, rank_list(ranks, len(dims))):
+        rows = min(r, rows * n)
+        realized.append(rows)
+    return realized
 
 
 def _check_sets(tau, rank, stage):
@@ -148,6 +164,22 @@ def _check_sets(tau, rank, stage):
         raise BacktrackingRequiredError(
             f"stage {stage} needs {tau} interpolation sets but core {stage - 2} "
             f"has rank {rank}; earlier ranks would have to grow",
+            stage,
+        )
+
+
+def _check_span(rank, n_before, n_last, stage):
+    """Refuse a rank the interpolation prefixes of ``stage`` cannot reach.
+
+    Every prefix contracts cores 1..stage-3 with their first fibers and core
+    stage-2 with one of its fibers, so the prefixes span at most
+    N_{stage-2} dimensions and the interpolation system has rank at most
+    N_{stage-2} N_{stage-1}.
+    """
+    if rank > n_before * n_last:
+        raise BacktrackingRequiredError(
+            f"stage {stage} interpolates rank {rank} but its prefixes reach at "
+            f"most {n_before} x {n_last} = {n_before * n_last}",
             stage,
         )
 
@@ -183,7 +215,7 @@ def interpolation_set(cores, level, tau):
     fixed.append(prev[0, :, :tau])
     prefix = prefix_contract(cores[: level - 1], fixed)
     a, n, b = cores[level - 1].shape
-    a_mats = prefix.T[:, None, :] @ cores[level - 1].reshape(a, n * b)
+    a_mats = prefix @ cores[level - 1].reshape(a, n * b)
     return fixed, a_mats.reshape(tau, n, b)
 
 
@@ -241,7 +273,7 @@ def tt_from_actions(oracle, config):
         :func:`predicted_action_count` refuses raise
         :class:`~ttaction.errors.BuildStageError` wrapping its
         :class:`~ttaction.errors.BacktrackingRequiredError`, both before any
-        action.
+        action.  Fixed ranks are cut as :func:`build_ranks` cuts them.
 
     Returns
     -------

@@ -61,7 +61,7 @@ def _check_vectors(dims, free_mode, vectors):
     or all matrices, with one common column count b >= 1.  Returns the
     blocks and whether the entries were plain vectors.
     """
-    other = [n for k, n in enumerate(dims, start=1) if k != free_mode]
+    other = dims[: free_mode - 1] + dims[free_mode:]
     if len(vectors) != len(other):
         raise ShapeError(
             f"expected {len(other)} vectors for a {len(dims)}-mode tensor "
@@ -77,7 +77,7 @@ def _check_vectors(dims, free_mode, vectors):
             raise ShapeError(
                 "saturating entries must be all vectors or all (N_k, b) blocks "
                 f"with one b >= 1; got shapes {[np.shape(v) for v in vectors]} "
-                f"for mode sizes {other}"
+                f"for mode sizes {list(other)}"
             )
         blocks.append(v[:, None] if plain else v)
     return blocks, plain
@@ -178,7 +178,7 @@ class ActionOracle:
         shape = (self.dims[free_mode - 1], width)
         if out.shape != shape:
             raise ShapeError(f"action returned shape {out.shape}, expected {shape}")
-        if not np.isfinite(out).all():
+        if np.count_nonzero(np.isfinite(out)) != out.size:
             raise NonFiniteActionError(
                 f"action with free mode {free_mode} returned non-finite entries"
             )
@@ -260,7 +260,7 @@ def _contract(cores, k, blocks):
     takes core (a, N, c) as an (a N, c) matrix times the right rank vector,
     then the (a, N) result times the mode's vector.
     """
-    left = prefix_contract(cores[:k], blocks[:k]).T[:, None, :]
+    left = prefix_contract(cores[:k], blocks[:k])
     right = _BOUNDARY
     for j in range(len(cores) - 1, k, -1):
         a, n, c = cores[j].shape
@@ -272,15 +272,16 @@ def _contract(cores, k, blocks):
 
 
 def prefix_contract(cores, blocks):
-    """Sweep (N_j, b) blocks through the leading ``cores`` into an (r, b) block.
+    """Sweep (N_j, b) blocks through the leading ``cores`` into a (b, 1, r) stack.
 
-    Column j is the rank vector that saturating modes 1..len(cores) with
-    column j of each block leaves.  Each step contracts left (r_{j-1}) x
-    core (r_{j-1}, N_j, r_j) x vector (N_j) into (r_j) for every column, as
+    Row j is the rank vector that saturating modes 1..len(cores) with column
+    j of each block leaves, kept as a (1, r) matrix so that it multiplies
+    the next core directly.  Each step contracts left (r_{j-1}) x core
+    (r_{j-1}, N_j, r_j) x vector (N_j) into (r_j) for every column, as
     stacked matmuls: the left vector times the core as an (r_{j-1}, N_j r_j)
     matrix, then the vector times that product as an (N_j, r_j) matrix.
-    Starts from the boundary rank 1 as one column, which broadcasts against
-    any number of columns; with no cores the result is ``ones((1, 1))``.
+    Starts from the boundary rank 1 as one row, which broadcasts against any
+    number of columns; with no cores the result is ``ones((1, 1, 1))``.
     Shapes are not checked here; callers validate.
     """
     out = _BOUNDARY
@@ -288,7 +289,7 @@ def prefix_contract(cores, blocks):
         a, n, r = c.shape
         out = (out @ c.reshape(a, n * r)).reshape(-1, n, r)
         out = np.ascontiguousarray(v.T)[:, None, :] @ out
-    return out[:, 0].T
+    return out
 
 
 def rank_list(ranks, order):

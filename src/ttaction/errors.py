@@ -53,11 +53,13 @@ class InterpolationError(NumericalError):
 
 
 class BacktrackingRequiredError(NumericalError):
-    """A stage would need more interpolation sets than the previous rank allows.
+    """A stage's interpolation cannot reach its rank from the cores before it.
 
-    Recovering would mean re-running earlier stages at higher rank, which the
-    builder does not attempt; raise to the caller instead.  ``stage`` is the
-    1-based build stage that needs the sets.
+    Either the stage needs more interpolation sets than the previous rank
+    allows, or its rank exceeds what its interpolation prefixes can reach.
+    Recovering would mean re-running earlier stages at other ranks, which
+    the builder does not attempt; raise to the caller instead.  ``stage`` is
+    the 1-based build stage that is refused.
     """
 
     def __init__(self, message, stage=None):

@@ -342,17 +342,20 @@ class DerivativeOracle(ActionOracle):
         """Serve a block one column per counted single action.
 
         Vectors and blocks of one column go to :meth:`ActionOracle.action` as
-        they are, which checks every entry.  A wider block is checked whole,
-        then each column walks the engine's lattice as a single action would,
-        so its solves, counts and bits are those of the single action.
+        they are, which checks every entry.  A wider block is checked whole
+        and copied once into contiguous columns, then each column walks the
+        engine's lattice as a single action would, so its solves, counts and
+        bits are those of the single action.
         """
-        single = super().action
-        if not vectors or np.shape(vectors[0])[1:] in ((), (1,)):
-            return single(free_mode, vectors)
+        first = np.asarray(vectors[0]) if vectors else None
+        if first is None or first.ndim != 2 or first.shape[1] == 1:
+            return ActionOracle.action(self, free_mode, vectors)
         _check_free_mode(free_mode, self.order)
         blocks, _ = _check_vectors(self.dims, free_mode, vectors)
-        columns = zip(*(v.T for v in blocks))
-        return np.column_stack([single(free_mode, vs) for vs in columns])
+        columns = zip(*(np.ascontiguousarray(v.T) for v in blocks))
+        return np.column_stack(
+            [ActionOracle.action(self, free_mode, vs) for vs in columns]
+        )
 
     def clear_cache(self):
         """Empty the engine's cache; its state and LU stay."""

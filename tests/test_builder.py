@@ -16,6 +16,7 @@ from ttaction import (
     tt_from_actions,
 )
 from ttaction.builder import (
+    build_ranks,
     interpolation_set,
     required_tau,
     solve_interpolation,
@@ -26,6 +27,7 @@ from ttaction.errors import (
     DegenerateRangeError,
     InterpolationError,
     NonFiniteActionError,
+    RankClampWarning,
     ShapeError,
 )
 
@@ -336,6 +338,35 @@ def test_predicted_action_count_refuses_what_the_build_refuses(dims, ranks):
     assert oracle.action_count == 0  # refused before the first stage
     with pytest.raises(BacktrackingRequiredError, match="core 1 has rank 2"):
         predicted_action_count(dims, ranks, tau_extra=2)
+
+
+def test_clamped_rank_is_counted_as_the_build_cuts_it():
+    # stage 2 samples r_1 N_2 = 2 rows, so rank 8 is cut to 2 and stage 3
+    # needs tau = ceil(2 / 2) = 1 set, which core 1 of rank 1 holds
+    dims, ranks = (2, 2, 2, 2), [1, 8, 1]
+    oracle = oracle_from_tt(random_tt(np.random.default_rng(46), dims, (2, 4, 2)))
+    config = BuildConfig(ranks=ranks, tau_extra=0, oversampling=2)
+    with pytest.warns(RankClampWarning):
+        built, report = tt_from_actions(oracle, config)
+    assert build_ranks(dims, ranks) == [1, 2, 1]
+    assert built.ranks == report.ranks == (1, 2, 1)
+    law = predicted_action_count(dims, ranks, oversampling=2, tau_extra=0)
+    assert law == (1 + 2) + 1 * (2 + 2) + 1 * 2 * (1 + 2) + 1 * 1
+    assert oracle.action_count == report.total_actions == law
+
+
+def test_rank_beyond_the_prefix_span_is_refused_before_any_action():
+    # stage 4 interpolates r_3 = 10 from prefixes spanning N_2 = 2
+    # dimensions, so its system has rank at most N_2 N_3 = 8
+    dims, ranks = (4, 2, 4, 4, 4), [4, 8, 10, 4]
+    oracle = oracle_from_tt(random_tt(np.random.default_rng(47), dims, (4, 8, 16, 4)))
+    with pytest.raises(BuildStageError) as err:
+        tt_from_actions(oracle, BuildConfig(ranks=ranks, tau_extra=0))
+    assert isinstance(err.value.cause, BacktrackingRequiredError)
+    assert err.value.stage == 4
+    assert oracle.action_count == 0
+    with pytest.raises(BacktrackingRequiredError, match="at most 2 x 4 = 8"):
+        predicted_action_count(dims, ranks, tau_extra=0)
 
 
 class CallCountingOracle(ActionOracle):

@@ -262,13 +262,13 @@ def test_prefix_contract_partial_contraction():
     tt = random_tt(rng, dims, ranks)
     x, y = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
     out = prefix_contract(tt.cores[:2], [x, y])
-    assert out.shape == (3, 2)
+    assert out.shape == (2, 1, 3)
     for j in range(2):
         expect = np.einsum(
             "anb,n,bmc,m->c", tt.cores[0], x[:, j], tt.cores[1], y[:, j], optimize=True
         )
-        np.testing.assert_allclose(out[:, j], expect, atol=1e-12)
-    np.testing.assert_array_equal(prefix_contract([], []), np.ones((1, 1)))
+        np.testing.assert_allclose(out[j, 0], expect, atol=1e-12)
+    np.testing.assert_array_equal(prefix_contract([], []), np.ones((1, 1, 1)))
 
 
 def test_oracle_from_tt_agrees_with_dense():
