@@ -106,14 +106,16 @@ def dense_action(tensor, free_mode, vectors):
     d = len(_check_dims(tensor.shape))
     _check_free_mode(free_mode, d)
     blocks, plain = _check_vectors(tensor.shape, free_mode, vectors)
-    # column j of the Khatri-Rao product is the Kronecker product of the
-    # saturating vectors of column j, first saturated mode slowest
+    # row j is the Kronecker product of the saturating vectors of column j,
+    # first saturated mode slowest; one matrix-vector product per row, so a
+    # block column has the bits of a single action
     width = blocks[0].shape[1]
     kron = reduce(
-        lambda a, v: (a[:, None, :] * v[None, :, :]).reshape(-1, width), blocks
+        lambda a, v: (a[:, :, None] * v[:, None, :]).reshape(width, -1),
+        [np.ascontiguousarray(v.T) for v in blocks],
     )
     free = np.moveaxis(tensor, free_mode - 1, 0)
-    out = free.reshape(free.shape[0], -1) @ kron
+    out = (free.reshape(free.shape[0], -1) @ kron[:, :, None])[:, :, 0].T
     return out[:, 0] if plain else out
 
 
@@ -156,8 +158,8 @@ class ActionOracle:
         """Drop work cached between actions; this base oracle caches none.
 
         Subclasses that cache override it.  Callers clear before each run
-        that must not reuse an earlier run's work, such as every start of a
-        power iteration.  Clearing must not change what an action returns.
+        that must not reuse an earlier run's work, such as every iteration of
+        a power method.  Clearing must not change what an action returns.
         """
 
     def action(self, free_mode, vectors):

@@ -48,6 +48,7 @@ class ReactionDiffusionModel:
             raise ShapeError(f"grid needs at least 4 nodes per side, got {n}")
         self.n = n
         self.h = 1.0 / (n - 1)
+        self._h2 = self.h**2
         self.n_m = n * n
         self.n_u = n * n
         self.n_q = 4 * (n - 1)
@@ -117,18 +118,18 @@ class ReactionDiffusionModel:
 
     def _diffusion(self, m, vs, y):
         """Edge-coefficient flux divergence applied to the field y."""
-        c = self._edge_coeff(m, vs)
-        return (c * (y - y[self._nbr])).sum(axis=0) / self.h**2
+        t = self._edge_coeff(m, vs) * (y - y[self._nbr])
+        return (t[0] + t[1] + t[2] + t[3]) / self._h2
 
     def _diffusion_free_u(self, m, vs, z):
         """Transpose of the flux-divergence operator applied to z."""
         t = z * self._edge_coeff(m, vs)
-        return (t.sum(axis=0) - self._gather_t(t)) / self.h**2
+        return (t[0] + t[1] + t[2] + t[3] - self._gather_t(t)) / self._h2
 
     def _diffusion_free_m(self, m, vs, y, z):
         """Gradient in the coefficient of z^T (flux divergence of y)."""
         t = 0.5 * z * self._edge_coeff(m, vs) * (y - y[self._nbr])
-        return (t.sum(axis=0) + self._gather_t(t)) / self.h**2
+        return (t[0] + t[1] + t[2] + t[3] + self._gather_t(t)) / self._h2
 
     def _reaction(self, u, k, ws):
         """k-th u-derivative (k <= 3) of the reaction u^3 - rho, times each of ``ws``."""
@@ -218,7 +219,7 @@ class ReactionDiffusionModel:
         sums duplicates in that order.
         """
         m, u = self._grid(m, "m"), self._grid(u, "u")
-        cf = self._edge_coeff(m, []) * (1.0 / self.h**2)
+        cf = self._edge_coeff(m, []) * (1.0 / self._h2)
         node = np.arange(self.n_u)
         centre = np.broadcast_to(node, self._nbr.shape)
         cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))
@@ -243,7 +244,7 @@ class ReactionDiffusionModel:
         n = self.n
         ends = np.r_[1.0, np.full(n - 2, 2.0), 1.0]
         path = scipy.sparse.diags((-np.ones(n - 1), ends, -np.ones(n - 1)), (-1, 0, 1))
-        lap = scipy.sparse.kronsum(path, path) / self.h**2
+        lap = scipy.sparse.kronsum(path, path) / self._h2
         return (lap + scipy.sparse.identity(self.n_m)).tocsc()
 
 

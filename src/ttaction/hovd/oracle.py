@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse.linalg
@@ -137,6 +138,53 @@ def _base_point(model):
     return _BASE_POINTS[model]
 
 
+@lru_cache(maxsize=None)
+def _levels(counts):
+    """The lattice nodes below ``counts`` in solve order, as a cached tuple."""
+    return tuple(sub_multisets(counts))
+
+
+def _indices(j_counts):
+    """Direction index of every explicit m slot of a term, in slot order."""
+    return tuple(i for i, c in enumerate(j_counts) for _ in range(c))
+
+
+@lru_cache(maxsize=None)
+def _forward_program(beta):
+    """The forward sum of ``beta`` compiled once: (indices, blocks, coefficient).
+
+    One entry per term of ``expansion(beta)``, in its order, but for the
+    term that is u^beta alone.
+    """
+    return tuple(
+        (_indices(j_counts), blocks, coef)
+        for (j_counts, blocks), coef in expansion(beta)
+        if any(j_counts) or blocks != (beta,)
+    )
+
+
+@lru_cache(maxsize=None)
+def _adjoint_program(beta, unknown):
+    """The adjoint sum of ``beta`` compiled once per ``unknown``.
+
+    One (indices, blocks, coefficient, splits) entry per term of
+    ``expansion(beta)``, in its order.  Each split (block, coefficient times
+    multiplicity, rest) moves one copy of a block onto its adjoint
+    sensitivity, the rest keeping their order; the term that is
+    lambda^unknown alone has none.
+    """
+    program = []
+    for (j_counts, blocks), coef in expansion(beta):
+        splits = []
+        if any(j_counts) or blocks != (unknown,):
+            for block, mult in Counter(blocks).items():
+                rest = list(blocks)
+                rest.remove(block)
+                splits.append((block, coef * mult, tuple(rest)))
+        program.append((_indices(j_counts), blocks, coef, tuple(splits)))
+    return tuple(program)
+
+
 class DerivativeEngine:
     """Forward and adjoint derivative lattices at the base point m0 = 0.
 
@@ -145,7 +193,11 @@ class DerivativeEngine:
     model states it: linear in u and independent of m.  So an output-free
     action is ``model.qoi`` of one state sensitivity, the adjoint seed is the
     observation's only partial (``partial_f`` once per distinct weight q),
-    and the adjoint sums run over ``partial_g`` alone.  Directions are keyed
+    and the adjoint sums run over ``partial_g`` alone.  Each chain-rule sum
+    runs a program compiled once per (node, unknown) from ``expansion``: the
+    direction indices of every term and, for the adjoint, each term's split
+    of one block onto its adjoint sensitivity, in the expansion's order; the
+    lattice levels are cached the same way.  Directions are keyed
     by their float64 bytes and lattice nodes by those keys, so the solve
     counters see each node once; a solve that raises caches nothing.  With a ``whitener`` the
     directions are raw-space vectors: each distinct one is smoothed on its
@@ -200,10 +252,8 @@ class DerivativeEngine:
         Leaves out the term that is u^beta alone (the solve's unknown).
         """
         out = np.zeros(self.model.n_u)
-        for (j_counts, blocks), coef in expansion(beta):
-            if not any(j_counts) and blocks == (beta,):
-                continue  # the unknown itself
-            vs = [v for v, c in zip(unique, j_counts) for _ in range(c)]
+        for idx, blocks, coef in _forward_program(beta):
+            vs = [unique[i] for i in idx]
             ws = [values[b] for b in blocks]
             out += coef * self.model.partial_g(self.m0, self.u0, vs, ws)
         return out
@@ -211,7 +261,7 @@ class DerivativeEngine:
     def _forward_values(self, unique, counts, keys):
         """Ensure and return the state sensitivities u^beta for beta <= counts."""
         values = {}
-        for beta in sub_multisets(counts):
+        for beta in _levels(counts):
             key = ("u", block_signature(keys, beta))
             if key not in self._cache:
                 rhs = self._forward_sum(unique, beta, values)
@@ -237,18 +287,13 @@ class DerivativeEngine:
         model, m0, u0 = self.model, self.m0, self.u0
         out = np.zeros(model.n_u if free == "u" else model.n_m)
         base_lam = lams[(0,) * len(beta)]
-        for (j_counts, blocks), coef in expansion(beta):
-            vs = [v for v, c in zip(unique, j_counts) for _ in range(c)]
+        for idx, blocks, coef, splits in _adjoint_program(beta, unknown):
+            vs = [unique[i] for i in idx]
             ws = [values[b] for b in blocks]
             out += coef * model.partial_g(m0, u0, vs, ws, weight=base_lam, free=free)
-            if not any(j_counts) and blocks == (unknown,):
-                continue  # the unknown itself
-            for block, mult in Counter(blocks).items():
-                rest = list(blocks)
-                rest.remove(block)
+            for block, c, rest in splits:
                 ws = [values[b] for b in rest]
-                g = model.partial_g(m0, u0, vs, ws, weight=lams[block], free=free)
-                out += coef * mult * g
+                out += c * model.partial_g(m0, u0, vs, ws, weight=lams[block], free=free)
         return out
 
     def _adjoint_values(self, unique, counts, keys, q, values):
@@ -261,7 +306,7 @@ class DerivativeEngine:
             self.adjoint_solves += 1
             self._cache[key] = self.factor.solve_t(-rhs)
         lams = {(0,) * len(counts): self._cache[key]}
-        for beta in sub_multisets(counts):
+        for beta in _levels(counts):
             key = ("l", qsig, block_signature(keys, beta))
             if key not in self._cache:
                 rhs = self._adjoint_sum("u", unique, beta, values, lams, unknown=beta)

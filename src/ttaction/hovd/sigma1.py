@@ -10,10 +10,21 @@ map x -> T(., x, ..., x, T(x, ..., x, .)), whose Rayleigh value at a fixed
 point is sigma_1^2.  The shift is proportional to the current Rayleigh value,
 so the iteration commutes with scaling the tensor and the homogeneity
 sigma_1(c T) = |c| sigma_1(T) holds exactly.
+
+The random starts run in lockstep: every iteration is two block actions,
+one column per start still running, and a start leaves the block once it
+stops.  Each start's scalar work (Rayleigh value, shift, norms, change test)
+runs on its own contiguous vectors, so a block column has the bits of the
+start run alone.  The oracle's cache is cleared before every iteration: the
+two actions of one iteration share their state sensitivities, and iterates
+never repeat across iterations (a start whose iterate repeats has stopped),
+so solve counts are those of one start at a time while a cache holds at most
+one iteration's lattices.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +72,11 @@ def oracle_difference(a, b):
     return _DifferenceOracle(a, b)
 
 
+def _norm(v):
+    """Euclidean norm of a 1-D array, by numpy's own formula for one."""
+    return math.sqrt(v @ v)
+
+
 def sigma1_estimate(
     oracle,
     n_starts=5,
@@ -71,9 +87,14 @@ def sigma1_estimate(
 ):
     """Estimate sigma_1 of an action oracle by shifted power iteration.
 
-    Runs ``n_starts`` random unit starts, clearing the oracle's cache before
-    each; each start iterates at shift ``|lam|``, its Rayleigh value, until
-    the iterate change drops below ``tol`` or ``max_iter`` iterations pass.
+    Runs ``n_starts`` random unit starts in lockstep: each iteration clears
+    the oracle's cache once, then takes one block action with every
+    derivative slot saturated and one with the first slot free, one column
+    per live start.  Each start iterates at shift ``|lam|``, its Rayleigh
+    value, and leaves the block once the iterate change drops below ``tol``
+    or its update is exactly zero; the rest stop after ``max_iter``
+    iterations.  A start's arithmetic is its own, so its values, iterations
+    and solve counts are those of the start run alone.
     Returns the square root of the largest final Rayleigh value over starts
     (as a float, or a :class:`Sigma1Result` with ``return_info``), with a
     :class:`~ttaction.errors.ConvergenceWarning` if no start converged.
@@ -90,34 +111,46 @@ def sigma1_estimate(
     if min(n_starts, max_iter) < 1:
         raise ShapeError(f"need n_starts, max_iter >= 1, got {n_starts}, {max_iter}")
 
-    start_values, start_ok, start_iters = [], [], []
+    xs = []
     for s in range(n_starts):
-        oracle.clear_cache()
         rng = np.random.default_rng(np.random.SeedSequence((seed, s)))
         x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        ok = False
-        for it in range(max_iter):
-            inner = oracle.action(d, [x] * k)
-            grad = oracle.action(1, [x] * (k - 1) + [inner])
+        x /= _norm(x)
+        xs.append(x)
+    lams = [0.0] * n_starts
+    start_ok = [False] * n_starts
+    start_iters = [max_iter] * n_starts
+    live = list(range(n_starts))
+    for it in range(max_iter):
+        # one iteration's lattice at a time: iterates never repeat across
+        # iterations, so the cache has nothing to share between them
+        oracle.clear_cache()
+        block = np.array([xs[s] for s in live]).T
+        inner = oracle.action(d, [block] * k)
+        # contiguous rows: a strided dot takes another BLAS kernel and other bits
+        grads = oracle.action(1, [block] * (k - 1) + [inner]).T.copy()
+        still = []
+        for s, grad in zip(live, grads):
+            x = xs[s]
             lam = float(x @ grad)
             y = grad + abs(lam) * x
-            norm = float(np.linalg.norm(y))
+            norm = _norm(y)
+            lams[s] = lam
             if norm == 0.0:
-                ok = True  # exact zero tensor along this orbit
-                break
+                start_ok[s], start_iters[s] = True, it + 1
+                continue  # exact zero tensor along this orbit
             y /= norm
-            change = min(
-                float(np.linalg.norm(y - x)), float(np.linalg.norm(y + x))
-            )
-            x = y
+            change = min(_norm(y - x), _norm(y + x))
+            xs[s] = y
             if change < tol:
-                ok = True
-                break
-        start_values.append(max(0.0, lam))
-        start_ok.append(ok)
-        start_iters.append(it + 1)
+                start_ok[s], start_iters[s] = True, it + 1
+            else:
+                still.append(s)
+        live = still
+        if not live:
+            break
 
+    start_values = [max(0.0, lam) for lam in lams]
     value = float(np.sqrt(max(start_values)))
     converged = any(start_ok)
     if not converged:

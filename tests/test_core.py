@@ -163,6 +163,21 @@ def test_block_equals_single_actions(kind, dims, ranks):
             assert np.linalg.norm(got[:, j] - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("kind", ["train", "dense"])
+def test_block_columns_are_bitwise_single_actions(kind):
+    # power iterations in lockstep rely on a block column having the bits of
+    # the single action
+    rng = np.random.default_rng(41)
+    dims = (6, 6, 6, 5)
+    oracle = _block_oracles(rng, dims, (3, 4, 2))[kind]
+    for mode in range(1, len(dims) + 1):
+        blocks = [rng.standard_normal((n, 5)) for k, n in enumerate(dims, 1) if k != mode]
+        got = oracle.action(mode, blocks)
+        for j in range(5):
+            want = oracle.action(mode, [v[:, j].copy() for v in blocks])
+            np.testing.assert_array_equal(got[:, j], want)
+
+
 def test_block_of_one_is_bitwise_a_single_train_action():
     rng = np.random.default_rng(41)
     tt = random_tt(rng, (6, 5, 7, 4), (3, 4, 2))

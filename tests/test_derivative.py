@@ -1,6 +1,7 @@
 """Implicit-map derivative tensors: state solve, lattices, counters, oracle."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -541,3 +542,52 @@ def test_derivative_block_is_served_as_single_actions(monkeypatch):
     assert block_oracle.action_count == single_oracle.action_count == 2 * width
     for counter in ("forward_solves", "adjoint_solves"):
         assert getattr(block_oracle.engine, counter) == getattr(single_oracle.engine, counter)
+
+
+def multisets_through(order):
+    """Every direction-count vector of total order 1..``order`` and its sub-multisets."""
+    from ttaction.hovd.lattice import sub_multisets
+
+    found = set()
+    for size in range(1, order + 1):
+        for counts in itertools.product(range(1, order + 1), repeat=size):
+            if sum(counts) <= order:
+                found.update(sub_multisets(counts))
+    return sorted(found)
+
+
+def test_compiled_programs_reproduce_the_expansion():
+    # every term of expansion(beta), in order and with its coefficient; the
+    # unknown term left out exactly once
+    from ttaction.hovd.lattice import expansion
+
+    betas = multisets_through(5)
+    assert len(betas) > 100 and max(sum(b) for b in betas) == 5
+    for beta in betas:
+        terms = expansion(beta)
+        unknown = (((0,) * len(beta), (beta,)), 1)
+        assert terms.count(unknown) == 1
+        forward = oracle_module._forward_program(beta)
+        assert [
+            (tuple(np.bincount(idx, minlength=len(beta))), blocks, coef)
+            for idx, blocks, coef in forward
+        ] == [(j, blocks, coef) for (j, blocks), coef in terms if (j, blocks) != unknown[0]]
+        assert all(list(idx) == sorted(idx) for idx, _, _ in forward)
+        for left_out in (beta, None):
+            adjoint = oracle_module._adjoint_program(beta, left_out)
+            assert len(adjoint) == len(terms)
+            dropped = 0
+            for (idx, blocks, coef, splits), ((j, b), c) in zip(adjoint, terms):
+                assert (tuple(np.bincount(idx, minlength=len(beta))), blocks, coef) == (j, b, c)
+                if left_out is not None and (j, b) == unknown[0]:
+                    assert splits == ()
+                    dropped += 1
+                    continue
+                # one split per distinct block: one copy moved, the rest in order
+                want = []
+                for block in dict.fromkeys(blocks):
+                    rest = list(blocks)
+                    rest.remove(block)
+                    want.append((block, coef * blocks.count(block), tuple(rest)))
+                assert list(splits) == want
+            assert dropped == (left_out is not None)

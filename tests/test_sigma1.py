@@ -13,6 +13,7 @@ from ttaction import (
 from ttaction.errors import ConvergenceWarning, NonFiniteActionError, ShapeError
 from ttaction.hovd import (
     ReactionDiffusionModel,
+    WhitenedMap,
     make_derivative_oracle,
     oracle_difference,
     sigma1_estimate,
@@ -134,12 +135,108 @@ class SpyOracle(ActionOracle):
         self.clears += 1
 
 
-def test_cache_cleared_once_per_start():
+def test_cache_cleared_once_per_iteration():
     rng = np.random.default_rng(8)
     w, c = rng.standard_normal(5), rng.standard_normal(4)
     spy = SpyOracle(np.einsum("i,j,k->ijk", w, w, c))
-    sigma1_estimate(spy, n_starts=4, seed=0)
-    assert spy.clears == 4
+    res = sigma1_estimate(spy, n_starts=4, seed=0, return_info=True)
+    assert spy.clears == max(res.iterations)
+
+
+def one_start_at_a_time(oracle, n_starts, seed, tol=1e-8, max_iter=500):
+    """The estimator's starts run one after another, each with its own clear.
+
+    A reference for the lockstep loop: same draws, same arithmetic, norms by
+    ``np.linalg.norm``.  Returns (start values, converged flags, iterations).
+    """
+    d = oracle.order
+    k = d - 1
+    values, oks, iters = [], [], []
+    for s in range(n_starts):
+        oracle.clear_cache()
+        rng = np.random.default_rng(np.random.SeedSequence((seed, s)))
+        x = rng.standard_normal(oracle.dims[0])
+        x /= np.linalg.norm(x)
+        ok = False
+        for it in range(max_iter):
+            inner = oracle.action(d, [x] * k)
+            grad = oracle.action(1, [x] * (k - 1) + [inner])
+            lam = float(x @ grad)
+            y = grad + abs(lam) * x
+            norm = float(np.linalg.norm(y))
+            if norm == 0.0:
+                ok = True
+                break
+            y /= norm
+            change = min(float(np.linalg.norm(y - x)), float(np.linalg.norm(y + x)))
+            x = y
+            if change < tol:
+                ok = True
+                break
+        values.append(max(0.0, lam))
+        oks.append(ok)
+        iters.append(it + 1)
+    return values, oks, iters
+
+
+def assert_lockstep_matches_one_start_at_a_time(make_oracle, **kwargs):
+    lockstep = sigma1_estimate(make_oracle(), return_info=True, **kwargs)
+    values, oks, iters = one_start_at_a_time(make_oracle(), **kwargs)
+    assert lockstep.start_values == values  # bit for bit
+    assert lockstep.start_converged == oks
+    assert lockstep.converged == any(oks)
+    assert lockstep.iterations == iters
+    return lockstep
+
+
+def test_lockstep_matches_one_start_at_a_time_on_a_dense_oracle():
+    rng = np.random.default_rng(11)
+    tensor = rng.standard_normal((7, 7, 5))
+    res = assert_lockstep_matches_one_start_at_a_time(
+        lambda: oracle_from_dense(tensor), n_starts=5, seed=3
+    )
+    assert len(set(res.iterations)) > 1  # starts left the block at different times
+
+
+def derivative_minus_train():
+    """A whitened order-2 derivative oracle at n=4 and its difference with a train."""
+    model = ReactionDiffusionModel(4)
+    deriv = make_derivative_oracle(model, 2, whitener=WhitenedMap(model))
+    rng = np.random.default_rng(12)
+    dims = deriv.dims
+    train = TensorTrain(
+        [
+            rng.standard_normal((1, dims[0], 2)),
+            rng.standard_normal((2, dims[1], 2)),
+            1e-3 * rng.standard_normal((2, dims[2], 1)),
+        ]
+    )
+    return deriv, oracle_difference(deriv, oracle_from_tt(train))
+
+
+def test_lockstep_matches_one_start_at_a_time_on_a_derivative_difference():
+    runs = [derivative_minus_train() for _ in range(2)]
+    diffs = iter([diff for _, diff in runs])
+    assert_lockstep_matches_one_start_at_a_time(
+        lambda: next(diffs), n_starts=3, seed=4, max_iter=60
+    )
+    (lockstep, _), (reference, _) = runs
+    assert lockstep.action_count == reference.action_count
+    assert lockstep.engine.forward_solves == reference.engine.forward_solves
+    assert lockstep.engine.adjoint_solves == reference.engine.adjoint_solves
+
+
+def test_engine_cache_holds_one_iteration():
+    sizes = []
+    for max_iter in (50, 500):
+        deriv, diff = derivative_minus_train()
+        with pytest.warns(ConvergenceWarning):  # tol 0: every start runs out
+            res = sigma1_estimate(
+                diff, n_starts=2, seed=0, tol=0.0, max_iter=max_iter, return_info=True
+            )
+        assert res.iterations == [max_iter] * 2
+        sizes.append(len(deriv.engine._cache))
+    assert sizes[0] == sizes[1] > 0
 
 
 def test_difference_clears_derivative_engine_cache():
