@@ -184,15 +184,15 @@ def _check_span(rank, n_before, n_last, stage):
         )
 
 
-def interpolation_set(cores, level, tau):
-    """Saturating blocks and partial-map matrices for interpolation at ``level``.
+def interpolation_set(cores, tau):
+    """Saturating blocks and partial-map matrices for interpolation after ``cores``.
 
     Parameters
     ----------
     cores : list of ndarray
-        Built cores 1..level, each (left_rank, mode_size, right_rank).
-    level : int
-        1-based depth k of the partially built map; needs ``level >= 2``.
+        The built cores 1..level, each (left_rank, mode_size, right_rank),
+        where ``level = len(cores) >= 2`` is the depth of the partially
+        built map.
     tau : int
         Number of interpolation sets, at most the rank of core ``level - 1``.
 
@@ -207,8 +207,9 @@ def interpolation_set(cores, level, tau):
         ``A_i = T_level(fixed[:, i]..., .)`` stacked as (tau, N_level,
         r_level), computed from the cores alone (no oracle actions).
     """
-    if level < 2 or level > len(cores):
-        raise ShapeError(f"level must be in 2..{len(cores)}, got {level}")
+    level = len(cores)
+    if level < 2:
+        raise ShapeError(f"need at least 2 built cores, got {level}")
     prev = cores[level - 2]
     _check_sets(tau, prev.shape[2], level + 1)
     fixed = [np.repeat(c[0, :, :1], tau, axis=1) for c in cores[: level - 2]]
@@ -322,7 +323,7 @@ def tt_from_actions(oracle, config):
         else:
             r_prev = cores[-1].shape[2]
             tau = required_tau(r_prev, dims[c - 2], config.tau_extra)
-            fixed, a_mats = interpolation_set(cores, c - 1, tau)
+            fixed, a_mats = interpolation_set(cores, tau)
             eta, resid = solve_interpolation(a_mats)
             prefix = [np.tile(v, r_prev) for v in fixed]
             prefix.append(eta.transpose(1, 2, 0).reshape(dims[c - 2], -1))

@@ -48,19 +48,17 @@ def _check_dims(dims):
     return dims
 
 
-def _check_free_mode(free_mode, order):
-    if not 1 <= free_mode <= order:
-        raise ShapeError(f"free_mode must be in 1..{order}, got {free_mode}")
-
-
 def _check_vectors(dims, free_mode, vectors):
-    """Coerce the d-1 saturating entries to blocks and verify their shapes.
+    """Check ``free_mode`` and the d-1 saturating entries, coerced to blocks.
 
-    Each entry is an (N_k, b) matrix whose column j belongs to action j, or
-    a plain (N_k,) vector, a block of one.  The entries must be all vectors
-    or all matrices, with one common column count b >= 1.  Returns the
-    blocks and whether the entries were plain vectors.
+    ``free_mode`` must lie in 1..d.  Each entry is an (N_k, b) matrix whose
+    column j belongs to action j, or a plain (N_k,) vector, a block of one.
+    The entries must be all vectors or all matrices, with one common column
+    count b >= 1.  Returns the blocks and whether the entries were plain
+    vectors.
     """
+    if not 1 <= free_mode <= len(dims):
+        raise ShapeError(f"free_mode must be in 1..{len(dims)}, got {free_mode}")
     other = dims[: free_mode - 1] + dims[free_mode:]
     if len(vectors) != len(other):
         raise ShapeError(
@@ -103,8 +101,7 @@ def dense_action(tensor, free_mode, vectors):
         fiber per block column, shape ``(tensor.shape[free_mode - 1], b)``.
     """
     tensor = np.asarray(tensor, dtype=float)
-    d = len(_check_dims(tensor.shape))
-    _check_free_mode(free_mode, d)
+    _check_dims(tensor.shape)
     blocks, plain = _check_vectors(tensor.shape, free_mode, vectors)
     # row j is the Kronecker product of the saturating vectors of column j,
     # first saturated mode slowest; one matrix-vector product per row, so a
@@ -172,7 +169,6 @@ class ActionOracle:
         :class:`~ttaction.errors.NonFiniteActionError` when a fiber holds a
         NaN or an infinity.
         """
-        _check_free_mode(free_mode, self.order)
         blocks, plain = _check_vectors(self.dims, free_mode, vectors)
         width = blocks[0].shape[1]
         self._count += width
@@ -203,7 +199,8 @@ class TensorTrain:
     """Tensor train with cores stored as (left_rank, mode_size, right_rank).
 
     Boundary ranks are fixed to 1, so a d-mode train is the core chain
-    (1, N_1, r_1), (r_1, N_2, r_2), ..., (r_{d-1}, N_d, 1).  The represented
+    (1, N_1, r_1), (r_1, N_2, r_2), ..., (r_{d-1}, N_d, 1), with every mode
+    size and internal rank at least 1.  The represented
     entry is the product of the selected core slices:
     ``T[i_1, ..., i_d] = C_1[:, i_1, :] @ C_2[:, i_2, :] @ ... @ C_d[:, i_d, :]``.
     """
@@ -223,6 +220,10 @@ class TensorTrain:
                     f"rank mismatch between cores {k + 1} and {k + 2}: "
                     f"{cores[k].shape[2]} vs {cores[k + 1].shape[0]}"
                 )
+        _check_dims(c.shape[1] for c in cores)
+        ranks = [c.shape[2] for c in cores[:-1]]
+        if min(ranks) < 1:
+            raise ShapeError(f"internal ranks must be >= 1, got {ranks}")
         self.cores = cores
 
     @property
@@ -247,7 +248,6 @@ def tt_apply(tt, free_mode, vectors):
     saturating vectors through the cores from both ends and contracts them
     into the free core, costing O(d N r^2) per column.
     """
-    _check_free_mode(free_mode, tt.order)
     blocks, plain = _check_vectors(tt.dims, free_mode, vectors)
     out = _contract(tt.cores, free_mode - 1, blocks)
     return out[:, 0] if plain else out
@@ -509,7 +509,10 @@ def _tt_from_bytes(blob):
         off += need
     if off != len(blob):
         raise FormatError("trailing bytes after last core", offset=off)
-    return TensorTrain(cores)
+    try:
+        return TensorTrain(cores)
+    except ShapeError as exc:
+        raise FormatError(f"not a valid train: {exc}", offset=12) from exc
 
 
 def tt_save_json(tt, path):

@@ -42,12 +42,17 @@ def canonical_directions(vectors):
     return unique, tuple(c for _, c in groups.values()), tuple(groups)
 
 
+@lru_cache(maxsize=None)
 def sub_multisets(counts):
-    """All nonzero sub-multisets of ``counts``, smallest total order first."""
+    """All nonzero sub-multisets of the tuple ``counts``, smallest total order first.
+
+    These are the lattice nodes below ``counts`` in solve order, computed
+    once per count tuple and returned as one shared tuple.
+    """
     axes = [range(c + 1) for c in counts]
     subs = [s for s in itertools.product(*axes) if any(s)]
     subs.sort(key=lambda s: (sum(s), s))
-    return subs
+    return tuple(subs)
 
 
 @lru_cache(maxsize=None)
@@ -58,8 +63,8 @@ def expansion(counts):
     count vector of directions hitting the explicit m slot and ``blocks`` is
     a sorted tuple of count vectors, each a block of directions routed
     through a state sensitivity.  The zeroth expansion is X itself.
+    ``counts`` is a tuple, the key of the cache.
     """
-    counts = tuple(counts)
     if not any(counts):
         zero = (0,) * len(counts)
         return (((zero, ()), 1),)

@@ -40,6 +40,9 @@ class ReactionDiffusionModel:
     n : int
         Nodes per side, n >= 4.  Parameter and state both live on the full
         grid (n_m = n_u = n^2); the observation has 4(n-1) entries.
+
+    Every vector the model takes is flat, n^2 row-major entries for a grid
+    field; an (n, n) array is refused with a ShapeError.
     """
 
     def __init__(self, n):
@@ -88,13 +91,11 @@ class ReactionDiffusionModel:
     # -- grid plumbing ------------------------------------------------------
 
     def _grid(self, v, name):
-        """Flat float vector from an (n, n) grid or an (n^2,) vector."""
-        if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (self.n_u,):
-            return v
+        """``v`` as a float vector of n^2 entries, the one form a grid field takes."""
         v = np.asarray(v, dtype=float)
-        if v.shape in ((self.n, self.n), (self.n_u,)):
-            return v.ravel()
-        raise ShapeError(f"{name} has shape {v.shape}, expected ({self.n_u},)")
+        if v.shape != (self.n_u,):
+            raise ShapeError(f"{name} has shape {v.shape}, expected ({self.n_u},)")
+        return v
 
     def _gather_t(self, t):
         """Adjoint of the gather ``z[self._nbr]``: sum each row back onto its sources."""
@@ -152,8 +153,8 @@ class ReactionDiffusionModel:
         m, u = self._grid(m, "m"), self._grid(u, "u")
         return self._diffusion(m, [], u) + u**3 - self.rho
 
-    def qoi(self, m, u):
-        """Weighted boundary trace of the state."""
+    def qoi(self, u):
+        """Weighted boundary trace of the state; free of m."""
         u = self._grid(u, "u")
         return self.boundary_weights * u[self.boundary]
 
@@ -197,12 +198,12 @@ class ReactionDiffusionModel:
             return np.zeros(self.n_m)
         raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
 
-    def partial_f(self, m, u, weight):
+    def partial_f(self, weight):
         """The observation's transpose applied to ``weight``, a u-space vector.
 
         The observation is linear in u with no m dependence, so this gradient
-        of ``weight . qoi(m, u)`` in u is its one nonzero partial beyond
-        ``qoi`` itself; it seeds the adjoint lattice.
+        of ``weight . qoi(u)`` in u is its one nonzero partial beyond ``qoi``
+        itself, the same at every (m, u); it seeds the adjoint lattice.
         """
         w = np.asarray(weight, dtype=float)
         if w.shape != (self.n_q,):

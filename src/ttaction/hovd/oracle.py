@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse.linalg
 
-from ..core import ActionOracle, _check_free_mode, _check_vectors
+from ..core import ActionOracle, _check_vectors
 from ..errors import NewtonError, ShapeError
 from .lattice import (
     block_signature,
@@ -75,7 +75,8 @@ def _kept_lu_step(model, m, u, res, rnorm, lu, goal):
 def solve_state(model, m, u0=None, lu=None, max_iter=50):
     """Solve G(m, u) = 0 by Newton's method with a backtracking line search.
 
-    Starts from ``u0``, or from the cube root of the source.  Each step
+    ``m`` and ``u0`` are flat vectors, which the model checks.  Starts from
+    ``u0``, or from the cube root of the source.  Each step
     solves dG/du s = -G at the iterate by refinement sweeps on the LU in
     hand, the caller's ``lu`` (such as the base point's) or the last one this
     solve factorized, to a linear residual of ``||G|| * min(0.5, ||G|| /
@@ -89,11 +90,10 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
     :class:`~ttaction.errors.NewtonError` after ``max_iter`` steps or when
     the line search rejects an exact Newton step.
     """
-    m = np.asarray(m, dtype=float).ravel()
     # dG/du = L(m) + 3 diag(u^2), L of zero row sums and non-positive off-diagonals
     # on a connected grid, is irreducibly diagonally dominant, so nonsingular, unless
     # u = 0; the root of the reaction alone starts away from that one singular point
-    u = np.cbrt(model.rho) if u0 is None else np.asarray(u0, dtype=float).ravel()
+    u = np.cbrt(model.rho) if u0 is None else np.asarray(u0, dtype=float)
     scale = max(1.0, float(np.linalg.norm(model.rho)))
     target = 1e-10 * scale
     res = model.residual(m, u)
@@ -136,12 +136,6 @@ def _base_point(model):
         u0.flags.writeable = False
         _BASE_POINTS[model] = (u0, iters, model.factorize(m0, u0))
     return _BASE_POINTS[model]
-
-
-@lru_cache(maxsize=None)
-def _levels(counts):
-    """The lattice nodes below ``counts`` in solve order, as a cached tuple."""
-    return tuple(sub_multisets(counts))
 
 
 def _indices(j_counts):
@@ -197,7 +191,7 @@ class DerivativeEngine:
     runs a program compiled once per (node, unknown) from ``expansion``: the
     direction indices of every term and, for the adjoint, each term's split
     of one block onto its adjoint sensitivity, in the expansion's order; the
-    lattice levels are cached the same way.  Directions are keyed
+    lattice levels come cached from ``sub_multisets``.  Directions are keyed
     by their float64 bytes and lattice nodes by those keys, so the solve
     counters see each node once; a solve that raises caches nothing.  With a ``whitener`` the
     directions are raw-space vectors: each distinct one is smoothed on its
@@ -261,7 +255,7 @@ class DerivativeEngine:
     def _forward_values(self, unique, counts, keys):
         """Ensure and return the state sensitivities u^beta for beta <= counts."""
         values = {}
-        for beta in _levels(counts):
+        for beta in sub_multisets(counts):
             key = ("u", block_signature(keys, beta))
             if key not in self._cache:
                 rhs = self._forward_sum(unique, beta, values)
@@ -274,7 +268,7 @@ class DerivativeEngine:
         """T(p_1, ..., p_k, .): all derivative slots saturated, output free."""
         unique, counts, keys = self._canonical(directions, self.order)
         values = self._forward_values(unique, counts, keys)
-        return self.model.qoi(self.m0, values[counts])
+        return self.model.qoi(values[counts])
 
     # -- adjoint lattice ----------------------------------------------------
 
@@ -302,11 +296,11 @@ class DerivativeEngine:
         qsig = q.tobytes()
         key = ("l", qsig, ())
         if key not in self._cache:
-            rhs = self.model.partial_f(self.m0, self.u0, q)
+            rhs = self.model.partial_f(q)
             self.adjoint_solves += 1
             self._cache[key] = self.factor.solve_t(-rhs)
         lams = {(0,) * len(counts): self._cache[key]}
-        for beta in _levels(counts):
+        for beta in sub_multisets(counts):
             key = ("l", qsig, block_signature(keys, beta))
             if key not in self._cache:
                 rhs = self._adjoint_sum("u", unique, beta, values, lams, unknown=beta)
@@ -322,7 +316,7 @@ class DerivativeEngine:
         the output slot.  Returns a vector in parameter space, smoothed if
         whitened (the smoother is its own transpose).
         """
-        q = np.asarray(q, dtype=float).ravel()
+        q = np.asarray(q, dtype=float)
         if q.shape != (self.model.n_q,):
             raise ShapeError(f"q has shape {q.shape}, expected ({self.model.n_q},)")
         unique, counts, keys = self._canonical(directions, self.order - 1)
@@ -354,7 +348,7 @@ class WhitenedMap:
 
     def apply(self, x):
         """The smoothing half-power: solve (-Laplace + I) p = x."""
-        x = np.asarray(x, dtype=float).ravel()
+        x = np.asarray(x, dtype=float)
         if x.shape != (self.model.n_m,):
             raise ShapeError(f"x has shape {x.shape}, expected ({self.model.n_m},)")
         return self._lu.solve(x)
@@ -364,11 +358,11 @@ class WhitenedMap:
         m = self.apply(x)
         u0, _, lu = _base_point(self.model)
         u, _ = solve_state(self.model, m, u0=u0, lu=lu)
-        return self.model.qoi(m, u)
+        return self.model.qoi(u)
 
     def base_value(self):
         """Output at x = 0, read from the base state."""
-        return self.model.qoi(np.zeros(self.model.n_m), _base_point(self.model)[0])
+        return self.model.qoi(_base_point(self.model)[0])
 
 
 class DerivativeOracle(ActionOracle):
@@ -395,7 +389,6 @@ class DerivativeOracle(ActionOracle):
         first = np.asarray(vectors[0]) if vectors else None
         if first is None or first.ndim != 2 or first.shape[1] == 1:
             return ActionOracle.action(self, free_mode, vectors)
-        _check_free_mode(free_mode, self.order)
         blocks, _ = _check_vectors(self.dims, free_mode, vectors)
         columns = zip(*(np.ascontiguousarray(v.T) for v in blocks))
         return np.column_stack(

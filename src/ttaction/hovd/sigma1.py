@@ -43,9 +43,6 @@ class Sigma1Result:
     start_converged: list
     iterations: list
 
-    def __float__(self):
-        return self.value
-
 
 class _DifferenceOracle(ActionOracle):
     """Action oracle for ``a - b``; clearing clears both operands."""

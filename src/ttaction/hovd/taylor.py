@@ -66,9 +66,9 @@ def taylor_eval(surrogate, x, order=None):
     order = surrogate.order if order is None else int(order)
     if order < 0 or order > surrogate.order:
         raise ShapeError(f"order must be in 0..{surrogate.order}, got {order}")
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
     if x.shape != (surrogate.input_dim,):
-        raise ShapeError(f"x has {x.size} entries, expected {surrogate.input_dim}")
+        raise ShapeError(f"x has shape {x.shape}, expected ({surrogate.input_dim},)")
     out = surrogate.base.copy()
     for j in range(1, order + 1):
         out = out + tt_apply(surrogate.trains[j], j + 1, [x] * j) / math.factorial(j)
@@ -107,23 +107,20 @@ def build_taylor_surrogate(
     return TaylorSurrogate(base=f0, trains=trains), reports
 
 
-def taylor_error_stats(surrogate, truth, n_samples, seed=0, orders=None):
-    """Normalized surrogate errors over Gaussian samples.
+def taylor_error_stats(surrogate, truth, n_samples, seed=0):
+    """Normalized surrogate errors over Gaussian samples, at every order 0..k.
 
     ``truth`` maps a raw-space sample to the exact output vector.  Errors at
-    every requested order are scaled by the sampled mean of
-    ``||truth(x) - f(0)||``; the order-0 row therefore has mean one.  Returns
-    a dict with orders, per-order means and standard deviations, and the
-    per-sample normalized errors (orders by samples).  Refuses an order
-    outside 0..``surrogate.order`` before sampling ``truth``, and a ``truth``
-    whose output shape differs from ``surrogate.base``.
+    each order are scaled by the sampled mean of ``||truth(x) - f(0)||``;
+    the order-0 row therefore has mean one.  Returns a dict with the orders,
+    per-order means and standard deviations, and the per-sample normalized
+    errors (orders by samples).  Refuses ``n_samples`` below 1 before
+    sampling ``truth``, and a ``truth`` whose output shape differs from
+    ``surrogate.base``.
     """
     if n_samples < 1:
         raise ShapeError(f"need at least one sample, got {n_samples}")
-    orders = list(range(surrogate.order + 1)) if orders is None else list(orders)
-    bad = [order for order in orders if not 0 <= order <= surrogate.order]
-    if bad:
-        raise ShapeError(f"orders must be in 0..{surrogate.order}, got {bad}")
+    orders = list(range(surrogate.order + 1))
     dim = surrogate.input_dim
     xs, fs = [], []
     for i in range(n_samples):

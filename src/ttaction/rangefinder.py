@@ -126,13 +126,12 @@ def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
 def posterior_error(basis, samples):
     """Worst-sample residual outside the span of ``basis``, relative.
 
-    Returns ``max_i ||y_i - U U^T y_i||`` over the sample columns divided by
-    ``max_i ||y_i||``.  Reuses the samples already paid for; no new
-    evaluations.
+    ``basis`` is an array U with orthonormal columns.  Returns ``max_i ||y_i
+    - U U^T y_i||`` over the sample columns divided by ``max_i ||y_i||``.
+    Reuses the samples already paid for; no new evaluations.
     """
-    u = basis.basis if isinstance(basis, RangeBasis) else np.asarray(basis)
     samples = np.asarray(samples, dtype=float)
-    resid = samples - u @ (u.T @ samples)
+    resid = samples - basis @ (basis.T @ samples)
     worst = float(np.linalg.norm(resid, axis=0).max())
     scale = float(np.linalg.norm(samples, axis=0).max())
     if scale == 0.0:

@@ -149,7 +149,7 @@ def test_criterion_4_derivative_engine(acceptance_log):
     def phi(t):
         m = t * p
         u, _ = solve_state(model, m)
-        return model.qoi(m, u)
+        return model.qoi(u)
 
     fd_errors = []
     for order, h, tol in ((1, 1e-4, 1e-5), (2, 1e-3, 1e-4), (3, 1e-2, 1e-2)):

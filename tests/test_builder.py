@@ -170,7 +170,7 @@ def test_interpolation_matrices_match_dense_contraction():
     cores = random_tt(rng, (3, 4, 1, 5, 4), (2, 3, 3, 2)).cores
     for level in range(2, 5):
         tau = min(2, cores[level - 2].shape[2])
-        fixed, a_mats = interpolation_set(cores, level, tau)
+        fixed, a_mats = interpolation_set(cores[:level], tau)
         # cores 1..level as one dense array, right bond left open
         partial = cores[0][0]
         for c in cores[1:level]:
@@ -188,9 +188,9 @@ def test_interpolation_set_needs_enough_rank():
     rng = np.random.default_rng(27)
     cores = [rng.standard_normal((1, 4, 2)), rng.standard_normal((2, 4, 3))]
     with pytest.raises(BacktrackingRequiredError):
-        interpolation_set(cores, 2, tau=3)
+        interpolation_set(cores, tau=3)
     with pytest.raises(ShapeError):
-        interpolation_set(cores, 1, tau=1)
+        interpolation_set(cores[:1], tau=1)
 
 
 def _backtracking_oracle():

@@ -16,6 +16,8 @@ from ttaction.hovd import (
     make_derivative_oracle,
 )
 
+from dense_reference import tt_to_dense
+
 
 def test_fixed_rank_mode_order_two():
     model = ReactionDiffusionModel(5)
@@ -153,3 +155,26 @@ def test_deterministic_given_seed():
     for a, b in zip(first.cores, second.cores):
         assert np.array_equal(a, b)
     assert info_a["sigma1_rel_error"] == info_b["sigma1_rel_error"]
+
+
+def test_sigma1_estimates_sit_below_the_dense_unfolding_norm():
+    # sigma_1(D) = max ||D(x, x, .)|| over unit x, and x (x) x is a unit
+    # vector, so the spectral norm of the (12|3) unfolding bounds it from
+    # above; every estimate is a power iterate's value, a lower bound
+    model = ReactionDiffusionModel(6)
+    oracle = make_derivative_oracle(model, 2, whitener=WhitenedMap(model))
+    eye = np.eye(model.n_m)
+    dense = np.empty((model.n_m, model.n_m, model.n_q))
+    for i in range(model.n_m):
+        for j in range(i, model.n_m):
+            dense[i, j] = dense[j, i] = oracle.action(3, [eye[i], eye[j]])
+
+    def bound(tensor):
+        return np.linalg.norm(tensor.reshape(model.n_m**2, model.n_q), 2)
+
+    slack = 1.0 + 1e-9  # roundoff between the two ways of acting
+    for r in (2, 4, 6):
+        train, info = compress_derivative(model, 2, rank=r, seed=0)
+        assert info["sigma1"] <= bound(dense) * slack
+        difference = info["sigma1_rel_error"] * info["sigma1"]
+        assert difference <= bound(dense - tt_to_dense(train)) * slack

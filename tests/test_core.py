@@ -2,6 +2,7 @@
 
 import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -237,6 +238,63 @@ def test_train_shape_validation():
         TensorTrain(
             [rng.standard_normal((1, 3, 2)), rng.standard_normal((3, 4, 1))]
         )
+
+
+#: Core chains of consistent shapes that hold no entry.
+EMPTY_CHAINS = {
+    "empty-mode": [np.zeros((1, 0, 1)), np.ones((1, 3, 1))],
+    "zero-rank": [np.zeros((1, 2, 0)), np.zeros((0, 3, 1))],
+}
+
+
+def raw_train_files(cores):
+    """The binary file and JSON descriptor of ``cores``, written by hand.
+
+    Follows the layout ``tt_save`` and ``tt_save_json`` document, so it can
+    write core chains that ``TensorTrain`` refuses.
+    """
+    dims = [c.shape[1] for c in cores]
+    ranks = [1] + [c.shape[2] for c in cores]
+    head = struct.pack("<4sII", b"TTAC", 1, len(cores))
+    head += struct.pack(f"<{len(dims)}Q", *dims) + struct.pack(f"<{len(ranks)}Q", *ranks)
+    payload = [np.ascontiguousarray(c, dtype="<f8").tobytes() for c in cores]
+    doc = {
+        "format": "ttaction-tt",
+        "version": 1,
+        "order": len(cores),
+        "dims": dims,
+        "ranks": ranks,
+        "cores": [base64.b64encode(p).decode("ascii") for p in payload],
+    }
+    return head + b"".join(payload), json.dumps(doc)
+
+
+@pytest.mark.parametrize("cores", EMPTY_CHAINS.values(), ids=list(EMPTY_CHAINS))
+def test_train_without_entries_is_refused(cores):
+    # neither chain holds an entry, so no contraction of it is defined
+    with pytest.raises(ShapeError):
+        TensorTrain(cores)
+
+
+def test_hand_written_files_match_the_savers(tmp_path):
+    tt = random_tt(np.random.default_rng(29), (3, 4, 2), (2, 3))
+    blob, text = raw_train_files(tt.cores)
+    tt_save(tt, tmp_path / "train.bin")
+    tt_save_json(tt, tmp_path / "train.json")
+    assert blob == (tmp_path / "train.bin").read_bytes()
+    assert json.loads(text) == json.loads((tmp_path / "train.json").read_text())
+
+
+@pytest.mark.parametrize("cores", EMPTY_CHAINS.values(), ids=list(EMPTY_CHAINS))
+def test_loaders_refuse_a_train_without_entries(tmp_path, cores):
+    # both files are size-consistent; only the refused core chain is wrong
+    blob, text = raw_train_files(cores)
+    (tmp_path / "train.bin").write_bytes(blob)
+    (tmp_path / "train.json").write_text(text, encoding="ascii")
+    with pytest.raises(FormatError):
+        tt_load(tmp_path / "train.bin")
+    with pytest.raises(FormatError):
+        tt_load_json(tmp_path / "train.json")
 
 
 def test_train_entry_is_product_of_slices():

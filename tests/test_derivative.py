@@ -91,7 +91,7 @@ def test_whitened_evaluate_warm_start_finds_the_cold_root(monkeypatch):
         warm, warm_iters = calls[-1]
         m = whitener.apply(x)
         u, cold_iters = solve_state(model, m)
-        want = model.qoi(m, u)
+        want = model.qoi(u)
         assert warm and warm_iters < cold_iters
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -181,7 +181,7 @@ def test_whitened_samples_keep_the_base_lu(monkeypatch, n):
     monkeypatch.undo()
     for x, got, (u, iters) in zip(xs, outputs, states):
         m = whitener.apply(x)
-        np.testing.assert_array_equal(got, model.qoi(m, u))
+        np.testing.assert_array_equal(got, model.qoi(u))
         assert_solves(model, m, u)
         assert 0 < iters < solve_state(model, m)[1]
 
@@ -209,7 +209,7 @@ def test_kept_lu_that_stalls_is_replaced(monkeypatch, amplitude, n):
     assert kept_solves and 0 < factorizations[0] < iters
     monkeypatch.undo()
     assert_solves(model, m, u)
-    np.testing.assert_array_equal(whitener.evaluate(x), model.qoi(m, u))
+    np.testing.assert_array_equal(whitener.evaluate(x), model.qoi(u))
 
 
 def test_cold_solve_factorizes_fewer_times_than_it_steps(monkeypatch):
@@ -307,7 +307,7 @@ def fd_map_derivative(model, p, order, h):
     def phi(t):
         m = t * p
         u, _ = solve_state(model, m)
-        return model.qoi(m, u)
+        return model.qoi(u)
 
     if order == 1:
         return (phi(h) - phi(-h)) / (2 * h)
@@ -409,9 +409,9 @@ def test_observation_partial_only_seeds_the_adjoint(monkeypatch):
     calls = []
     original = ReactionDiffusionModel.partial_f
 
-    def spy(self, m, u, weight):
+    def spy(self, weight):
         calls.append(weight.tobytes())
-        return original(self, m, u, weight)
+        return original(self, weight)
 
     monkeypatch.setattr(ReactionDiffusionModel, "partial_f", spy)
     engine = DerivativeEngine(model, 3)
@@ -438,7 +438,24 @@ def test_engine_validation():
         engine.output_free([np.ones(model.n_m), short])
     with pytest.raises(ShapeError):
         engine.mode_free([short], np.ones(model.n_q))
+    # q is a flat vector only: an (n_q, 1) column is refused
+    with pytest.raises(ShapeError):
+        engine.mode_free([np.ones(model.n_m)], np.ones((model.n_q, 1)))
     assert engine.forward_solves == engine.adjoint_solves == 0
+
+
+def test_whitener_and_state_solve_refuse_a_grid():
+    model = ReactionDiffusionModel(5)
+    whitener = WhitenedMap(model)
+    grid, flat = np.zeros((model.n, model.n)), np.zeros(model.n_m)
+    with pytest.raises(ShapeError):
+        whitener.apply(grid)
+    with pytest.raises(ShapeError):
+        whitener.evaluate(grid)
+    with pytest.raises(ShapeError):
+        solve_state(model, grid)
+    with pytest.raises(ShapeError):
+        solve_state(model, flat, u0=np.ones((model.n, model.n)))
 
 
 def test_whitener_is_symmetric_and_smooths():
@@ -451,7 +468,7 @@ def test_whitener_is_symmetric_and_smooths():
     x = np.random.default_rng(8).standard_normal(model.n_m)
     m = whitener.apply(x)
     u, _ = solve_state(model, m)
-    np.testing.assert_allclose(whitener.evaluate(x), model.qoi(m, u), atol=1e-12)
+    np.testing.assert_allclose(whitener.evaluate(x), model.qoi(u), atol=1e-12)
     np.testing.assert_allclose(whitener.base_value(), whitener.evaluate(np.zeros(model.n_m)), atol=1e-12)
 
 

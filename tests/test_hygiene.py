@@ -1,8 +1,9 @@
-"""Source hygiene: every import in the library is used, no contraction pays
-for an einsum path search on each call, LU work on the state Jacobian has
-one home, ``hovd/oracle.py``, and the SVD sweep one, ``core._truncated_svd``,
-no closure keeps state between calls, the library neither calls nor defines
-the dense test references, and every exported name resolves.
+"""Source hygiene: every import in the library is used, every parameter is
+read, no contraction pays for an einsum path search on each call, LU work on
+the state Jacobian has one home, ``hovd/oracle.py``, and the SVD sweep one,
+``core._truncated_svd``, no closure keeps state between calls, the library
+neither calls nor defines the dense test references, and every exported name
+resolves.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -47,6 +48,70 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source):
+    """(line, function, parameter) for each parameter its body never reads.
+
+    Covers functions, methods and lambdas; a read inside a nested function
+    counts.  Two kinds are exempt: ``self``, which a method a subclass
+    overrides (such as a no-op ``clear_cache``) takes whether or not its
+    body reads it, and the CLI's ``cmd_*`` handlers, which share argparse's
+    dispatch signature ``handler(args)``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("cmd_"):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [
+            (node.lineno, name, p.arg)
+            for p in params
+            if p is not None and p.arg != "self" and p.arg not in read
+        ]
+    return found
+
+
+def test_scan_flags_an_unread_parameter():
+    source = (PACKAGE / "hovd" / "model.py").read_text()
+    planted = (
+        "def qoi(self, m, u):\n    return u\n"
+        "def partial_f(self, m, u, weight):\n    w = weight\n    return w\n"
+        "def f(a, *rest, key=None, **extra):\n    a = 1\n    return lambda b, c: b\n"
+    )
+    line = source.count("\n") + 1
+    assert unread_parameters(source + planted) == [
+        (line, "qoi", "m"),
+        (line + 2, "partial_f", "m"),
+        (line + 2, "partial_f", "u"),
+        (line + 5, "f", "a"),  # rebound, never read
+        (line + 5, "f", "rest"),
+        (line + 5, "f", "key"),
+        (line + 5, "f", "extra"),
+        (line + 7, "<lambda>", "c"),
+    ]
+    # read in a closure, self, and a command handler pass
+    assert unread_parameters(
+        "def g(x):\n    def h():\n        return x\n    return h\n"
+        "class C:\n    def clear_cache(self):\n        pass\n"
+        "def cmd_info(args):\n    return 0\n"
+    ) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def optimized_einsums(source):

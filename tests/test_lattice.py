@@ -30,7 +30,7 @@ def test_canonical_directions_groups_bitwise_equal():
 
 
 def test_sub_multisets_counts_and_order():
-    assert sub_multisets((3,)) == [(1,), (2,), (3,)]
+    assert sub_multisets((3,)) == ((1,), (2,), (3,))
     assert len(sub_multisets((1, 1, 1))) == 2**3 - 1
     assert len(sub_multisets((1, 2))) == 2 * 3 - 1
     subs = sub_multisets((2, 1))

@@ -177,7 +177,7 @@ def test_free_m_is_dual_to_m_direction(n, n_dirs):
 def test_observation_is_weighted_boundary_trace():
     model = ReactionDiffusionModel(5)
     u = np.arange(model.n_u, dtype=float)
-    q = model.qoi(np.zeros(model.n_m), u)
+    q = model.qoi(u)
     assert q.shape == (model.n_q,)
     np.testing.assert_allclose(q, model.h * u[model.boundary], atol=1e-15)
     # walk starts along the first row
@@ -187,15 +187,14 @@ def test_observation_is_weighted_boundary_trace():
 
 def test_observation_partials():
     # the observation is linear in u and free of m: partial_f is its transpose
-    model, rng, m, u = make(5, seed=7)
+    model, rng, _, u = make(5, seed=7)
     w = rng.standard_normal(model.n_u)
     z = rng.standard_normal(model.n_q)
-    lhs = model.partial_f(m, u, z) @ w
-    rhs = model.qoi(m, w) @ z
+    lhs = model.partial_f(z) @ w
+    rhs = model.qoi(w) @ z
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
-    v = rng.standard_normal(model.n_m)
     np.testing.assert_allclose(
-        model.qoi(m + v, u + w), model.qoi(m, u) + model.qoi(m, w), atol=1e-14
+        model.qoi(u + w), model.qoi(u) + model.qoi(w), atol=1e-14
     )
 
 
@@ -324,7 +323,28 @@ def test_validation():
     # broadcast ValueError
     for bad in (np.zeros(model.n_u + 1), np.zeros(model.n_u - 1)):
         with pytest.raises(ShapeError):
-            model.qoi(m, bad)
+            model.qoi(bad)
     for bad in (np.zeros(5), np.zeros(model.n_q + 1)):
         with pytest.raises(ShapeError):
-            model.partial_f(m, u, bad)
+            model.partial_f(bad)
+
+
+def test_grid_shaped_vectors_are_refused():
+    # every vector is flat, of n^2 entries; the (n, n) grid of the same
+    # entries is refused wherever a vector enters
+    model, _, m, u = make(5, seed=12)
+    grid = u.reshape(model.n, model.n)
+    with pytest.raises(ShapeError):
+        model.residual(m.reshape(model.n, model.n), u)
+    with pytest.raises(ShapeError):
+        model.residual(m, grid)
+    with pytest.raises(ShapeError):
+        model.partial_g(m, grid)
+    with pytest.raises(ShapeError):
+        model.partial_g(m, u, [m.reshape(model.n, model.n)])
+    with pytest.raises(ShapeError):
+        model.partial_g(m, u, [], [grid])
+    with pytest.raises(ShapeError):
+        model.partial_g(m, u, weight=grid, free="u")
+    with pytest.raises(ShapeError):
+        model.qoi(grid)

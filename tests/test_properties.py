@@ -1,5 +1,5 @@
-"""Property tests: rounding invariants, loaders refusing truncated files, and
-the action-count law of fixed-rank builds.
+"""Property tests: rounding invariants, loaders refusing truncated files and
+corrupt headers, and the action-count law of fixed-rank builds.
 
 Examples are derandomized, so every run checks the same small trains.
 """
@@ -21,7 +21,12 @@ from ttaction import (
     tt_save_json,
 )
 from ttaction.core import unfolding_caps
-from ttaction.errors import BacktrackingRequiredError, BuildStageError, FormatError
+from ttaction.errors import (
+    BacktrackingRequiredError,
+    BuildStageError,
+    FormatError,
+    VersionError,
+)
 
 from dense_reference import left_orthogonality_defect, tt_svd, tt_to_dense
 
@@ -99,6 +104,27 @@ def test_every_strict_prefix_of_a_saved_file_is_refused(tt, tmp_path_factory):
             cut.write_bytes(blob[:end])
             with pytest.raises(FormatError):
                 load(cut)
+
+
+@hypothesis.settings(SETTINGS, max_examples=10)
+@hypothesis.given(data=st.data(), tt=trains(max_order=3, max_size=4, max_rank=3))
+def test_a_changed_header_byte_is_refused_or_loads_a_whole_train(data, tt, tmp_path_factory):
+    # every header byte (magic, version, order, mode sizes, ranks), each
+    # changed alone by a drawn nonzero mask
+    path = tmp_path_factory.mktemp("header") / "train.bin"
+    tt_save(tt, path)
+    blob = path.read_bytes()
+    header = 12 + 8 * (2 * tt.order + 1)
+    masks = data.draw(st.lists(st.integers(1, 255), min_size=header, max_size=header))
+    for at, mask in enumerate(masks):
+        changed = bytearray(blob)
+        changed[at] ^= mask
+        path.write_bytes(bytes(changed))
+        try:
+            back = tt_load(path)
+        except (FormatError, VersionError):
+            continue
+        assert min(back.dims) >= 1 and min(back.ranks) >= 1, at
 
 
 @st.composite

@@ -99,7 +99,7 @@ def test_posterior_error_reuses_samples():
     problem, _, calls = low_rank_matrix_problem(25, 20, rank=4, seed=6)
     result = randomized_range(problem, rank=4)
     n_calls = len(calls)
-    err = posterior_error(result, result.samples)
+    err = posterior_error(result.basis, result.samples)
     assert err < 1e-10
     assert err == result.error
     assert len(calls) == n_calls  # no new evaluations
@@ -114,7 +114,7 @@ def test_adaptive_growth_stops_at_true_rank():
     assert result.rank == 5
     assert result.converged
     # the error that stopped the growth is the one the basis carries
-    assert result.error == posterior_error(result, result.samples) < 1e-10
+    assert result.error == posterior_error(result.basis, result.samples) < 1e-10
     # rank r plus oversampling evaluations, samples reused on the way up
     assert len(calls) == result.rank + 3
     resid = mat - result.basis @ (result.basis.T @ mat)

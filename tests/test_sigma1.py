@@ -55,7 +55,6 @@ def test_result_diagnostics():
     res = sigma1_estimate(oracle_from_dense(tensor), n_starts=3, seed=0, return_info=True)
     assert res.converged
     assert len(res.start_values) == 3
-    assert float(res) == res.value
     assert res.value == pytest.approx(np.sqrt(max(res.start_values)))
 
 
