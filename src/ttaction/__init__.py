@@ -15,11 +15,9 @@ from .core import (
     oracle_from_tt,
     tt_apply,
     tt_load,
-    tt_load_json,
     tt_relative_error,
     tt_round,
     tt_save,
-    tt_save_json,
 )
 from .builder import (
     BuildConfig,
@@ -59,10 +57,8 @@ __all__ = [
     "tt_apply",
     "tt_from_actions",
     "tt_load",
-    "tt_load_json",
     "tt_relative_error",
     "tt_round",
     "tt_save",
-    "tt_save_json",
     "__version__",
 ]

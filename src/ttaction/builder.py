@@ -143,6 +143,19 @@ def predicted_action_count(
     return total
 
 
+def check_schedule(dims, ranks, oversampling, tau_extra):
+    """:func:`predicted_action_count`, with a refusal raised as ShapeError.
+
+    The law reads only its arguments, so a caller that checks a fixed-rank
+    schedule before any work reports the law's refusal as a bad
+    configuration, not as a failure of a computation.
+    """
+    try:
+        return predicted_action_count(dims, ranks, oversampling, tau_extra)
+    except BacktrackingRequiredError as exc:
+        raise ShapeError(f"ranks refused by the action-count law: {exc}") from exc
+
+
 def build_ranks(dims, ranks):
     """The internal ranks a fixed-rank build realizes.
 

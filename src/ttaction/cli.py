@@ -12,7 +12,8 @@ Every file-writing command drops a ``<command>_manifest.json`` next to its
 outputs recording the configuration, library versions, and timestamps.  Data
 files are deterministic for a fixed seed; ``--no-timing`` zeroes the seconds
 columns so reruns compare byte for byte (manifests keep real timestamps).
-Exit codes: 0 success, 2 bad configuration, 3 numerical failure.
+Exit codes: 0 success, 2 bad configuration (including ranks that the
+action-count law refuses, found before any action), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .builder import BuildConfig, predicted_action_count, tt_from_actions
+from .builder import BuildConfig, check_schedule, tt_from_actions
 from .core import (
     TensorTrain,
     _check_dims,
@@ -116,11 +117,15 @@ def cmd_hilbert(args):
         raise ShapeError(f"--dims must be at least 2 modes of size >= 2: {args.dims}")
     dims = args.dims
     caps = unfolding_caps(dims)
+    schedules = [[min(rank, c) for c in caps] for rank in range(2, args.max_rank + 1)]
+    # the count law reads only the arguments, so a rank it refuses is
+    # refused before the first build
+    for ranks in schedules:
+        check_schedule(dims, ranks, args.p, args.tau_extra)
     exact = hilbert_train(dims)
     oracle = hilbert_oracle(dims)
     rows = []
-    for rank in range(2, args.max_rank + 1):
-        ranks = [min(rank, c) for c in caps]
+    for rank, ranks in enumerate(schedules, start=2):
         t0 = time.perf_counter()
         train, report = tt_from_actions(
             oracle,
@@ -150,6 +155,7 @@ def cmd_synthetic(args):
             rank_list(ranks, d)
         except ShapeError as exc:
             raise ShapeError(f"{flag}: {exc}") from exc
+    predicted = check_schedule(args.shape, build_ranks, args.p, args.tau_extra)
     out_dir = Path(args.out_dir)
     t0 = time.perf_counter()
 
@@ -174,9 +180,6 @@ def cmd_synthetic(args):
         ),
     )
     error = tt_relative_error(true_tt, train)
-    predicted = predicted_action_count(
-        args.shape, build_ranks, oversampling=args.p, tau_extra=args.tau_extra
-    )
     payload = {
         "shape": list(args.shape),
         "true_ranks": list(args.true_ranks),

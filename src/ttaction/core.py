@@ -12,10 +12,9 @@ A dense array enters only through its action; no train is ever densified.
 
 from __future__ import annotations
 
-import base64
-import json
 import struct
 import warnings
+import zlib
 from functools import reduce
 
 import numpy as np
@@ -36,8 +35,7 @@ _BOUNDARY = np.ones((1, 1, 1))
 _BOUNDARY.flags.writeable = False
 
 _MAGIC = b"TTAC"
-_FORMAT_VERSION = 1
-_JSON_FORMAT = "ttaction-tt"
+_FORMAT_VERSION = 2
 
 
 def _check_dims(dims):
@@ -441,41 +439,33 @@ def tt_round(tt, ranks=None):
 # serialization
 
 
-def _tt_header_bytes(tt):
-    dims = tt.dims
-    ranks = (1,) + tt.ranks + (1,)
-    head = struct.pack("<4sII", _MAGIC, _FORMAT_VERSION, tt.order)
-    head += struct.pack(f"<{len(dims)}Q", *dims)
-    head += struct.pack(f"<{len(ranks)}Q", *ranks)
-    return head
-
-
 def tt_save(tt, path):
     """Write a train to ``path`` in the binary format.
 
     Layout: magic ``TTAC``, uint32 version, uint32 order, uint64 mode sizes,
     uint64 ranks (including the boundary 1s), then each core as row-major
-    little-endian float64.  The format is platform independent.
+    float64, then a uint32 CRC-32 of every byte before it.  Every field is
+    little-endian, so the format is platform independent.
     """
+    ranks = (1,) + tt.ranks + (1,)
+    blob = struct.pack(
+        f"<4sII{tt.order}Q{len(ranks)}Q", _MAGIC, _FORMAT_VERSION, tt.order, *tt.dims, *ranks
+    )
+    blob += b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes() for c in tt.cores)
     with open(path, "wb") as fh:
-        fh.write(_tt_header_bytes(tt))
-        for c in tt.cores:
-            fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
+        fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
 def tt_load(path):
     """Read a train written by :func:`tt_save`.
 
     Raises :class:`~ttaction.errors.FormatError` with the byte offset on
-    malformed input and :class:`~ttaction.errors.VersionError` on a format
-    version this build does not understand.
+    malformed input, a checksum mismatch included, and
+    :class:`~ttaction.errors.VersionError` on a format version this build
+    does not read.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    return _tt_from_bytes(blob)
-
-
-def _tt_from_bytes(blob):
     if len(blob) < 12:
         raise FormatError("truncated header", offset=len(blob))
     magic, version, order = struct.unpack_from("<4sII", blob, 0)
@@ -507,61 +497,13 @@ def _tt_from_bytes(blob):
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         cores.append(data.astype(float).reshape(ranks[k], dims[k], ranks[k + 1]))
         off += need
-    if off != len(blob):
-        raise FormatError("trailing bytes after last core", offset=off)
+    if len(blob) < off + 4:
+        raise FormatError("truncated checksum", offset=len(blob))
+    if len(blob) > off + 4:
+        raise FormatError("trailing bytes after the checksum", offset=off + 4)
+    if struct.unpack_from("<I", blob, off)[0] != zlib.crc32(memoryview(blob)[:off]):
+        raise FormatError("checksum mismatch", offset=off)
     try:
         return TensorTrain(cores)
     except ShapeError as exc:
         raise FormatError(f"not a valid train: {exc}", offset=12) from exc
-
-
-def tt_save_json(tt, path):
-    """Write a train as a JSON descriptor with base64 core payloads.
-
-    Same fields as the binary format; meant for debugging and diffing.
-    """
-    doc = {
-        "format": _JSON_FORMAT,
-        "version": _FORMAT_VERSION,
-        "order": tt.order,
-        "dims": list(tt.dims),
-        "ranks": [1, *tt.ranks, 1],
-        "cores": [
-            base64.b64encode(
-                np.ascontiguousarray(c, dtype="<f8").tobytes()
-            ).decode("ascii")
-            for c in tt.cores
-        ],
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def tt_load_json(path):
-    """Read a train written by :func:`tt_save_json`, checked as :func:`tt_load` is."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}", offset=exc.pos) from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"non-ASCII byte: {exc.reason}", offset=exc.start) from exc
-    if not isinstance(doc, dict) or doc.get("format") != _JSON_FORMAT:
-        raise FormatError(f"not a {_JSON_FORMAT!r} descriptor")
-    if doc.get("version") != _FORMAT_VERSION:
-        raise VersionError(f"unsupported format version {doc.get('version')}")
-    try:
-        order, dims, ranks = doc["order"], doc["dims"], doc["ranks"]
-        head = struct.pack("<4sII", _MAGIC, _FORMAT_VERSION, order)
-        head += struct.pack(f"<{order}Q", *dims) + struct.pack(f"<{order + 1}Q", *ranks)
-        payload = [base64.b64decode(p, validate=True) for p in doc["cores"]]
-    except KeyError as exc:
-        raise FormatError(f"missing field {exc}") from exc
-    except (TypeError, ValueError, struct.error) as exc:
-        raise FormatError(f"malformed descriptor: {exc}") from exc
-    sizes = [len(raw) for raw in payload]
-    need = [ranks[k] * dims[k] * ranks[k + 1] * 8 for k in range(order)]
-    if sizes != need:
-        raise FormatError(f"core payloads have {sizes} bytes, expected {need}")
-    return _tt_from_bytes(head + b"".join(payload))

@@ -26,10 +26,8 @@ class FormatError(ValueError):
     The byte offset at which parsing failed is stored in ``offset``.
     """
 
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
+    def __init__(self, message, offset):
+        super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
 
 

@@ -16,11 +16,17 @@ import time
 
 import numpy as np
 
-from ..builder import DEFAULT_TAU_EXTRA, BuildConfig, check_slack, tt_from_actions
+from ..builder import (
+    DEFAULT_TAU_EXTRA,
+    BuildConfig,
+    check_schedule,
+    check_slack,
+    tt_from_actions,
+)
 from ..core import oracle_from_tt, subseed, tt_round, unfolding_caps
 from ..errors import CapacityError, ShapeError
 from ..rangefinder import DEFAULT_OVERSAMPLING
-from .oracle import WhitenedMap, make_derivative_oracle
+from .oracle import WhitenedMap, derivative_dims, make_derivative_oracle
 from .sigma1 import oracle_difference, sigma1_estimate
 from .taylor import jacobian_train
 
@@ -52,7 +58,8 @@ def compress_derivative(
     rank until the relative spectral error drops below it) must be given;
     a rank below 1, an eps that is not finite and > 0, a ``max_rank`` below
     2, or a negative ``oversampling`` or ``tau_extra`` raises
-    :class:`~ttaction.errors.ShapeError` before any solve.
+    :class:`~ttaction.errors.ShapeError` before any solve, and so do ranks
+    of the first build that the action-count law refuses.
     Order 1 is read by :func:`~ttaction.hovd.taylor.jacobian_train` instead
     of the train builder.
     Returns (train, info) where info records the rank, the spectral error,
@@ -73,13 +80,19 @@ def compress_derivative(
     if max_rank is not None and max_rank < 2:
         raise ShapeError(f"max_rank must be >= 2, got {max_rank}")
     check_slack(oversampling, tau_extra)
+    dims = derivative_dims(model, order)
+    caps = unfolding_caps(dims)
+    ceiling = min(max(caps), 48) if max_rank is None else max_rank
+    first = rank if rank is not None else min(8, ceiling)
+    if order > 1:
+        # the count law reads only the arguments, so a first build it
+        # refuses is refused before the base point is solved
+        check_schedule(dims, [min(first, c) for c in caps], oversampling, tau_extra)
     t0 = time.perf_counter()
     whitener = whitener or WhitenedMap(model)
     oracle = make_derivative_oracle(model, order, whitener=whitener)
     engine = oracle.engine
     sigma_full, sigma_info = _sigma1(oracle, subseed(seed, 2))
-
-    caps = unfolding_caps(oracle.dims)
 
     def build(r):
         oracle.clear_cache()
@@ -112,9 +125,8 @@ def compress_derivative(
         achieved = trial(train, rank, rank)
         found = rank
     else:
-        ceiling = min(max(caps), 48) if max_rank is None else max_rank
         found = None
-        build_rank = min(8, ceiling)
+        build_rank = first
         while found is None:
             big = build(build_rank)
             for r in range(2, build_rank + 1):

@@ -400,6 +400,11 @@ class DerivativeOracle(ActionOracle):
         self.engine.clear_cache()
 
 
+def derivative_dims(model, order):
+    """Mode sizes of the order-k derivative tensor: k slots of n_m, then n_q."""
+    return (model.n_m,) * order + (model.n_q,)
+
+
 def make_derivative_oracle(model, order, whitener=None):
     """Wrap an order-k derivative tensor as an :class:`~ttaction.core.ActionOracle`.
 
@@ -416,7 +421,7 @@ def make_derivative_oracle(model, order, whitener=None):
     engine's cache, the only one the oracle holds.
     """
     engine = DerivativeEngine(model, order, whitener)
-    dims = (model.n_m,) * order + (model.n_q,)
+    dims = derivative_dims(model, order)
 
     def apply_fn(free_mode, blocks):
         # DerivativeOracle.action hands over one column at a time

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..builder import BuildConfig, tt_from_actions
+from ..builder import DEFAULT_TAU_EXTRA, BuildConfig, check_schedule, tt_from_actions
 from ..core import TensorTrain, subseed, tt_apply
 from ..errors import ShapeError, ZeroNormError
 from ..rangefinder import DEFAULT_OVERSAMPLING, RangeProblem, randomized_range
-from .oracle import WhitenedMap, make_derivative_oracle
+from .oracle import WhitenedMap, derivative_dims, make_derivative_oracle
 
 
 def jacobian_train(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
@@ -88,9 +88,13 @@ def build_taylor_surrogate(
     Order 1 is read by :func:`jacobian_train`; each order j >= 2 compresses
     the whitened derivative tensor with the action-based train builder, all
     at rank ``rank``.  Returns the surrogate and the per-order reports.
+    An order below 1, or a rank the action-count law refuses at any order,
+    raises :class:`~ttaction.errors.ShapeError` before any solve.
     """
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")
+    for j in range(2, order + 1):
+        check_schedule(derivative_dims(model, j), rank, oversampling, DEFAULT_TAU_EXTRA)
     whitener = whitener or WhitenedMap(model)
     f0 = whitener.base_value()
     jac = make_derivative_oracle(model, 1, whitener=whitener)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ttaction import tt_load
+from ttaction import ActionOracle, tt_load
 from ttaction.cli import main
 from ttaction import errors
 from ttaction.errors import NonFiniteActionError
@@ -167,6 +167,31 @@ def test_hilbert_ranks_above_the_unfolding_caps(tmp_path):
 
 def test_hilbert_rejects_bad_rank(tmp_path):
     assert main(["hilbert", "--max-rank", "1", "--out-dir", str(tmp_path)]) == 2
+
+
+def no_action(*args, **kwargs):
+    raise AssertionError("ranks the count law refuses reached an action")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # rank 2 would build; at rank 3 stage 3 needs 3 sets from a rank-2 core
+        ["hilbert", "--dims", "2,2,2,2,2", "--max-rank", "3"],
+        ["synthetic", "--shape", "2,2,2,2", "--true-ranks", "2,2,2", "--tau-extra", "2"],
+        ["derivative", "--n", "4", "--k", "2", "--rank", "3", "--tau-extra", "5"],
+        # the Jacobian would build; order 2 needs 2 sets from a rank-1 core
+        ["taylor", "--n", "4", "--max-order", "2", "--rank", "1", "--samples", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_ranks_the_count_law_refuses_exit_two_before_any_action(
+    tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.setattr(ActionOracle, "action", no_action)
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "action-count law" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_derivative_fixed_rank(tmp_path):

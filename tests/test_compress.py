@@ -131,6 +131,20 @@ def test_validation(monkeypatch):
             compress_derivative(model, order=2, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "target", [{"rank": 3, "tau_extra": 5}, {"eps": 1e-2, "tau_extra": 8}], ids=["rank", "eps"]
+)
+def test_a_first_build_the_count_law_refuses_is_refused_before_any_solve(
+    monkeypatch, target
+):
+    # stage 3 would need ceil(r / n_m) + tau_extra sets from a core of rank
+    # 3 (the rank) or 8 (the eps search's first build)
+    monkeypatch.setattr(compress, "WhitenedMap", None)
+    monkeypatch.setattr(compress, "make_derivative_oracle", None)
+    with pytest.raises(ShapeError, match="action-count law"):
+        compress_derivative(ReactionDiffusionModel(6), 2, **target)
+
+
 def test_derivative_eps_seed0_counts():
     # the benchmark's derivative-eps workload pins these counts at seed 0
     _, info = compress_derivative(ReactionDiffusionModel(8), 2, eps=1e-2, seed=0)

@@ -1,8 +1,7 @@
 """Dense actions, train algebra, compression, and serialization."""
 
-import base64
-import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -17,11 +16,9 @@ from ttaction import (
     oracle_from_tt,
     tt_apply,
     tt_load,
-    tt_load_json,
     tt_relative_error,
     tt_round,
     tt_save,
-    tt_save_json,
 )
 from ttaction.core import _truncated_svd, prefix_contract
 from ttaction.errors import (
@@ -247,26 +244,18 @@ EMPTY_CHAINS = {
 }
 
 
-def raw_train_files(cores):
-    """The binary file and JSON descriptor of ``cores``, written by hand.
+def raw_train_file(cores):
+    """The binary file of ``cores``, written by hand.
 
-    Follows the layout ``tt_save`` and ``tt_save_json`` document, so it can
-    write core chains that ``TensorTrain`` refuses.
+    Follows the version-2 layout ``tt_save`` documents, so it can write core
+    chains that ``TensorTrain`` refuses.
     """
     dims = [c.shape[1] for c in cores]
     ranks = [1] + [c.shape[2] for c in cores]
-    head = struct.pack("<4sII", b"TTAC", 1, len(cores))
-    head += struct.pack(f"<{len(dims)}Q", *dims) + struct.pack(f"<{len(ranks)}Q", *ranks)
-    payload = [np.ascontiguousarray(c, dtype="<f8").tobytes() for c in cores]
-    doc = {
-        "format": "ttaction-tt",
-        "version": 1,
-        "order": len(cores),
-        "dims": dims,
-        "ranks": ranks,
-        "cores": [base64.b64encode(p).decode("ascii") for p in payload],
-    }
-    return head + b"".join(payload), json.dumps(doc)
+    blob = struct.pack("<4sII", b"TTAC", 2, len(cores))
+    blob += struct.pack(f"<{len(dims)}Q", *dims) + struct.pack(f"<{len(ranks)}Q", *ranks)
+    blob += b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes() for c in cores)
+    return blob + struct.pack("<I", zlib.crc32(blob))
 
 
 @pytest.mark.parametrize("cores", EMPTY_CHAINS.values(), ids=list(EMPTY_CHAINS))
@@ -278,23 +267,17 @@ def test_train_without_entries_is_refused(cores):
 
 def test_hand_written_files_match_the_savers(tmp_path):
     tt = random_tt(np.random.default_rng(29), (3, 4, 2), (2, 3))
-    blob, text = raw_train_files(tt.cores)
     tt_save(tt, tmp_path / "train.bin")
-    tt_save_json(tt, tmp_path / "train.json")
-    assert blob == (tmp_path / "train.bin").read_bytes()
-    assert json.loads(text) == json.loads((tmp_path / "train.json").read_text())
+    assert raw_train_file(tt.cores) == (tmp_path / "train.bin").read_bytes()
 
 
 @pytest.mark.parametrize("cores", EMPTY_CHAINS.values(), ids=list(EMPTY_CHAINS))
 def test_loaders_refuse_a_train_without_entries(tmp_path, cores):
-    # both files are size-consistent; only the refused core chain is wrong
-    blob, text = raw_train_files(cores)
-    (tmp_path / "train.bin").write_bytes(blob)
-    (tmp_path / "train.json").write_text(text, encoding="ascii")
+    # the file is size-consistent and its checksum holds; only the refused
+    # core chain is wrong
+    (tmp_path / "train.bin").write_bytes(raw_train_file(cores))
     with pytest.raises(FormatError):
         tt_load(tmp_path / "train.bin")
-    with pytest.raises(FormatError):
-        tt_load_json(tmp_path / "train.json")
 
 
 def test_train_entry_is_product_of_slices():
@@ -501,16 +484,6 @@ def test_binary_roundtrip_bitexact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(18)
-    tt = random_tt(rng, (3, 4, 5), (2, 2))
-    path = tmp_path / "train.json"
-    tt_save_json(tt, path)
-    back = tt_load_json(path)
-    for a, b in zip(tt.cores, back.cores):
-        assert np.array_equal(a, b)
-
-
 def test_load_rejects_bad_magic_and_version(tmp_path):
     rng = np.random.default_rng(19)
     tt = random_tt(rng, (3, 3), (2,))
@@ -544,60 +517,33 @@ def test_load_rejects_truncated_payload(tmp_path):
         tt_load(clipped)
 
 
-def _edit(change):
-    """Corruption that edits the parsed descriptor and writes it back."""
-
-    def corrupt(text):
-        doc = json.loads(text)
-        change(doc)
-        return json.dumps(doc)
-
-    return corrupt
-
-
-def _set(field, value):
-    return _edit(lambda doc: doc.update({field: value}))
+def test_a_version_1_file_is_refused(tmp_path):
+    # version 1 had the same layout without the checksum trailer
+    tt = random_tt(np.random.default_rng(24), (3, 3), (2,))
+    blob = bytearray(raw_train_file(tt.cores)[:-4])
+    blob[4:8] = struct.pack("<I", 1)
+    path = tmp_path / "old.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(VersionError) as err:
+        tt_load(path)
+    assert err.value.offset == 4
 
 
-def _short_then_long(doc):
-    # the two payloads still add up to the right total length
-    a, b = (base64.b64decode(c) for c in doc["cores"])
-    doc["cores"] = [base64.b64encode(x).decode() for x in (a[:-8], a[-8:] + b)]
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda text: text.replace('"cores": [\n    "', '"cores": [\n    "!'),
-        lambda text: "[1, 2, 3]\n",
-        lambda text: text.replace('"dims"', '"d\u00e9ms"'),
-        lambda text: text[: len(text) // 2],
-        _set("dims", "33"),
-        _set("dims", [3.0, 3]),
-        _set("dims", [3]),
-        _set("ranks", [1, -2, 1]),
-        _set("ranks", [2, 2, 1]),
-        _set("order", "2"),
-        _set("order", 1),
-        _set("cores", [7, 7]),
-        _set("cores", ["AAAA"]),
-        _edit(_short_then_long),
-    ],
-    ids=[
-        "bad-base64", "json-array", "non-ascii", "truncated-json",
-        "string-dims", "float-dims", "short-dims", "negative-rank",
-        "boundary-rank", "string-order", "order-1", "numeric-cores",
-        "missing-core", "short-then-long-core",
-    ],
-)
-def test_json_load_rejects_corruption(tmp_path, corrupt):
-    tt = random_tt(np.random.default_rng(23), (3, 3), (2,))
-    path = tmp_path / "train.json"
-    tt_save_json(tt, path)
-    bad = corrupt(path.read_text(encoding="ascii"))
-    path.write_bytes(bad.encode("utf-8"))
-    with pytest.raises(FormatError):
-        tt_load_json(path)
+def test_every_flipped_payload_bit_is_refused_at_the_checksum(tmp_path):
+    tt = random_tt(np.random.default_rng(25), (3, 4, 3), (2, 2))
+    path = tmp_path / "train.bin"
+    tt_save(tt, path)
+    blob = path.read_bytes()
+    start = 12 + 8 * (2 * tt.order + 1)
+    trailer = len(blob) - 4
+    assert trailer - start == 8 * sum(c.size for c in tt.cores) == 224
+    for at in range(start, trailer):
+        changed = bytearray(blob)
+        changed[at] ^= 1
+        path.write_bytes(bytes(changed))
+        with pytest.raises(FormatError) as err:
+            tt_load(path)
+        assert err.value.offset == trailer
 
 
 def test_version_exported():
