@@ -9,7 +9,6 @@ actions.
 from .core import (
     ActionOracle,
     TensorTrain,
-    dense_action,
     fix_signs,
     oracle_from_dense,
     oracle_from_tt,
@@ -45,7 +44,6 @@ __all__ = [
     "RangeProblem",
     "TensorTrain",
     "adaptive_range",
-    "dense_action",
     "errors",
     "fix_signs",
     "oracle_from_dense",

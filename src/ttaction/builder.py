@@ -33,12 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import TensorTrain, prefix_contract, rank_list, subseed
-from .errors import (
-    BacktrackingRequiredError,
-    BuildStageError,
-    InterpolationError,
-    ShapeError,
-)
+from .errors import BuildStageError, InterpolationError, ShapeError
 from .rangefinder import (
     DEFAULT_OVERSAMPLING,
     RangeProblem,
@@ -120,10 +115,10 @@ def predicted_action_count(
 
     with tau_k = ceil(r_k / N_k) + tau_extra.  For d = 2 the count is
     (r_1 + p) + r_1.  A scalar rank is broadcast, and the ranks are first
-    cut as :func:`build_ranks` cuts them.  A negative p or ``tau_extra``
-    raises :class:`~ttaction.errors.ShapeError`, and ranks the builder
-    would refuse raise :class:`~ttaction.errors.BacktrackingRequiredError`,
-    as the build does.
+    cut as :func:`build_ranks` cuts them.  The law reads only its
+    arguments, so its refusals are configuration errors: a negative p or
+    ``tau_extra``, and ranks the builder would refuse, raise
+    :class:`~ttaction.errors.ShapeError`.
     """
     check_slack(oversampling, tau_extra)
     ranks = build_ranks(dims, ranks)
@@ -143,19 +138,6 @@ def predicted_action_count(
     return total
 
 
-def check_schedule(dims, ranks, oversampling, tau_extra):
-    """:func:`predicted_action_count`, with a refusal raised as ShapeError.
-
-    The law reads only its arguments, so a caller that checks a fixed-rank
-    schedule before any work reports the law's refusal as a bad
-    configuration, not as a failure of a computation.
-    """
-    try:
-        return predicted_action_count(dims, ranks, oversampling, tau_extra)
-    except BacktrackingRequiredError as exc:
-        raise ShapeError(f"ranks refused by the action-count law: {exc}") from exc
-
-
 def build_ranks(dims, ranks):
     """The internal ranks a fixed-rank build realizes.
 
@@ -172,12 +154,16 @@ def build_ranks(dims, ranks):
 
 
 def _check_sets(tau, rank, stage):
-    """Refuse ``tau`` sets at ``stage`` drawn from core stage-2 of smaller rank."""
+    """Refuse ``tau`` sets at ``stage`` drawn from core stage-2 of smaller rank.
+
+    Recovering would mean re-running earlier stages at other ranks, which
+    the builder does not attempt.
+    """
     if tau > rank:
-        raise BacktrackingRequiredError(
-            f"stage {stage} needs {tau} interpolation sets but core {stage - 2} "
-            f"has rank {rank}; earlier ranks would have to grow",
-            stage,
+        raise ShapeError(
+            f"ranks refused by the action-count law: stage {stage} needs {tau} "
+            f"interpolation sets but core {stage - 2} has rank {rank}; "
+            "earlier ranks would have to grow"
         )
 
 
@@ -190,10 +176,10 @@ def _check_span(rank, n_before, n_last, stage):
     N_{stage-2} N_{stage-1}.
     """
     if rank > n_before * n_last:
-        raise BacktrackingRequiredError(
-            f"stage {stage} interpolates rank {rank} but its prefixes reach at "
-            f"most {n_before} x {n_last} = {n_before * n_last}",
-            stage,
+        raise ShapeError(
+            f"ranks refused by the action-count law: stage {stage} interpolates "
+            f"rank {rank} but its prefixes reach at most {n_before} x {n_last} "
+            f"= {n_before * n_last}"
         )
 
 
@@ -282,12 +268,12 @@ def tt_from_actions(oracle, config):
         The tensor, d >= 2 modes.  Its counter is read before and after each
         stage for the report but is never reset.
     config : BuildConfig
-        A negative ``oversampling`` or ``tau_extra`` raises
-        :class:`~ttaction.errors.ShapeError`, and fixed ranks that
-        :func:`predicted_action_count` refuses raise
-        :class:`~ttaction.errors.BuildStageError` wrapping its
-        :class:`~ttaction.errors.BacktrackingRequiredError`, both before any
-        action.  Fixed ranks are cut as :func:`build_ranks` cuts them.
+        A negative ``oversampling`` or ``tau_extra``, and fixed ranks that
+        :func:`predicted_action_count` refuses, raise
+        :class:`~ttaction.errors.ShapeError` before any action.  A failure
+        inside a running stage, a refusal of adaptive ranks included, is
+        raised as :class:`~ttaction.errors.BuildStageError`.  Fixed ranks are
+        cut as :func:`build_ranks` cuts them.
 
     Returns
     -------
@@ -309,10 +295,7 @@ def tt_from_actions(oracle, config):
     ranks = rank_list(config.ranks, d)
     if ranks is not None:
         # ranks the count law refuses are refused before the first action
-        try:
-            predicted_action_count(dims, ranks, config.oversampling, config.tau_extra)
-        except BacktrackingRequiredError as exc:
-            raise BuildStageError(exc.stage, exc) from exc
+        predicted_action_count(dims, ranks, config.oversampling, config.tau_extra)
 
     report = BuildReport(
         dims=dims,

@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .builder import BuildConfig, check_schedule, tt_from_actions
+from .builder import BuildConfig, predicted_action_count, tt_from_actions
 from .core import (
     TensorTrain,
     _check_dims,
@@ -121,7 +121,7 @@ def cmd_hilbert(args):
     # the count law reads only the arguments, so a rank it refuses is
     # refused before the first build
     for ranks in schedules:
-        check_schedule(dims, ranks, args.p, args.tau_extra)
+        predicted_action_count(dims, ranks, args.p, args.tau_extra)
     exact = hilbert_train(dims)
     oracle = hilbert_oracle(dims)
     rows = []
@@ -155,7 +155,7 @@ def cmd_synthetic(args):
             rank_list(ranks, d)
         except ShapeError as exc:
             raise ShapeError(f"{flag}: {exc}") from exc
-    predicted = check_schedule(args.shape, build_ranks, args.p, args.tau_extra)
+    predicted = predicted_action_count(args.shape, build_ranks, args.p, args.tau_extra)
     out_dir = Path(args.out_dir)
     t0 = time.perf_counter()
 

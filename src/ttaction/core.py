@@ -7,7 +7,8 @@ with an (N_k, b) matrix, one action per column, and counts as b actions.
 Mode numbers in the public interface are 1-based; storage is plain 0-based
 numpy.
 
-A dense array enters only through its action; no train is ever densified.
+A dense array enters only through :func:`oracle_from_dense`; no train is
+ever densified.
 """
 
 from __future__ import annotations
@@ -79,41 +80,6 @@ def _check_vectors(dims, free_mode, vectors):
     return blocks, plain
 
 
-def dense_action(tensor, free_mode, vectors):
-    """Action of a dense tensor: contract every mode but ``free_mode``.
-
-    Parameters
-    ----------
-    tensor : ndarray
-        Dense array of order >= 2.
-    free_mode : int
-        1-based index of the mode left free.
-    vectors : sequence of ndarray
-        One vector, or one (N_k, b) block of b vectors, per saturated mode,
-        in increasing mode order.
-
-    Returns
-    -------
-    ndarray
-        The free-mode fiber, shape ``(tensor.shape[free_mode - 1],)``, or one
-        fiber per block column, shape ``(tensor.shape[free_mode - 1], b)``.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    _check_dims(tensor.shape)
-    blocks, plain = _check_vectors(tensor.shape, free_mode, vectors)
-    # row j is the Kronecker product of the saturating vectors of column j,
-    # first saturated mode slowest; one matrix-vector product per row, so a
-    # block column has the bits of a single action
-    width = blocks[0].shape[1]
-    kron = reduce(
-        lambda a, v: (a[:, :, None] * v[:, None, :]).reshape(width, -1),
-        [np.ascontiguousarray(v.T) for v in blocks],
-    )
-    free = np.moveaxis(tensor, free_mode - 1, 0)
-    out = (free.reshape(free.shape[0], -1) @ kron[:, :, None])[:, :, 0].T
-    return out[:, 0] if plain else out
-
-
 class ActionOracle:
     """A tensor exposed only through its action, with a call counter.
 
@@ -182,9 +148,26 @@ class ActionOracle:
 
 
 def oracle_from_dense(tensor):
-    """Wrap a dense array as an :class:`ActionOracle`."""
+    """Wrap a dense array of order >= 2 as an :class:`ActionOracle`.
+
+    An action contracts every mode but the free one against the checked
+    blocks.
+    """
     tensor = np.asarray(tensor, dtype=float)
-    return ActionOracle(tensor.shape, lambda k, vs: dense_action(tensor, k, vs))
+
+    def apply_fn(free_mode, blocks):
+        # row j is the Kronecker product of the saturating vectors of column
+        # j, first saturated mode slowest; one matrix-vector product per
+        # row, so a block column has the bits of a single action
+        width = blocks[0].shape[1]
+        kron = reduce(
+            lambda a, v: (a[:, :, None] * v[:, None, :]).reshape(width, -1),
+            [np.ascontiguousarray(v.T) for v in blocks],
+        )
+        free = np.moveaxis(tensor, free_mode - 1, 0)
+        return (free.reshape(free.shape[0], -1) @ kron[:, :, None])[:, :, 0].T
+
+    return ActionOracle(tensor.shape, apply_fn)
 
 
 def oracle_from_tt(tt):

@@ -50,21 +50,6 @@ class InterpolationError(NumericalError):
         self.residual = residual
 
 
-class BacktrackingRequiredError(NumericalError):
-    """A stage's interpolation cannot reach its rank from the cores before it.
-
-    Either the stage needs more interpolation sets than the previous rank
-    allows, or its rank exceeds what its interpolation prefixes can reach.
-    Recovering would mean re-running earlier stages at other ranks, which
-    the builder does not attempt; raise to the caller instead.  ``stage`` is
-    the 1-based build stage that is refused.
-    """
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
-
-
 class BuildStageError(NumericalError):
     """Wraps a failure inside the core-by-core build with the stage index."""
 

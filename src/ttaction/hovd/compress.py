@@ -19,8 +19,8 @@ import numpy as np
 from ..builder import (
     DEFAULT_TAU_EXTRA,
     BuildConfig,
-    check_schedule,
     check_slack,
+    predicted_action_count,
     tt_from_actions,
 )
 from ..core import oracle_from_tt, subseed, tt_round, unfolding_caps
@@ -59,7 +59,9 @@ def compress_derivative(
     a rank below 1, an eps that is not finite and > 0, a ``max_rank`` below
     2, or a negative ``oversampling`` or ``tau_extra`` raises
     :class:`~ttaction.errors.ShapeError` before any solve, and so do ranks
-    of the first build that the action-count law refuses.
+    of the first build that the action-count law refuses.  A grown build
+    the law refuses comes after actions were spent, so it ends the search
+    with :class:`~ttaction.errors.CapacityError`.
     Order 1 is read by :func:`~ttaction.hovd.taylor.jacobian_train` instead
     of the train builder.
     Returns (train, info) where info records the rank, the spectral error,
@@ -87,7 +89,7 @@ def compress_derivative(
     if order > 1:
         # the count law reads only the arguments, so a first build it
         # refuses is refused before the base point is solved
-        check_schedule(dims, [min(first, c) for c in caps], oversampling, tau_extra)
+        predicted_action_count(dims, [min(first, c) for c in caps], oversampling, tau_extra)
     t0 = time.perf_counter()
     whitener = whitener or WhitenedMap(model)
     oracle = make_derivative_oracle(model, order, whitener=whitener)
@@ -128,7 +130,11 @@ def compress_derivative(
         found = None
         build_rank = first
         while found is None:
-            big = build(build_rank)
+            try:
+                big = build(build_rank)
+            except ShapeError as exc:
+                # the law passed the first build up front, so this one grew
+                raise CapacityError(f"build rank {build_rank}: {exc}") from exc
             for r in range(2, build_rank + 1):
                 train = tt_round(big, ranks=[min(r, c) for c in big.ranks])
                 achieved = trial(train, r, build_rank)

@@ -380,20 +380,18 @@ class DerivativeOracle(ActionOracle):
     def action(self, free_mode, vectors):
         """Serve a block one column per counted single action.
 
-        Vectors and blocks of one column go to :meth:`ActionOracle.action` as
-        they are, which checks every entry.  A wider block is checked whole
-        and copied once into contiguous columns, then each column walks the
-        engine's lattice as a single action would, so its solves, counts and
-        bits are those of the single action.
+        The entries are checked whole and copied once into contiguous
+        columns, then each column walks the engine's lattice as a single
+        action would, so its solves, counts and bits are those of the single
+        action.  A plain vector is served as a block of one and returns a
+        vector.
         """
-        first = np.asarray(vectors[0]) if vectors else None
-        if first is None or first.ndim != 2 or first.shape[1] == 1:
-            return ActionOracle.action(self, free_mode, vectors)
-        blocks, _ = _check_vectors(self.dims, free_mode, vectors)
+        blocks, plain = _check_vectors(self.dims, free_mode, vectors)
         columns = zip(*(np.ascontiguousarray(v.T) for v in blocks))
-        return np.column_stack(
+        out = np.column_stack(
             [ActionOracle.action(self, free_mode, vs) for vs in columns]
         )
+        return out[:, 0] if plain else out
 
     def clear_cache(self):
         """Empty the engine's cache; its state and LU stay."""

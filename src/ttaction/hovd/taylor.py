@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..builder import DEFAULT_TAU_EXTRA, BuildConfig, check_schedule, tt_from_actions
+from ..builder import BuildConfig, predicted_action_count, tt_from_actions
 from ..core import TensorTrain, subseed, tt_apply
 from ..errors import ShapeError, ZeroNormError
 from ..rangefinder import DEFAULT_OVERSAMPLING, RangeProblem, randomized_range
@@ -61,18 +61,21 @@ class TaylorSurrogate:
         return self.trains[1].dims[0]
 
 
-def taylor_eval(surrogate, x, order=None):
-    """The surrogate at an ``input_dim``-vector ``x``, truncated at ``order`` (or full)."""
-    order = surrogate.order if order is None else int(order)
-    if order < 0 or order > surrogate.order:
-        raise ShapeError(f"order must be in 0..{surrogate.order}, got {order}")
+def taylor_eval(surrogate, x):
+    """The surrogate at an ``input_dim``-vector ``x``, truncated at every order.
+
+    Returns the (order + 1, n_q) array whose row j is f(0) plus the terms
+    T_i(x, ..., x, .) / i! for i = 1..j, added in that order; each term is
+    applied once.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (surrogate.input_dim,):
         raise ShapeError(f"x has shape {x.shape}, expected ({surrogate.input_dim},)")
-    out = surrogate.base.copy()
-    for j in range(1, order + 1):
-        out = out + tt_apply(surrogate.trains[j], j + 1, [x] * j) / math.factorial(j)
-    return out
+    rows = [surrogate.base]
+    for j in range(1, surrogate.order + 1):
+        term = tt_apply(surrogate.trains[j], j + 1, [x] * j) / math.factorial(j)
+        rows.append(rows[-1] + term)
+    return np.array(rows)
 
 
 def build_taylor_surrogate(
@@ -88,13 +91,15 @@ def build_taylor_surrogate(
     Order 1 is read by :func:`jacobian_train`; each order j >= 2 compresses
     the whitened derivative tensor with the action-based train builder, all
     at rank ``rank``.  Returns the surrogate and the per-order reports.
-    An order below 1, or a rank the action-count law refuses at any order,
-    raises :class:`~ttaction.errors.ShapeError` before any solve.
+    An order below 1, or a rank or ``oversampling`` the action-count law
+    refuses at any order, raises :class:`~ttaction.errors.ShapeError` before
+    any solve; at order 1 the law is the two-mode (r + p) + r of
+    :func:`jacobian_train`.
     """
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")
-    for j in range(2, order + 1):
-        check_schedule(derivative_dims(model, j), rank, oversampling, DEFAULT_TAU_EXTRA)
+    for j in range(1, order + 1):
+        predicted_action_count(derivative_dims(model, j), rank, oversampling)
     whitener = whitener or WhitenedMap(model)
     f0 = whitener.base_value()
     jac = make_derivative_oracle(model, 1, whitener=whitener)
@@ -142,12 +147,9 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0):
     if normalizer == 0.0:
         raise ZeroNormError("map is constant over the samples; nothing to normalize")
     errors = np.empty((len(orders), n_samples))
-    for row, order in enumerate(orders):
-        for i, (x, f) in enumerate(zip(xs, fs)):
-            errors[row, i] = (
-                float(np.linalg.norm(f - taylor_eval(surrogate, x, order)))
-                / normalizer
-            )
+    for i, (x, f) in enumerate(zip(xs, fs)):
+        for row, value in enumerate(taylor_eval(surrogate, x)):
+            errors[row, i] = float(np.linalg.norm(f - value)) / normalizer
     return {
         "orders": orders,
         "means": errors.mean(axis=1).tolist(),

@@ -108,7 +108,7 @@ def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
     if rank < 1:
         raise ShapeError(f"rank must be positive, got {rank}")
     if oversampling < 0:
-        raise ShapeError(f"oversampling must be nonnegative, got {oversampling}")
+        raise ShapeError(f"oversampling must be >= 0, got {oversampling}")
     if rank > problem.output_dim:
         warnings.warn(
             f"rank {rank} exceeds output dimension {problem.output_dim}; clamped",
@@ -152,7 +152,7 @@ def adaptive_range(problem, tol, oversampling=DEFAULT_OVERSAMPLING, max_rank=Non
     if tol <= 0:
         raise ShapeError(f"tolerance must be positive, got {tol}")
     if oversampling < 0:
-        raise ShapeError(f"oversampling must be nonnegative, got {oversampling}")
+        raise ShapeError(f"oversampling must be >= 0, got {oversampling}")
     ceiling = problem.output_dim if max_rank is None else min(max_rank, problem.output_dim)
     rank = 2
     cols = _collect_samples(problem, range(rank + oversampling))

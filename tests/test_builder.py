@@ -22,7 +22,6 @@ from ttaction.builder import (
     solve_interpolation,
 )
 from ttaction.errors import (
-    BacktrackingRequiredError,
     BuildStageError,
     DegenerateRangeError,
     InterpolationError,
@@ -187,7 +186,7 @@ def test_interpolation_matrices_match_dense_contraction():
 def test_interpolation_set_needs_enough_rank():
     rng = np.random.default_rng(27)
     cores = [rng.standard_normal((1, 4, 2)), rng.standard_normal((2, 4, 3))]
-    with pytest.raises(BacktrackingRequiredError):
+    with pytest.raises(ShapeError, match="action-count law: stage 3"):
         interpolation_set(cores, tau=3)
     with pytest.raises(ShapeError):
         interpolation_set(cores[:1], tau=1)
@@ -226,12 +225,11 @@ def _nan_mode_two_oracle():
 @pytest.mark.parametrize(
     "make_oracle,ranks,tau_extra,stage,cause",
     [
-        (_backtracking_oracle, (2, 2, 2), 3, 3, BacktrackingRequiredError),
         (_zero_oracle, (2, 2), 1, 1, DegenerateRangeError),
         (_last_mode_fails_oracle, (2, 3, 2), 1, 4, ValueError),
         (_nan_mode_two_oracle, (2, 3, 2), 1, 2, NonFiniteActionError),
     ],
-    ids=["backtracking", "zero-first-stage", "failing-last-mode", "nan-second-stage"],
+    ids=["zero-first-stage", "failing-last-mode", "nan-second-stage"],
 )
 def test_backtracking_surfaces_as_stage_error(make_oracle, ranks, tau_extra, stage, cause):
     with pytest.raises(BuildStageError) as err:
@@ -240,6 +238,21 @@ def test_backtracking_surfaces_as_stage_error(make_oracle, ranks, tau_extra, sta
         )
     assert isinstance(err.value.cause, cause)
     assert err.value.stage == stage
+
+
+def test_backtracking_is_refused_before_any_action():
+    oracle = _backtracking_oracle()
+    with pytest.raises(ShapeError, match="action-count law: stage 3"):
+        tt_from_actions(oracle, BuildConfig(ranks=[2, 2, 2], tau_extra=3))
+    assert oracle.action_count == 0
+
+
+def test_backtracking_inside_an_adaptive_stage_surfaces_as_stage_error():
+    # the adaptive ranks come out 2, so stage 3 needs 4 sets of core 1's 2
+    with pytest.raises(BuildStageError) as err:
+        tt_from_actions(_backtracking_oracle(), BuildConfig(tol=1e-8, tau_extra=3))
+    assert isinstance(err.value.cause, ShapeError)
+    assert err.value.stage == 3
 
 
 def test_solve_interpolation_solves_and_reports_residual():
@@ -331,12 +344,10 @@ def test_negative_slack_is_refused_before_any_action(slack):
 def test_predicted_action_count_refuses_what_the_build_refuses(dims, ranks):
     # tau = ceil(3 / N_2) + 2 = 3 sets at stage 3, but core 1 has rank 2
     oracle = oracle_from_tt(random_tt(np.random.default_rng(32), dims, ranks))
-    with pytest.raises(BuildStageError) as err:
+    with pytest.raises(ShapeError, match="action-count law: stage 3"):
         tt_from_actions(oracle, BuildConfig(ranks=list(ranks), tau_extra=2))
-    assert isinstance(err.value.cause, BacktrackingRequiredError)
-    assert err.value.stage == 3
     assert oracle.action_count == 0  # refused before the first stage
-    with pytest.raises(BacktrackingRequiredError, match="core 1 has rank 2"):
+    with pytest.raises(ShapeError, match="core 1 has rank 2"):
         predicted_action_count(dims, ranks, tau_extra=2)
 
 
@@ -360,12 +371,10 @@ def test_rank_beyond_the_prefix_span_is_refused_before_any_action():
     # dimensions, so its system has rank at most N_2 N_3 = 8
     dims, ranks = (4, 2, 4, 4, 4), [4, 8, 10, 4]
     oracle = oracle_from_tt(random_tt(np.random.default_rng(47), dims, (4, 8, 16, 4)))
-    with pytest.raises(BuildStageError) as err:
+    with pytest.raises(ShapeError, match="action-count law: stage 4"):
         tt_from_actions(oracle, BuildConfig(ranks=ranks, tau_extra=0))
-    assert isinstance(err.value.cause, BacktrackingRequiredError)
-    assert err.value.stage == 4
     assert oracle.action_count == 0
-    with pytest.raises(BacktrackingRequiredError, match="at most 2 x 4 = 8"):
+    with pytest.raises(ShapeError, match="at most 2 x 4 = 8"):
         predicted_action_count(dims, ranks, tau_extra=0)
 
 

@@ -194,6 +194,18 @@ def test_ranks_the_count_law_refuses_exit_two_before_any_action(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_taylor_refuses_negative_oversampling_with_one_message(tmp_path, capsys):
+    # the Jacobian's read-off and the train builder refuse it in one wording
+    messages = []
+    for order in ("1", "2"):
+        argv = ["taylor", "--n", "5", "--p", "-1", "--max-order", order]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert "oversampling must be >= 0, got -1" in messages[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_derivative_fixed_rank(tmp_path):
     code = main(
         [
@@ -250,7 +262,6 @@ def test_nonfinite_action_exits_three(tmp_path, monkeypatch):
 
 
 NUMERICAL_ERRORS = [
-    errors.BacktrackingRequiredError,
     errors.BuildStageError,
     errors.CapacityError,
     errors.DegenerateRangeError,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ttaction.cli import main
 from ttaction.core import subseed
 from ttaction.errors import CapacityError, ShapeError
 from ttaction.hovd import (
@@ -143,6 +144,29 @@ def test_a_first_build_the_count_law_refuses_is_refused_before_any_solve(
     monkeypatch.setattr(compress, "make_derivative_oracle", None)
     with pytest.raises(ShapeError, match="action-count law"):
         compress_derivative(ReactionDiffusionModel(6), 2, **target)
+
+
+def test_a_grown_build_the_count_law_refuses_ends_the_search(monkeypatch, tmp_path):
+    # no default search at these grids grows to a rank the law refuses, so
+    # the second build (rank 16, after ranks 2..8 miss eps) raises its refusal
+    build = compress.tt_from_actions
+    ranks = []
+
+    def refuse_second(oracle, config):
+        ranks.append(config.ranks)
+        if len(ranks) == 2:
+            raise ShapeError("ranks refused by the action-count law: stage 3")
+        return build(oracle, config)
+
+    monkeypatch.setattr(compress, "tt_from_actions", refuse_second)
+    model = ReactionDiffusionModel(4)
+    with pytest.raises(CapacityError, match="build rank 16: ranks refused by the"):
+        compress_derivative(model, 2, eps=1e-12, seed=0)
+    assert [max(r) for r in ranks] == [8, 16]
+    ranks.clear()
+    argv = ["derivative", "--n", "4", "--k", "2", "--eps", "1e-12", "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_derivative_eps_seed0_counts():

@@ -10,7 +10,6 @@ import ttaction
 from ttaction import (
     ActionOracle,
     TensorTrain,
-    dense_action,
     fix_signs,
     oracle_from_dense,
     oracle_from_tt,
@@ -59,14 +58,15 @@ def test_dense_action_matches_einsum():
     rng = np.random.default_rng(0)
     t = rng.standard_normal((3, 4, 5))
     x, y, z = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(5)
+    oracle = oracle_from_dense(t)
     np.testing.assert_allclose(
-        dense_action(t, 1, [y, z]), np.einsum("ijk,j,k->i", t, y, z), atol=1e-13
+        oracle.action(1, [y, z]), np.einsum("ijk,j,k->i", t, y, z), atol=1e-13
     )
     np.testing.assert_allclose(
-        dense_action(t, 2, [x, z]), np.einsum("ijk,i,k->j", t, x, z), atol=1e-13
+        oracle.action(2, [x, z]), np.einsum("ijk,i,k->j", t, x, z), atol=1e-13
     )
     np.testing.assert_allclose(
-        dense_action(t, 3, [x, y]), np.einsum("ijk,i,j->k", t, x, y), atol=1e-13
+        oracle.action(3, [x, y]), np.einsum("ijk,i,j->k", t, x, y), atol=1e-13
     )
 
 
@@ -75,30 +75,33 @@ def test_dense_action_multilinearity():
     t = rng.standard_normal((4, 3, 6))
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     z = rng.standard_normal(6)
-    lhs = dense_action(t, 1, [2.0 * a - b, z])
-    rhs = 2.0 * dense_action(t, 1, [a, z]) - dense_action(t, 1, [b, z])
+    oracle = oracle_from_dense(t)
+    lhs = oracle.action(1, [2.0 * a - b, z])
+    rhs = 2.0 * oracle.action(1, [a, z]) - oracle.action(1, [b, z])
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_dense_action_identity_matrix_case():
     # matrix action with a basis vector picks out a column
     t = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_allclose(dense_action(t, 1, [np.eye(4)[1]]), t[:, 1])
+    np.testing.assert_allclose(
+        oracle_from_dense(t).action(1, [np.eye(4)[1]]), t[:, 1]
+    )
 
 
 @pytest.mark.parametrize("free_mode", [0, 4, -1])
 def test_dense_action_free_mode_out_of_range(free_mode):
     t = np.zeros((2, 2, 2))
     with pytest.raises(ShapeError):
-        dense_action(t, free_mode, [np.zeros(2), np.zeros(2)])
+        oracle_from_dense(t).action(free_mode, [np.zeros(2), np.zeros(2)])
 
 
 def test_dense_action_wrong_vector_count_and_length():
     t = np.zeros((2, 3, 4))
     with pytest.raises(ShapeError):
-        dense_action(t, 1, [np.zeros(3)])
+        oracle_from_dense(t).action(1, [np.zeros(3)])
     with pytest.raises(ShapeError):
-        dense_action(t, 1, [np.zeros(4), np.zeros(3)])
+        oracle_from_dense(t).action(1, [np.zeros(4), np.zeros(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +311,9 @@ def test_tt_apply_matches_dense_action_all_modes(dims, ranks):
     for mode in range(1, len(dims) + 1):
         rest = [v for j, v in enumerate(vectors) if j != mode - 1]
         np.testing.assert_allclose(
-            tt_apply(tt, mode, rest), dense_action(dense, mode, rest), atol=1e-11
+            tt_apply(tt, mode, rest),
+            oracle_from_dense(dense).action(mode, rest),
+            atol=1e-11,
         )
 
 

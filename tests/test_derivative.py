@@ -556,7 +556,18 @@ def test_derivative_block_is_served_as_single_actions(monkeypatch):
             [single_oracle.action(mode, [v[:, j].copy() for v in blocks]) for j in range(width)]
         )
         np.testing.assert_array_equal(got, want)
-    assert block_oracle.action_count == single_oracle.action_count == 2 * width
+        # a one-column block and a plain vector take the same path
+        for entries in (
+            [rng.standard_normal((n, 1)) for n in sizes],
+            [rng.standard_normal(n) for n in sizes],
+        ):
+            calls.clear()
+            got = block_oracle.action(mode, entries)
+            assert calls == [mode]
+            want = single(single_oracle, mode, [v.copy() for v in entries])
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+    assert block_oracle.action_count == single_oracle.action_count == 2 * (width + 2)
     for counter in ("forward_solves", "adjoint_solves"):
         assert getattr(block_oracle.engine, counter) == getattr(single_oracle.engine, counter)
 

@@ -5,7 +5,7 @@ import pytest
 
 from ttaction import (
     BuildConfig,
-    dense_action,
+    oracle_from_dense,
     tt_from_actions,
     tt_relative_error,
     tt_round,
@@ -54,7 +54,7 @@ def test_oracle_matches_dense_action(dims):
         vectors = [rng.standard_normal(n) for j, n in enumerate(dims) if j != mode - 1]
         np.testing.assert_allclose(
             oracle.action(mode, vectors),
-            dense_action(dense, mode, vectors),
+            oracle_from_dense(dense).action(mode, vectors),
             atol=1e-12,
         )
     assert oracle.action_count == len(dims)

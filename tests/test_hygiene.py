@@ -2,8 +2,8 @@
 read, no contraction pays for an einsum path search on each call, LU work on
 the state Jacobian has one home, ``hovd/oracle.py``, and the SVD sweep one,
 ``core._truncated_svd``, no closure keeps state between calls, the library
-neither calls nor defines the dense test references, and every exported name
-resolves.
+neither calls nor defines the dense test references, names deleted in favour
+of one path stay deleted, and every exported name resolves.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -320,6 +320,58 @@ def test_scan_flags_a_reference_definition():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_library_defines_no_dense_reference(path):
     assert reference_definitions(path.read_text()) == []
+
+
+#: Second paths that were deleted: the dense entry is ``oracle_from_dense``,
+#: and the count law refuses with ``ShapeError`` through
+#: ``predicted_action_count``.
+DELETED_NAMES = ("BacktrackingRequiredError", "check_schedule", "dense_action")
+
+
+def deleted_names(source):
+    """(line, name) of each definition, import or export of a deleted name.
+
+    An export is a string constant equal to the name, as ``__all__`` holds.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for alias in node.names for n in (alias.name, alias.asname)]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in DELETED_NAMES]
+    return sorted(found)
+
+
+def test_scan_flags_a_deleted_name():
+    source = (PACKAGE / "core.py").read_text()
+    planted = (
+        "dense_action = oracle_from_dense\n"
+        "from .builder import predicted_action_count as check_schedule\n"
+        "class BacktrackingRequiredError(ShapeError):\n    pass\n"
+        '__all__ = ["dense_action"]\n'
+    )
+    line = source.count("\n") + 1
+    assert deleted_names(source + planted) == [
+        (line, "dense_action"),
+        (line + 1, "check_schedule"),
+        (line + 2, "BacktrackingRequiredError"),
+        (line + 4, "dense_action"),
+    ]
+    # a use that binds another name is not a definition
+    assert deleted_names("x = check_schedule(a)\ny = 'a dense_action'\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_deleted_names_stay_deleted(path):
+    assert deleted_names(path.read_text()) == []
 
 
 @pytest.mark.parametrize("package", [ttaction, ttaction.hovd], ids=lambda m: m.__name__)

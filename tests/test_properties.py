@@ -5,6 +5,8 @@ codes of small command lines.
 Examples are derandomized, so every run checks the same small trains.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,14 +22,11 @@ from ttaction import (
     tt_round,
     tt_save,
 )
-from ttaction import builder
+from ttaction import builder, cli
 from ttaction.cli import main
 from ttaction.core import unfolding_caps
-from ttaction.errors import (
-    BacktrackingRequiredError,
-    BuildStageError,
-    FormatError,
-)
+from ttaction.errors import FormatError, ShapeError
+from ttaction.hovd import compress, taylor
 
 from dense_reference import left_orthogonality_defect, tt_svd, tt_to_dense
 
@@ -155,10 +154,9 @@ def test_build_spends_the_count_law_or_both_refuse(case):
     config = BuildConfig(ranks=ranks, seed=0, **slack)
     try:
         law = predicted_action_count(truth.dims, ranks, **slack)
-    except BacktrackingRequiredError:
-        with pytest.raises(BuildStageError) as err:
+    except ShapeError as refusal:
+        with pytest.raises(ShapeError, match=re.escape(str(refusal))):
             tt_from_actions(oracle, config)
-        assert isinstance(err.value.cause, BacktrackingRequiredError)
         assert oracle.action_count == 0
         return
     built, report = tt_from_actions(oracle, config)
@@ -231,7 +229,7 @@ def test_a_command_line_exits_0_2_or_3_and_writes_only_on_success(argv, tmp_path
     def watched_law(*args, **kwargs):
         try:
             return law(*args, **kwargs)
-        except BacktrackingRequiredError:
+        except ShapeError:
             refused.append(args)
             raise
 
@@ -240,7 +238,8 @@ def test_a_command_line_exits_0_2_or_3_and_writes_only_on_success(argv, tmp_path
         return action(self, free_mode, vectors)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(builder, "predicted_action_count", watched_law)
+        for home in (builder, cli, compress, taylor):
+            patch.setattr(home, "predicted_action_count", watched_law)
         patch.setattr(ActionOracle, "action", watched_action)
         code = main(argv + ["--out-dir", str(out), "--no-timing"])
     written = sorted(p.name for p in out.iterdir())

@@ -7,6 +7,8 @@ import pytest
 
 from ttaction import TensorTrain, oracle_from_dense, tt_apply
 from ttaction.errors import ShapeError, ZeroNormError
+from ttaction.hovd import oracle as oracle_module
+from ttaction.hovd import taylor as taylor_module
 from ttaction.hovd import (
     ReactionDiffusionModel,
     TaylorSurrogate,
@@ -69,33 +71,43 @@ def test_surrogate_structure():
 
 def test_eval_at_zero_is_base():
     _, _, surrogate, _ = surrogate_fixture(order=2)
-    zero = np.zeros(surrogate.input_dim)
-    np.testing.assert_array_equal(taylor_eval(surrogate, zero), surrogate.base)
-    np.testing.assert_array_equal(taylor_eval(surrogate, zero, order=0), surrogate.base)
+    rows = taylor_eval(surrogate, np.zeros(surrogate.input_dim))
+    np.testing.assert_array_equal(rows[-1], surrogate.base)
+    np.testing.assert_array_equal(rows[0], surrogate.base)
 
 
 def test_eval_orders_nest():
     _, _, surrogate, _ = surrogate_fixture(order=3)
     x = np.random.default_rng(2).standard_normal(surrogate.input_dim)
-    full = taylor_eval(surrogate, x)
-    np.testing.assert_array_equal(full, taylor_eval(surrogate, x, order=3))
+    rows = taylor_eval(surrogate, x)
+    np.testing.assert_array_equal(rows[-1], rows[3])
     # linear part alone is the Jacobian train's action
     np.testing.assert_allclose(
-        taylor_eval(surrogate, x, order=1),
+        rows[1],
         surrogate.base + tt_apply(surrogate.trains[1], 2, [x]),
         atol=1e-12,
     )
-    with pytest.raises(ShapeError):
-        taylor_eval(surrogate, x, order=4)
+    # one row per order 0..3, and none beyond
+    assert rows.shape == (4, surrogate.base.size)
+
+
+def test_eval_rows_are_the_truncations_summed_in_order():
+    _, _, surrogate, _ = surrogate_fixture(order=3)
+    x = np.random.default_rng(4).standard_normal(surrogate.input_dim)
+    rows = taylor_eval(surrogate, x)
+    for j in range(surrogate.order + 1):
+        want = surrogate.base.copy()
+        for i in range(1, j + 1):
+            want = want + tt_apply(surrogate.trains[i], i + 1, [x] * i) / math.factorial(i)
+        np.testing.assert_array_equal(rows[j], want)
 
 
 def test_eval_refuses_a_wrong_length_x():
-    # every order refuses, order 0 included, though it reads no part of x
+    # refused whole, though row 0 reads no part of x
     _, _, surrogate, _ = surrogate_fixture(order=2)
     for n in (surrogate.input_dim - 1, surrogate.input_dim + 1):
-        for order in range(surrogate.order + 1):
-            with pytest.raises(ShapeError):
-                taylor_eval(surrogate, np.zeros(n), order=order)
+        with pytest.raises(ShapeError):
+            taylor_eval(surrogate, np.zeros(n))
 
 
 def test_eval_refuses_a_grid_of_input_dim_entries():
@@ -103,9 +115,8 @@ def test_eval_refuses_a_grid_of_input_dim_entries():
     model, _, surrogate, _ = surrogate_fixture(order=2)
     grid = np.zeros((model.n, model.n))
     assert grid.size == surrogate.input_dim
-    for order in range(surrogate.order + 1):
-        with pytest.raises(ShapeError, match=r"shape \(5, 5\)"):
-            taylor_eval(surrogate, grid, order=order)
+    with pytest.raises(ShapeError, match=r"shape \(5, 5\)"):
+        taylor_eval(surrogate, grid)
 
 
 def test_exact_series_falls_by_order():
@@ -140,6 +151,25 @@ def test_error_stats_normalization_and_decrease():
     assert means[2] < means[1]
     assert stats["errors"].shape == (4, 20)
     assert stats["normalizer"] > 0.0
+
+
+def test_error_stats_apply_each_term_once_per_sample(monkeypatch):
+    _, whitener, surrogate, _ = surrogate_fixture(order=3)
+    calls = {"taylor_eval": 0, "tt_apply": 0}
+
+    def spy(name):
+        real = getattr(taylor_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(taylor_module, name, wrapper)
+
+    spy("taylor_eval")
+    spy("tt_apply")
+    taylor_error_stats(surrogate, whitener.evaluate, n_samples=3)
+    assert calls == {"taylor_eval": 3, "tt_apply": 9}
 
 
 def test_error_stats_refuses_a_bad_sample_count_before_any_truth_call():
@@ -183,3 +213,22 @@ def test_build_validation():
     model = ReactionDiffusionModel(5)
     with pytest.raises(ShapeError):
         build_taylor_surrogate(model, order=0, rank=4)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "kwargs", [{"rank": 0}, {"rank": 2, "oversampling": -1}], ids=["rank", "oversampling"]
+)
+def test_a_refused_configuration_makes_no_state_solve(monkeypatch, order, kwargs):
+    # a fresh model, so its base point is not solved yet
+    solves = []
+    solve_state = oracle_module.solve_state
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "solve_state", spy)
+    with pytest.raises(ShapeError):
+        build_taylor_surrogate(ReactionDiffusionModel(5), order, **kwargs)
+    assert solves == []
