@@ -54,10 +54,11 @@ def hilbert_oracle(dims):
 
     where c is the full convolution of the saturating vectors.  A block of
     b actions convolves all its columns at once through one real FFT per
-    mode, then applies the Hankel matrix H[z, s] = w[z + s], read from the
-    one weight vector w[t] = 1 / (d + t), to all b convolutions in one
-    product.  One action costs O(N^2) instead of the O(N^d) of a dense
-    contraction.
+    mode, of one column where the mode's entry is a vector broadcast over
+    the block (a stride-0 view), then applies the Hankel matrix
+    H[z, s] = w[z + s], read from the one weight vector w[t] = 1 / (d + t),
+    to all b convolutions in one product.  One action costs O(N^2) instead
+    of the O(N^d) of a dense contraction.
     """
     dims = _check_dims(dims)
     weights = 1.0 / (len(dims) + np.arange(sum(dims) - len(dims) + 1, dtype=float))
@@ -65,9 +66,13 @@ def hilbert_oracle(dims):
     def apply_fn(free_mode, blocks):
         size = sum(v.shape[0] for v in blocks) - len(blocks) + 1
         nfft = 1 << (size - 1).bit_length()
-        spectrum = np.fft.rfft(blocks[0], nfft, axis=0)
-        for v in blocks[1:]:
-            spectrum *= np.fft.rfft(v, nfft, axis=0)
+        spectrum = None
+        for v in blocks:
+            # a vector broadcast over the block (a range-finder sample) is
+            # transformed once and its spectrum broadcast in the product
+            f = np.fft.rfft(v[:, :1] if v.strides[1] == 0 else v, nfft, axis=0)
+            spectrum = f if spectrum is None else spectrum * f
+        spectrum = np.broadcast_to(spectrum, (spectrum.shape[0], blocks[0].shape[1]))
         conv = np.fft.irfft(spectrum, nfft, axis=0)[:size]
         hankel = sliding_window_view(weights, size)[: dims[free_mode - 1]]
         return np.ascontiguousarray(hankel) @ conv

@@ -16,8 +16,11 @@ average, and u-derivatives beyond the third kill the reaction term.
 ``partial_g`` evaluates those forms for a list ``vs`` of m-directions and a
 list ``ws`` of u-directions, optionally with one extra differentiation slot
 left free and the output contracted against a weight vector, as adjoint
-computations need.  The observation, linear in u and free of m, has one
-partial: its transpose, ``partial_f``.
+computations need.  It checks its inputs and hands edge arrays to
+``partial_edges``, the one home of those forms, which a caller holding
+checked edge arrays (the derivative engine) calls directly; which forms are
+zero is stated beside it, in ``partial_vanishes``.  The observation, linear
+in u and free of m, has one partial: its transpose, ``partial_f``.
 """
 
 from __future__ import annotations
@@ -101,36 +104,30 @@ class ReactionDiffusionModel:
         """Adjoint of the gather ``z[self._nbr]``: sum each row back onto its sources."""
         return np.bincount(self._nbr.ravel(), weights=t.ravel(), minlength=self.n_u)
 
-    def _edge_coeff(self, m, vs):
-        """Edge factors exp(mean m) times each direction mean, one row per neighbour.
+    def _divergence(self, t):
+        """Sum of the four edge rows of ``t`` over h^2: a flux divergence."""
+        return (t[0] + t[1] + t[2] + t[3]) / self._h2
 
-        The base factors are computed once per base point m and kept
-        read-only in ``_base_coeff``.
+    def edge_means(self, v):
+        """Mean of v over each node's four edges, one row per neighbour."""
+        return (v + v[self._nbr]) * 0.5
+
+    def edge_differences(self, y):
+        """y at each node minus y at each neighbour, one row per neighbour."""
+        return y - y[self._nbr]
+
+    def edge_factors(self, m):
+        """Base edge factors exp(mean m), computed once per base point m.
+
+        Kept read-only in ``_base_coeff`` under the bytes of m, so an m
+        changed in place is recomputed.
         """
         key = m.tobytes()
         if key != self._base_coeff[0]:
-            base = np.exp((m + m[self._nbr]) * 0.5)
+            base = np.exp(self.edge_means(m))
             base.flags.writeable = False
             self._base_coeff = (key, base)
-        c = self._base_coeff[1]
-        for v in vs:
-            c = c * ((v + v[self._nbr]) * 0.5)
-        return c
-
-    def _diffusion(self, m, vs, y):
-        """Edge-coefficient flux divergence applied to the field y."""
-        t = self._edge_coeff(m, vs) * (y - y[self._nbr])
-        return (t[0] + t[1] + t[2] + t[3]) / self._h2
-
-    def _diffusion_free_u(self, m, vs, z):
-        """Transpose of the flux-divergence operator applied to z."""
-        t = z * self._edge_coeff(m, vs)
-        return (t[0] + t[1] + t[2] + t[3] - self._gather_t(t)) / self._h2
-
-    def _diffusion_free_m(self, m, vs, y, z):
-        """Gradient in the coefficient of z^T (flux divergence of y)."""
-        t = 0.5 * z * self._edge_coeff(m, vs) * (y - y[self._nbr])
-        return (t[0] + t[1] + t[2] + t[3] + self._gather_t(t)) / self._h2
+        return self._base_coeff[1]
 
     def _reaction(self, u, k, ws):
         """k-th u-derivative (k <= 3) of the reaction u^3 - rho, times each of ``ws``."""
@@ -151,7 +148,8 @@ class ReactionDiffusionModel:
     def residual(self, m, u):
         """G(m, u) as a flat vector."""
         m, u = self._grid(m, "m"), self._grid(u, "u")
-        return self._diffusion(m, [], u) + u**3 - self.rho
+        flux = self.edge_factors(m) * self.edge_differences(u)
+        return self._divergence(flux) + u**3 - self.rho
 
     def qoi(self, u):
         """Weighted boundary trace of the state; free of m."""
@@ -167,36 +165,71 @@ class ReactionDiffusionModel:
         derivative is taken in that variable, the output slot is contracted
         with ``weight`` and the new derivative slot is returned free, giving a
         vector in the corresponding space.  No directions with ``free=None``
-        reproduces the residual.
+        reproduces the residual.  Checks every input, forms the edge arrays
+        and evaluates :meth:`partial_edges`.
         """
         m, u = self._grid(m, "m"), self._grid(u, "u")
         vs = [self._grid(v, "m direction") for v in vs]
         ws = [self._grid(w, "u direction") for w in ws]
-        j, s = len(vs), len(ws)
+        if free is not None:
+            weight = self._grid(weight, "weight")
+            if free not in ("u", "m"):
+                raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
+        c = self.edge_factors(m)
+        for v in vs:
+            c = c * self.edge_means(v)
+        dws = [self.edge_differences(w) for w in ws]
+        return self.partial_edges(
+            u, self.edge_differences(u), c, len(vs), ws, dws, weight, free
+        )
+
+    def partial_edges(self, u, du, c, j, ws, dws, weight=None, free=None):
+        """The closed forms of :meth:`partial_g`, on edge arrays; checks nothing.
+
+        ``c`` is the edge-coefficient product: :meth:`edge_factors` at the
+        base point times the :meth:`edge_means` of each of the ``j``
+        m-directions, in order.  ``du`` and ``dws`` are the
+        :meth:`edge_differences` of the state ``u`` and of each u-direction
+        in ``ws``.  ``weight`` and ``free`` are those of :meth:`partial_g`,
+        ``free`` one of None, ``"u"`` and ``"m"``.  The result is zero
+        exactly where :meth:`partial_vanishes` says so.
+        """
+        s = len(ws)
         if free is None:
             out = np.zeros(self.n_u)
             if s == 0:
-                out += self._diffusion(m, vs, u)
+                out += self._divergence(c * du)
             elif s == 1:
-                out += self._diffusion(m, vs, ws[0])
+                out += self._divergence(c * dws[0])
             if j == 0 and s <= 3:
                 out += self._reaction(u, s, ws)
             return out
-        z = self._grid(weight, "weight")
         if free == "u":
             out = np.zeros(self.n_u)
             if s == 0:
-                out += self._diffusion_free_u(m, vs, z)
+                t = weight * c
+                out += (t[0] + t[1] + t[2] + t[3] - self._gather_t(t)) / self._h2
             if j == 0 and s <= 2:
-                out += self._reaction(u, s + 1, ws + [z])
+                out += self._reaction(u, s + 1, [*ws, weight])
             return out
-        if free == "m":
-            if s == 0:
-                return self._diffusion_free_m(m, vs, u, z)
-            if s == 1:
-                return self._diffusion_free_m(m, vs, ws[0], z)
-            return np.zeros(self.n_m)
-        raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
+        if s <= 1:
+            t = 0.5 * weight * c * (du if s == 0 else dws[0])
+            return (t[0] + t[1] + t[2] + t[3] + self._gather_t(t)) / self._h2
+        return np.zeros(self.n_m)
+
+    @staticmethod
+    def partial_vanishes(j, s, free):
+        """Whether :meth:`partial_edges` is zero for j m- and s u-directions.
+
+        The flux is linear in u, so it survives at most one u-direction (none
+        with ``free="u"``), and the reaction u^3 is free of m and has three
+        u-derivatives.
+        """
+        if free is None:
+            return s >= 2 and (j >= 1 or s >= 4)
+        if free == "u":
+            return s >= 1 and (j >= 1 or s >= 3)
+        return s >= 2
 
     def partial_f(self, weight):
         """The observation's transpose applied to ``weight``, a u-space vector.
@@ -220,7 +253,7 @@ class ReactionDiffusionModel:
         sums duplicates in that order.
         """
         m, u = self._grid(m, "m"), self._grid(u, "u")
-        cf = self._edge_coeff(m, []) * (1.0 / self._h2)
+        cf = self.edge_factors(m) * (1.0 / self._h2)
         node = np.arange(self.n_u)
         centre = np.broadcast_to(node, self._nbr.shape)
         cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))

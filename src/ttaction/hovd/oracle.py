@@ -144,38 +144,48 @@ def _indices(j_counts):
 
 
 @lru_cache(maxsize=None)
-def _forward_program(beta):
+def _forward_program(beta, vanishes):
     """The forward sum of ``beta`` compiled once: (indices, blocks, coefficient).
 
     One entry per term of ``expansion(beta)``, in its order, but for the
-    term that is u^beta alone.
+    term that is u^beta alone and the terms that ``vanishes(j, s, None)``,
+    the model's zero pattern for j m- and s u-directions, drops.
     """
     return tuple(
         (_indices(j_counts), blocks, coef)
         for (j_counts, blocks), coef in expansion(beta)
-        if any(j_counts) or blocks != (beta,)
+        if (any(j_counts) or blocks != (beta,))
+        and not vanishes(sum(j_counts), len(blocks), free=None)
     )
 
 
 @lru_cache(maxsize=None)
-def _adjoint_program(beta, unknown):
-    """The adjoint sum of ``beta`` compiled once per ``unknown``.
+def _adjoint_program(beta, unknown, free, vanishes):
+    """The adjoint sum of ``beta`` compiled once per (``unknown``, ``free``).
 
-    One (indices, blocks, coefficient, splits) entry per term of
-    ``expansion(beta)``, in its order.  Each split (block, coefficient times
-    multiplicity, rest) moves one copy of a block onto its adjoint
-    sensitivity, the rest keeping their order; the term that is
-    lambda^unknown alone has none.
+    One (indices, parts) entry per term of ``expansion(beta)``, in its
+    order.  Each part (blocks, coefficient, lambda block) is one partial:
+    first the term against the base adjoint sensitivity (the zero block),
+    then one split per distinct block, which moves one copy of it onto its
+    adjoint sensitivity at the coefficient times its multiplicity, the rest
+    keeping their order.  The term that is lambda^unknown alone has no
+    split.  Parts that ``vanishes(j, s, free)``, the model's zero pattern,
+    drops are left out, and so are terms left with none.
     """
+    zero = (0,) * len(beta)
     program = []
     for (j_counts, blocks), coef in expansion(beta):
-        splits = []
-        if any(j_counts) or blocks != (unknown,):
+        j, s = sum(j_counts), len(blocks)
+        parts = []
+        if not vanishes(j, s, free):
+            parts.append((blocks, coef, zero))
+        if (j or blocks != (unknown,)) and not vanishes(j, s - 1, free):
             for block, mult in Counter(blocks).items():
                 rest = list(blocks)
                 rest.remove(block)
-                splits.append((block, coef * mult, tuple(rest)))
-        program.append((_indices(j_counts), blocks, coef, tuple(splits)))
+                parts.append((tuple(rest), coef * mult, block))
+        if parts:
+            program.append((_indices(j_counts), tuple(parts)))
     return tuple(program)
 
 
@@ -187,13 +197,18 @@ class DerivativeEngine:
     model states it: linear in u and independent of m.  So an output-free
     action is ``model.qoi`` of one state sensitivity, the adjoint seed is the
     observation's only partial (``partial_f`` once per distinct weight q),
-    and the adjoint sums run over ``partial_g`` alone.  Each chain-rule sum
-    runs a program compiled once per (node, unknown) from ``expansion``: the
-    direction indices of every term and, for the adjoint, each term's split
-    of one block onto its adjoint sensitivity, in the expansion's order; the
-    lattice levels come cached from ``sub_multisets``.  Directions are keyed
-    by their float64 bytes and lattice nodes by those keys, so the solve
-    counters see each node once; a solve that raises caches nothing.  With a ``whitener`` the
+    and the adjoint sums run over the residual's partials alone.  Each
+    chain-rule sum runs a program compiled once per (node, unknown) from
+    ``expansion``, without the terms the model's ``partial_vanishes`` drops:
+    the direction indices of every term and, for the adjoint, each term's
+    split of one block onto its adjoint sensitivity, in the expansion's
+    order; the lattice levels come cached from ``sub_multisets``.  Every
+    partial is the model's ``partial_edges`` on edge arrays the engine forms
+    itself: the base point's edge factors and state differences once per
+    engine, each direction's edge mean and each lattice node's edge
+    differences once per action.  Directions are keyed by their float64
+    bytes and lattice nodes by those keys, so the solve counters see each
+    node once; a solve that raises caches nothing.  With a ``whitener`` the
     directions are raw-space vectors: each distinct one is smoothed on its
     first use and kept, read-only, in the same cache, and :meth:`mode_free`
     smooths its output.  Serves one caller at a time, as a numpy
@@ -211,6 +226,9 @@ class DerivativeEngine:
         self.forward_solves = 0
         self.adjoint_solves = 0
         self._cache = {}
+        # the base point is fixed, so its edge arrays are formed once
+        self._c0 = model.edge_factors(self.m0)
+        self._du0 = model.edge_differences(self.u0)
 
     def clear_cache(self):
         """Drop cached lattice nodes and smoothed directions; the state stays."""
@@ -221,6 +239,7 @@ class DerivativeEngine:
 
         This is the engine boundary: every direction a partial sees later is
         a flat float vector of the right length, smoothed if whitened.
+        Returns the unique directions' counts, keys and edge means.
         """
         if len(directions) != count:
             raise ShapeError(f"need {count} directions, got {len(directions)}")
@@ -236,61 +255,74 @@ class DerivativeEngine:
                     self._cache[key] = self.whitener.apply(v)
                     self._cache[key].flags.writeable = False
                 unique[i] = self._cache[key]
-        return unique, counts, keys
+        return counts, keys, [self.model.edge_means(v) for v in unique]
+
+    def _edge_product(self, means, idx):
+        """Base edge factors times each ``idx`` direction's edge mean, in order."""
+        c = self._c0
+        for i in idx:
+            c = c * means[i]
+        return c
 
     # -- forward lattice ----------------------------------------------------
 
-    def _forward_sum(self, unique, beta, values):
-        """Chain-rule sum of ``partial_g`` over the expansion of ``beta``.
+    def _forward_sum(self, means, beta, values, diffs):
+        """Chain-rule sum of the residual's partials over the expansion of ``beta``.
 
         Leaves out the term that is u^beta alone (the solve's unknown).
         """
-        out = np.zeros(self.model.n_u)
-        for idx, blocks, coef in _forward_program(beta):
-            vs = [unique[i] for i in idx]
+        model, u0, du0 = self.model, self.u0, self._du0
+        out = np.zeros(model.n_u)
+        for idx, blocks, coef in _forward_program(beta, model.partial_vanishes):
+            c = self._edge_product(means, idx)
             ws = [values[b] for b in blocks]
-            out += coef * self.model.partial_g(self.m0, self.u0, vs, ws)
+            dws = [diffs[b] for b in blocks]
+            out += coef * model.partial_edges(u0, du0, c, len(idx), ws, dws)
         return out
 
-    def _forward_values(self, unique, counts, keys):
-        """Ensure and return the state sensitivities u^beta for beta <= counts."""
-        values = {}
+    def _forward_values(self, counts, keys, means):
+        """Ensure the state sensitivities u^beta for beta <= counts.
+
+        Returns them and their edge differences, both keyed by beta.
+        """
+        values, diffs = {}, {}
         for beta in sub_multisets(counts):
             key = ("u", block_signature(keys, beta))
             if key not in self._cache:
-                rhs = self._forward_sum(unique, beta, values)
+                rhs = self._forward_sum(means, beta, values, diffs)
                 self.forward_solves += 1
                 self._cache[key] = self.factor.solve(-rhs)
             values[beta] = self._cache[key]
-        return values
+            diffs[beta] = self.model.edge_differences(values[beta])
+        return values, diffs
 
     def output_free(self, directions):
         """T(p_1, ..., p_k, .): all derivative slots saturated, output free."""
-        unique, counts, keys = self._canonical(directions, self.order)
-        values = self._forward_values(unique, counts, keys)
+        counts, keys, means = self._canonical(directions, self.order)
+        values, _ = self._forward_values(counts, keys, means)
         return self.model.qoi(values[counts])
 
     # -- adjoint lattice ----------------------------------------------------
 
-    def _adjoint_sum(self, free, unique, beta, values, lams, unknown=None):
+    def _adjoint_sum(self, free, means, beta, values, diffs, lams, unknown=None):
         """Adjoint chain-rule sum over the expansion of ``beta``.
 
         ``free="u"`` gives the right-hand side of an adjoint solve, ``"m"`` a
         mode-free action.  Leaves out the term carrying lambda^unknown alone.
         """
-        model, m0, u0 = self.model, self.m0, self.u0
+        model, u0, du0 = self.model, self.u0, self._du0
         out = np.zeros(model.n_u if free == "u" else model.n_m)
-        base_lam = lams[(0,) * len(beta)]
-        for idx, blocks, coef, splits in _adjoint_program(beta, unknown):
-            vs = [unique[i] for i in idx]
-            ws = [values[b] for b in blocks]
-            out += coef * model.partial_g(m0, u0, vs, ws, weight=base_lam, free=free)
-            for block, c, rest in splits:
-                ws = [values[b] for b in rest]
-                out += c * model.partial_g(m0, u0, vs, ws, weight=lams[block], free=free)
+        for idx, parts in _adjoint_program(beta, unknown, free, model.partial_vanishes):
+            c = self._edge_product(means, idx)
+            for blocks, coef, lam in parts:
+                ws = [values[b] for b in blocks]
+                dws = [diffs[b] for b in blocks]
+                out += coef * model.partial_edges(
+                    u0, du0, c, len(idx), ws, dws, lams[lam], free
+                )
         return out
 
-    def _adjoint_values(self, unique, counts, keys, q, values):
+    def _adjoint_values(self, counts, keys, means, q, values, diffs):
         """Adjoint sensitivities lambda^beta for beta <= counts, q fixed."""
         q = np.ascontiguousarray(q, dtype=float)
         qsig = q.tobytes()
@@ -303,7 +335,9 @@ class DerivativeEngine:
         for beta in sub_multisets(counts):
             key = ("l", qsig, block_signature(keys, beta))
             if key not in self._cache:
-                rhs = self._adjoint_sum("u", unique, beta, values, lams, unknown=beta)
+                rhs = self._adjoint_sum(
+                    "u", means, beta, values, diffs, lams, unknown=beta
+                )
                 self.adjoint_solves += 1
                 self._cache[key] = self.factor.solve_t(-rhs)
             lams[beta] = self._cache[key]
@@ -319,10 +353,10 @@ class DerivativeEngine:
         q = np.asarray(q, dtype=float)
         if q.shape != (self.model.n_q,):
             raise ShapeError(f"q has shape {q.shape}, expected ({self.model.n_q},)")
-        unique, counts, keys = self._canonical(directions, self.order - 1)
-        values = self._forward_values(unique, counts, keys)
-        lams = self._adjoint_values(unique, counts, keys, q, values)
-        g = self._adjoint_sum("m", unique, counts, values, lams)
+        counts, keys, means = self._canonical(directions, self.order - 1)
+        values, diffs = self._forward_values(counts, keys, means)
+        lams = self._adjoint_values(counts, keys, means, q, values, diffs)
+        g = self._adjoint_sum("m", means, counts, values, diffs, lams)
         return g if self.whitener is None else self.whitener.apply(g)
 
 

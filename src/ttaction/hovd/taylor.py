@@ -90,21 +90,31 @@ def build_taylor_surrogate(
 
     Order 1 is read by :func:`jacobian_train`; each order j >= 2 compresses
     the whitened derivative tensor with the action-based train builder, all
-    at rank ``rank``.  Returns the surrogate and the per-order reports.
+    at rank ``rank``.  Returns the surrogate and the per-order reports; the
+    order-1 report holds the Jacobian's ``actions``, the count law's
+    ``predicted_actions`` and its ``rank``.
     An order below 1, or a rank or ``oversampling`` the action-count law
     refuses at any order, raises :class:`~ttaction.errors.ShapeError` before
-    any solve; at order 1 the law is the two-mode (r + p) + r of
-    :func:`jacobian_train`.
+    any solve.  At order 1 the law is the two-mode (r + p) + r of
+    :func:`jacobian_train` in the Jacobian's own mode order (n_q, n_m):
+    its range finder cuts the rank at the output size n_q.
     """
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")
-    for j in range(1, order + 1):
+    jacobian_law = predicted_action_count((model.n_q, model.n_m), rank, oversampling)
+    for j in range(2, order + 1):
         predicted_action_count(derivative_dims(model, j), rank, oversampling)
     whitener = whitener or WhitenedMap(model)
     f0 = whitener.base_value()
     jac = make_derivative_oracle(model, 1, whitener=whitener)
     trains = {1: jacobian_train(jac, rank, oversampling, subseed(seed, 1))}
-    reports = {1: {"actions": jac.action_count, "rank": trains[1].ranks[0]}}
+    reports = {
+        1: {
+            "actions": jac.action_count,
+            "predicted_actions": jacobian_law,
+            "rank": trains[1].ranks[0],
+        }
+    }
     for j in range(2, order + 1):
         oracle = make_derivative_oracle(model, j, whitener=whitener)
         config = BuildConfig(

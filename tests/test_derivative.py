@@ -585,37 +585,113 @@ def multisets_through(order):
 
 
 def test_compiled_programs_reproduce_the_expansion():
-    # every term of expansion(beta), in order and with its coefficient; the
-    # unknown term left out exactly once
+    # every term of expansion(beta) that the model's zero pattern keeps, in
+    # order and with its coefficient; the unknown term left out exactly once
     from ttaction.hovd.lattice import expansion
 
+    vanishes = ReactionDiffusionModel.partial_vanishes
     betas = multisets_through(5)
     assert len(betas) > 100 and max(sum(b) for b in betas) == 5
+    dropped = 0
     for beta in betas:
         terms = expansion(beta)
         unknown = (((0,) * len(beta), (beta,)), 1)
         assert terms.count(unknown) == 1
-        forward = oracle_module._forward_program(beta)
+        forward = oracle_module._forward_program(beta, vanishes)
         assert [
             (tuple(np.bincount(idx, minlength=len(beta))), blocks, coef)
             for idx, blocks, coef in forward
-        ] == [(j, blocks, coef) for (j, blocks), coef in terms if (j, blocks) != unknown[0]]
+        ] == [
+            (j, blocks, coef)
+            for (j, blocks), coef in terms
+            if (j, blocks) != unknown[0] and not vanishes(sum(j), len(blocks), None)
+        ]
         assert all(list(idx) == sorted(idx) for idx, _, _ in forward)
-        for left_out in (beta, None):
-            adjoint = oracle_module._adjoint_program(beta, left_out)
-            assert len(adjoint) == len(terms)
-            dropped = 0
-            for (idx, blocks, coef, splits), ((j, b), c) in zip(adjoint, terms):
-                assert (tuple(np.bincount(idx, minlength=len(beta))), blocks, coef) == (j, b, c)
-                if left_out is not None and (j, b) == unknown[0]:
-                    assert splits == ()
-                    dropped += 1
-                    continue
-                # one split per distinct block: one copy moved, the rest in order
-                want = []
-                for block in dict.fromkeys(blocks):
-                    rest = list(blocks)
-                    rest.remove(block)
-                    want.append((block, coef * blocks.count(block), tuple(rest)))
-                assert list(splits) == want
-            assert dropped == (left_out is not None)
+        dropped += len(terms) - 1 - len(forward)
+        zero = (0,) * len(beta)
+        for left_out, free in ((beta, "u"), (None, "m")):
+            want = []
+            for (j, blocks), coef in terms:
+                # the term itself against the base adjoint, then one split
+                # per distinct block: one copy moved, the rest in order
+                parts = []
+                if not vanishes(sum(j), len(blocks), free):
+                    parts.append((blocks, coef, zero))
+                if (left_out is None or (j, blocks) != unknown[0]) and not vanishes(
+                    sum(j), len(blocks) - 1, free
+                ):
+                    for block in dict.fromkeys(blocks):
+                        rest = list(blocks)
+                        rest.remove(block)
+                        parts.append((tuple(rest), coef * blocks.count(block), block))
+                if parts:
+                    want.append((j, tuple(parts)))
+            adjoint = oracle_module._adjoint_program(beta, left_out, free, vanishes)
+            assert [
+                (tuple(np.bincount(idx, minlength=len(beta))), parts)
+                for idx, parts in adjoint
+            ] == want
+    assert dropped > 0
+
+
+def test_engine_edge_arrays_reproduce_partial_g():
+    # the engine's base-point edge arrays, direction edge means and node edge
+    # differences give partial_g's bytes at the engine's base point
+    model = ReactionDiffusionModel(5)
+    engine = DerivativeEngine(model, 3)
+    rng = np.random.default_rng(24)
+    vs = [rng.standard_normal(model.n_m) for _ in range(3)]
+    ws = [rng.standard_normal(model.n_u) for _ in range(3)]
+    z = rng.standard_normal(model.n_u)
+    means = [model.edge_means(v) for v in vs]
+    dws = [model.edge_differences(w) for w in ws]
+    for j in range(4):
+        c = engine._edge_product(means, range(j))
+        for s in range(4):
+            for free in (None, "u", "m"):
+                got = model.partial_edges(
+                    engine.u0, engine._du0, c, j, ws[:s], dws[:s], z, free
+                )
+                want = model.partial_g(
+                    engine.m0, engine.u0, vs[:j], ws[:s], weight=z, free=free
+                )
+                assert got.tobytes() == want.tobytes(), (j, s, free)
+
+
+def engine_walk(order):
+    """Bytes of a fixed run of output-free and mode-free actions, and its solve counts."""
+    model = ReactionDiffusionModel(5)
+    rng = np.random.default_rng(23)
+    a, b, c, d = (rng.standard_normal(model.n_m) for _ in range(4))
+    q1, q2 = (rng.standard_normal(model.n_q) for _ in range(2))
+    engine = DerivativeEngine(model, order)
+    out, counts = [], []
+    for dirs in ([a] * order, [a, b, c, d][:order], [a, a, b, b][:order]):
+        out.append(engine.output_free(dirs).tobytes())
+        counts.append((engine.forward_solves, engine.adjoint_solves))
+    for dirs, q in (([a, b, c], q1), ([b, b, b], q2), ([a, a, c], q1)):
+        out.append(engine.mode_free(dirs[: order - 1], q).tobytes())
+        counts.append((engine.forward_solves, engine.adjoint_solves))
+    return out, counts
+
+
+# (forward, adjoint) solves after each action of engine_walk
+WALK_SOLVES = {
+    2: [(2, 0), (4, 0), (4, 0), (4, 2), (4, 4), (4, 4)],
+    3: [(3, 0), (9, 0), (10, 0), (10, 4), (11, 7), (11, 8)],
+    4: [(4, 0), (18, 0), (22, 0), (22, 8), (23, 12), (24, 14)],
+}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_solve_counts_and_bits_do_not_depend_on_dropped_zero_terms(monkeypatch, order):
+    # the programs leave out the partials the model declares zero; that
+    # changes no solve count and no bit of any action
+    out, counts = engine_walk(order)
+    assert counts == WALK_SOLVES[order]
+    # the compiled programs are keyed by the zero pattern, so this one
+    # compiles its own
+    monkeypatch.setattr(
+        ReactionDiffusionModel, "partial_vanishes", staticmethod(lambda j, s, free: False)
+    )
+    assert engine_walk(order) == (out, counts)

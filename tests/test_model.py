@@ -174,6 +174,32 @@ def test_free_m_is_dual_to_m_direction(n, n_dirs):
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
 
 
+def test_edge_kernel_matches_partial_g_and_its_zero_pattern():
+    # partial_edges on edge arrays formed as the derivative engine forms
+    # them returns partial_g's bytes, and is all zeros exactly where
+    # partial_vanishes says so
+    model, rng, m, u = make(5, seed=16)
+    vs = [rng.standard_normal(model.n_m) for _ in range(5)]
+    ws = [rng.standard_normal(model.n_u) for _ in range(5)]
+    z = rng.standard_normal(model.n_u)
+    du = model.edge_differences(u)
+    dws = [model.edge_differences(w) for w in ws]
+    zeros = set()
+    for j in range(6):
+        c = model.edge_factors(m)
+        for v in vs[:j]:
+            c = c * model.edge_means(v)
+        for s in range(6):
+            for free in (None, "u", "m"):
+                got = model.partial_edges(u, du, c, j, ws[:s], dws[:s], z, free)
+                want = model.partial_g(m, u, vs[:j], ws[:s], weight=z, free=free)
+                assert got.tobytes() == want.tobytes(), (j, s, free)
+                if not got.any():
+                    zeros.add((j, s, free))
+                assert model.partial_vanishes(j, s, free) == ((j, s, free) in zeros)
+    assert len(zeros) == 22 + 28 + 24  # free None, "u" and "m"
+
+
 def test_observation_is_weighted_boundary_trace():
     model = ReactionDiffusionModel(5)
     u = np.arange(model.n_u, dtype=float)

@@ -1,12 +1,15 @@
 """Derivative-based polynomial surrogates and their error statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ttaction import TensorTrain, oracle_from_dense, tt_apply
-from ttaction.errors import ShapeError, ZeroNormError
+from ttaction.builder import predicted_action_count
+from ttaction.errors import RankClampWarning, ShapeError, ZeroNormError
+from ttaction.rangefinder import DEFAULT_OVERSAMPLING
 from ttaction.hovd import oracle as oracle_module
 from ttaction.hovd import taylor as taylor_module
 from ttaction.hovd import (
@@ -213,6 +216,22 @@ def test_build_validation():
     model = ReactionDiffusionModel(5)
     with pytest.raises(ShapeError):
         build_taylor_surrogate(model, order=0, rank=4)
+
+
+@pytest.mark.parametrize("rank", [12, 13, 14, 15, 16])
+def test_jacobian_actions_follow_the_count_law_in_its_mode_order(rank):
+    # the Jacobian's range finder cuts the rank at the output size n_q = 12,
+    # so at n=4 its actions follow the two-mode law over (n_q, n_m) = (12, 16)
+    model = ReactionDiffusionModel(4)
+    law = predicted_action_count((model.n_q, model.n_m), rank, DEFAULT_OVERSAMPLING)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankClampWarning)
+        _, reports = build_taylor_surrogate(model, 1, rank)
+    assert reports[1]["actions"] == reports[1]["predicted_actions"] == law
+    if rank == 15:
+        # the law over (n_m, n_q) would have said (15 + 5) + 15
+        assert law == 29
+        assert predicted_action_count((model.n_m, model.n_q), rank) == 35
 
 
 @pytest.mark.parametrize("order", [1, 2])
