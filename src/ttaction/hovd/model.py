@@ -18,9 +18,11 @@ list ``ws`` of u-directions, optionally with one extra differentiation slot
 left free and the output contracted against a weight vector, as adjoint
 computations need.  It checks its inputs and hands edge arrays to
 ``partial_edges``, the one home of those forms, which a caller holding
-checked edge arrays (the derivative engine) calls directly; which forms are
-zero is stated beside it, in ``partial_vanishes``.  The observation, linear
-in u and free of m, has one partial: its transpose, ``partial_f``.
+checked edge arrays (the derivative engine, the state solve) calls directly;
+which forms are zero is stated beside it, in ``partial_vanishes``.  The
+observation, linear in u and free of m, has one partial: its transpose,
+``partial_f``.  No method writes to the model, so it keeps no state between
+calls.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ class ReactionDiffusionModel:
                 rows * n + plus[cols],
             )
         )
-        # memo of the base edge factors exp(mean m): (bytes of m, factors)
-        self._base_coeff = (None, None)
 
     # -- grid plumbing ------------------------------------------------------
 
@@ -117,17 +117,8 @@ class ReactionDiffusionModel:
         return y - y[self._nbr]
 
     def edge_factors(self, m):
-        """Base edge factors exp(mean m), computed once per base point m.
-
-        Kept read-only in ``_base_coeff`` under the bytes of m, so an m
-        changed in place is recomputed.
-        """
-        key = m.tobytes()
-        if key != self._base_coeff[0]:
-            base = np.exp(self.edge_means(m))
-            base.flags.writeable = False
-            self._base_coeff = (key, base)
-        return self._base_coeff[1]
+        """Base edge factors exp(mean m) of the flux at base point m."""
+        return np.exp(self.edge_means(m))
 
     def _reaction(self, u, k, ws):
         """k-th u-derivative (k <= 3) of the reaction u^3 - rho, times each of ``ws``."""
@@ -178,10 +169,10 @@ class ReactionDiffusionModel:
         c = self.edge_factors(m)
         for v in vs:
             c = c * self.edge_means(v)
+        # the kernel reads the state's differences only without u-directions
+        du = None if ws else self.edge_differences(u)
         dws = [self.edge_differences(w) for w in ws]
-        return self.partial_edges(
-            u, self.edge_differences(u), c, len(vs), ws, dws, weight, free
-        )
+        return self.partial_edges(u, du, c, len(vs), ws, dws, weight, free)
 
     def partial_edges(self, u, du, c, j, ws, dws, weight=None, free=None):
         """The closed forms of :meth:`partial_g`, on edge arrays; checks nothing.
@@ -189,10 +180,10 @@ class ReactionDiffusionModel:
         ``c`` is the edge-coefficient product: :meth:`edge_factors` at the
         base point times the :meth:`edge_means` of each of the ``j``
         m-directions, in order.  ``du`` and ``dws`` are the
-        :meth:`edge_differences` of the state ``u`` and of each u-direction
-        in ``ws``.  ``weight`` and ``free`` are those of :meth:`partial_g`,
-        ``free`` one of None, ``"u"`` and ``"m"``.  The result is zero
-        exactly where :meth:`partial_vanishes` says so.
+        :meth:`edge_differences` of the state ``u``, read only when ``ws`` is
+        empty, and of each u-direction in ``ws``.  ``weight`` and ``free`` are
+        those of :meth:`partial_g`, ``free`` one of None, ``"u"`` and ``"m"``.
+        The result is zero exactly where :meth:`partial_vanishes` says so.
         """
         s = len(ws)
         if free is None:

@@ -53,18 +53,20 @@ def _line_search(model, m, u, rnorm, step):
     return None
 
 
-def _kept_lu_step(model, m, u, res, rnorm, lu, goal):
+def _kept_lu_step(model, c, u, res, rnorm, lu, goal):
     """Newton step J s = -G solved by refinement sweeps on the LU in hand.
 
     Each sweep adds ``lu.solve(r)`` to the step, where r = -G - J s is the
-    linear residual, with J = dG/du at the iterate applied through
-    ``partial_g``.  Returns the step once ||r|| <= ``goal``, or None as soon
-    as a sweep fails to halve ||r|| (the LU is too far from J to converge).
+    linear residual, with J = dG/du at the iterate applied by the model's
+    ``partial_edges`` on the solve's edge factors ``c``.  Returns the step
+    once ||r|| <= ``goal``, or None as soon as a sweep fails to halve ||r||
+    (the LU is too far from J to converge).
     """
     step, lin, lnorm = 0.0, -res, rnorm
     while lnorm > goal:
         trial = step + lu.solve(lin)
-        trial_lin = -res - model.partial_g(m, u, [], [trial])
+        dtrial = model.edge_differences(trial)
+        trial_lin = -res - model.partial_edges(u, None, c, 0, [trial], [dtrial])
         trial_norm = float(np.linalg.norm(trial_lin))
         if not trial_norm <= 0.5 * lnorm:
             return None
@@ -81,14 +83,17 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
     hand, the caller's ``lu`` (such as the base point's) or the last one this
     solve factorized, to a linear residual of ``||G|| * min(0.5, ||G|| /
     scale)``: a forcing term of the size of ``||G||`` keeps Newton's
-    quadratic convergence (Dembo, Eisenstat & Steihaug 1982).  With no LU
-    yet, a sweep that fails to halve the linear residual, or a step the line
-    search rejects, the solve factorizes dG/du at the iterate, takes that
-    exact Newton step and keeps the new LU.  Iterates until ``||G|| < 1e-10 *
-    scale`` with ``scale = max(1, ||rho||)``, the model's source norm.
+    quadratic convergence (Dembo, Eisenstat & Steihaug 1982).  The sweeps
+    apply dG/du through the model's edge kernel on the edge factors of
+    ``m``, formed once per solve.  With no LU yet, a sweep that fails to
+    halve the linear residual, or a step the line search rejects, the solve
+    factorizes dG/du at the iterate, takes that exact Newton step and keeps
+    the new LU.  Iterates until ``||G|| < 1e-10 * scale`` with ``scale =
+    max(1, ||rho||)``, the model's source norm.
     Returns (state, Newton steps taken); raises
-    :class:`~ttaction.errors.NewtonError` after ``max_iter`` steps or when
-    the line search rejects an exact Newton step.
+    :class:`~ttaction.errors.NewtonError` when the residual at the start is
+    not finite (a NaN or infinite entry in ``m`` or ``u0``), after
+    ``max_iter`` steps, or when the line search rejects an exact Newton step.
     """
     # dG/du = L(m) + 3 diag(u^2), L of zero row sums and non-positive off-diagonals
     # on a connected grid, is irreducibly diagonally dominant, so nonsingular, unless
@@ -98,6 +103,10 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
     target = 1e-10 * scale
     res = model.residual(m, u)
     rnorm = float(np.linalg.norm(res))
+    # the line search accepts finite residuals only, so only the start can fail this
+    if not np.isfinite(rnorm):
+        raise NewtonError(f"non-finite residual at the start (residual {rnorm:.3e})")
+    c = model.edge_factors(np.asarray(m, dtype=float))
     iters = 0
     while rnorm >= target:
         if iters >= max_iter:
@@ -107,7 +116,7 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
         accepted = None
         if lu is not None:
             goal = rnorm * min(0.5, rnorm / scale)
-            step = _kept_lu_step(model, m, u, res, rnorm, lu, goal)
+            step = _kept_lu_step(model, c, u, res, rnorm, lu, goal)
             if step is not None:
                 accepted = _line_search(model, m, u, rnorm, step)
         if accepted is None:
@@ -127,8 +136,8 @@ _BASE_POINTS = weakref.WeakKeyDictionary()
 def _base_point(model):
     """(read-only state, Newton iterations, state LU) at m = 0, solved once.
 
-    A model is not changed after construction, so its base point holds for
-    as long as the model lives.
+    No model method writes to the model, so its base point holds for as
+    long as the model lives.
     """
     if model not in _BASE_POINTS:
         m0 = np.zeros(model.n_m)
@@ -144,42 +153,31 @@ def _indices(j_counts):
 
 
 @lru_cache(maxsize=None)
-def _forward_program(beta, vanishes):
-    """The forward sum of ``beta`` compiled once: (indices, blocks, coefficient).
-
-    One entry per term of ``expansion(beta)``, in its order, but for the
-    term that is u^beta alone and the terms that ``vanishes(j, s, None)``,
-    the model's zero pattern for j m- and s u-directions, drops.
-    """
-    return tuple(
-        (_indices(j_counts), blocks, coef)
-        for (j_counts, blocks), coef in expansion(beta)
-        if (any(j_counts) or blocks != (beta,))
-        and not vanishes(sum(j_counts), len(blocks), free=None)
-    )
-
-
-@lru_cache(maxsize=None)
-def _adjoint_program(beta, unknown, free, vanishes):
-    """The adjoint sum of ``beta`` compiled once per (``unknown``, ``free``).
+def _program(beta, unknown, free, vanishes):
+    """The chain-rule sum of ``beta`` compiled once per (``unknown``, ``free``).
 
     One (indices, parts) entry per term of ``expansion(beta)``, in its
-    order.  Each part (blocks, coefficient, lambda block) is one partial:
-    first the term against the base adjoint sensitivity (the zero block),
-    then one split per distinct block, which moves one copy of it onto its
-    adjoint sensitivity at the coefficient times its multiplicity, the rest
-    keeping their order.  The term that is lambda^unknown alone has no
-    split.  Parts that ``vanishes(j, s, free)``, the model's zero pattern,
-    drops are left out, and so are terms left with none.
+    order.  Each part (blocks, coefficient, lambda block) is one partial.
+    With ``free=None`` (a forward sum) a term is one part against no
+    adjoint (lambda block None), and the term that is u^``unknown`` alone,
+    the solve's unknown, is left out.  With ``free="u"`` or ``"m"`` (an
+    adjoint sum) a term is first itself against the base adjoint
+    sensitivity (the zero block), then one split per distinct block, which
+    moves one copy of it onto its adjoint sensitivity at the coefficient
+    times its multiplicity, the rest keeping their order; the term that is
+    lambda^``unknown`` alone has no split.  Parts that ``vanishes(j, s,
+    free)``, the model's zero pattern for j m- and s u-directions, drops
+    are left out, and so are terms left with none.
     """
-    zero = (0,) * len(beta)
+    zero = None if free is None else (0,) * len(beta)
     program = []
     for (j_counts, blocks), coef in expansion(beta):
         j, s = sum(j_counts), len(blocks)
+        alone = not j and blocks == (unknown,)
         parts = []
-        if not vanishes(j, s, free):
+        if not (free is None and alone) and not vanishes(j, s, free):
             parts.append((blocks, coef, zero))
-        if (j or blocks != (unknown,)) and not vanishes(j, s - 1, free):
+        if free is not None and not alone and not vanishes(j, s - 1, free):
             for block, mult in Counter(blocks).items():
                 rest = list(blocks)
                 rest.remove(block)
@@ -197,16 +195,17 @@ class DerivativeEngine:
     model states it: linear in u and independent of m.  So an output-free
     action is ``model.qoi`` of one state sensitivity, the adjoint seed is the
     observation's only partial (``partial_f`` once per distinct weight q),
-    and the adjoint sums run over the residual's partials alone.  Each
-    chain-rule sum runs a program compiled once per (node, unknown) from
-    ``expansion``, without the terms the model's ``partial_vanishes`` drops:
-    the direction indices of every term and, for the adjoint, each term's
-    split of one block onto its adjoint sensitivity, in the expansion's
-    order; the lattice levels come cached from ``sub_multisets``.  Every
-    partial is the model's ``partial_edges`` on edge arrays the engine forms
-    itself: the base point's edge factors and state differences once per
-    engine, each direction's edge mean and each lattice node's edge
-    differences once per action.  Directions are keyed by their float64
+    and the adjoint sums run over the residual's partials alone.  Forward
+    and adjoint chain-rule sums are one sum, :meth:`_sum`, over one program
+    compiled once per (node, unknown, free slot) from ``expansion``, without
+    the terms the model's ``partial_vanishes`` drops: the direction indices
+    of every term and, for the adjoint, each term's split of one block onto
+    its adjoint sensitivity, in the expansion's order; the lattice levels
+    come cached from ``sub_multisets``.  Every partial is the model's
+    ``partial_edges`` on edge arrays the engine forms itself: the base
+    point's edge factors and state differences once per engine, each
+    direction's edge mean and each lattice node's edge differences once per
+    action.  Directions are keyed by their float64
     bytes and lattice nodes by those keys, so the solve counters see each
     node once; a solve that raises caches nothing.  With a ``whitener`` the
     directions are raw-space vectors: each distinct one is smoothed on its
@@ -264,36 +263,45 @@ class DerivativeEngine:
             c = c * means[i]
         return c
 
-    # -- forward lattice ----------------------------------------------------
-
-    def _forward_sum(self, means, beta, values, diffs):
+    def _sum(self, means, beta, values, diffs, unknown, free=None, lams=None):
         """Chain-rule sum of the residual's partials over the expansion of ``beta``.
 
-        Leaves out the term that is u^beta alone (the solve's unknown).
+        ``free=None`` gives the right-hand side of a forward solve, ``"u"``
+        that of an adjoint solve and ``"m"`` a mode-free action; the adjoint
+        sums contract each part against its sensitivity in ``lams``.  Leaves
+        out the term that is the solve's ``unknown`` alone.
         """
         model, u0, du0 = self.model, self.u0, self._du0
-        out = np.zeros(model.n_u)
-        for idx, blocks, coef in _forward_program(beta, model.partial_vanishes):
+        out = np.zeros(model.n_m if free == "m" else model.n_u)
+        for idx, parts in _program(beta, unknown, free, model.partial_vanishes):
             c = self._edge_product(means, idx)
-            ws = [values[b] for b in blocks]
-            dws = [diffs[b] for b in blocks]
-            out += coef * model.partial_edges(u0, du0, c, len(idx), ws, dws)
+            for blocks, coef, lam in parts:
+                ws = [values[b] for b in blocks]
+                dws = [diffs[b] for b in blocks]
+                weight = None if lam is None else lams[lam]
+                out += coef * model.partial_edges(
+                    u0, du0, c, len(idx), ws, dws, weight, free
+                )
         return out
+
+    # -- forward lattice ----------------------------------------------------
 
     def _forward_values(self, counts, keys, means):
         """Ensure the state sensitivities u^beta for beta <= counts.
 
-        Returns them and their edge differences, both keyed by beta.
+        Returns them and the edge differences of all but the top node
+        ``counts``, which no forward sum reads, both keyed by beta.
         """
         values, diffs = {}, {}
         for beta in sub_multisets(counts):
             key = ("u", block_signature(keys, beta))
             if key not in self._cache:
-                rhs = self._forward_sum(means, beta, values, diffs)
+                rhs = self._sum(means, beta, values, diffs, beta)
                 self.forward_solves += 1
                 self._cache[key] = self.factor.solve(-rhs)
             values[beta] = self._cache[key]
-            diffs[beta] = self.model.edge_differences(values[beta])
+            if beta != counts:
+                diffs[beta] = self.model.edge_differences(values[beta])
         return values, diffs
 
     def output_free(self, directions):
@@ -303,24 +311,6 @@ class DerivativeEngine:
         return self.model.qoi(values[counts])
 
     # -- adjoint lattice ----------------------------------------------------
-
-    def _adjoint_sum(self, free, means, beta, values, diffs, lams, unknown=None):
-        """Adjoint chain-rule sum over the expansion of ``beta``.
-
-        ``free="u"`` gives the right-hand side of an adjoint solve, ``"m"`` a
-        mode-free action.  Leaves out the term carrying lambda^unknown alone.
-        """
-        model, u0, du0 = self.model, self.u0, self._du0
-        out = np.zeros(model.n_u if free == "u" else model.n_m)
-        for idx, parts in _adjoint_program(beta, unknown, free, model.partial_vanishes):
-            c = self._edge_product(means, idx)
-            for blocks, coef, lam in parts:
-                ws = [values[b] for b in blocks]
-                dws = [diffs[b] for b in blocks]
-                out += coef * model.partial_edges(
-                    u0, du0, c, len(idx), ws, dws, lams[lam], free
-                )
-        return out
 
     def _adjoint_values(self, counts, keys, means, q, values, diffs):
         """Adjoint sensitivities lambda^beta for beta <= counts, q fixed."""
@@ -335,9 +325,7 @@ class DerivativeEngine:
         for beta in sub_multisets(counts):
             key = ("l", qsig, block_signature(keys, beta))
             if key not in self._cache:
-                rhs = self._adjoint_sum(
-                    "u", means, beta, values, diffs, lams, unknown=beta
-                )
+                rhs = self._sum(means, beta, values, diffs, beta, "u", lams)
                 self.adjoint_solves += 1
                 self._cache[key] = self.factor.solve_t(-rhs)
             lams[beta] = self._cache[key]
@@ -355,8 +343,10 @@ class DerivativeEngine:
             raise ShapeError(f"q has shape {q.shape}, expected ({self.model.n_q},)")
         counts, keys, means = self._canonical(directions, self.order - 1)
         values, diffs = self._forward_values(counts, keys, means)
+        if any(counts):  # the top node's differences; order 1 has no node
+            diffs[counts] = self.model.edge_differences(values[counts])
         lams = self._adjoint_values(counts, keys, means, q, values, diffs)
-        g = self._adjoint_sum("m", means, counts, values, diffs, lams)
+        g = self._sum(means, counts, values, diffs, None, "m", lams)
         return g if self.whitener is None else self.whitener.apply(g)
 
 

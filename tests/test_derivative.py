@@ -42,6 +42,46 @@ def test_solve_state_runs_out_of_iterations():
         solve_state(model, np.zeros(model.n_m), max_iter=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["m", "u0"])
+def test_solve_state_refuses_a_non_finite_start(where, bad):
+    # a NaN residual compares False against the target, so unchecked it
+    # would return the start as converged after no Newton step
+    model = ReactionDiffusionModel(5)
+    m, u0 = np.zeros(model.n_m), np.cbrt(model.rho)
+    (m if where == "m" else u0)[3] = bad
+    with pytest.raises(NewtonError, match="non-finite residual"):
+        solve_state(model, m, u0=u0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_whitened_evaluate_refuses_a_non_finite_draw(bad):
+    model = ReactionDiffusionModel(5)
+    x = np.zeros(model.n_m)
+    x[3] = bad
+    with pytest.raises(NewtonError, match="non-finite residual"):
+        WhitenedMap(model).evaluate(x)
+
+
+def test_state_solve_makes_no_partial_g_call(monkeypatch):
+    # Newton's refinement sweeps apply dG/du through the edge kernel on the
+    # solve's own edge factors, not through the checked partial_g
+    model = ReactionDiffusionModel(6)
+    u0, _, lu = oracle_module._base_point(model)
+    calls, original = [], ReactionDiffusionModel.partial_g
+
+    def spy(*args, **kwargs):
+        calls.append(True)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ReactionDiffusionModel, "partial_g", spy)
+    m = 0.2 * np.random.default_rng(25).standard_normal(model.n_m)
+    _, warm = solve_state(model, m, u0=u0, lu=lu)
+    _, cold = solve_state(model, m)
+    assert warm > 0 and cold > 0
+    assert calls == []
+
+
 def test_state_responds_quadratically_to_source_scaling():
     # linearization about the solved base state: scaling the source by 1+s
     # moves the state by the Jacobian solve plus an O(s^2) remainder
@@ -597,16 +637,18 @@ def test_compiled_programs_reproduce_the_expansion():
         terms = expansion(beta)
         unknown = (((0,) * len(beta), (beta,)), 1)
         assert terms.count(unknown) == 1
-        forward = oracle_module._forward_program(beta, vanishes)
+        # a forward term is one part against no adjoint
+        forward = oracle_module._program(beta, beta, None, vanishes)
+        assert all(len(parts) == 1 and parts[0][2] is None for _, parts in forward)
         assert [
-            (tuple(np.bincount(idx, minlength=len(beta))), blocks, coef)
-            for idx, blocks, coef in forward
+            (tuple(np.bincount(idx, minlength=len(beta))), *parts[0][:2])
+            for idx, parts in forward
         ] == [
             (j, blocks, coef)
             for (j, blocks), coef in terms
             if (j, blocks) != unknown[0] and not vanishes(sum(j), len(blocks), None)
         ]
-        assert all(list(idx) == sorted(idx) for idx, _, _ in forward)
+        assert all(list(idx) == sorted(idx) for idx, _ in forward)
         dropped += len(terms) - 1 - len(forward)
         zero = (0,) * len(beta)
         for left_out, free in ((beta, "u"), (None, "m")):
@@ -626,7 +668,7 @@ def test_compiled_programs_reproduce_the_expansion():
                         parts.append((tuple(rest), coef * blocks.count(block), block))
                 if parts:
                     want.append((j, tuple(parts)))
-            adjoint = oracle_module._adjoint_program(beta, left_out, free, vanishes)
+            adjoint = oracle_module._program(beta, left_out, free, vanishes)
             assert [
                 (tuple(np.bincount(idx, minlength=len(beta))), parts)
                 for idx, parts in adjoint

@@ -323,9 +323,19 @@ def test_library_defines_no_dense_reference(path):
 
 
 #: Second paths that were deleted: the dense entry is ``oracle_from_dense``,
-#: and the count law refuses with ``ShapeError`` through
-#: ``predicted_action_count``.
-DELETED_NAMES = ("BacktrackingRequiredError", "check_schedule", "dense_action")
+#: the count law refuses with ``ShapeError`` through
+#: ``predicted_action_count``, and both derivative lattices compile their
+#: chain-rule sums with ``hovd.oracle._program`` and run them with
+#: ``DerivativeEngine._sum``.
+DELETED_NAMES = (
+    "BacktrackingRequiredError",
+    "check_schedule",
+    "dense_action",
+    "_forward_program",
+    "_adjoint_program",
+    "_forward_sum",
+    "_adjoint_sum",
+)
 
 
 def deleted_names(source):
@@ -357,6 +367,9 @@ def test_scan_flags_a_deleted_name():
         "from .builder import predicted_action_count as check_schedule\n"
         "class BacktrackingRequiredError(ShapeError):\n    pass\n"
         '__all__ = ["dense_action"]\n'
+        "_forward_program = _adjoint_program = _program\n"
+        "class Engine:\n    def _forward_sum(self):\n        pass\n"
+        "    _adjoint_sum = _sum\n"
     )
     line = source.count("\n") + 1
     assert deleted_names(source + planted) == [
@@ -364,6 +377,10 @@ def test_scan_flags_a_deleted_name():
         (line + 1, "check_schedule"),
         (line + 2, "BacktrackingRequiredError"),
         (line + 4, "dense_action"),
+        (line + 5, "_adjoint_program"),
+        (line + 5, "_forward_program"),
+        (line + 7, "_forward_sum"),
+        (line + 9, "_adjoint_sum"),
     ]
     # a use that binds another name is not a definition
     assert deleted_names("x = check_schedule(a)\ny = 'a dense_action'\n") == []

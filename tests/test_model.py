@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg
 
 from ttaction.hovd.model import ReactionDiffusionModel
+from ttaction.hovd.oracle import solve_state
 from ttaction.errors import ShapeError
 
 
@@ -139,6 +140,26 @@ def test_base_point_memo_follows_m():
     np.testing.assert_array_equal(
         model.residual(m, u), ReactionDiffusionModel(5).residual(m, u)
     )
+
+
+def test_model_methods_write_nothing_to_the_model():
+    # the model keeps no state between calls: its attributes keep their
+    # keys, objects and bytes through every method, a state solve included
+    model, rng, m, u = make(5, seed=12)
+    before = {k: (v, v.tobytes() if isinstance(v, np.ndarray) else v)
+              for k, v in vars(model).items()}
+    vs, ws = [rng.standard_normal(model.n_m)], [rng.standard_normal(model.n_u)]
+    model.residual(m, u)
+    model.partial_g(m, u, vs, ws)
+    model.partial_g(m, u, vs, weight=u, free="m")
+    model.jacobian_u(m, u)
+    model.factorize(m, u)
+    solve_state(model, m)
+    assert vars(model).keys() == before.keys()
+    for k, v in vars(model).items():
+        assert v is before[k][0], k
+        if isinstance(v, np.ndarray):
+            assert v.tobytes() == before[k][1], k
 
 
 # at n=4 every node lies on a wall or is the mirror source of a wall node's
