@@ -94,16 +94,27 @@ class ActionOracle:
         j; the result is the (N_free, b) matrix of their fibers.  A plain
         vector passed to :meth:`action` reaches ``apply_fn`` as a block of
         one.
+    lead_fn : callable, optional
+        ``lead_fn(free_mode, lead) -> object``, the work an action does on
+        its lead alone: the blocks of the modes before the free mode, in
+        mode order (none for free mode 1).  With it, ``apply_fn`` is called
+        as ``apply_fn(free_mode, blocks, lead_fn(free_mode, lead))``.  The
+        result is kept in a one-slot memo keyed by the free mode and the
+        exact float64 bytes of the lead, so the actions of a build stage,
+        which share their interpolation prefixes and differ only in their
+        samples, pay for the lead once.  An array result is made read-only.
 
     Notes
     -----
     Serves one caller at a time, as a numpy ``Generator`` does: the counter
-    is a plain integer with no synchronisation.
+    and the memo have no synchronisation.
     """
 
-    def __init__(self, dims, apply_fn):
+    def __init__(self, dims, apply_fn, lead_fn=None):
         self.dims = _check_dims(dims)
         self._apply = apply_fn
+        self._lead_fn = lead_fn
+        self._lead = None  # (key, lead_fn result) of the last action
         self._count = 0
 
     @property
@@ -116,12 +127,25 @@ class ActionOracle:
         return self._count
 
     def clear_cache(self):
-        """Drop work cached between actions; this base oracle caches none.
+        """Drop work cached between actions: here the lead memo.
 
-        Subclasses that cache override it.  Callers clear before each run
-        that must not reuse an earlier run's work, such as every iteration of
-        a power method.  Clearing must not change what an action returns.
+        Subclasses that cache more override it and call this one.  Callers
+        clear before each run that must not reuse an earlier run's work,
+        such as every iteration of a power method.  Clearing must not change
+        what an action returns.
         """
+        self._lead = None
+
+    def _lead_of(self, free_mode, blocks):
+        """``lead_fn`` on the blocks before ``free_mode``, from the memo on a repeat."""
+        lead = blocks[: free_mode - 1]
+        key = (free_mode, *(v.tobytes() for v in lead))
+        if self._lead is None or self._lead[0] != key:
+            value = self._lead_fn(free_mode, lead)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._lead = (key, value)
+        return self._lead[1]
 
     def action(self, free_mode, vectors):
         """Saturate all modes but ``free_mode`` (1-based) and return the fiber.
@@ -136,7 +160,11 @@ class ActionOracle:
         blocks, plain = _check_vectors(self.dims, free_mode, vectors)
         width = blocks[0].shape[1]
         self._count += width
-        out = np.asarray(self._apply(free_mode, blocks), dtype=float)
+        if self._lead_fn is None:
+            out = self._apply(free_mode, blocks)
+        else:
+            out = self._apply(free_mode, blocks, self._lead_of(free_mode, blocks))
+        out = np.asarray(out, dtype=float)
         shape = (self.dims[free_mode - 1], width)
         if out.shape != shape:
             raise ShapeError(f"action returned shape {out.shape}, expected {shape}")
@@ -171,9 +199,18 @@ def oracle_from_dense(tensor):
 
 
 def oracle_from_tt(tt):
-    """Wrap a :class:`TensorTrain` as an :class:`ActionOracle`."""
+    """Wrap a :class:`TensorTrain` as an :class:`ActionOracle`.
+
+    The lead is the left prefix, :func:`prefix_contract` over the cores
+    before the free one, so the actions of one build stage sweep their
+    shared interpolation prefixes once.
+    """
     # the oracle has validated the blocks already
-    return ActionOracle(tt.dims, lambda k, vs: _contract(tt.cores, k - 1, vs))
+    return ActionOracle(
+        tt.dims,
+        lambda k, vs, left: _contract(tt.cores, k - 1, vs, left),
+        lead_fn=lambda k, lead: prefix_contract(tt.cores[: k - 1], lead),
+    )
 
 
 class TensorTrain:
@@ -230,28 +267,41 @@ def tt_apply(tt, free_mode, vectors):
     into the free core, costing O(d N r^2) per column.
     """
     blocks, plain = _check_vectors(tt.dims, free_mode, vectors)
-    out = _contract(tt.cores, free_mode - 1, blocks)
+    k = free_mode - 1
+    out = _contract(tt.cores, k, blocks, prefix_contract(tt.cores[:k], blocks[:k]))
     return out[:, 0] if plain else out
 
 
-def _contract(cores, k, blocks):
+def _distinct_columns(v):
+    """Block ``v``, or its first column alone if it is one vector broadcast (stride 0)."""
+    return v[:, :1] if v.strides[1] == 0 else v
+
+
+def _contract(cores, k, blocks, left):
     """The (N, b) block of actions with 0-based free core ``k``.
 
-    ``blocks`` are the validated (N_j, b) saturating blocks in mode order.
-    Every step is a stack of b matrix-vector products, one per column, so a
-    block of one has the bits of a single action.  Each right-sweep step
-    takes core (a, N, c) as an (a N, c) matrix times the right rank vector,
-    then the (a, N) result times the mode's vector.
+    ``blocks`` are the validated (N_j, b) saturating blocks in mode order,
+    and ``left`` is :func:`prefix_contract` of the cores and blocks before
+    core ``k``.  Every step is a stack of matrix-vector products, one per
+    column, so a block of one has the bits of a single action.  Each
+    right-sweep step takes core (a, N, c) as an (a N, c) matrix times the
+    right rank vector, then the (a, N) result times the mode's vector.  A
+    vector broadcast over the block (a stride-0 view, as every range-finder
+    sample block is) is swept as one column and its result broadcast.
     """
-    left = prefix_contract(cores[:k], blocks[:k])
     right = _BOUNDARY
     for j in range(len(cores) - 1, k, -1):
         a, n, c = cores[j].shape
+        v = _distinct_columns(blocks[j - 1])
         right = (cores[j].reshape(a * n, c) @ right).reshape(-1, a, n)
-        right = right @ np.ascontiguousarray(blocks[j - 1].T)[:, :, None]
+        right = right @ np.ascontiguousarray(v.T)[:, :, None]
     a, n, c = cores[k].shape
-    out = (left @ cores[k].reshape(a, n * c)).reshape(-1, n, c) @ right
-    return out.reshape(-1, n).T
+    out = ((left @ cores[k].reshape(a, n * c)).reshape(-1, n, c) @ right).reshape(-1, n)
+    width = blocks[0].shape[1]
+    if out.shape[0] < width:
+        # every entry was a broadcast vector: one column serves the block
+        out = np.repeat(out, width, axis=0)
+    return out.T
 
 
 def prefix_contract(cores, blocks):

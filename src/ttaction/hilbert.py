@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ActionOracle, TensorTrain, _check_dims
+from .core import ActionOracle, TensorTrain, _check_dims, _distinct_columns
 
 #: Mode sizes used by the compression experiment.
 DEFAULT_DIMS = (41, 42, 43, 44, 45)
@@ -58,23 +58,37 @@ def hilbert_oracle(dims):
     the block (a stride-0 view), then applies the Hankel matrix
     H[z, s] = w[z + s], read from the one weight vector w[t] = 1 / (d + t),
     to all b convolutions in one product.  One action costs O(N^2) instead
-    of the O(N^d) of a dense contraction.
+    of the O(N^d) of a dense contraction.  The oracle's lead is the product
+    of the spectra of the modes before the free one, so the actions of one
+    build stage transform their shared interpolation prefixes once; the
+    spectra are still multiplied in mode order.
     """
     dims = _check_dims(dims)
-    weights = 1.0 / (len(dims) + np.arange(sum(dims) - len(dims) + 1, dtype=float))
+    d = len(dims)
+    weights = 1.0 / (d + np.arange(sum(dims) - d + 1, dtype=float))
 
-    def apply_fn(free_mode, blocks):
-        size = sum(v.shape[0] for v in blocks) - len(blocks) + 1
-        nfft = 1 << (size - 1).bit_length()
-        spectrum = None
+    def fft_size(free_mode):
+        # the convolution of the d - 1 saturating vectors, and its FFT length
+        size = sum(dims) - dims[free_mode - 1] - d + 2
+        return size, 1 << (size - 1).bit_length()
+
+    def times_spectra(spectrum, blocks, nfft):
+        # a vector broadcast over the block (a range-finder sample) is
+        # transformed once and its spectrum broadcast in the product
         for v in blocks:
-            # a vector broadcast over the block (a range-finder sample) is
-            # transformed once and its spectrum broadcast in the product
-            f = np.fft.rfft(v[:, :1] if v.strides[1] == 0 else v, nfft, axis=0)
+            f = np.fft.rfft(_distinct_columns(v), nfft, axis=0)
             spectrum = f if spectrum is None else spectrum * f
+        return spectrum
+
+    def lead_fn(free_mode, lead):
+        return times_spectra(None, lead, fft_size(free_mode)[1])
+
+    def apply_fn(free_mode, blocks, lead):
+        size, nfft = fft_size(free_mode)
+        spectrum = times_spectra(lead, blocks[free_mode - 1:], nfft)
         spectrum = np.broadcast_to(spectrum, (spectrum.shape[0], blocks[0].shape[1]))
         conv = np.fft.irfft(spectrum, nfft, axis=0)[:size]
         hankel = sliding_window_view(weights, size)[: dims[free_mode - 1]]
         return np.ascontiguousarray(hankel) @ conv
 
-    return ActionOracle(dims, apply_fn)
+    return ActionOracle(dims, apply_fn, lead_fn)

@@ -91,22 +91,33 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
     the new LU.  Iterates until ``||G|| < 1e-10 * scale`` with ``scale =
     max(1, ||rho||)``, the model's source norm.
     Returns (state, Newton steps taken); raises
-    :class:`~ttaction.errors.NewtonError` when the residual at the start is
-    not finite (a NaN or infinite entry in ``m`` or ``u0``), after
-    ``max_iter`` steps, or when the line search rejects an exact Newton step.
+    :class:`~ttaction.errors.NewtonError` naming the input when ``m`` or
+    ``u0`` holds a NaN or an infinity, before any residual is formed, when
+    the residual at the start overflows, after ``max_iter`` steps, or when
+    the line search rejects an exact Newton step.
     """
     # dG/du = L(m) + 3 diag(u^2), L of zero row sums and non-positive off-diagonals
     # on a connected grid, is irreducibly diagonally dominant, so nonsingular, unless
     # u = 0; the root of the reaction alone starts away from that one singular point
+    m = np.asarray(m, dtype=float)
     u = np.cbrt(model.rho) if u0 is None else np.asarray(u0, dtype=float)
+    for name, v in (("m", m), ("u0", u)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise NewtonError(
+                f"non-finite {name}: {bad.size} of {v.size} entries, the first "
+                f"{v.flat[bad[0]]} at index {bad[0]}"
+            )
     scale = max(1.0, float(np.linalg.norm(model.rho)))
     target = 1e-10 * scale
-    res = model.residual(m, u)
-    rnorm = float(np.linalg.norm(res))
+    # finite inputs can still overflow; that is refused below in one message
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = model.residual(m, u)
+        rnorm = float(np.linalg.norm(res))
     # the line search accepts finite residuals only, so only the start can fail this
     if not np.isfinite(rnorm):
         raise NewtonError(f"non-finite residual at the start (residual {rnorm:.3e})")
-    c = model.edge_factors(np.asarray(m, dtype=float))
+    c = model.edge_factors(m)
     iters = 0
     while rnorm >= target:
         if iters >= max_iter:
@@ -418,7 +429,8 @@ class DerivativeOracle(ActionOracle):
         return out[:, 0] if plain else out
 
     def clear_cache(self):
-        """Empty the engine's cache; its state and LU stay."""
+        """Empty the base memo and the engine's cache; its state and LU stay."""
+        super().clear_cache()
         self.engine.clear_cache()
 
 

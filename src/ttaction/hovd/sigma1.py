@@ -54,6 +54,7 @@ class _DifferenceOracle(ActionOracle):
         self._operands = (a, b)
 
     def clear_cache(self):
+        super().clear_cache()
         for o in self._operands:
             o.clear_cache()
 

@@ -29,6 +29,7 @@ from ttaction.errors import (
     RankClampWarning,
     ShapeError,
 )
+from ttaction.hilbert import DEFAULT_DIMS, hilbert_oracle
 
 from dense_reference import left_orthogonality_defect, tt_dense_error, tt_to_dense
 
@@ -400,3 +401,61 @@ def test_build_makes_one_block_call_per_sample(dims, ranks):
     assert oracle.calls == sum(r + config.oversampling for r in ranks) + 1
     assert oracle.action_count == predicted_action_count(dims, ranks, oversampling=3)
     assert report.total_actions == oracle.action_count
+
+
+# ---------------------------------------------------------------------------
+# the lead memo: a stage's shared interpolation prefixes are worked once
+
+MEMO_CASES = [("train", dims, ranks) for dims, ranks in CASES] + [
+    ("hilbert", DEFAULT_DIMS, (10,) * 4),
+    ("hilbert", (12, 13, 14), (6, 6)),
+]
+
+
+def _memo_oracle(kind, dims, ranks):
+    if kind == "hilbert":
+        return hilbert_oracle(dims)
+    return oracle_from_tt(random_tt(np.random.default_rng(sum(dims)), dims, ranks))
+
+
+def _cleared_before_every_action(oracle):
+    """``oracle`` with its cache emptied before each action, so no lead is reused."""
+    action = oracle.action
+
+    def cleared(free_mode, vectors):
+        oracle.clear_cache()
+        return action(free_mode, vectors)
+
+    oracle.action = cleared
+    return oracle
+
+
+@pytest.mark.parametrize(
+    "kind,dims,ranks", MEMO_CASES, ids=[f"{k}-{len(d)}-{d[0]}" for k, d, _ in MEMO_CASES]
+)
+def test_lead_memo_keeps_every_bit_and_count_of_a_build(kind, dims, ranks):
+    config = BuildConfig(ranks=list(ranks), seed=7)
+    kept = _memo_oracle(kind, dims, ranks)
+    cleared = _cleared_before_every_action(_memo_oracle(kind, dims, ranks))
+    built, report = tt_from_actions(kept, config)
+    rebuilt, rereport = tt_from_actions(cleared, config)
+    assert [c.tobytes() for c in built.cores] == [c.tobytes() for c in rebuilt.cores]
+    assert kept.action_count == cleared.action_count == report.total_actions
+    assert [s["actions"] for s in report.stages] == [s["actions"] for s in rereport.stages]
+
+
+@pytest.mark.parametrize("kind", ["train", "hilbert"])
+def test_a_build_works_each_stage_lead_once(kind, monkeypatch):
+    # every range-finder sample of a stage shares the stage's prefixes, so
+    # only the first of its block calls computes the lead
+    dims, ranks = (4, 5, 6, 5, 4), (2, 3, 3, 2)
+    oracle = _memo_oracle(kind, dims, ranks)
+    lead_fn, leads = oracle._lead_fn, []
+
+    def counted(free_mode, lead):
+        leads.append((free_mode, len(lead)))
+        return lead_fn(free_mode, lead)
+
+    monkeypatch.setattr(oracle, "_lead_fn", counted)
+    tt_from_actions(oracle, BuildConfig(ranks=list(ranks), oversampling=3))
+    assert [lead for lead in leads if lead[1]] == [(2, 1), (3, 2), (4, 3), (5, 4)]

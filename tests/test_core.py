@@ -28,6 +28,9 @@ from ttaction.errors import (
     VersionError,
     ZeroNormError,
 )
+from ttaction.hilbert import hilbert_oracle
+from ttaction.hovd import ReactionDiffusionModel, make_derivative_oracle
+from ttaction.hovd.sigma1 import oracle_difference
 
 from dense_reference import (
     entry_count,
@@ -224,6 +227,83 @@ def test_apply_fn_result_of_wrong_block_shape_is_refused():
     oracle = ActionOracle((3, 4), lambda k, vs: np.zeros((3, 1)))
     with pytest.raises(ShapeError):
         oracle.action(1, [np.zeros((4, 2))])
+
+
+def test_broadcast_samples_sweep_bitwise_as_materialized_copies():
+    # the builder's block shape: full lead blocks, then one sample vector
+    # broadcast over every column (a stride-0 view) in each later mode
+    rng = np.random.default_rng(44)
+    tt = random_tt(rng, (4, 5, 6, 5, 4), (2, 3, 3, 2))
+    width = 6
+    for mode in range(1, tt.order + 1):
+        lead = [rng.standard_normal((n, width)) for n in tt.dims[: mode - 1]]
+        samples = [
+            np.broadcast_to(rng.standard_normal(n)[:, None], (n, width))
+            for n in tt.dims[mode:]
+        ]
+        got = oracle_from_tt(tt).action(mode, lead + samples)
+        want = oracle_from_tt(tt).action(mode, lead + [v.copy() for v in samples])
+        assert got.shape == (tt.dims[mode - 1], width)
+        np.testing.assert_array_equal(got, want)
+
+
+def _lead_counting(kind, monkeypatch):
+    """A train or Hilbert oracle on (4, 5, 6, 5, 4) and its list of lead_fn calls."""
+    dims = (4, 5, 6, 5, 4)
+    if kind == "hilbert":
+        oracle = hilbert_oracle(dims)
+    else:
+        oracle = oracle_from_tt(random_tt(np.random.default_rng(45), dims, (2, 3, 3, 2)))
+    lead_fn, calls = oracle._lead_fn, []
+
+    def counted(free_mode, lead):
+        calls.append(free_mode)
+        return lead_fn(free_mode, lead)
+
+    monkeypatch.setattr(oracle, "_lead_fn", counted)
+    return oracle, calls
+
+
+@pytest.mark.parametrize("kind", ["train", "hilbert"])
+def test_lead_memo_sees_an_in_place_edit(kind, monkeypatch):
+    oracle, calls = _lead_counting(kind, monkeypatch)
+    fresh, _ = _lead_counting(kind, monkeypatch)
+    rng = np.random.default_rng(46)
+    blocks = [rng.standard_normal((n, 3)) for n in (4, 5, 6, 4)]
+    first = oracle.action(4, blocks)
+    np.testing.assert_array_equal(oracle.action(4, blocks), first)
+    assert calls == [4]  # the repeat was served from the memo
+    blocks[1][2, 0] += 1.0  # an edit of a lead block between two actions
+    edited = oracle.action(4, blocks)
+    assert calls == [4, 4]
+    assert not np.array_equal(edited, first)
+    np.testing.assert_array_equal(edited, fresh.action(4, [v.copy() for v in blocks]))
+
+
+@pytest.mark.parametrize("kind", ["train", "hilbert"])
+def test_clear_cache_empties_the_lead_memo_and_keeps_every_bit(kind, monkeypatch):
+    oracle, calls = _lead_counting(kind, monkeypatch)
+    rng = np.random.default_rng(47)
+    blocks = [rng.standard_normal((n, 3)) for n in (4, 5, 6, 5)]
+    first = oracle.action(5, blocks)
+    oracle.clear_cache()
+    np.testing.assert_array_equal(oracle.action(5, blocks), first)
+    assert calls == [5, 5]
+
+
+def test_every_clear_cache_override_empties_the_lead_memo():
+    model = ReactionDiffusionModel(4)
+    derivative = make_derivative_oracle(model, 2)
+    train = oracle_from_tt(random_tt(np.random.default_rng(48), derivative.dims, (2, 2)))
+    difference = oracle_difference(derivative, train)
+    for oracle in (derivative, difference, train):
+        oracle.action(3, [np.ones(model.n_m)] * 2)
+    assert train._lead is not None
+    # neither override's oracle has a lead_fn, so plant an entry to be emptied
+    for oracle in (derivative, difference):
+        oracle._lead = (0, None)
+    difference.clear_cache()
+    assert derivative._lead is difference._lead is train._lead is None
 
 
 # ---------------------------------------------------------------------------

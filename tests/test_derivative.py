@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import warnings
 import weakref
 
 import numpy as np
@@ -42,16 +43,29 @@ def test_solve_state_runs_out_of_iterations():
         solve_state(model, np.zeros(model.n_m), max_iter=1)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["m", "u0"])
 def test_solve_state_refuses_a_non_finite_start(where, bad):
     # a NaN residual compares False against the target, so unchecked it
-    # would return the start as converged after no Newton step
+    # would return the start as converged after no Newton step; the input
+    # is refused by name before the model forms a residual, so numpy warns
+    # about no inf - inf in the flux sum
     model = ReactionDiffusionModel(5)
     m, u0 = np.zeros(model.n_m), np.cbrt(model.rho)
     (m if where == "m" else u0)[3] = bad
-    with pytest.raises(NewtonError, match="non-finite residual"):
-        solve_state(model, m, u0=u0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"^non-finite {where}: 1 of 25 entries, the first {bad} at index 3$"
+        with pytest.raises(NewtonError, match=message):
+            solve_state(model, m, u0=u0)
+
+
+def test_solve_state_refuses_an_overflowing_start_without_a_warning():
+    model = ReactionDiffusionModel(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonError, match="non-finite residual"):
+            solve_state(model, np.zeros(model.n_m), u0=np.full(model.n_m, 1e200))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -59,7 +73,7 @@ def test_whitened_evaluate_refuses_a_non_finite_draw(bad):
     model = ReactionDiffusionModel(5)
     x = np.zeros(model.n_m)
     x[3] = bad
-    with pytest.raises(NewtonError, match="non-finite residual"):
+    with pytest.raises(NewtonError, match="^non-finite m: "):
         WhitenedMap(model).evaluate(x)
 
 
