@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import TensorTrain, prefix_contract, rank_list, subseed
+from .core import TensorTrain, prefix_contract, rank_list, subseed, unfolding_caps
 from .errors import BuildStageError, InterpolationError, ShapeError
 from .rangefinder import (
     DEFAULT_OVERSAMPLING,
@@ -139,16 +139,15 @@ def predicted_action_count(
 
 
 def build_ranks(dims, ranks):
-    """The internal ranks a fixed-rank build realizes.
+    """The internal ranks a fixed-rank build realizes: fixed ranks are bounds.
 
-    Stage k samples r_{k-1} N_k rows, so the range finder cuts a rank r_k
-    beyond that to r_{k-1} N_k, with a
-    :class:`~ttaction.errors.RankClampWarning`; the cut rank is the one the
-    later stages see.  A scalar rank is broadcast.
+    Each r_k is cut at its unfolding's cap (:func:`unfolding_caps`) and at
+    the r_{k-1} N_k rows stage k samples, r_{k-1} already cut; the build
+    realizes exactly these ranks.  A scalar rank is broadcast.
     """
     realized, rows = [], 1
-    for n, r in zip(dims, rank_list(ranks, len(dims))):
-        rows = min(r, rows * n)
+    for n, r, cap in zip(dims, rank_list(ranks, len(dims)), unfolding_caps(dims)):
+        rows = min(r, cap, rows * n)
         realized.append(rows)
     return realized
 
@@ -273,7 +272,7 @@ def tt_from_actions(oracle, config):
         :class:`~ttaction.errors.ShapeError` before any action.  A failure
         inside a running stage, a refusal of adaptive ranks included, is
         raised as :class:`~ttaction.errors.BuildStageError`.  Fixed ranks are
-        cut as :func:`build_ranks` cuts them.
+        upper bounds: the build realizes :func:`build_ranks` of them.
 
     Returns
     -------
@@ -292,7 +291,7 @@ def tt_from_actions(oracle, config):
     check_slack(config.oversampling, config.tau_extra)
     dims = oracle.dims
     d = oracle.order
-    ranks = rank_list(config.ranks, d)
+    ranks = None if config.ranks is None else build_ranks(dims, config.ranks)
     if ranks is not None:
         # ranks the count law refuses are refused before the first action
         predicted_action_count(dims, ranks, config.oversampling, config.tau_extra)

@@ -9,9 +9,10 @@ taylor      surrogate accuracy statistics over Gaussian samples
 info        environment and defaults as JSON on stdout
 
 Every file-writing command drops a ``<command>_manifest.json`` next to its
-outputs recording the configuration, library versions, and timestamps.  Data
-files are deterministic for a fixed seed; ``--no-timing`` zeroes the seconds
-columns so reruns compare byte for byte (manifests keep real timestamps).
+outputs recording the configuration, the environment ``info`` prints, and
+timestamps.  Data files are deterministic for a fixed seed and a fixed BLAS
+thread count; ``--no-timing`` zeroes the seconds columns so reruns compare
+byte for byte (manifests keep real timestamps).
 Exit codes: 0 success, 2 bad configuration (including ranks that the
 action-count law refuses, found before any action), 3 numerical failure.
 """
@@ -22,6 +23,7 @@ import argparse
 import csv
 import datetime
 import json
+import os
 import platform
 import sys
 import time
@@ -42,7 +44,6 @@ from .core import (
     tt_relative_error,
     tt_round,
     tt_save,
-    unfolding_caps,
 )
 from .errors import FormatError, NumericalError, ShapeError
 from .hilbert import DEFAULT_DIMS, hilbert_oracle, hilbert_train
@@ -84,18 +85,41 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _finish(args, outputs, started, t0):
-    config = {key: val for key, val in sorted(vars(args).items()) if key != "func"}
-    manifest = {
-        "command": args.command,
-        "config": config,
-        "seed": args.seed,
+def _environment():
+    """The platform, library versions, BLAS and BLAS thread variables of a run.
+
+    ``info`` prints it and every manifest records it: the last digits of
+    some data files depend on the BLAS thread count.  An unset variable
+    reads None, and so does the BLAS where numpy does not name it.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (KeyError, TypeError, ValueError):
+        blas = {"name": None, "version": None}
+    return {
+        "platform": platform.platform(),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "ttaction": __version__,
         },
+        "blas": blas,
+        "blas_threads": {
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
+
+
+def _finish(args, outputs, started, t0):
+    config = {key: val for key, val in sorted(vars(args).items()) if key != "func"}
+    manifest = {
+        "command": args.command,
+        "config": config,
+        "seed": args.seed,
+        **_environment(),
         "timestamps": {
             "start": started,
             "end": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -116,21 +140,20 @@ def cmd_hilbert(args):
     if len(args.dims) < 2 or min(args.dims) < 2:
         raise ShapeError(f"--dims must be at least 2 modes of size >= 2: {args.dims}")
     dims = args.dims
-    caps = unfolding_caps(dims)
-    schedules = [[min(rank, c) for c in caps] for rank in range(2, args.max_rank + 1)]
+    ranks = range(2, args.max_rank + 1)
     # the count law reads only the arguments, so a rank it refuses is
     # refused before the first build
-    for ranks in schedules:
-        predicted_action_count(dims, ranks, args.p, args.tau_extra)
+    for rank in ranks:
+        predicted_action_count(dims, rank, args.p, args.tau_extra)
     exact = hilbert_train(dims)
     oracle = hilbert_oracle(dims)
     rows = []
-    for rank, ranks in enumerate(schedules, start=2):
+    for rank in ranks:
         t0 = time.perf_counter()
         train, report = tt_from_actions(
             oracle,
             BuildConfig(
-                ranks=ranks,
+                ranks=rank,
                 oversampling=args.p,
                 tau_extra=args.tau_extra,
                 seed=args.seed,
@@ -140,7 +163,7 @@ def cmd_hilbert(args):
         seconds = _seconds(args, time.perf_counter() - t0)
         rows.append((rank, "rsvd", error, report.total_actions, seconds))
         t0 = time.perf_counter()
-        error = tt_relative_error(exact, tt_round(exact, ranks=ranks))
+        error = tt_relative_error(exact, tt_round(exact, ranks=train.ranks))
         rows.append((rank, "svd", error, 0, _seconds(args, time.perf_counter() - t0)))
     path = Path(args.out_dir) / "hilbert.csv"
     _write_csv(path, ("rank", "method", "rel_error", "actions", "seconds"), rows)
@@ -265,13 +288,7 @@ def cmd_info(args):
             "tau_extra": BuildConfig.tau_extra,
             "model_grid": MODEL_GRID,
         },
-        "platform": platform.platform(),
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "ttaction": __version__,
-        },
+        **_environment(),
     }
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

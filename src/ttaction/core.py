@@ -13,6 +13,7 @@ ever densified.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 import zlib
@@ -346,8 +347,7 @@ def rank_list(ranks, order):
 def unfolding_caps(dims):
     """Largest rank each unfolding supports: min(N_1..N_k, N_{k+1}..N_d), k < d."""
     return [
-        int(min(np.prod(dims[: k + 1], dtype=np.int64),
-                np.prod(dims[k + 1:], dtype=np.int64)))
+        int(min(math.prod(dims[: k + 1]), math.prod(dims[k + 1:])))
         for k in range(len(dims) - 1)
     ]
 

@@ -19,11 +19,12 @@ import numpy as np
 from ..builder import (
     DEFAULT_TAU_EXTRA,
     BuildConfig,
+    build_ranks,
     check_slack,
     predicted_action_count,
     tt_from_actions,
 )
-from ..core import oracle_from_tt, subseed, tt_round, unfolding_caps
+from ..core import oracle_from_tt, subseed, tt_round
 from ..errors import CapacityError, ShapeError
 from ..rangefinder import DEFAULT_OVERSAMPLING
 from .oracle import WhitenedMap, derivative_dims, make_derivative_oracle
@@ -83,13 +84,11 @@ def compress_derivative(
         raise ShapeError(f"max_rank must be >= 2, got {max_rank}")
     check_slack(oversampling, tau_extra)
     dims = derivative_dims(model, order)
-    caps = unfolding_caps(dims)
-    ceiling = min(max(caps), 48) if max_rank is None else max_rank
+    ceiling = max(build_ranks(dims, 48 if max_rank is None else max_rank))
     first = rank if rank is not None else min(8, ceiling)
-    if order > 1:
-        # the count law reads only the arguments, so a first build it
-        # refuses is refused before the base point is solved
-        predicted_action_count(dims, [min(first, c) for c in caps], oversampling, tau_extra)
+    # the count law reads only the arguments, so a first build it refuses
+    # is refused before the base point is solved
+    predicted_action_count(dims, first, oversampling, tau_extra)
     t0 = time.perf_counter()
     whitener = whitener or WhitenedMap(model)
     oracle = make_derivative_oracle(model, order, whitener=whitener)
@@ -103,7 +102,7 @@ def compress_derivative(
                 oracle, r, oversampling=oversampling, seed=subseed(seed, 1)
             )
         config = BuildConfig(
-            ranks=[min(r, c) for c in caps],
+            ranks=r,
             oversampling=oversampling,
             tau_extra=tau_extra,
             seed=subseed(seed, 1),
@@ -136,7 +135,7 @@ def compress_derivative(
                 # the law passed the first build up front, so this one grew
                 raise CapacityError(f"build rank {build_rank}: {exc}") from exc
             for r in range(2, build_rank + 1):
-                train = tt_round(big, ranks=[min(r, c) for c in big.ranks])
+                train = tt_round(big, ranks=build_ranks(dims, r))
                 achieved = trial(train, r, build_rank)
                 if achieved < eps:
                     found = r

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..builder import BuildConfig, predicted_action_count, tt_from_actions
+from ..builder import BuildConfig, build_ranks, predicted_action_count, tt_from_actions
 from ..core import TensorTrain, subseed, tt_apply
 from ..errors import ShapeError, ZeroNormError
 from ..rangefinder import DEFAULT_OVERSAMPLING, RangeProblem, randomized_range
@@ -30,11 +30,13 @@ def jacobian_train(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
     The train builder's two-mode read-off, modes swapped: Gaussian probes
     of the forward action give the orthonormal output basis Q, then one
     block of free-input-slot actions, a column per basis vector, reads
-    Q^T J, for ``rank + oversampling`` plus ``rank`` actions in total.
+    Q^T J, for ``rank + oversampling`` plus ``rank`` actions in total, the
+    rank cut by :func:`~ttaction.builder.build_ranks`.
     """
     if oracle.order != 2:
         raise ShapeError(f"expected a 2-mode oracle, got {oracle.order} modes")
     n_in, n_out = oracle.dims
+    rank = build_ranks(oracle.dims, rank)[0]
     problem = RangeProblem(
         evaluate=lambda vs: oracle.action(2, vs),
         input_dims=(n_in,),
@@ -90,18 +92,17 @@ def build_taylor_surrogate(
 
     Order 1 is read by :func:`jacobian_train`; each order j >= 2 compresses
     the whitened derivative tensor with the action-based train builder, all
-    at rank ``rank``.  Returns the surrogate and the per-order reports; the
-    order-1 report holds the Jacobian's ``actions``, the count law's
-    ``predicted_actions`` and its ``rank``.
+    at rank ``rank``, an upper bound cut by
+    :func:`~ttaction.builder.build_ranks`.  Returns the surrogate and the
+    per-order reports; the order-1 report holds the Jacobian's ``actions``,
+    the count law's ``predicted_actions`` and its ``rank``.
     An order below 1, or a rank or ``oversampling`` the action-count law
     refuses at any order, raises :class:`~ttaction.errors.ShapeError` before
-    any solve.  At order 1 the law is the two-mode (r + p) + r of
-    :func:`jacobian_train` in the Jacobian's own mode order (n_q, n_m):
-    its range finder cuts the rank at the output size n_q.
+    any solve.
     """
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")
-    jacobian_law = predicted_action_count((model.n_q, model.n_m), rank, oversampling)
+    jacobian_law = predicted_action_count(derivative_dims(model, 1), rank, oversampling)
     for j in range(2, order + 1):
         predicted_action_count(derivative_dims(model, j), rank, oversampling)
     whitener = whitener or WhitenedMap(model)

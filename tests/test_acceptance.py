@@ -317,6 +317,6 @@ def test_criterion_8_byte_identical_reruns(acceptance_log, tmp_path):
         acceptance_log,
         8,
         identical,
-        f"4 commands re-run twice at the same seed, {compared} data files "
-        f"byte-identical (manifests excluded)",
+        f"4 commands re-run twice at the same seed and BLAS threads, "
+        f"{compared} data files byte-identical (manifests excluded)",
     )

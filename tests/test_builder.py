@@ -1,6 +1,7 @@
 """Full-action tensor train construction: recovery, counting, determinism."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from ttaction.errors import (
     DegenerateRangeError,
     InterpolationError,
     NonFiniteActionError,
-    RankClampWarning,
     ShapeError,
 )
 from ttaction.hilbert import DEFAULT_DIMS, hilbert_oracle
@@ -358,13 +358,30 @@ def test_clamped_rank_is_counted_as_the_build_cuts_it():
     dims, ranks = (2, 2, 2, 2), [1, 8, 1]
     oracle = oracle_from_tt(random_tt(np.random.default_rng(46), dims, (2, 4, 2)))
     config = BuildConfig(ranks=ranks, tau_extra=0, oversampling=2)
-    with pytest.warns(RankClampWarning):
+    with warnings.catch_warnings():
+        # the build realizes the cut ranks; nothing is clamped inside it
+        warnings.simplefilter("error")
         built, report = tt_from_actions(oracle, config)
     assert build_ranks(dims, ranks) == [1, 2, 1]
     assert built.ranks == report.ranks == (1, 2, 1)
     law = predicted_action_count(dims, ranks, oversampling=2, tau_extra=0)
     assert law == (1 + 2) + 1 * (2 + 2) + 1 * 2 * (1 + 2) + 1 * 1
     assert oracle.action_count == report.total_actions == law
+
+
+def test_ranks_above_the_unfolding_caps_are_cut_before_the_build():
+    # caps (4, 6): rank 8 is cut to 4 and 6, and the build realizes exactly
+    # those, recovering the rank-(4, 6) truth without a clamp inside it
+    dims = (4, 5, 6)
+    truth = random_tt(np.random.default_rng(48), dims, (4, 6))
+    oracle = oracle_from_tt(truth)
+    assert build_ranks(dims, 8) == [4, 6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built, report = tt_from_actions(oracle, BuildConfig(ranks=8))
+    assert built.ranks == report.ranks == (4, 6)
+    assert oracle.action_count == report.total_actions == predicted_action_count(dims, 8)
+    assert tt_dense_error(tt_to_dense(truth), built) < 1e-10
 
 
 def test_rank_beyond_the_prefix_span_is_refused_before_any_action():

@@ -33,6 +33,26 @@ def test_info_stdout_only(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # info writes nothing
 
 
+def test_info_and_every_manifest_keep_one_environment_record(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    assert main(["info"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": None,
+        "MKL_NUM_THREADS": "3",
+    }
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert info["blas"] == {"name": blas["name"], "version": blas["version"]}
+    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "2", "--no-timing"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    manifest = read_json(tmp_path / "hilbert_manifest.json")
+    for key in ("platform", "versions", "blas", "blas_threads"):
+        assert manifest[key] == info[key]
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().err
@@ -156,7 +176,8 @@ def test_hilbert_small(tmp_path):
 
 
 def test_hilbert_ranks_above_the_unfolding_caps(tmp_path):
-    # caps (4, 6): ranks 6..8 clamp in the builds and in the svd rows alike
+    # caps (4, 6): ranks 6..8 are cut to them in the builds, and the svd
+    # rows round at the ranks each build realized
     argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "8", "--no-timing"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     body = read_csv(tmp_path / "hilbert.csv")[1:]

@@ -162,11 +162,27 @@ def test_a_grown_build_the_count_law_refuses_ends_the_search(monkeypatch, tmp_pa
     model = ReactionDiffusionModel(4)
     with pytest.raises(CapacityError, match="build rank 16: ranks refused by the"):
         compress_derivative(model, 2, eps=1e-12, seed=0)
-    assert [max(r) for r in ranks] == [8, 16]
+    assert ranks == [8, 16]
     ranks.clear()
     argv = ["derivative", "--n", "4", "--k", "2", "--eps", "1e-12", "--out-dir", str(tmp_path)]
     assert main(argv) == 3
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::ttaction.errors.ConvergenceWarning")
+def test_a_max_rank_above_the_caps_searches_as_the_default():
+    # at n=4 the order-2 caps are (16, 12), so a ceiling of 64 is cut to 16,
+    # as the default 48 is: both searches build at ranks 8 and 16 only.  At
+    # eps 1e-14 some trial estimates do not converge; both searches agree.
+    runs = [
+        compress_derivative(ReactionDiffusionModel(4), 2, eps=1e-14, seed=0, max_rank=m)[1]
+        for m in (None, 64)
+    ]
+    default, above = runs
+    for key in ("rank", "sigma1_rel_error", "actions", "forward_solves", "trials"):
+        assert above[key] == default[key]
+    assert sorted({t["build_rank"] for t in default["trials"]}) == [8, 16]
+    assert len(default["trials"]) == 21
 
 
 def test_derivative_eps_seed0_counts():

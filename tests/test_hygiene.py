@@ -1,9 +1,10 @@
 """Source hygiene: every import in the library is used, every parameter is
 read, no contraction pays for an einsum path search on each call, LU work on
-the state Jacobian has one home, ``hovd/oracle.py``, and the SVD sweep one,
-``core._truncated_svd``, no closure keeps state between calls, the library
-neither calls nor defines the dense test references, names deleted in favour
-of one path stay deleted, and every exported name resolves.
+the state Jacobian has one home, ``hovd/oracle.py``, the SVD sweep one,
+``core._truncated_svd``, and rank caps one, ``builder.build_ranks``, no
+closure keeps state between calls, the library neither calls nor defines the
+dense test references, names deleted in favour of one path stay deleted, and
+every exported name resolves.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -214,6 +215,50 @@ def test_scan_flags_an_svd_call():
 )
 def test_no_svd_outside_the_truncated_svd(path):
     assert svd_calls(path.read_text()) == []
+
+
+def cap_reads(source):
+    """Line of each read of ``unfolding_caps``: a name, an attribute or an import.
+
+    Rank caps have one home, ``builder.build_ranks``; every other caller
+    passes its ranks on and lets the build cut them.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if "unfolding_caps" in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_flags_a_read_of_the_caps():
+    source = (PACKAGE / "hovd" / "compress.py").read_text()
+    planted = (
+        "from ..core import tt_round, unfolding_caps as caps_of\n"
+        "cut = [min(r, c) for c in caps_of(dims)]\n"
+        "caps = core.unfolding_caps\n"
+        "print(unfolding_caps(dims))\n"
+    )
+    line = source.count("\n") + 1
+    assert cap_reads(source + planted) == [line, line + 2, line + 3]
+    assert cap_reads("def unfolding_caps(dims):\n    return dims\n") == []
+    assert cap_reads((PACKAGE / "builder.py").read_text())  # the home
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p != PACKAGE / "builder.py"],
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_no_cap_read_outside_build_ranks(path):
+    assert cap_reads(path.read_text()) == []
 
 
 def nonlocal_statements(source):

@@ -6,6 +6,7 @@ Examples are derandomized, so every run checks the same small trains.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ttaction import (
 from ttaction import builder, cli
 from ttaction.cli import main
 from ttaction.core import unfolding_caps
-from ttaction.errors import FormatError, ShapeError
+from ttaction.errors import FormatError, RankClampWarning, ShapeError
 from ttaction.hovd import compress, taylor
 
 from dense_reference import left_orthogonality_defect, tt_svd, tt_to_dense
@@ -124,16 +125,17 @@ def test_every_changed_byte_of_a_saved_file_is_refused(data, tt, tmp_path_factor
 
 @st.composite
 def build_cases(draw):
-    """Small dims, fixed ranks within ``unfolding_caps``, and the build's slack.
+    """Small dims, fixed ranks up to twice ``unfolding_caps``, and the build's slack.
 
-    The truth has the caps as ranks, so every requested rank is a truncation
-    of a generic tensor.  A rank beyond r_{k-1} N_k, the rows stage k
-    samples, is cut by the build with a warning and counted cut by the law.
+    The truth has the caps as ranks, so every requested rank within them is
+    a truncation of a generic tensor.  A rank beyond its cap, or beyond
+    r_{k-1} N_k, the rows stage k samples, is cut by ``build_ranks`` before
+    the build and counted cut by the law.
     """
     order = draw(st.integers(2, 5))
     dims = tuple(draw(st.lists(st.integers(2, 7), min_size=order, max_size=order)))
     caps = unfolding_caps(dims)
-    ranks = [draw(st.integers(1, cap)) for cap in caps]
+    ranks = [draw(st.integers(1, 2 * cap)) for cap in caps]
     slack = {
         "oversampling": draw(st.integers(0, 3)),
         "tau_extra": draw(st.integers(0, 2)),
@@ -159,12 +161,16 @@ def test_build_spends_the_count_law_or_both_refuse(case):
             tt_from_actions(oracle, config)
         assert oracle.action_count == 0
         return
-    built, report = tt_from_actions(oracle, config)
+    with warnings.catch_warnings():
+        # the build realizes the cut ranks, so nothing is clamped inside it
+        warnings.simplefilter("error", RankClampWarning)
+        built, report = tt_from_actions(oracle, config)
     cut, rows = [], 1
-    for n, r in zip(truth.dims, ranks):
-        rows = min(r, rows * n)
+    for n, r, cap in zip(truth.dims, ranks, unfolding_caps(truth.dims)):
+        rows = min(r, cap, rows * n)
         cut.append(rows)
-    assert built.ranks == tuple(cut)
+    assert built.ranks == report.ranks == tuple(cut)
+    assert builder.build_ranks(truth.dims, ranks) == cut
     assert oracle.action_count == report.total_actions == law
 
 

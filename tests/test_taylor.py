@@ -8,9 +8,10 @@ import pytest
 
 from ttaction import TensorTrain, oracle_from_dense, tt_apply
 from ttaction.builder import predicted_action_count
-from ttaction.errors import RankClampWarning, ShapeError, ZeroNormError
+from ttaction.errors import ShapeError, ZeroNormError
 from ttaction.rangefinder import DEFAULT_OVERSAMPLING
 from ttaction.hovd import oracle as oracle_module
+from ttaction.hovd.oracle import derivative_dims
 from ttaction.hovd import taylor as taylor_module
 from ttaction.hovd import (
     ReactionDiffusionModel,
@@ -220,18 +221,16 @@ def test_build_validation():
 
 @pytest.mark.parametrize("rank", [12, 13, 14, 15, 16])
 def test_jacobian_actions_follow_the_count_law_in_its_mode_order(rank):
-    # the Jacobian's range finder cuts the rank at the output size n_q = 12,
-    # so at n=4 its actions follow the two-mode law over (n_q, n_m) = (12, 16)
+    # at n=4 the Jacobian oracle's modes are (n_m, n_q) = (16, 12), and
+    # build_ranks cuts every rank here to the cap 12, so the build spends
+    # the law's (12 + 5) + 12 actions and clamps nothing inside it
     model = ReactionDiffusionModel(4)
-    law = predicted_action_count((model.n_q, model.n_m), rank, DEFAULT_OVERSAMPLING)
+    law = predicted_action_count(derivative_dims(model, 1), rank, DEFAULT_OVERSAMPLING)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankClampWarning)
-        _, reports = build_taylor_surrogate(model, 1, rank)
-    assert reports[1]["actions"] == reports[1]["predicted_actions"] == law
-    if rank == 15:
-        # the law over (n_m, n_q) would have said (15 + 5) + 15
-        assert law == 29
-        assert predicted_action_count((model.n_m, model.n_q), rank) == 35
+        warnings.simplefilter("error")
+        surrogate, reports = build_taylor_surrogate(model, 1, rank)
+    assert reports[1]["actions"] == reports[1]["predicted_actions"] == law == 29
+    assert reports[1]["rank"] == surrogate.trains[1].ranks[0] == 12
 
 
 @pytest.mark.parametrize("order", [1, 2])
