@@ -122,9 +122,11 @@ def compress_derivative(
 
     trials = []
     if rank is not None:
+        # a fixed rank is an upper bound: report, and seed the trial by, the
+        # largest rank the build realizes
+        found = max(build_ranks(dims, rank))
         train = build(rank)
-        achieved = trial(train, rank, rank)
-        found = rank
+        achieved = trial(train, found, found)
     else:
         found = None
         build_rank = first

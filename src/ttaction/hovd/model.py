@@ -17,9 +17,14 @@ average, and u-derivatives beyond the third kill the reaction term.
 list ``ws`` of u-directions, optionally with one extra differentiation slot
 left free and the output contracted against a weight vector, as adjoint
 computations need.  It checks its inputs and hands edge arrays to
-``partial_edges``, the one home of those forms, which a caller holding
-checked edge arrays (the derivative engine, the state solve) calls directly;
-which forms are zero is stated beside it, in ``partial_vanishes``.  The
+``partial_edges``, which a caller holding checked edge arrays (the state
+solve) calls directly.  The forms live here in three pieces:
+``edge_operand``, the edge array a flux partial multiplies by its edge
+coefficient product, ``finish_edges``, one finishing operator per free slot,
+and ``reaction_part``, the node-space reaction; ``partial_edges`` is their
+composition.  The flux is linear in its operand, so the derivative engine
+adds a whole chain-rule sum's operands in edge space and finishes it once.
+Which forms are zero is stated beside them, in ``partial_vanishes``.  The
 observation, linear in u and free of m, has one partial: its transpose,
 ``partial_f``.  No method writes to the model, so it keeps no state between
 calls.
@@ -104,10 +109,6 @@ class ReactionDiffusionModel:
         """Adjoint of the gather ``z[self._nbr]``: sum each row back onto its sources."""
         return np.bincount(self._nbr.ravel(), weights=t.ravel(), minlength=self.n_u)
 
-    def _divergence(self, t):
-        """Sum of the four edge rows of ``t`` over h^2: a flux divergence."""
-        return (t[0] + t[1] + t[2] + t[3]) / self._h2
-
     def edge_means(self, v):
         """Mean of v over each node's four edges, one row per neighbour."""
         return (v + v[self._nbr]) * 0.5
@@ -140,7 +141,7 @@ class ReactionDiffusionModel:
         """G(m, u) as a flat vector."""
         m, u = self._grid(m, "m"), self._grid(u, "u")
         flux = self.edge_factors(m) * self.edge_differences(u)
-        return self._divergence(flux) + u**3 - self.rho
+        return self.finish_edges(flux) + u**3 - self.rho
 
     def qoi(self, u):
         """Weighted boundary trace of the state; free of m."""
@@ -183,30 +184,63 @@ class ReactionDiffusionModel:
         :meth:`edge_differences` of the state ``u``, read only when ``ws`` is
         empty, and of each u-direction in ``ws``.  ``weight`` and ``free`` are
         those of :meth:`partial_g`, ``free`` one of None, ``"u"`` and ``"m"``.
-        The result is zero exactly where :meth:`partial_vanishes` says so.
+        The result is :meth:`finish_edges` of ``c`` times
+        :meth:`edge_operand`, plus :meth:`reaction_part` when ``j == 0``, and
+        is zero exactly where :meth:`partial_vanishes` says so.
         """
-        s = len(ws)
-        if free is None:
-            out = np.zeros(self.n_u)
-            if s == 0:
-                out += self._divergence(c * du)
-            elif s == 1:
-                out += self._divergence(c * dws[0])
-            if j == 0 and s <= 3:
-                out += self._reaction(u, s, ws)
-            return out
+        e = self.edge_operand(du, dws, weight, free)
+        r = self.reaction_part(u, ws, weight, free) if j == 0 else None
+        if e is None:
+            return np.zeros(self.n_u) if r is None else r
+        out = self.finish_edges(c * e, free)
+        return out if r is None else out + r
+
+    @staticmethod
+    def edge_operand(du, dws, weight, free):
+        """The edge array a flux partial multiplies by its edge product ``c``.
+
+        ``du``, ``dws``, ``weight`` and ``free`` are those of
+        :meth:`partial_edges`: the differences ``dw`` of the state (no
+        u-direction) or of the one u-direction for ``free=None``, the weight
+        for ``"u"`` (no u-direction) and ``0.5 * weight * dw`` for ``"m"``.
+        None where the flux, linear in u, has no partial.
+        """
+        s = len(dws)
         if free == "u":
-            out = np.zeros(self.n_u)
-            if s == 0:
-                t = weight * c
-                out += (t[0] + t[1] + t[2] + t[3] - self._gather_t(t)) / self._h2
-            if j == 0 and s <= 2:
-                out += self._reaction(u, s + 1, [*ws, weight])
-            return out
-        if s <= 1:
-            t = 0.5 * weight * c * (du if s == 0 else dws[0])
-            return (t[0] + t[1] + t[2] + t[3] + self._gather_t(t)) / self._h2
-        return np.zeros(self.n_m)
+            return weight if s == 0 else None
+        if s > 1:
+            return None
+        dw = du if s == 0 else dws[0]
+        return dw if free is None else 0.5 * weight * dw
+
+    def finish_edges(self, t, free=None):
+        """The finishing operator of the free slot, on an edge array ``t``.
+
+        The flux divergence for ``free=None``: the four edge rows summed, over
+        h^2.  Its transposes for ``"u"`` and ``"m"``: the row sum minus
+        (``"u"``) or plus (``"m"``) the sum of each row back onto its
+        neighbour sources, over h^2.
+        """
+        rows = t[0] + t[1] + t[2] + t[3]
+        if free is None:
+            return rows / self._h2
+        if free == "u":
+            return (rows - self._gather_t(t)) / self._h2
+        return (rows + self._gather_t(t)) / self._h2
+
+    def reaction_part(self, u, ws, weight, free):
+        """The reaction's node-space partial, for no m-direction; None where zero.
+
+        The reaction u^3 - rho is free of m, so it enters a partial only with
+        ``j == 0``: its ``len(ws)``-th u-derivative times ``ws`` for
+        ``free=None``, one u-derivative more times ``weight`` as well for
+        ``"u"``, nothing for ``"m"`` and nothing past the third derivative.
+        """
+        if free == "u":
+            ws = [*ws, weight]
+        if free == "m" or len(ws) > 3:
+            return None
+        return self._reaction(u, len(ws), ws)
 
     @staticmethod
     def partial_vanishes(j, s, free):

@@ -163,6 +163,18 @@ def _indices(j_counts):
     return tuple(i for i, c in enumerate(j_counts) for _ in range(c))
 
 
+def _accumulate(total, coef, x):
+    """``total + coef * x``, with None for an empty total or a zero ``x``.
+
+    Allocates a new array, so ``x`` (a lattice node's edge differences, say)
+    is never written to.
+    """
+    if x is None:
+        return total
+    x = x if coef == 1 else coef * x
+    return x if total is None else total + x
+
+
 @lru_cache(maxsize=None)
 def _program(beta, unknown, free, vanishes):
     """The chain-rule sum of ``beta`` compiled once per (``unknown``, ``free``).
@@ -212,17 +224,18 @@ class DerivativeEngine:
     the terms the model's ``partial_vanishes`` drops: the direction indices
     of every term and, for the adjoint, each term's split of one block onto
     its adjoint sensitivity, in the expansion's order; the lattice levels
-    come cached from ``sub_multisets``.  Every partial is the model's
-    ``partial_edges`` on edge arrays the engine forms itself: the base
-    point's edge factors and state differences once per engine, each
-    direction's edge mean and each lattice node's edge differences once per
-    action.  Directions are keyed by their float64
-    bytes and lattice nodes by those keys, so the solve counters see each
-    node once; a solve that raises caches nothing.  With a ``whitener`` the
-    directions are raw-space vectors: each distinct one is smoothed on its
-    first use and kept, read-only, in the same cache, and :meth:`mode_free`
-    smooths its output.  Serves one caller at a time, as a numpy
-    ``Generator`` does: the cache and counters have no synchronisation.
+    come cached from ``sub_multisets``.  A sum adds its terms in edge space
+    and applies the model's ``finish_edges`` once, with no ``partial_edges``
+    call.  Its edge arrays the engine forms itself: the base point's edge
+    factors and state differences once per engine, each direction's edge
+    mean and each lattice node's edge differences once per action.  Directions are keyed
+    by their float64 bytes and lattice nodes by those keys, so the solve
+    counters see each node once; a solve that raises caches nothing.  With
+    a ``whitener`` the directions are raw-space vectors: each distinct one
+    is smoothed on its first use and kept, read-only, in the same cache, and
+    :meth:`mode_free` smooths its output.  Serves one caller at a time, as a
+    numpy ``Generator`` does: the cache and counters have no
+    synchronisation.
     """
 
     def __init__(self, model, order, whitener=None):
@@ -280,20 +293,31 @@ class DerivativeEngine:
         ``free=None`` gives the right-hand side of a forward solve, ``"u"``
         that of an adjoint solve and ``"m"`` a mode-free action; the adjoint
         sums contract each part against its sensitivity in ``lams``.  Leaves
-        out the term that is the solve's ``unknown`` alone.
+        out the term that is the solve's ``unknown`` alone.  The flux
+        partials are linear in their edge operands, so each program entry
+        adds its parts' coefficient-weighted ``edge_operand``s, multiplies
+        that total once by the entry's edge product, and the sum applies the
+        model's ``finish_edges`` once; the reaction parts, of the entries
+        with no m-direction, add in node space.  Every sum has a flux part:
+        the term whose directions all take the explicit m slot.
         """
         model, u0, du0 = self.model, self.u0, self._du0
-        out = np.zeros(model.n_m if free == "m" else model.n_u)
+        edges = react = None
         for idx, parts in _program(beta, unknown, free, model.partial_vanishes):
-            c = self._edge_product(means, idx)
+            total = None
             for blocks, coef, lam in parts:
-                ws = [values[b] for b in blocks]
-                dws = [diffs[b] for b in blocks]
                 weight = None if lam is None else lams[lam]
-                out += coef * model.partial_edges(
-                    u0, du0, c, len(idx), ws, dws, weight, free
-                )
-        return out
+                dws = [diffs[b] for b in blocks]
+                e = model.edge_operand(du0, dws, weight, free)
+                total = _accumulate(total, coef, e)
+                if not idx:
+                    ws = [values[b] for b in blocks]
+                    r = model.reaction_part(u0, ws, weight, free)
+                    react = _accumulate(react, coef, r)
+            if total is not None:
+                edges = _accumulate(edges, 1, self._edge_product(means, idx) * total)
+        out = model.finish_edges(edges, free)
+        return out if react is None else out + react
 
     # -- forward lattice ----------------------------------------------------
 

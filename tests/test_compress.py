@@ -185,6 +185,31 @@ def test_a_max_rank_above_the_caps_searches_as_the_default():
     assert len(default["trials"]) == 21
 
 
+@pytest.mark.filterwarnings("ignore::ttaction.errors.ConvergenceWarning")
+def test_a_fixed_rank_above_the_caps_reports_the_rank_it_builds(tmp_path):
+    # at n=4 the order-2 caps are (16, 12): rank 64 builds ranks (16, 12),
+    # so it reports 16, and runs exactly as rank 16 does.  The capped train
+    # is exact, so its difference estimate cannot settle and warns.
+    model = ReactionDiffusionModel(4)
+    whitener = WhitenedMap(model)
+    above, capped = (
+        compress_derivative(model, 2, rank=r, seed=0, whitener=whitener)
+        for r in (64, 16)
+    )
+    assert above[0].ranks == (16, 12)
+    assert above[1]["rank"] == 16
+    [trial] = above[1]["trials"]
+    assert (trial["rank"], trial["build_rank"]) == (16, 16)
+    for a, b in zip(above[0].cores, capped[0].cores):
+        assert np.array_equal(a, b)
+    for key in ("sigma1_rel_error", "actions", "forward_solves", "trials"):
+        assert above[1][key] == capped[1][key]
+    argv = ["derivative", "--n", "4", "--k", "2", "--rank", "64"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "derivative.json").read_text())
+    assert (written["rank"], written["ranks_built"]) == (16, [16, 12])
+
+
 def test_derivative_eps_seed0_counts():
     # the benchmark's derivative-eps workload pins these counts at seed 0
     _, info = compress_derivative(ReactionDiffusionModel(8), 2, eps=1e-2, seed=0)

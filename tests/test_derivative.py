@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from chain_rule_reference import per_part_sum
 from ttaction.errors import NewtonError, ShapeError
 from ttaction.hovd import oracle as oracle_module
 from ttaction.hovd import (
@@ -737,6 +738,59 @@ WALK_SOLVES = {
     3: [(3, 0), (9, 0), (10, 0), (10, 4), (11, 7), (11, 8)],
     4: [(4, 0), (18, 0), (22, 0), (22, 8), (23, 12), (24, 14)],
 }
+
+
+@pytest.mark.parametrize("whitened", [False, True], ids=["raw", "whitened"])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_summed_chain_rule_matches_the_per_part_sum(order, whitened):
+    # every forward, adjoint and mode-free sum of a walk, summed in edge space
+    # and finished once, is the per-part sum to within 100 float64 epsilons
+    # relative (2.2e-14; at most 1.1e-15 measured)
+    model = ReactionDiffusionModel(5)
+    engine = DerivativeEngine(model, order, WhitenedMap(model) if whitened else None)
+    summed, worst = engine._sum, {}
+
+    def both(means, beta, values, diffs, unknown, free=None, lams=None):
+        got = summed(means, beta, values, diffs, unknown, free, lams)
+        want = per_part_sum(engine, means, beta, values, diffs, unknown, free, lams)
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        worst[free] = max(worst.get(free, 0.0), err)
+        return got
+
+    engine._sum = both
+    rng = np.random.default_rng(27)
+    a, b, c, d, e = (rng.standard_normal(model.n_m) for _ in range(5))
+    q = rng.standard_normal(model.n_q)
+    for dirs in ([a] * order, [a, b, c, d, e], [a, a, b, b, c]):
+        engine.output_free(dirs[:order])
+        engine.mode_free(dirs[: order - 1], q)
+    assert set(worst) == {None, "u", "m"}
+    assert max(worst.values()) < 100 * np.finfo(float).eps, worst
+
+
+def test_a_sum_finishes_once_and_calls_no_partial_edges(monkeypatch):
+    model = ReactionDiffusionModel(5)
+    engine = DerivativeEngine(model, 4)  # solves the base point first
+    calls = {"partial_edges": 0, "finish_edges": 0, "_sum": 0}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(ReactionDiffusionModel, "partial_edges")
+    spy(ReactionDiffusionModel, "finish_edges")
+    spy(DerivativeEngine, "_sum")
+    rng = np.random.default_rng(28)
+    a, b, c = (rng.standard_normal(model.n_m) for _ in range(3))
+    engine.output_free([a, b, c, c])
+    engine.mode_free([a, b, b], rng.standard_normal(model.n_q))
+    assert calls["partial_edges"] == 0
+    assert calls["finish_edges"] == calls["_sum"] > 0
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])

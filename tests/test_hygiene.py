@@ -1,7 +1,8 @@
 """Source hygiene: every import in the library is used, every parameter is
 read, no contraction pays for an einsum path search on each call, LU work on
 the state Jacobian has one home, ``hovd/oracle.py``, the SVD sweep one,
-``core._truncated_svd``, and rank caps one, ``builder.build_ranks``, no
+``core._truncated_svd``, rank caps one, ``builder.build_ranks``, and the
+residual's closed forms one, ``hovd/model.py``, no
 closure keeps state between calls, the library neither calls nor defines the
 dense test references, names deleted in favour of one path stay deleted, and
 every exported name resolves.
@@ -259,6 +260,84 @@ def test_scan_flags_a_read_of_the_caps():
 )
 def test_no_cap_read_outside_build_ranks(path):
     assert cap_reads(path.read_text()) == []
+
+
+def model_private_names(source):
+    """Private names of ``ReactionDiffusionModel``: methods and ``self.`` attributes.
+
+    Dunder names are left out; ``_grid``, ``_gather_t``, ``_reaction``,
+    ``_h2`` and ``_nbr`` are the pieces the closed forms are built from.
+    """
+    [model] = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == "ReactionDiffusionModel"
+    ]
+    names = set()
+    for node in ast.walk(model):
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+        ):
+            name = node.attr
+        else:
+            continue
+        if name.startswith("_") and not name.startswith("__"):
+            names.add(name)
+    return names
+
+
+#: The model's private names, and ``_divergence``, the flux divergence's
+#: name before ``finish_edges`` took it in, so a copy kept under it is
+#: flagged too.
+MODEL_PRIVATE = model_private_names((PACKAGE / "hovd" / "model.py").read_text()) | {
+    "_divergence"
+}
+
+
+def closed_form_reads(source):
+    """Line of each attribute read of one of the model's private names.
+
+    The residual's closed forms have one home, ``hovd/model.py``; the
+    derivative engine and the state solve call its public pieces
+    (``partial_edges``, ``edge_operand``, ``finish_edges``,
+    ``reaction_part``) and copy none of them.
+    """
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in MODEL_PRIVATE
+    )
+
+
+def test_scan_flags_a_closed_form_read():
+    assert {"_gather_t", "_reaction", "_h2", "_nbr"} <= MODEL_PRIVATE
+    source = (PACKAGE / "hovd" / "oracle.py").read_text()
+    # an engine-side copy of the finishing operators and the reaction
+    planted = (
+        "def _sum(self, t, ws, free):\n"
+        "    model = self.model\n"
+        "    if free is None:\n"
+        "        return self._divergence(t)\n"
+        "    out = (t[0] + t[1] + t[2] + t[3] - model._gather_t(t)) / model._h2\n"
+        "    return out + model._reaction(self.u0, 1, ws)\n"
+    )
+    line = source.count("\n") + 1
+    assert closed_form_reads(source + planted) == [line + 3, line + 4, line + 4, line + 5]
+    assert closed_form_reads("def _reaction(u):\n    return model.finish_edges(u)\n") == []
+    assert closed_form_reads((PACKAGE / "hovd" / "model.py").read_text())  # the home
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p != PACKAGE / "hovd" / "model.py"],
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_no_closed_form_read_outside_the_model(path):
+    assert closed_form_reads(path.read_text()) == []
 
 
 def nonlocal_statements(source):
