@@ -13,11 +13,13 @@ mode-c unfolding:
   saturates mode c-1 with the vector eta[i, :, j] from
   :func:`solve_interpolation`, and the row is the sum of the ``tau`` actions.
 
-Each evaluation of that map is one block action over every row's prefixes,
-a column per (row, set) pair.  For c < d a randomized range finder turns the
-map into an orthonormal core, one block per sample; for c = d the map has no
-inputs left and the last core is read off as one block.  The tensor is
-therefore touched only through full actions.  Action counts, one per block
+A stage evaluates that map in one action: its W prefixes, a column per
+(row, set) pair, enter as (N_k, W, 1) entries and its S samples as
+(N_k, 1, S) entries, which broadcast to W S actions.  For c < d a randomized
+range finder turns the S samples into an orthonormal core; for c = d the map
+has no inputs left and the last core is read off, the case S = 1.  A
+fixed-rank build of d modes thus makes d calls to ``action``, and the tensor
+is touched only through full actions.  Action counts, one per broadcast
 column, follow a closed form in the ranks, oversampling, and the number of
 interpolation sets per stage, and the oracle counter is expected to match it
 exactly.
@@ -322,20 +324,20 @@ def tt_from_actions(oracle, config):
             eta, resid = solve_interpolation(a_mats)
             prefix = [np.tile(v, r_prev) for v in fixed]
             prefix.append(eta.transpose(1, 2, 0).reshape(dims[c - 2], -1))
+        prefix = [v[:, :, None] for v in prefix]
         sets = tau or 1
-        width = prefix[0].shape[1] if prefix else 1
-        n_rows = width // sets
+        n_rows = (prefix[0].shape[1] if prefix else 1) // sets
 
-        def evaluate(vs):
-            # one block action, every column given the same sample vectors;
-            # each row's sets are summed left to right
-            samples = [np.broadcast_to(v[:, None], (v.size, width)) for v in vs]
-            out = oracle.action(c, [*prefix, *samples])
-            out = out.reshape(dims[c - 1], n_rows, sets)
-            total = np.zeros((dims[c - 1], n_rows))
+        def evaluate(blocks):
+            # one action, prefixes (N, W, 1) against samples (N, 1, S); each
+            # row's sets are summed left to right into one array whose row
+            # r N_c + i is entry i of row r's block of the unfolding
+            out = oracle.action(c, [*prefix, *(v[:, None, :] for v in blocks)])
+            out = out.reshape(dims[c - 1], n_rows, sets, -1)
+            total = np.zeros((n_rows, dims[c - 1], out.shape[3]))
             for i in range(sets):
-                total += out[:, :, i]
-            return total.T.ravel()
+                total += out[:, :, i].transpose(1, 0, 2)
+            return total.reshape(n_rows * dims[c - 1], -1)
 
         info = {
             "rank": None,
@@ -345,7 +347,7 @@ def tt_from_actions(oracle, config):
             "converged": True,
         }
         if c == d:
-            # the last core is read off: one block, a column per prefix
+            # the last core is read off: one action, S = 1
             cores.append(evaluate([]).reshape(n_rows, dims[c - 1], 1))
             return info
         problem = RangeProblem(

@@ -146,6 +146,7 @@ def cmd_hilbert(args):
     for rank in ranks:
         predicted_action_count(dims, rank, args.p, args.tau_extra)
     exact = hilbert_train(dims)
+    exact_norm = _tt_norm(exact)
     oracle = hilbert_oracle(dims)
     rows = []
     for rank in ranks:
@@ -159,11 +160,11 @@ def cmd_hilbert(args):
                 seed=args.seed,
             ),
         )
-        error = tt_relative_error(exact, train)
+        error = tt_relative_error(exact, train, exact_norm)
         seconds = _seconds(args, time.perf_counter() - t0)
         rows.append((rank, "rsvd", error, report.total_actions, seconds))
         t0 = time.perf_counter()
-        error = tt_relative_error(exact, tt_round(exact, ranks=train.ranks))
+        error = tt_relative_error(exact, tt_round(exact, ranks=train.ranks), exact_norm)
         rows.append((rank, "svd", error, 0, _seconds(args, time.perf_counter() - t0)))
     path = Path(args.out_dir) / "hilbert.csv"
     _write_csv(path, ("rank", "method", "rel_error", "actions", "seconds"), rows)

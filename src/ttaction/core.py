@@ -2,8 +2,10 @@
 
 A d-th order tensor is used here only through its *action*: saturate every
 mode but one with a vector and return the remaining fiber.  For d = 2 this is
-the familiar matrix-vector product.  A block of b actions saturates each mode
-with an (N_k, b) matrix, one action per column, and counts as b actions.
+the familiar matrix-vector product.  Saturating entries broadcast like numpy
+arrays: each is an (N_k,) vector or an (N_k, *batch_k) array, the batch shapes
+broadcast to one shape B, and the action returns (N_free, *B) and counts
+prod(B) actions.  An (N_k, b) block per mode is the case B = (b,).
 Mode numbers in the public interface are 1-based; storage is plain 0-based
 numpy.
 
@@ -51,11 +53,13 @@ def _check_dims(dims):
 def _check_vectors(dims, free_mode, vectors):
     """Check ``free_mode`` and the d-1 saturating entries, coerced to blocks.
 
-    ``free_mode`` must lie in 1..d.  Each entry is an (N_k, b) matrix whose
-    column j belongs to action j, or a plain (N_k,) vector, a block of one.
-    The entries must be all vectors or all matrices, with one common column
-    count b >= 1.  Returns the blocks and whether the entries were plain
-    vectors.
+    ``free_mode`` must lie in 1..d.  Entry k is an (N_k,) vector or an
+    (N_k, *batch_k) array whose trailing axes index independent actions.
+    The batch shapes must broadcast, as numpy arrays do, to one shape B
+    without a zero axis.  Returns the entries, each (N_k, *batch_k) with
+    batch_k padded by leading 1s to the length of B, and B.  With B = ()
+    (every entry a vector) each entry comes back as an (N_k, 1) block.
+    Equal batch shapes, the common case, skip the broadcast.
     """
     if not 1 <= free_mode <= len(dims):
         raise ShapeError(f"free_mode must be in 1..{len(dims)}, got {free_mode}")
@@ -65,20 +69,36 @@ def _check_vectors(dims, free_mode, vectors):
             f"expected {len(other)} vectors for a {len(dims)}-mode tensor "
             f"with free mode {free_mode}, got {len(vectors)}"
         )
-    blocks, plain, width = [], None, 0
+    blocks, batch, bad, same = [], None, False, True
     for n, v in zip(other, vectors):
         v = np.asarray(v, dtype=float)
-        if plain is None:
-            plain = v.ndim == 1
-            width = 1 if plain else v.shape[1] if v.ndim == 2 else 0
-        if width < 1 or v.shape != ((n,) if plain else (n, width)):
-            raise ShapeError(
-                "saturating entries must be all vectors or all (N_k, b) blocks "
-                f"with one b >= 1; got shapes {[np.shape(v) for v in vectors]} "
-                f"for mode sizes {list(other)}"
-            )
-        blocks.append(v[:, None] if plain else v)
-    return blocks, plain
+        shape = v.shape
+        if not shape or shape[0] != n:
+            bad = True
+        if batch is None:
+            batch = shape[1:]
+        elif shape[1:] != batch:
+            same = False
+        blocks.append(v)
+    if not (bad or same):
+        try:
+            batch = np.broadcast_shapes(*(v.shape[1:] for v in blocks))
+        except ValueError:
+            bad = True
+        else:
+            blocks = [
+                v.reshape(v.shape[:1] + (1,) * (len(batch) + 1 - v.ndim) + v.shape[1:])
+                for v in blocks
+            ]
+    if bad or 0 in batch:
+        raise ShapeError(
+            "saturating entries must be (N_k,) vectors or (N_k, *batch) arrays "
+            "whose batch shapes broadcast to one shape without a zero axis; got "
+            f"shapes {[np.shape(v) for v in vectors]} for mode sizes {list(other)}"
+        )
+    if not batch:
+        blocks = [v[:, None] for v in blocks]
+    return blocks, batch
 
 
 class ActionOracle:
@@ -90,32 +110,26 @@ class ActionOracle:
         Mode sizes (N_1, ..., N_d), d >= 2.
     apply_fn : callable
         ``apply_fn(free_mode, blocks) -> ndarray`` implementing the action.
-        ``blocks`` arrive validated and in increasing mode order, one
-        (N_k, b) matrix per saturated mode whose column j belongs to action
-        j; the result is the (N_free, b) matrix of their fibers.  A plain
-        vector passed to :meth:`action` reaches ``apply_fn`` as a block of
-        one.
-    lead_fn : callable, optional
-        ``lead_fn(free_mode, lead) -> object``, the work an action does on
-        its lead alone: the blocks of the modes before the free mode, in
-        mode order (none for free mode 1).  With it, ``apply_fn`` is called
-        as ``apply_fn(free_mode, blocks, lead_fn(free_mode, lead))``.  The
-        result is kept in a one-slot memo keyed by the free mode and the
-        exact float64 bytes of the lead, so the actions of a build stage,
-        which share their interpolation prefixes and differ only in their
-        samples, pay for the lead once.  An array result is made read-only.
+        ``blocks`` arrive checked and in increasing mode order, one
+        (N_k, *batch_k) array per saturated mode, the batch shapes of one
+        length; each index of their broadcast shape B is one action, and
+        the result is the (N_free, *B) array of their fibers.  A call with
+        plain vectors reaches ``apply_fn`` as (N_k, 1) blocks.
 
     Notes
     -----
-    Serves one caller at a time, as a numpy ``Generator`` does: the counter
-    and the memo have no synchronisation.
+    Saturating entries broadcast like numpy arrays: each is (N_k,) or
+    (N_k, *batch_k), and the batch shapes broadcast to one shape B.  An
+    action returns (N_free, *B) and counts prod(B) actions, so a build
+    stage is one action: its interpolation prefixes enter as (N_k, W, 1)
+    and its samples as (N_k, 1, S).  Equal-width (N_k, b) blocks are the
+    case B = (b,).  Serves one caller at a time, as a numpy ``Generator``
+    does: the counter has no synchronisation.
     """
 
-    def __init__(self, dims, apply_fn, lead_fn=None):
+    def __init__(self, dims, apply_fn):
         self.dims = _check_dims(dims)
         self._apply = apply_fn
-        self._lead_fn = lead_fn
-        self._lead = None  # (key, lead_fn result) of the last action
         self._count = 0
 
     @property
@@ -124,77 +138,60 @@ class ActionOracle:
 
     @property
     def action_count(self):
-        """Number of actions performed since construction, one per block column."""
+        """Number of actions performed since construction, one per batch index."""
         return self._count
 
     def clear_cache(self):
-        """Drop work cached between actions: here the lead memo.
+        """Drop work cached between actions; the base oracle keeps none.
 
-        Subclasses that cache more override it and call this one.  Callers
-        clear before each run that must not reuse an earlier run's work,
-        such as every iteration of a power method.  Clearing must not change
-        what an action returns.
+        Subclasses that cache override it.  Callers clear before each run
+        that must not reuse an earlier run's work, such as every iteration
+        of a power method.  Clearing must not change what an action returns.
         """
-        self._lead = None
-
-    def _lead_of(self, free_mode, blocks):
-        """``lead_fn`` on the blocks before ``free_mode``, from the memo on a repeat."""
-        lead = blocks[: free_mode - 1]
-        key = (free_mode, *(v.tobytes() for v in lead))
-        if self._lead is None or self._lead[0] != key:
-            value = self._lead_fn(free_mode, lead)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._lead = (key, value)
-        return self._lead[1]
 
     def action(self, free_mode, vectors):
         """Saturate all modes but ``free_mode`` (1-based) and return the fiber.
 
-        ``vectors`` holds one vector per saturated mode, or one (N_k, b)
-        block per saturated mode for b independent actions at once; a block
-        returns the (N_free, b) matrix of fibers and counts b actions.
-        Entries are checked before the counter moves.  Raises
+        ``vectors`` holds one entry per saturated mode: a vector, or an
+        (N_k, *batch_k) array for many actions at once.  The batch shapes
+        broadcast to B; the result is the (N_free, *B) array of fibers and
+        counts prod(B) actions, and plain vectors return one fiber.  Entries
+        are checked before the counter moves.  Raises
         :class:`~ttaction.errors.NonFiniteActionError` when a fiber holds a
         NaN or an infinity.
         """
-        blocks, plain = _check_vectors(self.dims, free_mode, vectors)
-        width = blocks[0].shape[1]
-        self._count += width
-        if self._lead_fn is None:
-            out = self._apply(free_mode, blocks)
-        else:
-            out = self._apply(free_mode, blocks, self._lead_of(free_mode, blocks))
-        out = np.asarray(out, dtype=float)
-        shape = (self.dims[free_mode - 1], width)
+        blocks, batch = _check_vectors(self.dims, free_mode, vectors)
+        self._count += math.prod(batch)
+        out = np.asarray(self._apply(free_mode, blocks), dtype=float)
+        shape = (self.dims[free_mode - 1], *(batch or (1,)))
         if out.shape != shape:
             raise ShapeError(f"action returned shape {out.shape}, expected {shape}")
         if np.count_nonzero(np.isfinite(out)) != out.size:
             raise NonFiniteActionError(
                 f"action with free mode {free_mode} returned non-finite entries"
             )
-        return out[:, 0] if plain else out
+        return out if batch else out[:, 0]
 
 
 def oracle_from_dense(tensor):
     """Wrap a dense array of order >= 2 as an :class:`ActionOracle`.
 
-    An action contracts every mode but the free one against the checked
-    blocks.
+    An action broadcasts the checked entries to one batch and contracts
+    every mode but the free one against each batch index.
     """
     tensor = np.asarray(tensor, dtype=float)
 
     def apply_fn(free_mode, blocks):
-        # row j is the Kronecker product of the saturating vectors of column
-        # j, first saturated mode slowest; one matrix-vector product per
-        # row, so a block column has the bits of a single action
-        width = blocks[0].shape[1]
-        kron = reduce(
-            lambda a, v: (a[:, :, None] * v[:, None, :]).reshape(width, -1),
-            [np.ascontiguousarray(v.T) for v in blocks],
-        )
+        # row j is the Kronecker product of the saturating vectors of batch
+        # index j, first saturated mode slowest; one matrix-vector product
+        # per row, so every action has the bits of a single one
+        batch = np.broadcast_shapes(*(v.shape[1:] for v in blocks))
+        width = math.prod(batch)
+        rows = [_rows(np.broadcast_to(v, v.shape[:1] + batch).reshape(-1, width)) for v in blocks]
+        kron = reduce(lambda a, v: (a[:, :, None] * v[:, None, :]).reshape(width, -1), rows)
         free = np.moveaxis(tensor, free_mode - 1, 0)
-        return (free.reshape(free.shape[0], -1) @ kron[:, :, None])[:, :, 0].T
+        out = (free.reshape(free.shape[0], -1) @ kron[:, :, None])[:, :, 0].T
+        return out.reshape(free.shape[0], *batch)
 
     return ActionOracle(tensor.shape, apply_fn)
 
@@ -202,16 +199,11 @@ def oracle_from_dense(tensor):
 def oracle_from_tt(tt):
     """Wrap a :class:`TensorTrain` as an :class:`ActionOracle`.
 
-    The lead is the left prefix, :func:`prefix_contract` over the cores
-    before the free one, so the actions of one build stage sweep their
-    shared interpolation prefixes once.
+    Each action is one :func:`_contract`, so a build stage sweeps its
+    interpolation prefixes and its samples once each.
     """
     # the oracle has validated the blocks already
-    return ActionOracle(
-        tt.dims,
-        lambda k, vs, left: _contract(tt.cores, k - 1, vs, left),
-        lead_fn=lambda k, lead: prefix_contract(tt.cores[: k - 1], lead),
-    )
+    return ActionOracle(tt.dims, lambda k, vs: _contract(tt.cores, k - 1, vs))
 
 
 class TensorTrain:
@@ -262,67 +254,67 @@ class TensorTrain:
 def tt_apply(tt, free_mode, vectors):
     """Action of a tensor train without densifying it.
 
-    Takes vectors or (N_k, b) blocks as :meth:`ActionOracle.action` does and
-    returns the fiber or the (N_free, b) block of fibers.  Sweeps the
-    saturating vectors through the cores from both ends and contracts them
-    into the free core, costing O(d N r^2) per column.
+    Takes vectors or broadcasting (N_k, *batch_k) entries as
+    :meth:`ActionOracle.action` does and returns the fiber or the
+    (N_free, *B) array of fibers.  Sweeps the saturating vectors through the
+    cores from both ends and contracts them into the free core, costing
+    O(d N r^2) per action.
     """
-    blocks, plain = _check_vectors(tt.dims, free_mode, vectors)
-    k = free_mode - 1
-    out = _contract(tt.cores, k, blocks, prefix_contract(tt.cores[:k], blocks[:k]))
-    return out[:, 0] if plain else out
+    blocks, batch = _check_vectors(tt.dims, free_mode, vectors)
+    out = _contract(tt.cores, free_mode - 1, blocks)
+    return out if batch else out[:, 0]
 
 
-def _distinct_columns(v):
-    """Block ``v``, or its first column alone if it is one vector broadcast (stride 0)."""
-    return v[:, :1] if v.strides[1] == 0 else v
+def _rows(v):
+    """Entry ``v`` (N, *b) as the C-contiguous (*b, N) stack of its vectors."""
+    return np.ascontiguousarray(v.transpose(*range(1, v.ndim), 0))
 
 
-def _contract(cores, k, blocks, left):
-    """The (N, b) block of actions with 0-based free core ``k``.
+def _contract(cores, k, blocks):
+    """The (N, *B) array of actions with 0-based free core ``k``.
 
-    ``blocks`` are the validated (N_j, b) saturating blocks in mode order,
-    and ``left`` is :func:`prefix_contract` of the cores and blocks before
-    core ``k``.  Every step is a stack of matrix-vector products, one per
-    column, so a block of one has the bits of a single action.  Each
-    right-sweep step takes core (a, N, c) as an (a N, c) matrix times the
-    right rank vector, then the (a, N) result times the mode's vector.  A
-    vector broadcast over the block (a stride-0 view, as every range-finder
-    sample block is) is swept as one column and its result broadcast.
+    ``blocks`` are the checked (N_j, *b_j) saturating entries in mode order,
+    their batch shapes of one length and broadcasting to B.  The entries
+    before core ``k`` are swept left to right (:func:`prefix_contract`) and
+    the ones after it right to left, each sweep over its own entries' batch
+    shapes only, and one stacked product joins the two: a build stage's
+    prefixes (N_j, W, 1) and samples (N_j, 1, S) are swept once each.
+    Every step is a stack of matrix-vector products, one per batch index,
+    so each action has the bits of a single one.  Each right-sweep step
+    takes core (a, N, c) as an (a N, c) matrix times the right rank vector,
+    then the (a, N) result times the mode's vector.
     """
     right = _BOUNDARY
     for j in range(len(cores) - 1, k, -1):
         a, n, c = cores[j].shape
-        v = _distinct_columns(blocks[j - 1])
-        right = (cores[j].reshape(a * n, c) @ right).reshape(-1, a, n)
-        right = right @ np.ascontiguousarray(v.T)[:, :, None]
+        right = (cores[j].reshape(a * n, c) @ right).reshape(*right.shape[:-2], a, n)
+        right = right @ _rows(blocks[j - 1])[..., None]
+    left = prefix_contract(cores[:k], blocks[:k])
     a, n, c = cores[k].shape
-    out = ((left @ cores[k].reshape(a, n * c)).reshape(-1, n, c) @ right).reshape(-1, n)
-    width = blocks[0].shape[1]
-    if out.shape[0] < width:
-        # every entry was a broadcast vector: one column serves the block
-        out = np.repeat(out, width, axis=0)
-    return out.T
+    left = (left @ cores[k].reshape(a, n * c)).reshape(*left.shape[:-2], n, c)
+    out = (left @ right)[..., 0]
+    return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
 
 def prefix_contract(cores, blocks):
-    """Sweep (N_j, b) blocks through the leading ``cores`` into a (b, 1, r) stack.
+    """Sweep (N_j, *b) entries through the leading ``cores`` into a (*b, 1, r) stack.
 
-    Row j is the rank vector that saturating modes 1..len(cores) with column
-    j of each block leaves, kept as a (1, r) matrix so that it multiplies
-    the next core directly.  Each step contracts left (r_{j-1}) x core
-    (r_{j-1}, N_j, r_j) x vector (N_j) into (r_j) for every column, as
+    Entry j of the stack is the rank vector that saturating modes
+    1..len(cores) with batch index j of each entry leaves, kept as a (1, r)
+    matrix so that it multiplies the next core directly; the entries' batch
+    shapes broadcast.  Each step contracts left (r_{j-1}) x core
+    (r_{j-1}, N_j, r_j) x vector (N_j) into (r_j) for every batch index, as
     stacked matmuls: the left vector times the core as an (r_{j-1}, N_j r_j)
     matrix, then the vector times that product as an (N_j, r_j) matrix.
     Starts from the boundary rank 1 as one row, which broadcasts against any
-    number of columns; with no cores the result is ``ones((1, 1, 1))``.
-    Shapes are not checked here; callers validate.
+    batch; with no cores the result is ``ones((1, 1, 1))``.  Shapes are not
+    checked here; callers validate.
     """
     out = _BOUNDARY
     for c, v in zip(cores, blocks):
         a, n, r = c.shape
-        out = (out @ c.reshape(a, n * r)).reshape(-1, n, r)
-        out = np.ascontiguousarray(v.T)[:, None, :] @ out
+        out = (out @ c.reshape(a, n * r)).reshape(*out.shape[:-2], n, r)
+        out = _rows(v)[..., None, :] @ out
     return out
 
 
@@ -357,15 +349,20 @@ def subseed(seed, *tag):
     return int(np.random.SeedSequence((seed,) + tag).generate_state(1)[0])
 
 
-def tt_relative_error(reference, tt):
+def tt_relative_error(reference, tt, reference_norm=None):
     """Relative Frobenius distance ``||reference - tt|| / ||reference||`` of two trains.
 
     Neither train is densified.  Their difference is a train whose ranks are
     the sums of theirs: first cores side by side, inner cores block
-    diagonal, last cores stacked.
+    diagonal, last cores stacked.  A caller that measures many trains
+    against one reference passes its norm, ``reference_norm``, computed once
+    (``_tt_norm(reference)``); by default it is computed here.
     """
     if reference.dims != tt.dims:
         raise ShapeError(f"shape mismatch: {reference.dims} vs {tt.dims}")
+    ref = _tt_norm(reference) if reference_norm is None else float(reference_norm)
+    if ref == 0.0:
+        raise ZeroNormError("reference train has zero norm")
     (a, b), *inner, (y, z) = zip(reference.cores, tt.cores)
     cores = [np.concatenate((a, -b), axis=2)]
     for a, b in inner:
@@ -375,9 +372,6 @@ def tt_relative_error(reference, tt):
         block[ra:, :, sa:] = b
         cores.append(block)
     cores.append(np.concatenate((y, z), axis=0))
-    ref = _tt_norm(reference)
-    if ref == 0.0:
-        raise ZeroNormError("reference train has zero norm")
     return _tt_norm(TensorTrain(cores)) / ref
 
 

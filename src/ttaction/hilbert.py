@@ -10,10 +10,12 @@ gives an exact tensor train whose rank index is the partial index sum.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ActionOracle, TensorTrain, _check_dims, _distinct_columns
+from .core import ActionOracle, TensorTrain, _check_dims
 
 #: Mode sizes used by the compression experiment.
 DEFAULT_DIMS = (41, 42, 43, 44, 45)
@@ -52,43 +54,44 @@ def hilbert_oracle(dims):
 
         out[z] = sum_s c[s] / (d + z + s),
 
-    where c is the full convolution of the saturating vectors.  A block of
-    b actions convolves all its columns at once through one real FFT per
-    mode, of one column where the mode's entry is a vector broadcast over
-    the block (a stride-0 view), then applies the Hankel matrix
-    H[z, s] = w[z + s], read from the one weight vector w[t] = 1 / (d + t),
-    to all b convolutions in one product.  One action costs O(N^2) instead
-    of the O(N^d) of a dense contraction.  The oracle's lead is the product
-    of the spectra of the modes before the free one, so the actions of one
-    build stage transform their shared interpolation prefixes once; the
-    spectra are still multiplied in mode order.
+    where c is the full convolution of the saturating vectors: the inverse
+    FFT of the product of their spectra.  The correlation is one product
+    with the Hankel matrix H[z, s] = w[z + s] of the weights
+    w[t] = 1 / (d + t), so one action costs O(N^2) instead of the O(N^d) of
+    a dense contraction.  Broadcast entries (N_k, b_0, *rest) are served
+    natively: each vector of an entry is transformed once, the leading
+    spectra that do not vary along the trailing axes (a build stage's
+    prefixes) are multiplied once, and per trailing index the others are
+    multiplied in, in mode order, and one Hankel product serves all b_0
+    leading columns, so the transient stays one (nfft, b_0) block.
     """
     dims = _check_dims(dims)
     d = len(dims)
     weights = 1.0 / (d + np.arange(sum(dims) - d + 1, dtype=float))
 
-    def fft_size(free_mode):
+    def apply_fn(free_mode, blocks):
+        n = dims[free_mode - 1]
         # the convolution of the d - 1 saturating vectors, and its FFT length
-        size = sum(dims) - dims[free_mode - 1] - d + 2
-        return size, 1 << (size - 1).bit_length()
+        size = sum(dims) - n - d + 2
+        nfft = 1 << (size - 1).bit_length()
+        hankel = np.ascontiguousarray(sliding_window_view(weights, size)[:n])
+        spectra = [np.fft.rfft(v, nfft, axis=0) for v in blocks]
+        batch = np.broadcast_shapes(*(f.shape[1:] for f in spectra))
+        lead = None
+        while spectra and math.prod(spectra[0].shape[2:]) == 1:
+            f = spectra.pop(0)
+            f = f.reshape(f.shape[:2])
+            lead = f if lead is None else lead * f
+        out = np.empty((n, *batch))
+        for index in np.ndindex(*batch[1:]):
+            spectrum = lead
+            for f in spectra:
+                # an axis of length 1 broadcasts: it is read at index 0
+                f = f[(slice(None), slice(None), *(i % m for i, m in zip(index, f.shape[2:])))]
+                spectrum = f if spectrum is None else spectrum * f
+            spectrum = np.broadcast_to(spectrum, (spectrum.shape[0], batch[0]))
+            conv = np.fft.irfft(spectrum, nfft, axis=0)[:size]
+            out[(slice(None), slice(None), *index)] = hankel @ conv
+        return out
 
-    def times_spectra(spectrum, blocks, nfft):
-        # a vector broadcast over the block (a range-finder sample) is
-        # transformed once and its spectrum broadcast in the product
-        for v in blocks:
-            f = np.fft.rfft(_distinct_columns(v), nfft, axis=0)
-            spectrum = f if spectrum is None else spectrum * f
-        return spectrum
-
-    def lead_fn(free_mode, lead):
-        return times_spectra(None, lead, fft_size(free_mode)[1])
-
-    def apply_fn(free_mode, blocks, lead):
-        size, nfft = fft_size(free_mode)
-        spectrum = times_spectra(lead, blocks[free_mode - 1:], nfft)
-        spectrum = np.broadcast_to(spectrum, (spectrum.shape[0], blocks[0].shape[1]))
-        conv = np.fft.irfft(spectrum, nfft, axis=0)[:size]
-        hankel = sliding_window_view(weights, size)[: dims[free_mode - 1]]
-        return np.ascontiguousarray(hankel) @ conv
-
-    return ActionOracle(dims, apply_fn, lead_fn)
+    return ActionOracle(dims, apply_fn)

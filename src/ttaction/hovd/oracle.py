@@ -23,6 +23,7 @@ cache, keyed by the same bytes, and each free-slot output on the way out.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -437,24 +438,33 @@ class DerivativeOracle(ActionOracle):
         self.engine = engine
 
     def action(self, free_mode, vectors):
-        """Serve a block one column per counted single action.
+        """Serve broadcast entries one counted single action per batch index.
 
-        The entries are checked whole and copied once into contiguous
-        columns, then each column walks the engine's lattice as a single
-        action would, so its solves, counts and bits are those of the single
-        action.  A plain vector is served as a block of one and returns a
-        vector.
+        The entries are checked whole.  Each action then copies its own
+        vectors into contiguous arrays and walks the engine's lattice as a
+        single action would, so its solves, counts and bits are those of the
+        single action; its fiber goes straight into the (N_free, *B)
+        result, and no (N_k, prod B) copy of an entry is made.  Plain
+        vectors return one fiber.
         """
-        blocks, plain = _check_vectors(self.dims, free_mode, vectors)
-        columns = zip(*(np.ascontiguousarray(v.T) for v in blocks))
-        out = np.column_stack(
-            [ActionOracle.action(self, free_mode, vs) for vs in columns]
-        )
-        return out[:, 0] if plain else out
+        blocks, batch = _check_vectors(self.dims, free_mode, vectors)
+        shape = batch or (1,)
+        axes = (*range(1, len(shape) + 1), 0)
+        # each entry as a (*B, N_k) view of its vectors, broadcast without a copy
+        rows = [
+            (v if v.shape[1:] == shape else np.broadcast_to(v, v.shape[:1] + shape))
+            for v in blocks
+        ]
+        rows = [v.transpose(axes) for v in rows]
+        out = np.empty((self.dims[free_mode - 1], *shape))
+        fibers = out.transpose(axes)
+        for index in itertools.product(*map(range, shape)):
+            vs = [np.ascontiguousarray(v[index]) for v in rows]
+            fibers[index] = ActionOracle.action(self, free_mode, vs)
+        return out if batch else out[:, 0]
 
     def clear_cache(self):
-        """Empty the base memo and the engine's cache; its state and LU stay."""
-        super().clear_cache()
+        """Empty the engine's cache; its state and LU stay."""
         self.engine.clear_cache()
 
 

@@ -54,7 +54,6 @@ class _DifferenceOracle(ActionOracle):
         self._operands = (a, b)
 
     def clear_cache(self):
-        super().clear_cache()
         for o in self._operands:
             o.clear_cache()
 

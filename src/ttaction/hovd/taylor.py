@@ -23,6 +23,11 @@ from ..errors import ShapeError, ZeroNormError
 from ..rangefinder import DEFAULT_OVERSAMPLING, RangeProblem, randomized_range
 from .oracle import WhitenedMap, derivative_dims, make_derivative_oracle
 
+# samples per taylor_eval block in taylor_error_stats: a block of b points
+# makes the train contraction hold b N r floats at once, so blocks this small
+# keep the peak memory near the one-point path's
+_EVAL_BLOCK = 16
+
 
 def jacobian_train(oracle, rank, oversampling=DEFAULT_OVERSAMPLING, seed=0):
     """The order-1 oracle J as the input-first train with cores (Q^T J)^T, Q^T.
@@ -64,20 +69,25 @@ class TaylorSurrogate:
 
 
 def taylor_eval(surrogate, x):
-    """The surrogate at an ``input_dim``-vector ``x``, truncated at every order.
+    """The surrogate at ``x``, truncated at every order.
 
-    Returns the (order + 1, n_q) array whose row j is f(0) plus the terms
-    T_i(x, ..., x, .) / i! for i = 1..j, added in that order; each term is
-    applied once.
+    ``x`` is an ``input_dim``-vector or an (input_dim, b) block of b points.
+    Returns the (order + 1, n_q) array, or the (order + 1, n_q, b) array for
+    a block, whose row j is f(0) plus the terms T_i(x, ..., x, .) / i! for
+    i = 1..j, added in that order; each term is applied once, to every point
+    of the block at once, with the bits of a single point's term.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (surrogate.input_dim,):
-        raise ShapeError(f"x has shape {x.shape}, expected ({surrogate.input_dim},)")
-    rows = [surrogate.base]
+    if x.ndim not in (1, 2) or x.shape[0] != surrogate.input_dim:
+        raise ShapeError(
+            f"x has shape {x.shape}, expected ({surrogate.input_dim},) "
+            f"or ({surrogate.input_dim}, b)"
+        )
+    rows = np.empty((surrogate.order + 1, surrogate.base.size, *x.shape[1:]))
+    rows[0] = surrogate.base if x.ndim == 1 else surrogate.base[:, None]
     for j in range(1, surrogate.order + 1):
-        term = tt_apply(surrogate.trains[j], j + 1, [x] * j) / math.factorial(j)
-        rows.append(rows[-1] + term)
-    return np.array(rows)
+        rows[j] = rows[j - 1] + tt_apply(surrogate.trains[j], j + 1, [x] * j) / math.factorial(j)
+    return rows
 
 
 def build_taylor_surrogate(
@@ -158,9 +168,12 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0):
     if normalizer == 0.0:
         raise ZeroNormError("map is constant over the samples; nothing to normalize")
     errors = np.empty((len(orders), n_samples))
-    for i, (x, f) in enumerate(zip(xs, fs)):
-        for row, value in enumerate(taylor_eval(surrogate, x)):
-            errors[row, i] = float(np.linalg.norm(f - value)) / normalizer
+    for start in range(0, n_samples, _EVAL_BLOCK):
+        stop = min(start + _EVAL_BLOCK, n_samples)
+        values = taylor_eval(surrogate, np.stack(xs[start:stop], axis=1))
+        for j, f in enumerate(fs[start:stop]):
+            for row in orders:
+                errors[row, start + j] = float(np.linalg.norm(f - values[row, :, j])) / normalizer
     return {
         "orders": orders,
         "means": errors.mean(axis=1).tolist(),

@@ -28,8 +28,12 @@ class RangeProblem:
     Parameters
     ----------
     evaluate : callable
-        ``evaluate(vectors) -> ndarray`` of length ``output_dim``; ``vectors``
-        is one standard-normal vector per entry of ``input_dims``.
+        ``evaluate(blocks) -> ndarray`` of shape ``(output_dim, s)``:
+        ``blocks`` holds one (N_k, s) matrix per entry of ``input_dims``,
+        whose column j is sample j's standard-normal input, and column j of
+        the result is that sample's output.  A range finder asks for all
+        its samples in one call, so an action-backed map serves them as one
+        broadcast action.
     input_dims : tuple of int
         Length of each random input vector.
     output_dim : int
@@ -73,17 +77,14 @@ class RangeBasis:
 
 
 def _collect_samples(problem, indices):
-    """Evaluate the listed sample indices, in index order."""
-    cols = [
-        np.asarray(problem.evaluate(problem.sample_inputs(i)), dtype=float)
-        for i in indices
-    ]
-    for c in cols:
-        if c.shape != (problem.output_dim,):
-            raise ShapeError(
-                f"evaluate returned shape {c.shape}, expected ({problem.output_dim},)"
-            )
-    return cols
+    """The (output_dim, len(indices)) samples of the listed indices, one evaluation."""
+    inputs = [problem.sample_inputs(i) for i in indices]
+    out = problem.evaluate([np.stack(vs, axis=1) for vs in zip(*inputs)])
+    out = np.ascontiguousarray(out, dtype=float)
+    shape = (problem.output_dim, len(indices))
+    if out.shape != shape:
+        raise ShapeError(f"evaluate returned shape {out.shape}, expected {shape}")
+    return out
 
 
 def _orthobasis(samples, rank):
@@ -100,7 +101,7 @@ def _orthobasis(samples, rank):
 def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
     """Estimate an orthonormal range basis from ``rank + oversampling`` samples.
 
-    Performs exactly ``rank + oversampling`` evaluations of the map.  The
+    Evaluates the map once, on ``rank + oversampling`` samples.  The
     basis is the first ``rank`` left singular vectors of the sample matrix,
     each column signed so its largest-magnitude entry is positive.  A rank
     beyond the output dimension is clamped with a warning.
@@ -116,9 +117,7 @@ def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
             stacklevel=2,
         )
         rank = problem.output_dim
-    n_samples = rank + oversampling
-    cols = _collect_samples(problem, range(n_samples))
-    samples = np.column_stack(cols)
+    samples = _collect_samples(problem, range(rank + oversampling))
     basis = _orthobasis(samples, rank)
     return RangeBasis(basis, samples, posterior_error(basis, samples))
 
@@ -144,7 +143,8 @@ def adaptive_range(problem, tol, oversampling=DEFAULT_OVERSAMPLING, max_rank=Non
 
     The error is relative to the largest sample.  Starts at rank 2 and reuses
     all previous samples, so finishing at rank r costs exactly
-    ``r + oversampling`` evaluations.
+    ``r + oversampling`` samples: one evaluation of the first
+    ``2 + oversampling``, then one per growth step.
     If the ceiling ``max_rank`` (default: the output dimension) is reached
     without convergence the basis is returned with ``converged=False`` and a
     :class:`~ttaction.errors.ConvergenceWarning`.
@@ -155,9 +155,8 @@ def adaptive_range(problem, tol, oversampling=DEFAULT_OVERSAMPLING, max_rank=Non
         raise ShapeError(f"oversampling must be >= 0, got {oversampling}")
     ceiling = problem.output_dim if max_rank is None else min(max_rank, problem.output_dim)
     rank = 2
-    cols = _collect_samples(problem, range(rank + oversampling))
+    samples = _collect_samples(problem, range(rank + oversampling))
     while True:
-        samples = np.column_stack(cols)
         basis = _orthobasis(samples, rank)
         err = posterior_error(basis, samples)
         if err < tol:
@@ -171,4 +170,5 @@ def adaptive_range(problem, tol, oversampling=DEFAULT_OVERSAMPLING, max_rank=Non
             )
             return RangeBasis(basis, samples, err, converged=False)
         rank += 1
-        cols.extend(_collect_samples(problem, [len(cols)]))
+        more = _collect_samples(problem, [samples.shape[1]])
+        samples = np.concatenate((samples, more), axis=1)

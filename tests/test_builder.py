@@ -409,70 +409,105 @@ class CallCountingOracle(ActionOracle):
 
 
 @pytest.mark.parametrize("dims,ranks", CASES)
-def test_build_makes_one_block_call_per_sample(dims, ranks):
-    # each range-finder sample of stages 1..d-1 is one call, and so is the
-    # last core; the calls still spend the closed-form count of actions
+def test_build_makes_one_action_call_per_stage(dims, ranks):
+    # each stage's range-finder samples are one call, and so is the last
+    # core; the calls still spend the closed-form count of actions
     oracle = CallCountingOracle(random_tt(np.random.default_rng(45), dims, ranks))
     config = BuildConfig(ranks=list(ranks), oversampling=3)
     _, report = tt_from_actions(oracle, config)
-    assert oracle.calls == sum(r + config.oversampling for r in ranks) + 1
+    assert oracle.calls == len(dims)
     assert oracle.action_count == predicted_action_count(dims, ranks, oversampling=3)
     assert report.total_actions == oracle.action_count
 
 
 # ---------------------------------------------------------------------------
-# the lead memo: a stage's shared interpolation prefixes are worked once
+# one action per stage: a stage's shared interpolation prefixes are worked once
 
-MEMO_CASES = [("train", dims, ranks) for dims, ranks in CASES] + [
+STAGE_CASES = [("train", dims, ranks) for dims, ranks in CASES] + [
     ("hilbert", DEFAULT_DIMS, (10,) * 4),
     ("hilbert", (12, 13, 14), (6, 6)),
 ]
 
 
-def _memo_oracle(kind, dims, ranks):
+def _stage_oracle(kind, dims, ranks):
     if kind == "hilbert":
         return hilbert_oracle(dims)
     return oracle_from_tt(random_tt(np.random.default_rng(sum(dims)), dims, ranks))
 
 
-def _cleared_before_every_action(oracle):
-    """``oracle`` with its cache emptied before each action, so no lead is reused."""
-    action = oracle.action
+class PerSampleOracle:
+    """``oracle`` served one range-finder sample at a time, as builds once ran.
 
-    def cleared(free_mode, vectors):
-        oracle.clear_cache()
-        return action(free_mode, vectors)
+    A stage's action on (N, W, 1) prefixes and (N, 1, S) samples becomes S
+    actions on plain (N, W) blocks, each sample copied into all W columns,
+    and the S fibers are stacked along the last axis.
+    """
 
-    oracle.action = cleared
-    return oracle
+    def __init__(self, oracle):
+        self.inner = oracle
+        self.dims, self.order = oracle.dims, oracle.order
+
+    @property
+    def action_count(self):
+        return self.inner.action_count
+
+    def action(self, free_mode, vectors):
+        assert all(v.ndim == 3 for v in vectors)
+        width = max(v.shape[1] for v in vectors)
+        fibers = []
+        for s in range(max(v.shape[2] for v in vectors)):
+            blocks = [
+                v[:, :, 0] if v.shape[2] == 1 else np.repeat(v[:, :, s], width, axis=1)
+                for v in vectors
+            ]
+            fibers.append(self.inner.action(free_mode, blocks))
+        return np.stack(fibers, axis=2)
 
 
 @pytest.mark.parametrize(
-    "kind,dims,ranks", MEMO_CASES, ids=[f"{k}-{len(d)}-{d[0]}" for k, d, _ in MEMO_CASES]
+    "kind,dims,ranks", STAGE_CASES, ids=[f"{k}-{len(d)}-{d[0]}" for k, d, _ in STAGE_CASES]
 )
-def test_lead_memo_keeps_every_bit_and_count_of_a_build(kind, dims, ranks):
+def test_stage_actions_keep_every_bit_and_count_of_a_per_sample_build(kind, dims, ranks):
     config = BuildConfig(ranks=list(ranks), seed=7)
-    kept = _memo_oracle(kind, dims, ranks)
-    cleared = _cleared_before_every_action(_memo_oracle(kind, dims, ranks))
-    built, report = tt_from_actions(kept, config)
-    rebuilt, rereport = tt_from_actions(cleared, config)
+    staged = _stage_oracle(kind, dims, ranks)
+    per_sample = PerSampleOracle(_stage_oracle(kind, dims, ranks))
+    built, report = tt_from_actions(staged, config)
+    rebuilt, rereport = tt_from_actions(per_sample, config)
     assert [c.tobytes() for c in built.cores] == [c.tobytes() for c in rebuilt.cores]
-    assert kept.action_count == cleared.action_count == report.total_actions
+    assert staged.action_count == per_sample.action_count == report.total_actions
     assert [s["actions"] for s in report.stages] == [s["actions"] for s in rereport.stages]
 
 
+@pytest.mark.parametrize("dims,ranks", CASES)
+def test_build_makes_one_block_call_per_sample(dims, ranks):
+    # served one range-finder sample at a time, each stage 1..d-1 splits into
+    # one plain (N, W) block call per sample and the last core into one, and
+    # the block calls still spend the closed-form count of actions
+    inner = CallCountingOracle(random_tt(np.random.default_rng(45), dims, ranks))
+    config = BuildConfig(ranks=list(ranks), oversampling=3)
+    _, report = tt_from_actions(PerSampleOracle(inner), config)
+    assert inner.calls == sum(r + config.oversampling for r in ranks) + 1
+    assert inner.action_count == predicted_action_count(dims, ranks, oversampling=3)
+    assert report.total_actions == inner.action_count
+
+
 @pytest.mark.parametrize("kind", ["train", "hilbert"])
-def test_a_build_works_each_stage_lead_once(kind, monkeypatch):
-    # every range-finder sample of a stage shares the stage's prefixes, so
-    # only the first of its block calls computes the lead
+def test_a_build_works_each_stage_lead_once(kind):
+    # a stage's interpolation prefixes enter one action, as (N, W, 1)
+    # entries against the stage's (N, 1, S) samples
     dims, ranks = (4, 5, 6, 5, 4), (2, 3, 3, 2)
-    oracle = _memo_oracle(kind, dims, ranks)
-    lead_fn, leads = oracle._lead_fn, []
+    oracle = _stage_oracle(kind, dims, ranks)
+    apply_fn, seen = oracle._apply, []
 
-    def counted(free_mode, lead):
-        leads.append((free_mode, len(lead)))
-        return lead_fn(free_mode, lead)
+    def recorded(free_mode, blocks):
+        seen.append((free_mode, [v.shape for v in blocks]))
+        return apply_fn(free_mode, blocks)
 
-    monkeypatch.setattr(oracle, "_lead_fn", counted)
-    tt_from_actions(oracle, BuildConfig(ranks=list(ranks), oversampling=3))
-    assert [lead for lead in leads if lead[1]] == [(2, 1), (3, 2), (4, 3), (5, 4)]
+    oracle._apply = recorded
+    _, report = tt_from_actions(oracle, BuildConfig(ranks=list(ranks), oversampling=3))
+    assert [mode for mode, _ in seen] == [1, 2, 3, 4, 5]
+    for (mode, shapes), stage in zip(seen, report.stages):
+        width = 1 if mode == 1 else (stage["tau"] or 1) * ranks[mode - 2]
+        samples = ranks[mode - 1] + 3 if mode < len(dims) else 1
+        lead = [(n, width, 1) for n in dims[: mode - 1]]
+        assert shapes == lead + [(n, 1, samples) for n in dims[mode:]]

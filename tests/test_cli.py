@@ -175,6 +175,27 @@ def test_hilbert_small(tmp_path):
     assert manifest["outputs"] == ["hilbert.csv"]
 
 
+def test_hilbert_takes_the_exact_norm_once(tmp_path, monkeypatch):
+    # every error row divides by the exact train's norm, computed once per run
+    import ttaction.cli
+    import ttaction.core
+    from ttaction.hilbert import hilbert_train
+
+    exact_ranks = hilbert_train((4, 5, 6)).ranks
+    norm, seen = ttaction.core._tt_norm, []
+
+    def counted(tt):
+        seen.append(tt.ranks)
+        return norm(tt)
+
+    for module in (ttaction.core, ttaction.cli):
+        monkeypatch.setattr(module, "_tt_norm", counted)
+    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "4", "--no-timing"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert seen.count(exact_ranks) == 1
+    assert len(seen) == 1 + 2 * 3  # and one per difference train
+
+
 def test_hilbert_ranks_above_the_unfolding_caps(tmp_path):
     # caps (4, 6): ranks 6..8 are cut to them in the builds, and the svd
     # rows round at the ranks each build realized

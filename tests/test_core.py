@@ -1,5 +1,6 @@
 """Dense actions, train algebra, compression, and serialization."""
 
+import math
 import struct
 import zlib
 
@@ -193,17 +194,23 @@ def test_block_of_one_is_bitwise_a_single_train_action():
         np.testing.assert_array_equal(block[:, 0], single)
 
 
-@pytest.mark.parametrize(
-    "blocks",
-    [
-        [np.ones((4, 2)), np.ones(5)],  # a vector beside a block
-        [np.ones((4, 2)), np.ones((5, 3))],  # unequal column counts
-        [np.ones((4, 2)), np.ones((6, 2))],  # wrong row count
-        [np.ones((4, 0)), np.ones((5, 0))],  # no columns
-        [np.ones((4, 2, 1)), np.ones((5, 2, 1))],  # not a matrix
-    ],
-    ids=["mixed", "unequal-columns", "wrong-rows", "empty", "three-dims"],
-)
+#: Entries of a (3, 4, 5) tensor's free-mode-1 action that no oracle accepts.
+MALFORMED = {
+    # a block beside a 3-D entry whose batch shape (2, 3) does not take (2,)
+    "mixed": [np.ones((4, 2)), np.ones((5, 2, 3))],
+    "unequal-columns": [np.ones((4, 2)), np.ones((5, 3))],
+    "wrong-rows": [np.ones((4, 2)), np.ones((6, 2))],
+    "empty": [np.ones((4, 0)), np.ones((5, 0))],
+    # 3-D entries whose batch shapes (2, 3) and (3, 2) do not broadcast
+    "three-dims": [np.ones((4, 2, 3)), np.ones((5, 3, 2))],
+    # batch shapes that broadcast to one with a zero axis
+    "zero-axis": [np.ones((4, 2, 1)), np.ones((5, 1, 0))],
+    "wrong-vector": [np.ones(4), np.ones(6)],
+    "scalar": [np.ones(4), np.float64(1.0)],
+}
+
+
+@pytest.mark.parametrize("blocks", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_block_is_refused_before_the_counter_moves(blocks):
     tt = random_tt(np.random.default_rng(42), (3, 4, 5), (2, 2))
     oracle = oracle_from_tt(tt)
@@ -247,63 +254,119 @@ def test_broadcast_samples_sweep_bitwise_as_materialized_copies():
         np.testing.assert_array_equal(got, want)
 
 
-def _lead_counting(kind, monkeypatch):
-    """A train or Hilbert oracle on (4, 5, 6, 5, 4) and its list of lead_fn calls."""
-    dims = (4, 5, 6, 5, 4)
+# ---------------------------------------------------------------------------
+# broadcast entries: the contract every oracle serves
+
+#: Mode sizes per oracle kind; the derivative tensor is order 2 at n = 4.
+BROADCAST_DIMS = {
+    "dense": (3, 4, 5, 4),
+    "train": (4, 5, 6, 5),
+    "hilbert": (4, 5, 6, 5),
+    "derivative": (16, 16, 12),
+}
+
+
+def _broadcast_oracle(kind):
+    """A fresh oracle of ``kind``, the same tensor on every call."""
+    dims = BROADCAST_DIMS[kind]
     if kind == "hilbert":
-        oracle = hilbert_oracle(dims)
-    else:
-        oracle = oracle_from_tt(random_tt(np.random.default_rng(45), dims, (2, 3, 3, 2)))
-    lead_fn, calls = oracle._lead_fn, []
+        return hilbert_oracle(dims)
+    if kind == "derivative":
+        return make_derivative_oracle(ReactionDiffusionModel(4), 2)
+    tt = random_tt(np.random.default_rng(45), dims, (2,) * (len(dims) - 1))
+    return oracle_from_tt(tt) if kind == "train" else oracle_from_dense(tt_to_dense(tt))
 
-    def counted(free_mode, lead):
-        calls.append(free_mode)
-        return lead_fn(free_mode, lead)
 
-    monkeypatch.setattr(oracle, "_lead_fn", counted)
-    return oracle, calls
+def _broadcast_entries(rng, dims, mode):
+    """A build stage's entries: (N, 3, 1) leads, then (N, 1, 2) samples.
+
+    Of two or more samples the last is a plain vector, which broadcasts too.
+    """
+    entries = [rng.standard_normal((n, 3, 1)) for n in dims[: mode - 1]]
+    entries += [rng.standard_normal((n, 1, 2)) for n in dims[mode:]]
+    if len(dims) - mode >= 2:
+        entries[-1] = rng.standard_normal(dims[-1])
+    return entries
+
+
+@pytest.mark.parametrize("kind", list(BROADCAST_DIMS))
+def test_broadcast_entries_act_bitwise_as_materialized_copies_and_single_actions(kind):
+    rng = np.random.default_rng(46)
+    dims = BROADCAST_DIMS[kind]
+    for mode in range(1, len(dims) + 1):
+        entries = _broadcast_entries(rng, dims, mode)
+        oracle, copied, single = (_broadcast_oracle(kind) for _ in range(3))
+        got = oracle.action(mode, entries)
+        batch = np.broadcast_shapes(*(np.shape(v)[1:] for v in entries))
+        assert got.shape == (dims[mode - 1], *batch)
+        assert oracle.action_count == math.prod(batch)
+        full = [
+            np.broadcast_to(v.reshape(len(v), *(1,) * (3 - v.ndim), *v.shape[1:]),
+                            (len(v), *batch)).copy()
+            for v in entries
+        ]
+        np.testing.assert_array_equal(copied.action(mode, full), got)
+        for index in np.ndindex(*batch):
+            at = (slice(None), *index)
+            want = single.action(mode, [v[at].copy() for v in full])
+            if kind == "hilbert":
+                # one Hankel product serves a block's columns, as it always has
+                assert np.linalg.norm(got[at] - want) <= 1e-12 * np.linalg.norm(want)
+            else:
+                np.testing.assert_array_equal(got[at], want)
+
+
+@pytest.mark.parametrize("kind", list(BROADCAST_DIMS))
+@pytest.mark.parametrize("case", ["mixed", "three-dims", "zero-axis", "empty", "wrong-rows"])
+def test_every_oracle_refuses_malformed_entries_before_the_counter_moves(kind, case):
+    oracle = _broadcast_oracle(kind)
+    # the (3, 4, 5) cases, with row counts mapped onto the first two
+    # saturated modes of this oracle and any later mode saturated by a vector
+    rows = oracle.dims[1:]
+    blocks = [
+        np.ones((rows[k] + (case == "wrong-rows") * k, *v.shape[1:]))
+        for k, v in enumerate(MALFORMED[case])
+    ]
+    blocks += [np.ones(n) for n in rows[2:]]
+    with pytest.raises(ShapeError):
+        oracle.action(1, blocks)
+    assert oracle.action_count == 0
 
 
 @pytest.mark.parametrize("kind", ["train", "hilbert"])
-def test_lead_memo_sees_an_in_place_edit(kind, monkeypatch):
-    oracle, calls = _lead_counting(kind, monkeypatch)
-    fresh, _ = _lead_counting(kind, monkeypatch)
-    rng = np.random.default_rng(46)
-    blocks = [rng.standard_normal((n, 3)) for n in (4, 5, 6, 4)]
+def test_an_in_place_edit_between_actions_is_seen(kind):
+    # no work on an action's entries is kept for the next action
+    oracle, fresh = _broadcast_oracle(kind), _broadcast_oracle(kind)
+    rng = np.random.default_rng(47)
+    blocks = [rng.standard_normal((n, 3)) for n in (4, 5, 6)]
     first = oracle.action(4, blocks)
     np.testing.assert_array_equal(oracle.action(4, blocks), first)
-    assert calls == [4]  # the repeat was served from the memo
     blocks[1][2, 0] += 1.0  # an edit of a lead block between two actions
     edited = oracle.action(4, blocks)
-    assert calls == [4, 4]
-    assert not np.array_equal(edited, first)
+    assert not np.array_equal(edited[:, 0], first[:, 0])
+    np.testing.assert_array_equal(edited[:, 1:], first[:, 1:])
     np.testing.assert_array_equal(edited, fresh.action(4, [v.copy() for v in blocks]))
 
 
-@pytest.mark.parametrize("kind", ["train", "hilbert"])
-def test_clear_cache_empties_the_lead_memo_and_keeps_every_bit(kind, monkeypatch):
-    oracle, calls = _lead_counting(kind, monkeypatch)
-    rng = np.random.default_rng(47)
-    blocks = [rng.standard_normal((n, 3)) for n in (4, 5, 6, 5)]
-    first = oracle.action(5, blocks)
+@pytest.mark.parametrize("kind", list(BROADCAST_DIMS))
+def test_clear_cache_keeps_every_bit(kind):
+    oracle = _broadcast_oracle(kind)
+    rng = np.random.default_rng(48)
+    entries = _broadcast_entries(rng, oracle.dims, 2)
+    first = oracle.action(2, entries)
     oracle.clear_cache()
-    np.testing.assert_array_equal(oracle.action(5, blocks), first)
-    assert calls == [5, 5]
+    np.testing.assert_array_equal(oracle.action(2, entries), first)
 
 
-def test_every_clear_cache_override_empties_the_lead_memo():
+def test_a_difference_clears_both_operands():
     model = ReactionDiffusionModel(4)
     derivative = make_derivative_oracle(model, 2)
-    train = oracle_from_tt(random_tt(np.random.default_rng(48), derivative.dims, (2, 2)))
+    train = oracle_from_tt(random_tt(np.random.default_rng(49), derivative.dims, (2, 2)))
     difference = oracle_difference(derivative, train)
-    for oracle in (derivative, difference, train):
-        oracle.action(3, [np.ones(model.n_m)] * 2)
-    assert train._lead is not None
-    # neither override's oracle has a lead_fn, so plant an entry to be emptied
-    for oracle in (derivative, difference):
-        oracle._lead = (0, None)
+    difference.action(3, [np.ones(model.n_m)] * 2)
+    assert derivative.engine._cache
     difference.clear_cache()
-    assert derivative._lead is difference._lead is train._lead is None
+    assert not derivative.engine._cache
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +579,17 @@ def test_tt_relative_error_matches_dense(dims):
     zero = TensorTrain([np.zeros_like(c) for c in reference.cores])
     with pytest.raises(ZeroNormError):
         tt_relative_error(zero, tt)
+
+
+def test_tt_relative_error_takes_the_reference_norm():
+    rng = np.random.default_rng(61)
+    reference = random_tt(rng, (4, 5, 6), (3, 4))
+    other = random_tt(rng, (4, 5, 6), (2, 2))
+    norm = ttaction.core._tt_norm(reference)
+    assert tt_relative_error(reference, other, norm) == tt_relative_error(reference, other)
+    assert tt_relative_error(reference, other, 2 * norm) == tt_relative_error(reference, other) / 2
+    with pytest.raises(ZeroNormError):
+        tt_relative_error(reference, other, 0.0)
 
 
 def test_tt_relative_error_takes_no_svd(monkeypatch):

@@ -627,6 +627,25 @@ def test_derivative_block_is_served_as_single_actions(monkeypatch):
         assert getattr(block_oracle.engine, counter) == getattr(single_oracle.engine, counter)
 
 
+def test_broadcast_entries_are_served_without_a_whole_copy():
+    # each batch index copies its own vectors; no entry is copied whole to
+    # its broadcast (N, prod B) shape, which here would take 2 MiB
+    import tracemalloc
+
+    oracle = oracle_module.DerivativeOracle((64, 64, 2), lambda k, vs: np.zeros((2, 1)), None)
+    rng = np.random.default_rng(45)
+    lead, samples = rng.standard_normal((64, 64, 1)), rng.standard_normal((64, 1, 64))
+    tracemalloc.start()
+    try:
+        out = oracle.action(3, [lead, samples])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2, 64, 64)
+    assert oracle.action_count == 64 * 64
+    assert peak < 64 * 64 * 64 * 8 / 4
+
+
 def multisets_through(order):
     """Every direction-count vector of total order 1..``order`` and its sub-multisets."""
     from ttaction.hovd.lattice import sub_multisets

@@ -448,9 +448,13 @@ def test_library_defines_no_dense_reference(path):
 
 #: Second paths that were deleted: the dense entry is ``oracle_from_dense``,
 #: the count law refuses with ``ShapeError`` through
-#: ``predicted_action_count``, and both derivative lattices compile their
+#: ``predicted_action_count``, both derivative lattices compile their
 #: chain-rule sums with ``hovd.oracle._program`` and run them with
-#: ``DerivativeEngine._sum``.
+#: ``DerivativeEngine._sum``, and a build stage's shared prefixes are worked
+#: once because the stage is one broadcast action, not through a lead memo
+#: (``lead_fn``, ``_lead_of``), stride-0 column detection
+#: (``_distinct_columns``) or Hilbert's split spectrum product
+#: (``times_spectra``).
 DELETED_NAMES = (
     "BacktrackingRequiredError",
     "check_schedule",
@@ -459,6 +463,10 @@ DELETED_NAMES = (
     "_adjoint_program",
     "_forward_sum",
     "_adjoint_sum",
+    "lead_fn",
+    "_lead_of",
+    "_distinct_columns",
+    "times_spectra",
 )
 
 
@@ -494,6 +502,9 @@ def test_scan_flags_a_deleted_name():
         "_forward_program = _adjoint_program = _program\n"
         "class Engine:\n    def _forward_sum(self):\n        pass\n"
         "    _adjoint_sum = _sum\n"
+        "def _distinct_columns(v):\n    return v\n"
+        "lead_fn = times_spectra = None\n"
+        "class Oracle:\n    def _lead_of(self):\n        pass\n"
     )
     line = source.count("\n") + 1
     assert deleted_names(source + planted) == [
@@ -505,6 +516,10 @@ def test_scan_flags_a_deleted_name():
         (line + 5, "_forward_program"),
         (line + 7, "_forward_sum"),
         (line + 9, "_adjoint_sum"),
+        (line + 10, "_distinct_columns"),
+        (line + 12, "lead_fn"),
+        (line + 12, "times_spectra"),
+        (line + 14, "_lead_of"),
     ]
     # a use that binds another name is not a definition
     assert deleted_names("x = check_schedule(a)\ny = 'a dense_action'\n") == []

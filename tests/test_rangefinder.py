@@ -18,16 +18,19 @@ from ttaction.rangefinder import (
 
 
 def low_rank_matrix_problem(n, m, rank, seed=0, noise=0.0):
-    """Map v -> A v for a random matrix A of the given rank."""
+    """Map v -> A v for a random matrix A of the given rank.
+
+    ``calls`` records the number of samples of each evaluation.
+    """
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
     if noise:
         mat = mat + noise * rng.standard_normal((n, m))
     calls = []
 
-    def evaluate(vectors):
-        calls.append(1)
-        return mat @ vectors[0]
+    def evaluate(blocks):
+        calls.append(blocks[0].shape[1])
+        return mat @ blocks[0]
 
     problem = RangeProblem(evaluate, (m,), n, seed=seed)
     return problem, mat, calls
@@ -52,8 +55,8 @@ def test_exact_rank_recovery_bilinear_map():
     c = rng.standard_normal((3, 9))
     tensor = np.einsum("ir,rj,rk->ijk", a, b, c)
 
-    def evaluate(vectors):
-        return np.einsum("ijk,j,k->i", tensor, vectors[0], vectors[1])
+    def evaluate(blocks):
+        return np.einsum("ijk,js,ks->is", tensor, blocks[0], blocks[1])
 
     problem = RangeProblem(evaluate, (8, 9), 20, seed=1)
     result = randomized_range(problem, rank=3)
@@ -65,7 +68,7 @@ def test_exact_rank_recovery_bilinear_map():
 def test_sample_count_is_exact():
     problem, _, calls = low_rank_matrix_problem(15, 12, rank=3, seed=2)
     randomized_range(problem, rank=4, oversampling=2)
-    assert len(calls) == 6
+    assert calls == [6]  # one evaluation of all six samples
 
 
 def test_sample_keying_is_order_independent():
@@ -115,8 +118,9 @@ def test_adaptive_growth_stops_at_true_rank():
     assert result.converged
     # the error that stopped the growth is the one the basis carries
     assert result.error == posterior_error(result.basis, result.samples) < 1e-10
-    # rank r plus oversampling evaluations, samples reused on the way up
-    assert len(calls) == result.rank + 3
+    # rank r plus oversampling samples, reused on the way up: one evaluation
+    # of the first 2 + 3, then one sample per growth step
+    assert calls == [5] + [1] * (result.rank - 2)
     resid = mat - result.basis @ (result.basis.T @ mat)
     assert np.linalg.norm(resid) / np.linalg.norm(mat) < 1e-9
 
@@ -134,11 +138,11 @@ def test_rank_clamped_to_output_dim():
     with pytest.warns(RankClampWarning):
         result = randomized_range(problem, rank=9, oversampling=1)
     assert result.rank == 5
-    assert len(calls) == 6
+    assert calls == [6]
 
 
 def test_degenerate_map_raises():
-    problem = RangeProblem(lambda vs: np.zeros(7), (4,), 7, seed=10)
+    problem = RangeProblem(lambda vs: np.zeros((7, vs[0].shape[1])), (4,), 7, seed=10)
     with pytest.raises(DegenerateRangeError):
         randomized_range(problem, rank=2)
     with pytest.raises(DegenerateRangeError):
@@ -146,9 +150,30 @@ def test_degenerate_map_raises():
 
 
 def test_evaluate_shape_checked():
-    problem = RangeProblem(lambda vs: np.zeros(3), (4,), 7, seed=11)
-    with pytest.raises(ShapeError):
-        randomized_range(problem, rank=2)
+    for wrong in (lambda vs: np.zeros(3), lambda vs: np.zeros(7), lambda vs: np.zeros((7, 1))):
+        problem = RangeProblem(wrong, (4,), 7, seed=11)
+        with pytest.raises(ShapeError):
+            randomized_range(problem, rank=2)
+
+
+def test_randomized_range_makes_one_evaluate_call():
+    # the call holds every sample, column j the inputs of sample j
+    blocks_seen = []
+    mat = np.random.default_rng(13).standard_normal((6, 4))
+
+    def evaluate(blocks):
+        blocks_seen.append(blocks)
+        return mat @ blocks[0] + blocks[1].sum(axis=0)
+
+    problem = RangeProblem(evaluate, (4, 3), 6, seed=14)
+    result = randomized_range(problem, rank=3, oversampling=2)
+    assert len(blocks_seen) == 1
+    blocks = blocks_seen[0]
+    assert [b.shape for b in blocks] == [(4, 5), (3, 5)]
+    for j in range(5):
+        for block, want in zip(blocks, problem.sample_inputs(j)):
+            np.testing.assert_array_equal(block[:, j], want)
+    np.testing.assert_array_equal(result.samples, mat @ blocks[0] + blocks[1].sum(axis=0))
 
 
 def test_parameter_validation():

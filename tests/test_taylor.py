@@ -115,7 +115,8 @@ def test_eval_refuses_a_wrong_length_x():
 
 
 def test_eval_refuses_a_grid_of_input_dim_entries():
-    # x is a flat vector only; the model's (n, n) grid form is refused too
+    # x is a flat vector or a block of them; the model's (n, n) grid form is
+    # refused
     model, _, surrogate, _ = surrogate_fixture(order=2)
     grid = np.zeros((model.n, model.n))
     assert grid.size == surrogate.input_dim
@@ -158,6 +159,8 @@ def test_error_stats_normalization_and_decrease():
 
 
 def test_error_stats_apply_each_term_once_per_sample(monkeypatch):
+    # one evaluation of the block of all samples: each order's term is
+    # applied once, to every sample at once
     _, whitener, surrogate, _ = surrogate_fixture(order=3)
     calls = {"taylor_eval": 0, "tt_apply": 0}
 
@@ -173,7 +176,28 @@ def test_error_stats_apply_each_term_once_per_sample(monkeypatch):
     spy("taylor_eval")
     spy("tt_apply")
     taylor_error_stats(surrogate, whitener.evaluate, n_samples=3)
-    assert calls == {"taylor_eval": 3, "tt_apply": 9}
+    assert calls == {"taylor_eval": 1, "tt_apply": 3}
+
+
+def test_error_stats_keep_every_bit_of_per_sample_evaluations():
+    _, whitener, surrogate, _ = surrogate_fixture(order=3)
+    stats = taylor_error_stats(surrogate, whitener.evaluate, n_samples=4, seed=5)
+    for i in range(4):
+        rng = np.random.default_rng(np.random.SeedSequence((5, i)))
+        x = rng.standard_normal(surrogate.input_dim)
+        f = whitener.evaluate(x)
+        for row, value in enumerate(taylor_eval(surrogate, x)):
+            want = float(np.linalg.norm(f - value)) / stats["normalizer"]
+            assert stats["errors"][row, i] == want
+
+
+def test_eval_of_a_block_is_bitwise_its_columns():
+    _, _, surrogate, _ = surrogate_fixture(order=3)
+    xs = np.random.default_rng(6).standard_normal((surrogate.input_dim, 3))
+    rows = taylor_eval(surrogate, xs)
+    assert rows.shape == (4, surrogate.base.size, 3)
+    for j in range(3):
+        np.testing.assert_array_equal(rows[:, :, j], taylor_eval(surrogate, xs[:, j].copy()))
 
 
 def test_error_stats_refuses_a_bad_sample_count_before_any_truth_call():
