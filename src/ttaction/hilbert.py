@@ -63,7 +63,12 @@ def hilbert_oracle(dims):
     spectra that do not vary along the trailing axes (a build stage's
     prefixes) are multiplied once, and per trailing index the others are
     multiplied in, in mode order, and one Hankel product serves all b_0
-    leading columns, so the transient stays one (nfft, b_0) block.
+    leading columns, so the transient stays one (nfft, b_0) block.  A block
+    column therefore agrees with the single action on its vectors only to
+    roundoff (up to 2e-14 relative measured), not bitwise: the block's
+    Hankel product is a matrix product where a single action's is a
+    matrix-vector product.  Train and derivative oracles serve a block
+    column with the bits of the single action.
     """
     dims = _check_dims(dims)
     d = len(dims)

@@ -18,11 +18,11 @@ list ``ws`` of u-directions, optionally with one extra differentiation slot
 left free and the output contracted against a weight vector, as adjoint
 computations need.  It checks its inputs and hands edge arrays to
 ``partial_edges``, which a caller holding checked edge arrays (the state
-solve) calls directly.  The forms live here in three pieces:
-``edge_operand``, the edge array a flux partial multiplies by its edge
-coefficient product, ``finish_edges``, one finishing operator per free slot,
-and ``reaction_part``, the node-space reaction; ``partial_edges`` is their
-composition.  The flux is linear in its operand, so the derivative engine
+solve, on a column block of states) calls directly.  The forms live here in
+three pieces: ``edge_operand``, the edge array a flux partial multiplies by
+its edge coefficient product, ``finish_edges``, one finishing operator per
+free slot, and ``reaction_part``, the node-space reaction; ``partial_edges``
+is their composition.  The flux is linear in its operand, so the derivative engine
 adds a whole chain-rule sum's operands in edge space and finishes it once.
 Which forms are zero is stated beside them, in ``partial_vanishes``.  The
 observation, linear in u and free of m, has one partial: its transpose,
@@ -52,7 +52,10 @@ class ReactionDiffusionModel:
         grid (n_m = n_u = n^2); the observation has 4(n-1) entries.
 
     Every vector the model takes is flat, n^2 row-major entries for a grid
-    field; an (n, n) array is refused with a ShapeError.
+    field, or, where the state solve runs a column block through the
+    residual, the observation and the edge kernels, an (n^2, b) block of b
+    such fields, one per column, each with the bits it has alone; an (n, n)
+    array is refused with a ShapeError.
     """
 
     def __init__(self, n):
@@ -105,6 +108,20 @@ class ReactionDiffusionModel:
             raise ShapeError(f"{name} has shape {v.shape}, expected ({self.n_u},)")
         return v
 
+    def _stack(self, v, name):
+        """``v`` as a flat grid field or an (n^2, b) column block of them."""
+        v = np.asarray(v, dtype=float)
+        if v.shape[:1] != (self.n_u,) or v.ndim > 2:
+            raise ShapeError(
+                f"{name} has shape {v.shape}, expected ({self.n_u},) or ({self.n_u}, b)"
+            )
+        return v
+
+    @staticmethod
+    def _column(x, v):
+        """``x``, a per-node array, shaped to broadcast against ``v``'s columns."""
+        return x if v.ndim == 1 else x[:, None]
+
     def _gather_t(self, t):
         """Adjoint of the gather ``z[self._nbr]``: sum each row back onto its sources."""
         return np.bincount(self._nbr.ravel(), weights=t.ravel(), minlength=self.n_u)
@@ -124,7 +141,7 @@ class ReactionDiffusionModel:
     def _reaction(self, u, k, ws):
         """k-th u-derivative (k <= 3) of the reaction u^3 - rho, times each of ``ws``."""
         if k == 0:
-            out = u**3 - self.rho
+            out = u**3 - self._column(self.rho, u)
         elif k == 1:
             out = 3.0 * u**2
         elif k == 2:
@@ -138,15 +155,17 @@ class ReactionDiffusionModel:
     # -- public contract ----------------------------------------------------
 
     def residual(self, m, u):
-        """G(m, u) as a flat vector."""
-        m, u = self._grid(m, "m"), self._grid(u, "u")
+        """G(m, u), of the shape of ``m`` and ``u``: a flat vector or a column block."""
+        m, u = self._stack(m, "m"), self._stack(u, "u")
+        if m.shape != u.shape:
+            raise ShapeError(f"u has shape {u.shape}, m has shape {m.shape}")
         flux = self.edge_factors(m) * self.edge_differences(u)
-        return self.finish_edges(flux) + u**3 - self.rho
+        return self.finish_edges(flux) + u**3 - self._column(self.rho, u)
 
     def qoi(self, u):
-        """Weighted boundary trace of the state; free of m."""
-        u = self._grid(u, "u")
-        return self.boundary_weights * u[self.boundary]
+        """Weighted boundary trace of the state, per column of a block; free of m."""
+        u = self._stack(u, "u")
+        return self._column(self.boundary_weights, u) * u[self.boundary]
 
     def partial_g(self, m, u, vs=(), ws=(), weight=None, free=None):
         """Directional partial of the residual.

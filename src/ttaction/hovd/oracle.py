@@ -11,8 +11,10 @@ the adjoint gradient.  Both lattices share one LU factorization of the state
 Jacobian at the base point m0 = 0.  That base point (state, Newton iterations
 and LU) is solved once per model and shared by every :class:`WhitenedMap` and
 :class:`DerivativeEngine` on it.  A state solve refines each Newton step on
-the LU in hand and factorizes only when that stalls.  This module is the one
-home of LU work on the state Jacobian.
+the LU in hand and factorizes only when that stalls; it runs a column block
+of parameters as one lockstep Newton loop, each column with the steps and
+bits of its solve alone.  This module is the one home of LU work on the
+state Jacobian.
 
 Lattice nodes are cached by the float64 bytes of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
@@ -24,6 +26,7 @@ cache, keyed by the same bytes, and each free-slot output on the way out.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -41,104 +44,210 @@ from .lattice import (
 )
 
 
-def _line_search(model, m, u, rnorm, step):
-    """Backtracking Armijo search; (state, residual, norm) or None."""
-    t = 1.0
-    while t >= 2.0**-30:
-        trial = u + t * step
-        trial_res = model.residual(m, trial)
-        trial_norm = float(np.linalg.norm(trial_res))
-        if np.isfinite(trial_norm) and trial_norm <= (1.0 - 1e-4 * t) * rnorm:
-            return trial, trial_res, trial_norm
-        t *= 0.5
-    return None
+def _column_norms(x):
+    """numpy's 1-D norm, ``sqrt(r @ r)``, of each column ``r`` of ``x``.
 
-
-def _kept_lu_step(model, c, u, res, rnorm, lu, goal):
-    """Newton step J s = -G solved by refinement sweeps on the LU in hand.
-
-    Each sweep adds ``lu.solve(r)`` to the step, where r = -G - J s is the
-    linear residual, with J = dG/du at the iterate applied by the model's
-    ``partial_edges`` on the solve's edge factors ``c``.  Returns the step
-    once ||r|| <= ``goal``, or None as soon as a sweep fails to halve ||r||
-    (the LU is too far from J to converge).
+    Each column is summed as a contiguous row, in the order the norm of the
+    vector alone sums it, so every column keeps that norm's bits.
     """
-    step, lin, lnorm = 0.0, -res, rnorm
-    while lnorm > goal:
-        trial = step + lu.solve(lin)
+    return np.array([math.sqrt(r @ r) for r in np.ascontiguousarray(x.T)])
+
+
+def _refuse_non_finite(name, v):
+    """NewtonError naming the first column of a block ``v`` holding a NaN or an inf."""
+    if np.isfinite(v).all():
+        return
+    for j, col in enumerate(v.T if v.ndim == 2 else [v.ravel()]):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            where = f" in column {j}" if v.ndim == 2 else ""
+            raise NewtonError(
+                f"non-finite {name}{where}: {bad.size} of {col.size} entries, the "
+                f"first {col[bad[0]]} at index {bad[0]}"
+            )
+
+
+def _columns(mask, *blocks):
+    """The columns ``mask`` keeps of each block, along its last axis."""
+    return [b[..., mask] for b in blocks]
+
+
+def _solve(lus, cols, rhs):
+    """``lus[j].solve`` of the column of ``rhs`` for each column j of ``cols``.
+
+    Columns on one LU, such as the caller's, share one multi-RHS solve.
+    """
+    groups = {}
+    for i, j in enumerate(cols):
+        groups.setdefault(id(lus[j]), []).append(i)
+    if len(groups) == 1:
+        return lus[cols[0]].solve(rhs)
+    out = np.empty_like(rhs)
+    for idx in groups.values():
+        out[:, idx] = lus[cols[idx[0]]].solve(rhs[:, idx])
+    return out
+
+
+def _line_search(model, m, u, res, rnorm, cols, step):
+    """Backtracking Armijo searches of columns ``cols`` along ``step``, in lockstep.
+
+    ``step`` holds one column per column of ``cols``.  Each column halves
+    its own step length from 1 until its residual norm is finite and falls
+    by the Armijo factor, or the length drops below 2^-30.  Writes each
+    accepted column's state, residual and norm into ``u``, ``res`` and
+    ``rnorm``; returns the mask of accepted columns.
+    """
+    accepted = np.zeros(u.shape[1], dtype=bool)
+    t = np.ones(cols.size)
+    m, start, rnorm0 = m[:, cols], u[:, cols], rnorm[cols]
+    while cols.size:
+        trial = start + t * step
+        trial_res = model.residual(m, trial)
+        trial_norm = _column_norms(trial_res)
+        ok = np.isfinite(trial_norm) & (trial_norm <= (1.0 - 1e-4 * t) * rnorm0)
+        done = cols[ok]
+        u[:, done], res[:, done] = trial[:, ok], trial_res[:, ok]
+        rnorm[done] = trial_norm[ok]
+        accepted[done] = True
+        t = 0.5 * t
+        more = ~ok & (t >= 2.0**-30)
+        if not more.all():
+            cols, t, m, start, rnorm0, step = _columns(
+                more, cols, t, m, start, rnorm0, step
+            )
+    return accepted
+
+
+def _kept_lu_steps(model, c, u, res, rnorm, lus, cols, goal):
+    """Newton steps J s = -G of columns ``cols`` by refinement sweeps on their LUs.
+
+    Each sweep adds ``lus[j].solve(r)`` to column j's step, where r = -G -
+    J s is its linear residual, with J = dG/du at the iterate applied by the
+    model's ``partial_edges`` on the solve's edge factors ``c``.  A column
+    stops once ||r|| <= its ``goal``, or drops out as soon as a sweep fails
+    to halve ||r|| (its LU is too far from J to converge).  Returns the
+    columns that reached their goal and their steps, one column each.
+    """
+    res, u, c, goal = res[:, cols], u[:, cols], c[:, :, cols], goal[cols]
+    step, lin, lnorm = np.zeros_like(res), -res, rnorm[cols]
+    reached, steps = [cols[:0]], [step[:, :0]]
+    while True:
+        more = lnorm > goal
+        if not more.all():
+            reached.append(cols[~more])
+            steps.append(step[:, ~more])
+            cols, res, u, c, goal, step, lin, lnorm = _columns(
+                more, cols, res, u, c, goal, step, lin, lnorm
+            )
+        if not cols.size:
+            return np.concatenate(reached), np.concatenate(steps, axis=1)
+        trial = step + _solve(lus, cols, lin)
         dtrial = model.edge_differences(trial)
-        trial_lin = -res - model.partial_edges(u, None, c, 0, [trial], [dtrial])
-        trial_norm = float(np.linalg.norm(trial_lin))
-        if not trial_norm <= 0.5 * lnorm:
-            return None
-        step, lin, lnorm = trial, trial_lin, trial_norm
-    return step
+        lin = -res - model.partial_edges(u, None, c, 0, [trial], [dtrial])
+        trial_norm = _column_norms(lin)
+        halved = trial_norm <= 0.5 * lnorm
+        step, lnorm = trial, trial_norm
+        if not halved.all():
+            cols, res, u, c, goal, step, lin, lnorm = _columns(
+                halved, cols, res, u, c, goal, step, lin, lnorm
+            )
 
 
 def solve_state(model, m, u0=None, lu=None, max_iter=50):
     """Solve G(m, u) = 0 by Newton's method with a backtracking line search.
 
-    ``m`` and ``u0`` are flat vectors, which the model checks.  Starts from
-    ``u0``, or from the cube root of the source.  Each step
-    solves dG/du s = -G at the iterate by refinement sweeps on the LU in
-    hand, the caller's ``lu`` (such as the base point's) or the last one this
-    solve factorized, to a linear residual of ``||G|| * min(0.5, ||G|| /
+    ``m`` is a flat vector or an (n_m, b) block of b parameter columns, and
+    ``u0`` a flat start for every column or a block of ``m``'s shape; the
+    model checks both.  Starts from ``u0``, or from the cube root of the
+    source.  All columns run one Newton loop in lockstep, and each keeps
+    its own iterate, forcing term, sweeps, line search and stopping test,
+    so a column's state and steps are those of its solve alone wherever a
+    multi-RHS LU solve matches single ones.  Each step solves dG/du s = -G
+    at the iterate by refinement sweeps on the column's LU in hand, the
+    caller's ``lu`` (such as the base point's) or the last one the column
+    factorized, to a linear residual of ``||G|| * min(0.5, ||G|| /
     scale)``: a forcing term of the size of ``||G||`` keeps Newton's
-    quadratic convergence (Dembo, Eisenstat & Steihaug 1982).  The sweeps
-    apply dG/du through the model's edge kernel on the edge factors of
-    ``m``, formed once per solve.  With no LU yet, a sweep that fails to
-    halve the linear residual, or a step the line search rejects, the solve
-    factorizes dG/du at the iterate, takes that exact Newton step and keeps
-    the new LU.  Iterates until ``||G|| < 1e-10 * scale`` with ``scale =
-    max(1, ||rho||)``, the model's source norm.
-    Returns (state, Newton steps taken); raises
-    :class:`~ttaction.errors.NewtonError` naming the input when ``m`` or
-    ``u0`` holds a NaN or an infinity, before any residual is formed, when
-    the residual at the start overflows, after ``max_iter`` steps, or when
-    the line search rejects an exact Newton step.
+    quadratic convergence (Dembo, Eisenstat & Steihaug 1982).  Columns on
+    the caller's LU share one multi-RHS solve per sweep.  The sweeps apply
+    dG/du through the model's edge kernel on the edge factors of ``m``,
+    formed once per solve.  Where a column has no LU yet, a sweep fails to
+    halve its linear residual, or the line search rejects its step, it
+    factorizes dG/du at its iterate, takes that exact Newton step and keeps
+    the new LU.  A column stops once ``||G|| < 1e-10 * scale`` with ``scale
+    = max(1, ||rho||)``, the model's source norm; norms are numpy's 1-D
+    norm of each column.
+    Returns (states, Newton steps summed over the columns), the states of
+    ``m``'s shape.  Raises :class:`~ttaction.errors.NewtonError` naming
+    the input, and the column of a block, when ``m`` or ``u0`` holds a NaN
+    or an infinity, before any residual is formed, when a column's residual
+    at the start overflows, after ``max_iter`` steps, or when the line
+    search rejects a column's exact Newton step.
     """
     # dG/du = L(m) + 3 diag(u^2), L of zero row sums and non-positive off-diagonals
     # on a connected grid, is irreducibly diagonally dominant, so nonsingular, unless
     # u = 0; the root of the reaction alone starts away from that one singular point
     m = np.asarray(m, dtype=float)
     u = np.cbrt(model.rho) if u0 is None else np.asarray(u0, dtype=float)
-    for name, v in (("m", m), ("u0", u)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise NewtonError(
-                f"non-finite {name}: {bad.size} of {v.size} entries, the first "
-                f"{v.flat[bad[0]]} at index {bad[0]}"
-            )
+    _refuse_non_finite("m", m)
+    _refuse_non_finite("u0", u)
+    vector = m.ndim == 1
+    if vector:
+        m = m[:, None]
+    # the loop writes each column's iterate into u, so u is always a copy; a
+    # flat start is every column's
+    if u.ndim == 1 and m.ndim == 2:
+        u = np.repeat(u[:, None], m.shape[1], axis=1)
+    else:
+        u = u.copy()
+
+    def where(j):
+        return "" if vector else f" in column {j}"
+
     scale = max(1.0, float(np.linalg.norm(model.rho)))
     target = 1e-10 * scale
     # finite inputs can still overflow; that is refused below in one message
     with np.errstate(over="ignore", invalid="ignore"):
         res = model.residual(m, u)
-        rnorm = float(np.linalg.norm(res))
+        rnorm = _column_norms(res)
     # the line search accepts finite residuals only, so only the start can fail this
-    if not np.isfinite(rnorm):
-        raise NewtonError(f"non-finite residual at the start (residual {rnorm:.3e})")
+    bad = np.flatnonzero(~np.isfinite(rnorm))
+    if bad.size:
+        j = bad[0]
+        raise NewtonError(
+            f"non-finite residual at the start{where(j)} (residual {rnorm[j]:.3e})"
+        )
     c = model.edge_factors(m)
-    iters = 0
-    while rnorm >= target:
+    lus = [lu] * m.shape[1]
+    iters = steps = 0
+    active = np.flatnonzero(rnorm >= target)
+    while active.size:
         if iters >= max_iter:
+            j = active[0]
             raise NewtonError(
-                f"no convergence in {max_iter} iterations (residual {rnorm:.3e})"
+                f"no convergence in {max_iter} iterations{where(j)} "
+                f"(residual {rnorm[j]:.3e})"
             )
-        accepted = None
-        if lu is not None:
-            goal = rnorm * min(0.5, rnorm / scale)
-            step = _kept_lu_step(model, c, u, res, rnorm, lu, goal)
-            if step is not None:
-                accepted = _line_search(model, m, u, rnorm, step)
-        if accepted is None:
-            lu = model.factorize(m, u)
-            accepted = _line_search(model, m, u, rnorm, lu.solve(-res))
-            if accepted is None:
-                raise NewtonError(f"line search stalled (residual {rnorm:.3e})")
-        u, res, rnorm = accepted
+        accepted = np.zeros(m.shape[1], dtype=bool)
+        kept = active[[lus[j] is not None for j in active]]
+        if kept.size:
+            goal = rnorm * np.minimum(0.5, rnorm / scale)
+            swept, step = _kept_lu_steps(model, c, u, res, rnorm, lus, kept, goal)
+            accepted = _line_search(model, m, u, res, rnorm, swept, step)
+        fresh = active[~accepted[active]]
+        if fresh.size:
+            for j in fresh:
+                lus[j] = model.factorize(m[:, j], u[:, j])
+            step = np.column_stack([lus[j].solve(-res[:, j]) for j in fresh])
+            accepted = _line_search(model, m, u, res, rnorm, fresh, step)
+            if not accepted[fresh].all():
+                j = fresh[~accepted[fresh]][0]
+                raise NewtonError(
+                    f"line search stalled{where(j)} (residual {rnorm[j]:.3e})"
+                )
+        steps += active.size
         iters += 1
-    return u, iters
+        active = active[rnorm[active] >= target]
+    return (u[:, 0] if vector else u), steps
 
 
 # model -> its base point; weak, so a dropped model takes its entry with it
@@ -392,7 +501,8 @@ class WhitenedMap:
     Draws in raw space are mapped through the inverse of the symmetric
     operator (-Laplace + I) before entering the model, which damps rough
     components the way a squared-inverse-elliptic covariance would.  The
-    smoother is its own transpose.
+    smoother is its own transpose.  Both maps take a flat draw or an
+    (n_m, b) block of b draws, one per column.
 
     Every evaluation warm-starts its Newton solve at the model's shared base
     state at m = 0, solved on first use, with the base point's LU in hand:
@@ -407,14 +517,19 @@ class WhitenedMap:
         self._lu = scipy.sparse.linalg.splu(model.whitening_matrix())
 
     def apply(self, x):
-        """The smoothing half-power: solve (-Laplace + I) p = x."""
+        """The smoothing half-power: solve (-Laplace + I) p = x, one solve per block."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.model.n_m,):
-            raise ShapeError(f"x has shape {x.shape}, expected ({self.model.n_m},)")
+        n_m = self.model.n_m
+        if x.shape[:1] != (n_m,) or x.ndim > 2:
+            raise ShapeError(f"x has shape {x.shape}, expected ({n_m},) or ({n_m}, b)")
         return self._lu.solve(x)
 
     def evaluate(self, x):
-        """Observed output at the smoothed parameter, via a full state solve."""
+        """Observed output at the smoothed parameter, via a full state solve.
+
+        A block of b draws gives an (n_q, b) block of outputs from one
+        whitening solve and one lockstep :func:`solve_state`.
+        """
         m = self.apply(x)
         u0, _, lu = _base_point(self.model)
         u, _ = solve_state(self.model, m, u0=u0, lu=lu)

@@ -23,9 +23,10 @@ from ..errors import ShapeError, ZeroNormError
 from ..rangefinder import DEFAULT_OVERSAMPLING, RangeProblem, randomized_range
 from .oracle import WhitenedMap, derivative_dims, make_derivative_oracle
 
-# samples per taylor_eval block in taylor_error_stats: a block of b points
-# makes the train contraction hold b N r floats at once, so blocks this small
-# keep the peak memory near the one-point path's
+# samples per block in taylor_error_stats, for truth and taylor_eval alike: a
+# block of b points makes the train contraction hold b N r floats at once, so
+# blocks this small keep the peak memory near the one-point path's, and a
+# lockstep state solve of 16 columns already shares its LU solves
 _EVAL_BLOCK = 16
 
 
@@ -140,38 +141,44 @@ def build_taylor_surrogate(
 def taylor_error_stats(surrogate, truth, n_samples, seed=0):
     """Normalized surrogate errors over Gaussian samples, at every order 0..k.
 
-    ``truth`` maps a raw-space sample to the exact output vector.  Errors at
-    each order are scaled by the sampled mean of ``||truth(x) - f(0)||``;
-    the order-0 row therefore has mean one.  Returns a dict with the orders,
-    per-order means and standard deviations, and the per-sample normalized
-    errors (orders by samples).  Refuses ``n_samples`` below 1 before
-    sampling ``truth``, and a ``truth`` whose output shape differs from
-    ``surrogate.base``.
+    The samples go in blocks of ``_EVAL_BLOCK``: ``truth`` maps each
+    ``(input_dim, b)`` block of raw-space samples to the ``(n_q, b)`` block
+    of exact outputs, as :meth:`~ttaction.hovd.WhitenedMap.evaluate` does,
+    and :func:`taylor_eval` evaluates the surrogate on the same block.
+    Errors at each order are scaled by the sampled mean of ``||truth(x) -
+    f(0)||``; the order-0 row therefore has mean one.  Returns a dict with
+    the orders, per-order means and standard deviations, and the per-sample
+    normalized errors (orders by samples).  Refuses ``n_samples`` below 1
+    before sampling ``truth``, and a ``truth`` block of another shape,
+    naming the block's samples.
     """
     if n_samples < 1:
         raise ShapeError(f"need at least one sample, got {n_samples}")
     orders = list(range(surrogate.order + 1))
     dim = surrogate.input_dim
-    xs, fs = [], []
-    for i in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        x = rng.standard_normal(dim)
-        f = np.asarray(truth(x), dtype=float)
-        if f.shape != surrogate.base.shape:
+    blocks = []
+    for start in range(0, n_samples, _EVAL_BLOCK):
+        stop = min(start + _EVAL_BLOCK, n_samples)
+        seeds = [np.random.SeedSequence((seed, i)) for i in range(start, stop)]
+        xs = np.stack([np.random.default_rng(s).standard_normal(dim) for s in seeds], axis=1)
+        fs = np.asarray(truth(xs), dtype=float)
+        want = (surrogate.base.size, stop - start)
+        if fs.shape != want:
             raise ShapeError(
-                f"truth(x) of sample {i} has shape {f.shape}, not {surrogate.base.shape}"
+                f"truth of samples {start} to {stop - 1} has shape {fs.shape}, "
+                f"not {want}"
             )
-        xs.append(x)
-        fs.append(f)
-    base_dist = [float(np.linalg.norm(f - surrogate.base)) for f in fs]
+        blocks.append((start, xs, fs))
+    base_dist = [
+        float(np.linalg.norm(f - surrogate.base)) for _, _, fs in blocks for f in fs.T
+    ]
     normalizer = float(np.mean(base_dist))
     if normalizer == 0.0:
         raise ZeroNormError("map is constant over the samples; nothing to normalize")
     errors = np.empty((len(orders), n_samples))
-    for start in range(0, n_samples, _EVAL_BLOCK):
-        stop = min(start + _EVAL_BLOCK, n_samples)
-        values = taylor_eval(surrogate, np.stack(xs[start:stop], axis=1))
-        for j, f in enumerate(fs[start:stop]):
+    for start, xs, fs in blocks:
+        values = taylor_eval(surrogate, xs)
+        for j, f in enumerate(fs.T):
             for row in orders:
                 errors[row, start + j] = float(np.linalg.norm(f - values[row, :, j])) / normalizer
     return {

@@ -454,7 +454,8 @@ def test_library_defines_no_dense_reference(path):
 #: once because the stage is one broadcast action, not through a lead memo
 #: (``lead_fn``, ``_lead_of``), stride-0 column detection
 #: (``_distinct_columns``) or Hilbert's split spectrum product
-#: (``times_spectra``).
+#: (``times_spectra``), and a state solve is one lockstep loop over a column
+#: block, with no per-vector sweep (``_kept_lu_step``) beside it.
 DELETED_NAMES = (
     "BacktrackingRequiredError",
     "check_schedule",
@@ -467,6 +468,7 @@ DELETED_NAMES = (
     "_lead_of",
     "_distinct_columns",
     "times_spectra",
+    "_kept_lu_step",
 )
 
 

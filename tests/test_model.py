@@ -395,3 +395,52 @@ def test_grid_shaped_vectors_are_refused():
         model.partial_g(m, u, weight=grid, free="u")
     with pytest.raises(ShapeError):
         model.qoi(grid)
+
+
+def test_column_blocks_act_bitwise_as_their_columns():
+    # the residual, the observation and the edge kernel take an (n^2, b)
+    # block of fields, one column each, with every column's bits
+    model, rng, _, _ = make(6, seed=14)
+    m = 0.3 * rng.standard_normal((model.n_m, 3))
+    u = 0.5 * rng.standard_normal((model.n_u, 3))
+    w = rng.standard_normal((model.n_u, 3))
+    c = model.edge_factors(m)
+    dw = model.edge_differences(w)
+    res = model.residual(m, u)
+    q = model.qoi(u)
+    kernels = [
+        model.partial_edges(u, model.edge_differences(u), c, 0, [], []),
+        model.partial_edges(u, None, c, 0, [w], [dw]),
+        model.partial_edges(u, None, c, 0, [w, w], [dw, dw]),
+    ]
+    assert res.shape == (model.n_u, 3) and q.shape == (model.n_q, 3)
+    for j in range(3):
+        mj, uj, wj = m[:, j].copy(), u[:, j].copy(), w[:, j].copy()
+        cj, dwj = model.edge_factors(mj), model.edge_differences(wj)
+        np.testing.assert_array_equal(res[:, j], model.residual(mj, uj))
+        np.testing.assert_array_equal(q[:, j], model.qoi(uj))
+        singles = [
+            model.partial_edges(uj, model.edge_differences(uj), cj, 0, [], []),
+            model.partial_edges(uj, None, cj, 0, [wj], [dwj]),
+            model.partial_edges(uj, None, cj, 0, [wj, wj], [dwj, dwj]),
+        ]
+        for block, single in zip(kernels, singles):
+            np.testing.assert_array_equal(block[:, j], single)
+
+
+def test_blocks_of_other_shapes_are_refused():
+    model, _, m, u = make(5, seed=15)
+    block = np.zeros((model.n_u, 2))
+    with pytest.raises(ShapeError, match="u has shape"):
+        model.residual(block, np.zeros((model.n_u, 3)))
+    with pytest.raises(ShapeError, match="u has shape"):
+        model.residual(block, u)
+    with pytest.raises(ShapeError):
+        model.residual(m[:, None, None], u[:, None, None])
+    with pytest.raises(ShapeError):
+        model.qoi(np.zeros((model.n_u, 2, 1)))
+    # partial_g and the Jacobian take flat vectors only
+    with pytest.raises(ShapeError):
+        model.partial_g(block, block)
+    with pytest.raises(ShapeError):
+        model.jacobian_u(block, block)

@@ -214,27 +214,57 @@ def test_error_stats_refuses_a_bad_sample_count_before_any_truth_call():
     assert not truths  # refused before any truth solve
 
 
+@pytest.mark.parametrize("n_samples, widths", [(200, [16] * 12 + [8]), (3, [3])])
+def test_error_stats_pass_truth_whole_blocks(n_samples, widths):
+    # truth sees ceil(n / 16) calls, each of an (input_dim, b) block of the
+    # samples taylor_eval is given, and its block outputs keep every bit of
+    # the per-sample truths
+    _, whitener, surrogate, _ = surrogate_fixture(order=2)
+    blocks = []
+
+    def truth(x):
+        blocks.append(x)
+        return whitener.evaluate(x)
+
+    stats = taylor_error_stats(surrogate, truth, n_samples=n_samples, seed=4)
+    assert [x.shape for x in blocks] == [(surrogate.input_dim, b) for b in widths]
+    xs = np.concatenate(blocks, axis=1)
+    for i in (0, n_samples - 1):
+        x = np.random.default_rng(np.random.SeedSequence((4, i))).standard_normal(
+            surrogate.input_dim
+        )
+        np.testing.assert_array_equal(xs[:, i], x)
+        f = whitener.evaluate(x)
+        for row, value in enumerate(taylor_eval(surrogate, x)):
+            want = float(np.linalg.norm(f - value)) / stats["normalizer"]
+            assert stats["errors"][row, i] == want
+
+
 #: A zero map from 4 inputs to 3 outputs.
 ZERO_JACOBIAN = TensorTrain([np.zeros((1, 4, 1)), np.zeros((1, 3, 1))])
 
 
 def test_error_stats_refuses_a_truth_of_the_wrong_shape():
-    # a (1,)-shaped truth would broadcast against the base
+    # the second block, samples 16 to 19, comes back as a flat vector, which
+    # would broadcast against the base, or one column short
     surrogate = TaylorSurrogate(base=np.ones(3), trains={1: ZERO_JACOBIAN})
-    calls = []
+    for wrong in (lambda b: (3,), lambda b: (3, b - 1)):
+        calls = []
 
-    def truth(x):
-        calls.append(x)
-        return np.zeros(3) if len(calls) < 3 else np.zeros(1)
+        def truth(x):
+            calls.append(x)
+            b = x.shape[1]
+            return np.zeros((3, b) if len(calls) < 2 else wrong(b))
 
-    with pytest.raises(ShapeError, match="sample 2"):
-        taylor_error_stats(surrogate, truth, n_samples=5)
+        with pytest.raises(ShapeError, match="samples 16 to 19 has shape"):
+            taylor_error_stats(surrogate, truth, n_samples=20)
+        assert [x.shape for x in calls] == [(4, 16), (4, 4)]
 
 
 def test_error_stats_zero_map_rejected():
     surrogate = TaylorSurrogate(base=np.zeros(3), trains={1: ZERO_JACOBIAN})
     with pytest.raises(ZeroNormError):
-        taylor_error_stats(surrogate, lambda x: np.zeros(3), n_samples=3)
+        taylor_error_stats(surrogate, lambda x: np.zeros((3, x.shape[1])), n_samples=3)
 
 
 def test_build_validation():
