@@ -4,8 +4,12 @@ The tensor has entries 1 / (i_1 + ... + i_d) with 1-based indices, the
 d-mode generalization of the Hilbert matrix.  Its special structure makes the
 action cheap without ever materializing entries: contracting all modes but
 one reduces to a convolution of the saturating vectors followed by a
-correlation against the reciprocal weights 1 / (d + t).  The same structure
-gives an exact tensor train whose rank index is the partial index sum.
+correlation against the reciprocal weights 1 / (d + t), a product with a
+Hankel matrix of low numerical rank.  The oracle factors that Hankel once per
+free-mode size and folds the inverse FFT into its right factor, so an action
+column costs the FFTs of its vectors and two small products.  The same
+structure gives an exact tensor train whose rank index is the partial index
+sum.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ActionOracle, TensorTrain, _check_dims
+from .core import ActionOracle, TensorTrain, _check_dims, _truncated_svd
 
 #: Mode sizes used by the compression experiment.
 DEFAULT_DIMS = (41, 42, 43, 44, 45)
@@ -46,6 +50,29 @@ def hilbert_train(dims):
     return TensorTrain(cores)
 
 
+def _hankel_factors(weights, n, size):
+    """Numerical-rank factors of the Hankel H[z, s] = w[z + s], with the FFT folded in.
+
+    H (n x size) is factored once by its SVD, keeping the k singular triplets
+    with sigma_i > eps * sigma_1 (eps the float64 machine epsilon).  Returns
+    (nfft, left, right), nfft the action's FFT length: left = U_k Sigma_k is
+    (n, k), and right (k, 2 (nfft/2 + 1)) holds c * Re and c * Im of the real
+    FFTs of the rows of V_k^T, where c = 2 / nfft except 1 / nfft at the DC
+    and Nyquist bins.  For the stacked real and imaginary parts X of any real
+    spectrum of length nfft, right @ X = V_k^T irfft(X)[:size], so
+    H irfft(X)[:size] is left @ (right @ X) up to the discarded singular
+    values.
+    """
+    nfft = 1 << (size - 1).bit_length()
+    u, s, vt = _truncated_svd(sliding_window_view(weights, size)[:n])
+    k = int(np.count_nonzero(s > np.finfo(float).eps * s[0]))
+    spectra = np.fft.rfft(vt[:k], nfft, axis=1)
+    c = np.full(spectra.shape[1], 2.0 / nfft)
+    c[[0, -1]] = 1.0 / nfft
+    right = np.concatenate([c * spectra.real, c * spectra.imag], axis=1)
+    return nfft, u[:, :k] * s[:k], right
+
+
 def hilbert_oracle(dims):
     """Action oracle for the Hilbert tensor, never materializing entries.
 
@@ -55,31 +82,35 @@ def hilbert_oracle(dims):
         out[z] = sum_s c[s] / (d + z + s),
 
     where c is the full convolution of the saturating vectors: the inverse
-    FFT of the product of their spectra.  The correlation is one product
-    with the Hankel matrix H[z, s] = w[z + s] of the weights
-    w[t] = 1 / (d + t), so one action costs O(N^2) instead of the O(N^d) of
-    a dense contraction.  Broadcast entries (N_k, b_0, *rest) are served
-    natively: each vector of an entry is transformed once, the leading
+    FFT of the product of their spectra.  The correlation is a product with
+    the Hankel matrix H[z, s] = w[z + s] of the weights w[t] = 1 / (d + t),
+    which has low numerical rank (17 at ``DEFAULT_DIMS``, 20 at (100,)^6).
+    When the oracle is made, H is factored once per distinct free-mode size
+    (:func:`_hankel_factors`), with the inverse FFT folded into its right
+    factor, so an action never forms c: per column it costs the real FFTs of
+    the saturating vectors and O(k (nfft + N)) for the two small products
+    left @ (right @ [Re X; Im X]) of the product spectrum X, against the
+    O(N^d) of a dense contraction.  Broadcast entries (N_k, b_0, *rest) are
+    served natively: each vector of an entry is transformed once, the leading
     spectra that do not vary along the trailing axes (a build stage's
     prefixes) are multiplied once, and per trailing index the others are
-    multiplied in, in mode order, and one Hankel product serves all b_0
-    leading columns, so the transient stays one (nfft, b_0) block.  A block
-    column therefore agrees with the single action on its vectors only to
-    roundoff (up to 2e-14 relative measured), not bitwise: the block's
-    Hankel product is a matrix product where a single action's is a
-    matrix-vector product.  Train and derivative oracles serve a block
-    column with the bits of the single action.
+    multiplied in, in mode order, and one pair of factor products serves all
+    b_0 leading columns, so the transient stays one (nfft + 2, b_0) block.
+    A block column therefore agrees with the single action on its vectors
+    only to roundoff, not bitwise: the block's factor products are matrix
+    products where a single action's are matrix-vector products.  Train and
+    derivative oracles serve a block column with the bits of the single
+    action.
     """
     dims = _check_dims(dims)
     d = len(dims)
     weights = 1.0 / (d + np.arange(sum(dims) - d + 1, dtype=float))
+    # the convolution of the d - 1 saturating vectors has this many entries
+    factors = {n: _hankel_factors(weights, n, sum(dims) - n - d + 2) for n in set(dims)}
 
     def apply_fn(free_mode, blocks):
         n = dims[free_mode - 1]
-        # the convolution of the d - 1 saturating vectors, and its FFT length
-        size = sum(dims) - n - d + 2
-        nfft = 1 << (size - 1).bit_length()
-        hankel = np.ascontiguousarray(sliding_window_view(weights, size)[:n])
+        nfft, left, right = factors[n]
         spectra = [np.fft.rfft(v, nfft, axis=0) for v in blocks]
         batch = np.broadcast_shapes(*(f.shape[1:] for f in spectra))
         lead = None
@@ -95,8 +126,8 @@ def hilbert_oracle(dims):
                 f = f[(slice(None), slice(None), *(i % m for i, m in zip(index, f.shape[2:])))]
                 spectrum = f if spectrum is None else spectrum * f
             spectrum = np.broadcast_to(spectrum, (spectrum.shape[0], batch[0]))
-            conv = np.fft.irfft(spectrum, nfft, axis=0)[:size]
-            out[(slice(None), slice(None), *index)] = hankel @ conv
+            stacked = np.concatenate([spectrum.real, spectrum.imag])
+            out[(slice(None), slice(None), *index)] = left @ (right @ stacked)
         return out
 
     return ActionOracle(dims, apply_fn)

@@ -1,8 +1,15 @@
 """Hilbert tensor: entries, exact train, convolution-based action, error curves."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ttaction.hilbert
 from ttaction import (
     BuildConfig,
     oracle_from_dense,
@@ -11,7 +18,7 @@ from ttaction import (
     tt_round,
 )
 from ttaction.errors import ShapeError
-from ttaction.hilbert import DEFAULT_DIMS, hilbert_oracle, hilbert_train
+from ttaction.hilbert import DEFAULT_DIMS, _hankel_factors, hilbert_oracle, hilbert_train
 
 from dense_reference import hilbert_dense, tt_dense_error, tt_svd, tt_to_dense
 
@@ -70,12 +77,17 @@ def _direct_action(dims, mode, vectors):
     return np.correlate(weights, conv, mode="valid")
 
 
-@pytest.mark.parametrize("dims", [(6, 7), DEFAULT_DIMS, (100,) * 6])
+@pytest.mark.parametrize(
+    "dims",
+    # (1, 1), (1, 2) and (2, 1, 1) have nfft 1 and 2, where only the DC and
+    # Nyquist weights are left; (3, 40) and (200, 3, 3) are lopsided
+    [(6, 7), DEFAULT_DIMS, (100,) * 6, (1, 1), (1, 2), (2, 1, 1), (3, 40), (200, 3, 3)],
+)
 def test_block_equals_single_actions(dims):
     rng = np.random.default_rng(11)
     oracle = hilbert_oracle(dims)
     width = 5
-    for mode in (1, len(dims) // 2 + 1, len(dims)):
+    for mode in range(1, len(dims) + 1):
         blocks = [rng.standard_normal((n, width)) for k, n in enumerate(dims, 1) if k != mode]
         before = oracle.action_count
         got = oracle.action(mode, blocks)
@@ -85,6 +97,85 @@ def test_block_equals_single_actions(dims):
             column = [v[:, j].copy() for v in blocks]
             for want in (oracle.action(mode, column), _direct_action(dims, mode, column)):
                 assert np.linalg.norm(got[:, j] - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _hankel(dims, n):
+    """The dense (n, size) Hankel matrix H[z, s] = 1 / (d + z + s) of free-mode size n."""
+    d = len(dims)
+    size = sum(dims) - n - d + 2
+    return 1.0 / (d + np.add.outer(np.arange(n), np.arange(size)))
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (3, 40), DEFAULT_DIMS, (100,) * 6])
+def test_hankel_factors_keep_the_numerical_rank_and_fold_the_inverse_fft(dims):
+    rng = np.random.default_rng(8)
+    d = len(dims)
+    weights = 1.0 / (d + np.arange(sum(dims) - d + 1, dtype=float))
+    for n in sorted(set(dims)):
+        hankel = _hankel(dims, n)
+        size = hankel.shape[1]
+        nfft, left, right = _hankel_factors(weights, n, size)
+        assert nfft == 1 << (size - 1).bit_length()
+        sigma = np.linalg.svd(hankel, compute_uv=False)
+        k = np.count_nonzero(sigma > np.finfo(float).eps * sigma[0])
+        assert left.shape == (n, k) and right.shape == (k, 2 * (nfft // 2 + 1))
+        if dims in (DEFAULT_DIMS, (100,) * 6):
+            assert k <= 25  # 17 and 20 measured
+        # any real spectrum: the imaginary parts of the DC and Nyquist bins are ignored
+        spectrum = np.fft.rfft(rng.standard_normal((nfft, 4)), axis=0)
+        spectrum += 1j * rng.standard_normal(spectrum.shape)
+        want = hankel @ np.fft.irfft(spectrum, nfft, axis=0)[:size]
+        got = left @ (right @ np.concatenate([spectrum.real, spectrum.imag]))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_hankel_is_factored_once_per_mode_size_and_never_during_a_build(monkeypatch):
+    calls = []
+
+    def counted(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return truncated_svd(mat, *args, **kwargs)
+
+    truncated_svd = ttaction.hilbert._truncated_svd
+    monkeypatch.setattr(ttaction.hilbert, "_truncated_svd", counted)
+    for dims, rank in (((100,) * 6, 20), (DEFAULT_DIMS, 10)):
+        calls.clear()
+        oracle = hilbert_oracle(dims)
+        assert len(calls) == len(set(dims))  # 1, then 5
+        assert sorted(calls) == sorted({_hankel(dims, n).shape for n in dims})
+        calls.clear()
+        tt_from_actions(oracle, BuildConfig(ranks=rank, seed=0))
+        assert calls == []
+
+
+_HASH_BUILDS = """
+import hashlib, json
+import numpy as np
+from ttaction import BuildConfig, tt_from_actions
+from ttaction.hilbert import DEFAULT_DIMS, hilbert_oracle
+digests = []
+for dims, rank in (((100,) * 6, 20), (DEFAULT_DIMS, 10)):
+    train, _ = tt_from_actions(hilbert_oracle(dims), BuildConfig(ranks=rank, seed=0))
+    digest = hashlib.sha256()
+    for core in train.cores:
+        digest.update(np.ascontiguousarray(core).tobytes())
+    digests.append(digest.hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def test_builds_are_hash_identical_at_one_and_two_blas_threads():
+    src = str(Path(ttaction.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_BUILDS], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert digests[0] == digests[1]
 
 
 def test_error_curve_matches_per_rank_tt_svd():

@@ -1,9 +1,10 @@
 """Source hygiene: every import in the library is used, every parameter is
 read, no contraction pays for an einsum path search on each call, LU work on
 the state Jacobian has one home, ``hovd/oracle.py``, the SVD sweep one,
-``core._truncated_svd``, rank caps one, ``builder.build_ranks``, and the
-residual's closed forms one, ``hovd/model.py``, no
-closure keeps state between calls, the library neither calls nor defines the
+``core._truncated_svd`` (the Hilbert oracle's Hankel factors call it, and no
+action transforms back with an inverse FFT), rank caps one,
+``builder.build_ranks``, and the residual's closed forms one,
+``hovd/model.py``, no closure keeps state between calls, the library neither calls nor defines the
 dense test references, names deleted in favour of one path stay deleted, and
 every exported name resolves.
 
@@ -216,6 +217,30 @@ def test_scan_flags_an_svd_call():
 )
 def test_no_svd_outside_the_truncated_svd(path):
     assert svd_calls(path.read_text()) == []
+
+
+def irfft_calls(source):
+    """Line of each call to a function named ``irfft``.
+
+    The Hilbert action folds its inverse FFT into the Hankel factors its
+    oracle makes once (``hilbert._hankel_factors``), so no action calls one.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "irfft"
+    ]
+
+
+def test_scan_flags_an_irfft_call():
+    planted = "conv = np.fft.irfft(spectrum, nfft, axis=0)\nirfft(x)\nnp.fft.rfft(x)\n"
+    assert irfft_calls(planted) == [1, 2]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_inverse_fft_in_the_library(path):
+    assert irfft_calls(path.read_text()) == []
 
 
 def cap_reads(source):
