@@ -312,19 +312,6 @@ class ReactionDiffusionModel:
         """LU-factorized state Jacobian with forward and transpose solves."""
         return FactorizedJacobian(self.jacobian_u(m, u))
 
-    def whitening_matrix(self):
-        """Symmetric positive definite discretization of (-Laplace + I).
-
-        The grid Laplacian is the Kronecker sum of two 1-D path Laplacians,
-        scaled by 1/h^2, plus the identity, so the operator, and hence its
-        inverse, is exactly symmetric.
-        """
-        n = self.n
-        ends = np.r_[1.0, np.full(n - 2, 2.0), 1.0]
-        path = scipy.sparse.diags((-np.ones(n - 1), ends, -np.ones(n - 1)), (-1, 0, 1))
-        lap = scipy.sparse.kronsum(path, path) / self._h2
-        return (lap + scipy.sparse.identity(self.n_m)).tocsc()
-
 
 class FactorizedJacobian:
     """Sparse LU of the state Jacobian, reusable for both transposes."""

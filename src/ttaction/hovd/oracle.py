@@ -14,7 +14,7 @@ and LU) is solved once per model and shared by every :class:`WhitenedMap` and
 the LU in hand and factorizes only when that stalls; it runs a column block
 of parameters as one lockstep Newton loop, each column with the steps and
 bits of its solve alone.  This module is the one home of LU work on the
-state Jacobian.
+state Jacobian, the one matrix it factorizes.
 
 Lattice nodes are cached by the float64 bytes of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
@@ -32,7 +32,6 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse.linalg
 
 from ..core import ActionOracle, _check_vectors
 from ..errors import NewtonError, ShapeError
@@ -498,39 +497,50 @@ class DerivativeEngine:
 class WhitenedMap:
     """Parameter smoothing and the whitened forward map.
 
-    Draws in raw space are mapped through the inverse of the symmetric
-    operator (-Laplace + I) before entering the model, which damps rough
-    components the way a squared-inverse-elliptic covariance would.  The
-    smoother is its own transpose.  Both maps take a flat draw or an
-    (n_m, b) block of b draws, one per column.
+    Draws in raw space are mapped through the inverse of (-Laplace + I), which
+    damps rough components the way a squared-inverse-elliptic covariance
+    would.  On the n x n grid the operator is I plus the Kronecker sum of two
+    Neumann path Laplacians over h^2; the orthonormal DCT-II matrix C
+    diagonalizes the path Laplacian, with eigenvalues lam_k = 4 sin^2(pi k/2n).
+    So the smoother is a closed form with no factorization, its own transpose.
+    Both maps take a flat draw or an (n_m, b) block of b draws, one per column.
 
-    Every evaluation warm-starts its Newton solve at the model's shared base
-    state at m = 0, solved on first use, with the base point's LU in hand:
-    :func:`solve_state` refines on that LU and replaces it by a factorization
-    at the iterate only where refinement stalls.  The state equation has one
-    solution for each m (e^m > 0 and u^3 is monotone), so the start and the
-    linear solver change only the work spent, not the root.
+    Each evaluation warm-starts :func:`solve_state` at the model's shared base
+    state and LU at m = 0.  The state equation has one root per m (e^m > 0, u^3
+    is monotone), so the start changes only the work spent, not the root.
     """
 
     def __init__(self, model):
         self.model = model
-        self._lu = scipy.sparse.linalg.splu(model.whitening_matrix())
+        n, k = model.n, np.arange(model.n)
+        self._c = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, 2 * k + 1) / (2 * n))
+        self._c[0] = np.sqrt(1.0 / n)
+        lam = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+        self._inv = 1.0 / (1.0 + (lam[:, None] + lam[None, :]) / model.h**2)
 
     def apply(self, x):
-        """The smoothing half-power: solve (-Laplace + I) p = x, one solve per block."""
+        """p = C^T ((C X C^T) / Lam) C on each grid X; Lam_ij = 1 + (lam_i + lam_j) / h^2.
+
+        A block column runs its draw's four (n, n) products alone: it has that draw's bits.
+        """
         x = np.asarray(x, dtype=float)
-        n_m = self.model.n_m
+        n_m, n = self.model.n_m, self.model.n
         if x.shape[:1] != (n_m,) or x.ndim > 2:
             raise ShapeError(f"x has shape {x.shape}, expected ({n_m},) or ({n_m}, b)")
-        return self._lu.solve(x)
+        grids = np.ascontiguousarray(x.T).reshape(*x.shape[1:], n, n)
+        spectra = self._c @ grids @ self._c.T
+        p = self._c.T @ (spectra * self._inv) @ self._c
+        return p.reshape(x.shape[::-1]).T
 
     def evaluate(self, x):
         """Observed output at the smoothed parameter, via a full state solve.
 
         A block of b draws gives an (n_q, b) block of outputs from one
-        whitening solve and one lockstep :func:`solve_state`.
+        :meth:`apply` and one lockstep :func:`solve_state`.  A non-finite draw
+        smooths silently to a non-finite m, which :func:`solve_state` refuses.
         """
-        m = self.apply(x)
+        with np.errstate(invalid="ignore", over="ignore"):
+            m = self.apply(x)
         u0, _, lu = _base_point(self.model)
         u, _ = solve_state(self.model, m, u0=u0, lu=lu)
         return self.model.qoi(u)

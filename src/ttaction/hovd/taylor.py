@@ -19,7 +19,7 @@ import numpy as np
 
 from ..builder import BuildConfig, build_ranks, predicted_action_count, tt_from_actions
 from ..core import TensorTrain, subseed, tt_apply
-from ..errors import ShapeError, ZeroNormError
+from ..errors import NumericalError, ShapeError, ZeroNormError
 from ..rangefinder import DEFAULT_OVERSAMPLING, RangeProblem, randomized_range
 from .oracle import WhitenedMap, derivative_dims, make_derivative_oracle
 
@@ -149,8 +149,8 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0):
     f(0)||``; the order-0 row therefore has mean one.  Returns a dict with
     the orders, per-order means and standard deviations, and the per-sample
     normalized errors (orders by samples).  Refuses ``n_samples`` below 1
-    before sampling ``truth``, and a ``truth`` block of another shape,
-    naming the block's samples.
+    before sampling ``truth``, and, naming its samples, a ``truth`` block of
+    another shape (ShapeError) or with a non-finite entry (NumericalError).
     """
     if n_samples < 1:
         raise ShapeError(f"need at least one sample, got {n_samples}")
@@ -168,6 +168,8 @@ def taylor_error_stats(surrogate, truth, n_samples, seed=0):
                 f"truth of samples {start} to {stop - 1} has shape {fs.shape}, "
                 f"not {want}"
             )
+        if not np.isfinite(fs).all():
+            raise NumericalError(f"truth of samples {start} to {stop - 1} is not finite")
         blocks.append((start, xs, fs))
     base_dist = [
         float(np.linalg.norm(f - surrogate.base)) for _, _, fs in blocks for f in fs.T

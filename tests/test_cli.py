@@ -303,6 +303,17 @@ def test_nonfinite_action_exits_three(tmp_path, monkeypatch):
     assert main(argv) == 3
 
 
+def test_non_finite_truth_exits_three(tmp_path, monkeypatch, capsys):
+    def nan_evaluate(self, x):
+        return np.full((self.model.n_q, x.shape[1]), np.nan)
+
+    monkeypatch.setattr("ttaction.hovd.oracle.WhitenedMap.evaluate", nan_evaluate)
+    argv = ["taylor", "--n", "5", "--max-order", "1", "--rank", "2", "--samples", "3",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
+    assert "truth of samples 0 to 2 is not finite" in capsys.readouterr().err
+
+
 NUMERICAL_ERRORS = [
     errors.BuildStageError,
     errors.CapacityError,

@@ -1,6 +1,7 @@
 """Source hygiene: every import in the library is used, every parameter is
 read, no contraction pays for an einsum path search on each call, LU work on
-the state Jacobian has one home, ``hovd/oracle.py``, the SVD sweep one,
+the state Jacobian has one home, ``hovd/oracle.py``, sparse LU is used on the
+state Jacobian alone (``hovd/model.py``'s ``FactorizedJacobian``), the SVD sweep one,
 ``core._truncated_svd`` (the Hilbert oracle's Hankel factors call it, and no
 action transforms back with an inverse FFT), rank caps one,
 ``builder.build_ranks``, and the residual's closed forms one,
@@ -168,27 +169,72 @@ def test_no_factorize_outside_the_oracle(path):
     assert factorize_calls(path.read_text()) == []
 
 
-def svd_calls(source):
-    """(enclosing function, line) of each call to a function named ``svd``.
+#: Sparse direct solvers, each a sparse LU factorization.
+SPARSE_LU = ("splu", "spsolve", "factorized")
 
-    Module-level calls have enclosing function None.
+
+def scoped_calls(source, names):
+    """(enclosing scope, line) of each call to a function named in ``names``.
+
+    The scope is the dotted path of the enclosing classes and functions,
+    None at module level.
     """
     calls = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
                 continue
             if (
                 isinstance(child, ast.Call)
-                and getattr(child.func, "attr", getattr(child.func, "id", None)) == "svd"
+                and getattr(child.func, "attr", getattr(child.func, "id", None)) in names
             ):
                 calls.append((owner, child.lineno))
             visit(child, owner)
 
     visit(ast.parse(source), None)
     return calls
+
+
+def sparse_lu_calls(source):
+    """(enclosing scope, line) of each call to a sparse direct solver.
+
+    The state Jacobian is the one matrix the library factorizes
+    (``FactorizedJacobian``); the whitening smoother is a closed form through
+    the DCT-II spectrum.
+    """
+    return scoped_calls(source, SPARSE_LU)
+
+
+def test_scan_flags_a_sparse_lu_call():
+    source = (PACKAGE / "hovd" / "oracle.py").read_text()
+    # a factorized smoother: a second sparse LU beside the state Jacobian's
+    planted = (
+        "class WhitenedMap:\n"
+        "    def __init__(self, model):\n"
+        "        self._lu = scipy.sparse.linalg.splu(model.whitening_matrix())\n"
+        "def smooth(w, x):\n    return spsolve(w, x)\n"
+        "solve = factorized(w)\n"
+    )
+    line = source.count("\n") + 1
+    assert sparse_lu_calls(source + planted) == [
+        ("WhitenedMap.__init__", line + 2),
+        ("smooth", line + 4),
+        (None, line + 5),
+    ]
+    assert sparse_lu_calls("def splu(a):\n    return a\nlu.solve(b)\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_sparse_lu_only_on_the_state_jacobian(path):
+    home = ["FactorizedJacobian.__init__"] if path == PACKAGE / "hovd" / "model.py" else []
+    assert [owner for owner, _ in sparse_lu_calls(path.read_text())] == home
+
+
+def svd_calls(source):
+    """(enclosing scope, line) of each call to a function named ``svd``."""
+    return scoped_calls(source, ("svd",))
 
 
 def test_scan_flags_an_svd_call():
@@ -479,8 +525,9 @@ def test_library_defines_no_dense_reference(path):
 #: once because the stage is one broadcast action, not through a lead memo
 #: (``lead_fn``, ``_lead_of``), stride-0 column detection
 #: (``_distinct_columns``) or Hilbert's split spectrum product
-#: (``times_spectra``), and a state solve is one lockstep loop over a column
-#: block, with no per-vector sweep (``_kept_lu_step``) beside it.
+#: (``times_spectra``), a state solve is one lockstep loop over a column
+#: block, with no per-vector sweep (``_kept_lu_step``) beside it, and the
+#: smoother is a closed form, with no assembled matrix (``whitening_matrix``).
 DELETED_NAMES = (
     "BacktrackingRequiredError",
     "check_schedule",
@@ -494,6 +541,7 @@ DELETED_NAMES = (
     "_distinct_columns",
     "times_spectra",
     "_kept_lu_step",
+    "whitening_matrix",
 )
 
 
@@ -532,6 +580,7 @@ def test_scan_flags_a_deleted_name():
         "def _distinct_columns(v):\n    return v\n"
         "lead_fn = times_spectra = None\n"
         "class Oracle:\n    def _lead_of(self):\n        pass\n"
+        "class Model:\n    def whitening_matrix(self):\n        pass\n"
     )
     line = source.count("\n") + 1
     assert deleted_names(source + planted) == [
@@ -547,6 +596,7 @@ def test_scan_flags_a_deleted_name():
         (line + 12, "lead_fn"),
         (line + 12, "times_spectra"),
         (line + 14, "_lead_of"),
+        (line + 17, "whitening_matrix"),
     ]
     # a use that binds another name is not a definition
     assert deleted_names("x = check_schedule(a)\ny = 'a dense_action'\n") == []

@@ -8,7 +8,7 @@ import pytest
 
 from ttaction import TensorTrain, oracle_from_dense, tt_apply
 from ttaction.builder import predicted_action_count
-from ttaction.errors import ShapeError, ZeroNormError
+from ttaction.errors import NumericalError, ShapeError, ZeroNormError
 from ttaction.rangefinder import DEFAULT_OVERSAMPLING
 from ttaction.hovd import oracle as oracle_module
 from ttaction.hovd.oracle import derivative_dims
@@ -259,6 +259,28 @@ def test_error_stats_refuses_a_truth_of_the_wrong_shape():
         with pytest.raises(ShapeError, match="samples 16 to 19 has shape"):
             taylor_error_stats(surrogate, truth, n_samples=20)
         assert [x.shape for x in calls] == [(4, 16), (4, 4)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_error_stats_refuses_a_non_finite_truth_before_any_error(monkeypatch, bad):
+    # one entry of the second block's truth, samples 16 to 19, used to turn
+    # every mean into NaN without a word
+    model = ReactionDiffusionModel(5)
+    whitener = WhitenedMap(model)
+    surrogate, _ = build_taylor_surrogate(model, order=2, rank=2, whitener=whitener)
+    calls = []
+
+    def truth(x):
+        calls.append(x.shape)
+        fs = whitener.evaluate(x)
+        if len(calls) == 2:
+            fs[5, 2] = bad
+        return fs
+
+    monkeypatch.setattr(taylor_module, "taylor_eval", None)  # no error is computed
+    with pytest.raises(NumericalError, match="^truth of samples 16 to 19 is not finite$"):
+        taylor_error_stats(surrogate, truth, n_samples=20)
+    assert calls == [(model.n_m, 16), (model.n_m, 4)]
 
 
 def test_error_stats_zero_map_rejected():
