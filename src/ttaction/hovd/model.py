@@ -24,8 +24,11 @@ its edge coefficient product, ``finish_edges``, one finishing operator per
 free slot, and ``reaction_part``, the node-space reaction; ``partial_edges``
 is their composition.  The flux is linear in its operand, so the derivative engine
 adds a whole chain-rule sum's operands in edge space and finishes it once.
-Which forms are zero is stated beside them, in ``partial_vanishes``.  The
-observation, linear in u and free of m, has one partial: its transpose,
+Which pieces a partial has, and so which partials are zero, is stated once,
+in ``partial_pattern``: the operand's factors and the reaction's u-derivative
+order, which ``edge_operand`` and ``reaction_part`` read and which the engine
+compiles its sums from, with the reaction's factors from ``reaction_factor``.
+The observation, linear in u and free of m, has one partial: its transpose,
 ``partial_f``.  No method writes to the model, so it keeps no state between
 calls.
 """
@@ -139,15 +142,8 @@ class ReactionDiffusionModel:
         return np.exp(self.edge_means(m))
 
     def _reaction(self, u, k, ws):
-        """k-th u-derivative (k <= 3) of the reaction u^3 - rho, times each of ``ws``."""
-        if k == 0:
-            out = u**3 - self._column(self.rho, u)
-        elif k == 1:
-            out = 3.0 * u**2
-        elif k == 2:
-            out = 6.0 * u
-        else:
-            out = 6.0
+        """k-th u-derivative of the reaction u^3 - rho, times each of ``ws`` in order."""
+        out = self.reaction_factor(u, k)
         for w in ws:
             out = out * w
         return out
@@ -214,23 +210,26 @@ class ReactionDiffusionModel:
         out = self.finish_edges(c * e, free)
         return out if r is None else out + r
 
-    @staticmethod
-    def edge_operand(du, dws, weight, free):
+    @classmethod
+    def edge_operand(cls, du, dws, weight, free):
         """The edge array a flux partial multiplies by its edge product ``c``.
 
         ``du``, ``dws``, ``weight`` and ``free`` are those of
-        :meth:`partial_edges`: the differences ``dw`` of the state (no
+        :meth:`partial_edges`.  The operand is the product of the factors
+        :meth:`partial_pattern` names: the differences ``dw`` of the state (no
         u-direction) or of the one u-direction for ``free=None``, the weight
         for ``"u"`` (no u-direction) and ``0.5 * weight * dw`` for ``"m"``.
         None where the flux, linear in u, has no partial.
         """
-        s = len(dws)
-        if free == "u":
-            return weight if s == 0 else None
-        if s > 1:
+        operand, _ = cls.partial_pattern(0, len(dws), free)
+        if operand is None:
             return None
-        dw = du if s == 0 else dws[0]
-        return dw if free is None else 0.5 * weight * dw
+        scale, differenced = operand
+        dw = (dws[0] if dws else du) if differenced else None
+        if scale is None:
+            return dw
+        w = weight if scale == 1.0 else scale * weight
+        return w if dw is None else w * dw
 
     def finish_edges(self, t, free=None):
         """The finishing operator of the free slot, on an edge array ``t``.
@@ -240,7 +239,7 @@ class ReactionDiffusionModel:
         (``"u"``) or plus (``"m"``) the sum of each row back onto its
         neighbour sources, over h^2.
         """
-        rows = t[0] + t[1] + t[2] + t[3]
+        rows = np.add.reduce(t, axis=0)
         if free is None:
             return rows / self._h2
         if free == "u":
@@ -251,29 +250,58 @@ class ReactionDiffusionModel:
         """The reaction's node-space partial, for no m-direction; None where zero.
 
         The reaction u^3 - rho is free of m, so it enters a partial only with
-        ``j == 0``: its ``len(ws)``-th u-derivative times ``ws`` for
-        ``free=None``, one u-derivative more times ``weight`` as well for
-        ``"u"``, nothing for ``"m"`` and nothing past the third derivative.
+        ``j == 0``: the u-derivative :meth:`partial_pattern` names times
+        ``ws``, and times ``weight`` last for ``free="u"``.
         """
-        if free == "u":
-            ws = [*ws, weight]
-        if free == "m" or len(ws) > 3:
+        _, reaction = self.partial_pattern(0, len(ws), free)
+        if reaction is None:
             return None
-        return self._reaction(u, len(ws), ws)
+        k, weighted = reaction
+        return self._reaction(u, k, [*ws, weight] if weighted else ws)
+
+    def reaction_factor(self, u, k):
+        """The k-th u-derivative of the reaction u^3 - rho at ``u``; zero past k = 3."""
+        if k == 0:
+            return u**3 - self._column(self.rho, u)
+        if k == 1:
+            return 3.0 * u**2
+        if k == 2:
+            return 6.0 * u
+        return 6.0 if k == 3 else 0.0
 
     @staticmethod
-    def partial_vanishes(j, s, free):
+    def partial_pattern(j, s, free):
+        """The pieces of the partial for j m- and s u-directions: (operand, reaction).
+
+        ``operand`` is None where the flux, linear in u, has no partial: more
+        than one u-direction, or any with ``free="u"``.  Otherwise it is
+        (scale, differenced), and the flux's edge operand is the product of
+        ``scale * weight`` (no weight where ``scale`` is None) and, where
+        ``differenced``, the edge differences of the flux's u-argument: the
+        state for s = 0, the one u-direction for s = 1.  ``reaction`` is None
+        where the reaction u^3 - rho, free of m and cubic, has no partial: an
+        m-direction, ``free="m"``, or past its third u-derivative.  Otherwise
+        it is (k, weighted): the reaction's k-th u-derivative times the
+        u-directions, and times the weight last where ``weighted`` (the free
+        ``"u"`` slot is one u-derivative more).
+        """
+        if free == "u":
+            operand = (1.0, False) if s == 0 else None
+        else:
+            operand = (None if free is None else 0.5, True) if s <= 1 else None
+        k = s + 1 if free == "u" else s
+        weighted = free == "u"
+        reaction = (k, weighted) if j == 0 and free != "m" and k <= 3 else None
+        return operand, reaction
+
+    @classmethod
+    def partial_vanishes(cls, j, s, free):
         """Whether :meth:`partial_edges` is zero for j m- and s u-directions.
 
-        The flux is linear in u, so it survives at most one u-direction (none
-        with ``free="u"``), and the reaction u^3 is free of m and has three
-        u-derivatives.
+        It is zero exactly where :meth:`partial_pattern` names neither a flux
+        operand nor a reaction.
         """
-        if free is None:
-            return s >= 2 and (j >= 1 or s >= 4)
-        if free == "u":
-            return s >= 1 and (j >= 1 or s >= 3)
-        return s >= 2
+        return cls.partial_pattern(j, s, free) == (None, None)
 
     def partial_f(self, weight):
         """The observation's transpose applied to ``weight``, a u-space vector.

@@ -18,9 +18,10 @@ state Jacobian, the one matrix it factorizes.
 
 Lattice nodes are cached by the float64 bytes of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
-fully symmetric direction tuple collapses the 2^k lattice to a chain.  For a
-whitened tensor the engine also smooths: each distinct raw direction once per
-cache, keyed by the same bytes, and each free-slot output on the way out.
+fully symmetric direction tuple collapses the 2^k lattice to a chain.  Each
+distinct direction is checked, smoothed for a whitened tensor, and reduced to
+its edge means once per cache, keyed by the same bytes; a whitened engine
+also smooths each free-slot output on the way out.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..core import ActionOracle, _check_vectors
-from ..errors import NewtonError, ShapeError
+from ..errors import NewtonError, NonFiniteActionError, ShapeError
 from .lattice import (
     block_signature,
     canonical_directions,
@@ -52,15 +53,15 @@ def _column_norms(x):
     return np.array([math.sqrt(r @ r) for r in np.ascontiguousarray(x.T)])
 
 
-def _refuse_non_finite(name, v):
-    """NewtonError naming the first column of a block ``v`` holding a NaN or an inf."""
+def _refuse_non_finite(name, v, error=NewtonError):
+    """``error`` naming the first column of a block ``v`` holding a NaN or an inf."""
     if np.isfinite(v).all():
         return
     for j, col in enumerate(v.T if v.ndim == 2 else [v.ravel()]):
         bad = np.flatnonzero(~np.isfinite(col))
         if bad.size:
             where = f" in column {j}" if v.ndim == 2 else ""
-            raise NewtonError(
+            raise error(
                 f"non-finite {name}{where}: {bad.size} of {col.size} entries, the "
                 f"first {col[bad[0]]} at index {bad[0]}"
             )
@@ -272,18 +273,6 @@ def _indices(j_counts):
     return tuple(i for i, c in enumerate(j_counts) for _ in range(c))
 
 
-def _accumulate(total, coef, x):
-    """``total + coef * x``, with None for an empty total or a zero ``x``.
-
-    Allocates a new array, so ``x`` (a lattice node's edge differences, say)
-    is never written to.
-    """
-    if x is None:
-        return total
-    x = x if coef == 1 else coef * x
-    return x if total is None else total + x
-
-
 @lru_cache(maxsize=None)
 def _program(beta, unknown, free, vanishes):
     """The chain-rule sum of ``beta`` compiled once per (``unknown``, ``free``).
@@ -299,7 +288,8 @@ def _program(beta, unknown, free, vanishes):
     times its multiplicity, the rest keeping their order; the term that is
     lambda^``unknown`` alone has no split.  Parts that ``vanishes(j, s,
     free)``, the model's zero pattern for j m- and s u-directions, drops
-    are left out, and so are terms left with none.
+    are left out, and so are terms left with none.  The engine runs it
+    through :func:`_plan`, which resolves each part to its pieces once.
     """
     zero = None if free is None else (0,) * len(beta)
     program = []
@@ -319,6 +309,56 @@ def _program(beta, unknown, free, vanishes):
     return tuple(program)
 
 
+@lru_cache(maxsize=None)
+def _plan(beta, unknown, free, vanishes, pattern):
+    """``_program(beta, unknown, free, vanishes)`` resolved to its pieces once.
+
+    The model's ``pattern`` (``partial_pattern``) settles, for each part, its
+    flux operand and its reaction piece.  Returns (flux, reaction).
+    ``flux`` holds one (indices, parts) entry per program entry with a flux
+    operand, in program order, each part (coefficient, scale, weight block,
+    difference block): its operand is ``scale`` times the adjoint
+    sensitivity of the weight block (no weight where ``scale`` is None),
+    times the edge differences of the difference block's sensitivity (none
+    where it is None; the zero block's is the state).  ``reaction`` holds
+    each reaction piece, (coefficient, u-derivative order, blocks, weight
+    block or None), in program order.
+    """
+    zero = (0,) * len(beta)
+    flux, reaction = [], []
+    for idx, parts in _program(beta, unknown, free, vanishes):
+        compiled = []
+        for blocks, coef, lam in parts:
+            operand, react = pattern(len(idx), len(blocks), free)
+            if operand is not None:
+                scale, differenced = operand
+                diff = (blocks[0] if blocks else zero) if differenced else None
+                compiled.append((coef, scale, lam, diff))
+            if react is not None:
+                k, weighted = react
+                reaction.append((coef, k, blocks, lam if weighted else None))
+        if compiled:
+            flux.append((idx, tuple(compiled)))
+    return tuple(flux), tuple(reaction)
+
+
+class _EdgeProducts(dict):
+    """Base edge factors times the edge means of an index tuple's directions.
+
+    Keyed by direction-index tuples, ``()`` holding the base factors; each
+    product is formed on first use from its prefix's, in index order, so an
+    action forms each once.
+    """
+
+    def __init__(self, c0, means):
+        super().__init__({(): c0})
+        self.means = means
+
+    def __missing__(self, idx):
+        c = self[idx] = self[idx[:-1]] * self.means[idx[-1]]
+        return c
+
+
 class DerivativeEngine:
     """Forward and adjoint derivative lattices at the base point m0 = 0.
 
@@ -328,22 +368,28 @@ class DerivativeEngine:
     action is ``model.qoi`` of one state sensitivity, the adjoint seed is the
     observation's only partial (``partial_f`` once per distinct weight q),
     and the adjoint sums run over the residual's partials alone.  Forward
-    and adjoint chain-rule sums are one sum, :meth:`_sum`, over one program
-    compiled once per (node, unknown, free slot) from ``expansion``, without
-    the terms the model's ``partial_vanishes`` drops: the direction indices
-    of every term and, for the adjoint, each term's split of one block onto
-    its adjoint sensitivity, in the expansion's order; the lattice levels
-    come cached from ``sub_multisets``.  A sum adds its terms in edge space
-    and applies the model's ``finish_edges`` once, with no ``partial_edges``
-    call.  Its edge arrays the engine forms itself: the base point's edge
-    factors and state differences once per engine, each direction's edge
-    mean and each lattice node's edge differences once per action.  Directions are keyed
-    by their float64 bytes and lattice nodes by those keys, so the solve
-    counters see each node once; a solve that raises caches nothing.  With
-    a ``whitener`` the directions are raw-space vectors: each distinct one
-    is smoothed on its first use and kept, read-only, in the same cache, and
-    :meth:`mode_free` smooths its output.  Serves one caller at a time, as a
-    numpy ``Generator`` does: the cache and counters have no
+    and adjoint chain-rule sums are one sum, :meth:`_sum`, over one plan
+    compiled once per (node, unknown, free slot) by :func:`_plan` from
+    :func:`_program`: the direction indices of every term and, for the
+    adjoint, each term's split of one block onto its adjoint sensitivity, in
+    the expansion's order, without the terms the model's
+    ``partial_vanishes`` drops, each part resolved by the model's
+    ``partial_pattern`` to its flux operand and reaction piece.  The lattice
+    levels come cached from ``sub_multisets``.  A sum adds its terms in edge
+    space and applies the model's ``finish_edges`` once, with no
+    ``partial_edges`` call.  Its arrays the engine forms itself: the base
+    point's edge factors, state differences and reaction factors
+    (``reaction_factor`` of every u-derivative order a part can take) once
+    per engine; each distinct direction's edge means once per cache; each
+    term's edge product and each lattice node's edge differences once per
+    action.  Directions are keyed by their float64 bytes and lattice nodes
+    by those keys, so the solve counters see each node once; a solve that
+    raises caches nothing.  With a ``whitener`` the directions are raw-space
+    vectors: each distinct one is smoothed on its first use before its edge
+    means are taken, and :meth:`mode_free` smooths its output.  A direction
+    or output weight met for the first time is refused if it holds a NaN or
+    an infinity, before any smoothing or solve.  Serves one caller at a
+    time, as a numpy ``Generator`` does: the cache and counters have no
     synchronisation.
     """
 
@@ -358,89 +404,110 @@ class DerivativeEngine:
         self.forward_solves = 0
         self.adjoint_solves = 0
         self._cache = {}
-        # the base point is fixed, so its edge arrays are formed once
+        # the base point is fixed, so its edge arrays and reaction factors are
+        # formed once; a part takes at most ``order`` u-derivatives
         self._c0 = model.edge_factors(self.m0)
         self._du0 = model.edge_differences(self.u0)
+        self._r0 = [model.reaction_factor(self.u0, k) for k in range(order + 1)]
 
     def clear_cache(self):
-        """Drop cached lattice nodes and smoothed directions; the state stays."""
+        """Drop cached lattice nodes and direction edge means; the state stays."""
         self._cache.clear()
 
     def _canonical(self, directions, count):
-        """Check ``count`` directions of length n_m once, group and smooth them.
+        """Check ``count`` directions of length n_m, group them and take edge means.
 
-        This is the engine boundary: every direction a partial sees later is
-        a flat float vector of the right length, smoothed if whitened.
-        Returns the unique directions' counts, keys and edge means.
+        This is the engine boundary: every direction's shape is checked on
+        every call.  A direction not yet cached is refused with
+        :class:`~ttaction.errors.NonFiniteActionError`, naming its place
+        among the ``count`` (from 1) and its first bad index, when it holds
+        a NaN or an infinity; only once every direction passes is
+        each new one smoothed, if whitened, and its edge means cached,
+        read-only, under ``("p", key)``.  Returns the unique directions'
+        counts, keys and an :class:`_EdgeProducts` on their edge means.
         """
         if len(directions) != count:
             raise ShapeError(f"need {count} directions, got {len(directions)}")
         unique, counts, keys = canonical_directions(directions)
-        for i, v in enumerate(unique):
+        for v in unique:
             if v.shape != (self.model.n_m,):
                 raise ShapeError(
                     f"direction has shape {v.shape}, expected ({self.model.n_m},)"
                 )
-            if self.whitener is not None:
-                key = ("p", keys[i])
-                if key not in self._cache:
-                    self._cache[key] = self.whitener.apply(v)
-                    self._cache[key].flags.writeable = False
-                unique[i] = self._cache[key]
-        return counts, keys, [self.model.edge_means(v) for v in unique]
+        new = [i for i, key in enumerate(keys) if ("p", key) not in self._cache]
+        if not all(np.isfinite(unique[i]).all() for i in new):
+            # a non-finite direction is never cached, so the first bad one is new
+            for i, v in enumerate(directions, 1):
+                v = np.asarray(v, dtype=float)
+                _refuse_non_finite(f"direction {i} of {count}", v, NonFiniteActionError)
+        for i in new:
+            v = unique[i] if self.whitener is None else self.whitener.apply(unique[i])
+            means = self.model.edge_means(v)
+            means.flags.writeable = False
+            self._cache[("p", keys[i])] = means
+        means = [self._cache[("p", key)] for key in keys]
+        return counts, keys, _EdgeProducts(self._c0, means)
 
-    def _edge_product(self, means, idx):
-        """Base edge factors times each ``idx`` direction's edge mean, in order."""
-        c = self._c0
-        for i in idx:
-            c = c * means[i]
-        return c
-
-    def _sum(self, means, beta, values, diffs, unknown, free=None, lams=None):
+    def _sum(self, products, beta, values, diffs, unknown, free=None, lams=None):
         """Chain-rule sum of the residual's partials over the expansion of ``beta``.
 
         ``free=None`` gives the right-hand side of a forward solve, ``"u"``
         that of an adjoint solve and ``"m"`` a mode-free action; the adjoint
         sums contract each part against its sensitivity in ``lams``.  Leaves
-        out the term that is the solve's ``unknown`` alone.  The flux
-        partials are linear in their edge operands, so each program entry
-        adds its parts' coefficient-weighted ``edge_operand``s, multiplies
-        that total once by the entry's edge product, and the sum applies the
-        model's ``finish_edges`` once; the reaction parts, of the entries
-        with no m-direction, add in node space.  Every sum has a flux part:
-        the term whose directions all take the explicit m slot.
+        out the term that is the solve's ``unknown`` alone.  Runs the plan
+        of :func:`_plan`: the flux partials are linear in their operands,
+        so each entry adds its parts' coefficient-weighted operands,
+        multiplies that total once by its edge product from ``products``,
+        and the sum applies the model's ``finish_edges`` once; the reaction
+        pieces, of the entries with no m-direction, are the base reaction
+        factors times their blocks' sensitivities (and the weight, for an
+        adjoint sum) and add in node space.  ``values`` and ``diffs`` hold
+        the state as the zero block's sensitivity.  Every sum has a flux
+        part: the term whose directions all take the explicit m slot.
         """
-        model, u0, du0 = self.model, self.u0, self._du0
-        edges = react = None
-        for idx, parts in _program(beta, unknown, free, model.partial_vanishes):
+        model = self.model
+        flux, reaction = _plan(
+            beta, unknown, free, model.partial_vanishes, model.partial_pattern
+        )
+        edges = None
+        for idx, parts in flux:
             total = None
-            for blocks, coef, lam in parts:
-                weight = None if lam is None else lams[lam]
-                dws = [diffs[b] for b in blocks]
-                e = model.edge_operand(du0, dws, weight, free)
-                total = _accumulate(total, coef, e)
-                if not idx:
-                    ws = [values[b] for b in blocks]
-                    r = model.reaction_part(u0, ws, weight, free)
-                    react = _accumulate(react, coef, r)
-            if total is not None:
-                edges = _accumulate(edges, 1, self._edge_product(means, idx) * total)
+            for coef, scale, lam, diff in parts:
+                x = None if diff is None else diffs[diff]
+                if scale is not None:
+                    w = lams[lam] if scale == 1.0 else scale * lams[lam]
+                    x = w if x is None else w * x
+                x = x if coef == 1 else coef * x
+                total = x if total is None else total + x
+            t = products[idx] * total
+            edges = t if edges is None else edges + t
         out = model.finish_edges(edges, free)
+        react = None
+        for coef, k, blocks, lam in reaction:
+            r = self._r0[k]
+            for b in blocks:
+                r = r * values[b]
+            if lam is not None:
+                r = r * lams[lam]
+            x = r if coef == 1 else coef * r
+            react = x if react is None else react + x
         return out if react is None else out + react
 
     # -- forward lattice ----------------------------------------------------
 
-    def _forward_values(self, counts, keys, means):
+    def _forward_values(self, counts, keys, products):
         """Ensure the state sensitivities u^beta for beta <= counts.
 
         Returns them and the edge differences of all but the top node
-        ``counts``, which no forward sum reads, both keyed by beta.
+        ``counts``, which no forward sum reads, both keyed by beta, with the
+        base state and its differences as the zero block's.
         """
-        values, diffs = {}, {}
+        zero = (0,) * len(counts)
+        values, diffs = {zero: self.u0}, {zero: self._du0}
         for beta in sub_multisets(counts):
             key = ("u", block_signature(keys, beta))
             if key not in self._cache:
-                rhs = self._sum(means, beta, values, diffs, beta)
+                rhs = self._sum(products, beta, values, diffs, beta)
                 self.forward_solves += 1
                 self._cache[key] = self.factor.solve(-rhs)
             values[beta] = self._cache[key]
@@ -450,16 +517,14 @@ class DerivativeEngine:
 
     def output_free(self, directions):
         """T(p_1, ..., p_k, .): all derivative slots saturated, output free."""
-        counts, keys, means = self._canonical(directions, self.order)
-        values, _ = self._forward_values(counts, keys, means)
+        counts, keys, products = self._canonical(directions, self.order)
+        values, _ = self._forward_values(counts, keys, products)
         return self.model.qoi(values[counts])
 
     # -- adjoint lattice ----------------------------------------------------
 
-    def _adjoint_values(self, counts, keys, means, q, values, diffs):
-        """Adjoint sensitivities lambda^beta for beta <= counts, q fixed."""
-        q = np.ascontiguousarray(q, dtype=float)
-        qsig = q.tobytes()
+    def _adjoint_values(self, counts, keys, products, q, qsig, values, diffs):
+        """Adjoint sensitivities lambda^beta for beta <= counts, q (bytes ``qsig``) fixed."""
         key = ("l", qsig, ())
         if key not in self._cache:
             rhs = self.model.partial_f(q)
@@ -469,7 +534,7 @@ class DerivativeEngine:
         for beta in sub_multisets(counts):
             key = ("l", qsig, block_signature(keys, beta))
             if key not in self._cache:
-                rhs = self._sum(means, beta, values, diffs, beta, "u", lams)
+                rhs = self._sum(products, beta, values, diffs, beta, "u", lams)
                 self.adjoint_solves += 1
                 self._cache[key] = self.factor.solve_t(-rhs)
             lams[beta] = self._cache[key]
@@ -479,18 +544,24 @@ class DerivativeEngine:
         """S(., p_2, ..., p_k, q): one derivative slot free, output contracted.
 
         ``directions`` are the k-1 saturated derivative slots; ``q`` weights
-        the output slot.  Returns a vector in parameter space, smoothed if
-        whitened (the smoother is its own transpose).
+        the output slot.  A ``q`` met for the first time is refused with
+        :class:`~ttaction.errors.NonFiniteActionError` if it holds a NaN or
+        an infinity, before any direction is cached.  Returns a vector in
+        parameter space, smoothed if whitened (the smoother is its own
+        transpose).
         """
-        q = np.asarray(q, dtype=float)
+        q = np.ascontiguousarray(q, dtype=float)
         if q.shape != (self.model.n_q,):
             raise ShapeError(f"q has shape {q.shape}, expected ({self.model.n_q},)")
-        counts, keys, means = self._canonical(directions, self.order - 1)
-        values, diffs = self._forward_values(counts, keys, means)
+        qsig = q.tobytes()
+        if ("l", qsig, ()) not in self._cache:
+            _refuse_non_finite("output weight q", q, NonFiniteActionError)
+        counts, keys, products = self._canonical(directions, self.order - 1)
+        values, diffs = self._forward_values(counts, keys, products)
         if any(counts):  # the top node's differences; order 1 has no node
             diffs[counts] = self.model.edge_differences(values[counts])
-        lams = self._adjoint_values(counts, keys, means, q, values, diffs)
-        g = self._sum(means, counts, values, diffs, None, "m", lams)
+        lams = self._adjoint_values(counts, keys, products, q, qsig, values, diffs)
+        g = self._sum(products, counts, values, diffs, None, "m", lams)
         return g if self.whitener is None else self.whitener.apply(g)
 
 
@@ -554,7 +625,7 @@ class DerivativeOracle(ActionOracle):
     """An action oracle served by a :class:`DerivativeEngine`.
 
     ``engine`` holds the solve counters and the one cache, of lattice nodes
-    and smoothed directions, that :meth:`clear_cache` empties.  Built by
+    and direction edge means, that :meth:`clear_cache` empties.  Built by
     :func:`make_derivative_oracle`.
     """
 

@@ -8,8 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from chain_rule_reference import per_part_sum
-from ttaction.errors import NewtonError, ShapeError
+from chain_rule_reference import per_part_sum, summed_sum
+from ttaction.errors import NewtonError, NonFiniteActionError, ShapeError
 from ttaction.hovd import oracle as oracle_module
 from ttaction.hovd import (
     DerivativeEngine,
@@ -319,11 +319,104 @@ def test_each_distinct_direction_is_smoothed_once_per_cache(monkeypatch):
         np.testing.assert_array_equal(oracle.action(mode, vectors), expected)
         counts.append(len(smoothed))
     assert counts == [2, 3, 4, 4]
-    # clearing the cache drops the smoothed directions with the lattice nodes
+    # clearing the cache drops the directions' edge means with the lattice nodes
     oracle.clear_cache()
     mode, vectors = calls[0]
     np.testing.assert_array_equal(oracle.action(mode, vectors), want[0])
     assert len(smoothed) == 6
+
+
+@pytest.mark.parametrize("whitened", [False, True], ids=["raw", "whitened"])
+def test_each_distinct_direction_is_edge_averaged_once_per_cache(monkeypatch, whitened):
+    # the cache keeps each direction's edge means, so a direction is smoothed
+    # and edge-averaged on its first use only; the base reaction factors are
+    # formed when the engine is made, never during an action
+    model = ReactionDiffusionModel(5)
+    whitener = WhitenedMap(model) if whitened else None
+    oracle_module._base_point(model)  # its Newton solve forms reaction factors too
+    calls = {"apply": 0, "edge_means": 0, "reaction_factor": 0}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(WhitenedMap, "apply")
+    spy(ReactionDiffusionModel, "edge_means")
+    spy(ReactionDiffusionModel, "reaction_factor")
+    engine = DerivativeEngine(model, 3, whitener)
+    assert calls["reaction_factor"] == 4  # u-derivative orders 0..3
+    calls.update(edge_means=0, reaction_factor=0)  # the base edge factors' means
+    rng = np.random.default_rng(30)
+    p1, p2, p3 = (rng.standard_normal(model.n_m) for _ in range(3))
+    q = rng.standard_normal(model.n_q)
+    seen = []
+    for act in (
+        lambda: engine.output_free([p1, p2, p2]),  # p1, p2 new
+        lambda: engine.output_free([p2, p3, p1]),  # p3 new
+        lambda: engine.mode_free([p3, p1], q),  # none new; the output is smoothed
+        lambda: engine.mode_free([p2, p2], q),
+    ):
+        act()
+        seen.append(dict(calls))
+    new = [2, 3, 3, 3]
+    assert [c["edge_means"] for c in seen] == new
+    assert [c["apply"] for c in seen] == ([2, 3, 4, 5] if whitened else [0] * 4)
+    assert [c["reaction_factor"] for c in seen] == [0] * 4
+    assert sorted(key[0] for key in engine._cache).count("p") == 3
+    # the shape check runs on every direction, cache hit or miss: p1's bytes
+    # as an (n, n) grid are refused though its key is cached
+    solves = (engine.forward_solves, engine.adjoint_solves)
+    with pytest.raises(ShapeError):
+        engine.output_free([p1.reshape(model.n, model.n), p2, p3])
+    assert (engine.forward_solves, engine.adjoint_solves) == solves
+    # clearing the cache drops the edge means with the lattice nodes
+    engine.clear_cache()
+    engine.output_free([p1, p2, p2])
+    assert calls["edge_means"] == 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("slot", ["direction", "q"])
+@pytest.mark.parametrize("whitened", [False, True], ids=["raw", "whitened"])
+def test_engine_refuses_a_non_finite_direction_or_weight_before_any_solve(
+    whitened, slot, bad
+):
+    # a NaN or inf entry is refused by name at the engine boundary, before it
+    # is smoothed or solved with: no warning, no solve counted, nothing cached
+    model = ReactionDiffusionModel(5)
+    rng = np.random.default_rng(31)
+    v, w = rng.standard_normal(model.n_m), rng.standard_normal(model.n_m)
+    q = rng.standard_normal(model.n_q)
+    if slot == "direction":
+        # named by its place among the action's saturated directions
+        w[3] = bad
+        actions = [
+            (3, [v, w], "direction 2 of 2"),
+            (1, [w, q], "direction 1 of 1"),
+            (2, [w, q], "direction 1 of 1"),
+        ]
+    else:
+        q[3] = bad
+        actions = [(1, [v, q], "output weight q"), (2, [v, q], "output weight q")]
+    for mode, vectors, name in actions:
+        whitener = WhitenedMap(model) if whitened else None
+        oracle = make_derivative_oracle(model, 2, whitener)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteActionError) as err:
+                oracle.action(mode, vectors)
+        size = model.n_q if slot == "q" else model.n_m
+        assert str(err.value) == (
+            f"non-finite {name}: 1 of {size} entries, the first {bad} at index 3"
+        )
+        engine = oracle.engine
+        assert engine.forward_solves == engine.adjoint_solves == 0
+        assert engine._cache == {}
 
 
 @pytest.mark.parametrize("method,kind", [("solve", "u"), ("solve_t", "l")])
@@ -723,10 +816,10 @@ def test_engine_edge_arrays_reproduce_partial_g():
     vs = [rng.standard_normal(model.n_m) for _ in range(3)]
     ws = [rng.standard_normal(model.n_u) for _ in range(3)]
     z = rng.standard_normal(model.n_u)
-    means = [model.edge_means(v) for v in vs]
+    products = oracle_module._EdgeProducts(engine._c0, [model.edge_means(v) for v in vs])
     dws = [model.edge_differences(w) for w in ws]
     for j in range(4):
-        c = engine._edge_product(means, range(j))
+        c = products[tuple(range(j))]
         for s in range(4):
             for free in (None, "u", "m"):
                 got = model.partial_edges(
@@ -773,9 +866,9 @@ def test_summed_chain_rule_matches_the_per_part_sum(order, whitened):
     engine = DerivativeEngine(model, order, WhitenedMap(model) if whitened else None)
     summed, worst = engine._sum, {}
 
-    def both(means, beta, values, diffs, unknown, free=None, lams=None):
-        got = summed(means, beta, values, diffs, unknown, free, lams)
-        want = per_part_sum(engine, means, beta, values, diffs, unknown, free, lams)
+    def both(products, beta, values, diffs, unknown, free=None, lams=None):
+        got = summed(products, beta, values, diffs, unknown, free, lams)
+        want = per_part_sum(engine, products.means, beta, values, diffs, unknown, free, lams)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         worst[free] = max(worst.get(free, 0.0), err)
         return got
@@ -789,6 +882,34 @@ def test_summed_chain_rule_matches_the_per_part_sum(order, whitened):
         engine.mode_free(dirs[: order - 1], q)
     assert set(worst) == {None, "u", "m"}
     assert max(worst.values()) < 100 * np.finfo(float).eps, worst
+
+
+@pytest.mark.parametrize("whitened", [False, True], ids=["raw", "whitened"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_compiled_sums_equal_the_summed_reference_bit_for_bit(order, whitened):
+    # every sum of a walk, run from its compiled plan, has the bits of the
+    # engine's sum before compilation: per-part edge_operand and reaction_part
+    # calls added with _accumulate
+    model = ReactionDiffusionModel(5)
+    engine = DerivativeEngine(model, order, WhitenedMap(model) if whitened else None)
+    compiled, seen = engine._sum, set()
+
+    def both(products, beta, values, diffs, unknown, free=None, lams=None):
+        got = compiled(products, beta, values, diffs, unknown, free, lams)
+        want = summed_sum(engine, products.means, beta, values, diffs, unknown, free, lams)
+        assert np.array_equal(got, want), (beta, unknown, free)
+        seen.add(free)
+        return got
+
+    engine._sum = both
+    rng = np.random.default_rng(29)
+    a, b, c, d, e = (rng.standard_normal(model.n_m) for _ in range(5))
+    q1, q2 = (rng.standard_normal(model.n_q) for _ in range(2))
+    for dirs, q in (([a] * 5, q1), ([a, b, c, d, e], q2), ([a, a, b, b, c], q1)):
+        engine.output_free(dirs[:order])
+        engine.mode_free(dirs[: order - 1], q)
+    # order 1 has no adjoint lattice: its mode-free action is one "m" sum
+    assert seen == ({None, "m"} if order == 1 else {None, "u", "m"})
 
 
 def test_a_sum_finishes_once_and_calls_no_partial_edges(monkeypatch):

@@ -521,7 +521,9 @@ def test_library_defines_no_dense_reference(path):
 #: the count law refuses with ``ShapeError`` through
 #: ``predicted_action_count``, both derivative lattices compile their
 #: chain-rule sums with ``hovd.oracle._program`` and run them with
-#: ``DerivativeEngine._sum``, and a build stage's shared prefixes are worked
+#: ``DerivativeEngine._sum`` from one compiled plan, with no per-part
+#: accumulator (``_accumulate``) and no per-term edge product
+#: (``_edge_product``) beside it, and a build stage's shared prefixes are worked
 #: once because the stage is one broadcast action, not through a lead memo
 #: (``lead_fn``, ``_lead_of``), stride-0 column detection
 #: (``_distinct_columns``) or Hilbert's split spectrum product
@@ -542,6 +544,8 @@ DELETED_NAMES = (
     "times_spectra",
     "_kept_lu_step",
     "whitening_matrix",
+    "_accumulate",
+    "_edge_product",
 )
 
 
@@ -581,6 +585,8 @@ def test_scan_flags_a_deleted_name():
         "lead_fn = times_spectra = None\n"
         "class Oracle:\n    def _lead_of(self):\n        pass\n"
         "class Model:\n    def whitening_matrix(self):\n        pass\n"
+        "def _accumulate(total, coef, x):\n    return x\n"
+        "class Engine:\n    def _edge_product(self, means, idx):\n        pass\n"
     )
     line = source.count("\n") + 1
     assert deleted_names(source + planted) == [
@@ -597,6 +603,8 @@ def test_scan_flags_a_deleted_name():
         (line + 12, "times_spectra"),
         (line + 14, "_lead_of"),
         (line + 17, "whitening_matrix"),
+        (line + 19, "_accumulate"),
+        (line + 22, "_edge_product"),
     ]
     # a use that binds another name is not a definition
     assert deleted_names("x = check_schedule(a)\ny = 'a dense_action'\n") == []
