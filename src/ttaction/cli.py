@@ -347,7 +347,8 @@ def build_parser():
     p_d.add_argument("--rank", type=int, default=None)
     p_d.add_argument("--eps", type=float, default=None,
                      help="relative spectral-error target for the adaptive rank")
-    p_d.add_argument("--max-rank", type=int, default=None)
+    p_d.add_argument("--max-rank", type=int, default=None,
+                     help="rank ceiling of the --eps search (not with --rank)")
     p_d.set_defaults(func=cmd_derivative)
 
     p_t = sub.add_parser(

@@ -56,9 +56,10 @@ def compress_derivative(
     """Compress the whitened order-``order`` derivative tensor at m = 0.
 
     Exactly one of ``rank`` (build once at that rank) and ``eps`` (grow the
-    rank until the relative spectral error drops below it) must be given;
-    a rank below 1, an eps that is not finite and > 0, a ``max_rank`` below
-    2, or a negative ``oversampling`` or ``tau_extra`` raises
+    rank until the relative spectral error drops below it) must be given,
+    and ``max_rank``, the ceiling of that growth, only with ``eps``; a rank
+    below 1, an eps that is not finite and > 0, a ``max_rank`` below 2 or
+    beside a ``rank``, or a negative ``oversampling`` or ``tau_extra`` raises
     :class:`~ttaction.errors.ShapeError` before any solve, and so do ranks
     of the first build that the action-count law refuses.  A grown build
     the law refuses comes after actions were spent, so it ends the search
@@ -82,6 +83,8 @@ def compress_derivative(
         raise ShapeError(f"eps must be finite and > 0, got {eps}")
     if max_rank is not None and max_rank < 2:
         raise ShapeError(f"max_rank must be >= 2, got {max_rank}")
+    if max_rank is not None and rank is not None:
+        raise ShapeError(f"max_rank bounds an eps search; got it with rank={rank}")
     check_slack(oversampling, tau_extra)
     dims = derivative_dims(model, order)
     ceiling = max(build_ranks(dims, 48 if max_rank is None else max_rank))

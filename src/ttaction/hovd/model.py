@@ -13,24 +13,23 @@ Because the coefficient enters through e^m and the reaction is cubic, every
 mixed directional partial of the residual has a short closed form: each
 m-derivative multiplies the edge coefficients by the direction's edge
 average, and u-derivatives beyond the third kill the reaction term.
-``partial_g`` evaluates those forms for a list ``vs`` of m-directions and a
-list ``ws`` of u-directions, optionally with one extra differentiation slot
-left free and the output contracted against a weight vector, as adjoint
-computations need.  It checks its inputs and hands edge arrays to
-``partial_edges``, which a caller holding checked edge arrays (the state
-solve, on a column block of states) calls directly.  The forms live here in
-three pieces: ``edge_operand``, the edge array a flux partial multiplies by
-its edge coefficient product, ``finish_edges``, one finishing operator per
-free slot, and ``reaction_part``, the node-space reaction; ``partial_edges``
-is their composition.  The flux is linear in its operand, so the derivative engine
-adds a whole chain-rule sum's operands in edge space and finishes it once.
-Which pieces a partial has, and so which partials are zero, is stated once,
-in ``partial_pattern``: the operand's factors and the reaction's u-derivative
-order, which ``edge_operand`` and ``reaction_part`` read and which the engine
-compiles its sums from, with the reaction's factors from ``reaction_factor``.
-The observation, linear in u and free of m, has one partial: its transpose,
-``partial_f``.  No method writes to the model, so it keeps no state between
-calls.
+``partial_pattern`` states once which pieces a partial has, and so which
+partials are zero: the flux's edge operand, as its factors, and the
+reaction's u-derivative order.  The pieces themselves are public:
+``finish_edges``, one finishing operator per free slot, turns a flux's edge
+array into a node-space vector, and ``reaction_factor`` is the reaction's
+k-th u-derivative.  ``partial_g`` evaluates a partial for a list ``vs`` of
+m-directions and a list ``ws`` of u-directions, optionally with one extra
+differentiation slot left free and the output contracted against a weight
+vector, as adjoint computations need, by reading the pattern and applying
+the pieces.  The derivative engine compiles its chain-rule sums from the
+same pattern and pieces; the flux is linear in its operand, so a sum adds
+its operands in edge space and finishes once.  The state solve applies
+dG/du as ``finish_edges`` of the edge factors times a step's edge
+differences plus ``reaction_factor(u, 1)`` times the step, on a column block
+of states.  The observation, linear in u and free of m, has one partial:
+its transpose, ``partial_f``.  No method writes to the model, so it keeps
+no state between calls.
 """
 
 from __future__ import annotations
@@ -141,13 +140,6 @@ class ReactionDiffusionModel:
         """Base edge factors exp(mean m) of the flux at base point m."""
         return np.exp(self.edge_means(m))
 
-    def _reaction(self, u, k, ws):
-        """k-th u-derivative of the reaction u^3 - rho, times each of ``ws`` in order."""
-        out = self.reaction_factor(u, k)
-        for w in ws:
-            out = out * w
-        return out
-
     # -- public contract ----------------------------------------------------
 
     def residual(self, m, u):
@@ -172,64 +164,37 @@ class ReactionDiffusionModel:
         derivative is taken in that variable, the output slot is contracted
         with ``weight`` and the new derivative slot is returned free, giving a
         vector in the corresponding space.  No directions with ``free=None``
-        reproduces the residual.  Checks every input, forms the edge arrays
-        and evaluates :meth:`partial_edges`.
+        reproduces the residual.  Checks every input, ``free`` before
+        ``weight``, then applies :meth:`finish_edges` to the edge-coefficient
+        product times the flux operand and adds the reaction, as
+        :meth:`partial_pattern` names them; zeros where it names neither.
         """
         m, u = self._grid(m, "m"), self._grid(u, "u")
         vs = [self._grid(v, "m direction") for v in vs]
         ws = [self._grid(w, "u direction") for w in ws]
+        if free not in (None, "u", "m"):
+            raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
         if free is not None:
             weight = self._grid(weight, "weight")
-            if free not in ("u", "m"):
-                raise ShapeError(f"free must be None, 'u', or 'm', got {free!r}")
-        c = self.edge_factors(m)
-        for v in vs:
-            c = c * self.edge_means(v)
-        # the kernel reads the state's differences only without u-directions
-        du = None if ws else self.edge_differences(u)
-        dws = [self.edge_differences(w) for w in ws]
-        return self.partial_edges(u, du, c, len(vs), ws, dws, weight, free)
-
-    def partial_edges(self, u, du, c, j, ws, dws, weight=None, free=None):
-        """The closed forms of :meth:`partial_g`, on edge arrays; checks nothing.
-
-        ``c`` is the edge-coefficient product: :meth:`edge_factors` at the
-        base point times the :meth:`edge_means` of each of the ``j``
-        m-directions, in order.  ``du`` and ``dws`` are the
-        :meth:`edge_differences` of the state ``u``, read only when ``ws`` is
-        empty, and of each u-direction in ``ws``.  ``weight`` and ``free`` are
-        those of :meth:`partial_g`, ``free`` one of None, ``"u"`` and ``"m"``.
-        The result is :meth:`finish_edges` of ``c`` times
-        :meth:`edge_operand`, plus :meth:`reaction_part` when ``j == 0``, and
-        is zero exactly where :meth:`partial_vanishes` says so.
-        """
-        e = self.edge_operand(du, dws, weight, free)
-        r = self.reaction_part(u, ws, weight, free) if j == 0 else None
-        if e is None:
-            return np.zeros(self.n_u) if r is None else r
-        out = self.finish_edges(c * e, free)
-        return out if r is None else out + r
-
-    @classmethod
-    def edge_operand(cls, du, dws, weight, free):
-        """The edge array a flux partial multiplies by its edge product ``c``.
-
-        ``du``, ``dws``, ``weight`` and ``free`` are those of
-        :meth:`partial_edges`.  The operand is the product of the factors
-        :meth:`partial_pattern` names: the differences ``dw`` of the state (no
-        u-direction) or of the one u-direction for ``free=None``, the weight
-        for ``"u"`` (no u-direction) and ``0.5 * weight * dw`` for ``"m"``.
-        None where the flux, linear in u, has no partial.
-        """
-        operand, _ = cls.partial_pattern(0, len(dws), free)
-        if operand is None:
-            return None
-        scale, differenced = operand
-        dw = (dws[0] if dws else du) if differenced else None
-        if scale is None:
-            return dw
-        w = weight if scale == 1.0 else scale * weight
-        return w if dw is None else w * dw
+        operand, reaction = self.partial_pattern(len(vs), len(ws), free)
+        out = None
+        if operand is not None:
+            scale, differenced = operand
+            e = self.edge_differences(ws[0] if ws else u) if differenced else None
+            if scale is not None:
+                w = weight if scale == 1.0 else scale * weight
+                e = w if e is None else w * e
+            c = self.edge_factors(m)
+            for v in vs:
+                c = c * self.edge_means(v)
+            out = self.finish_edges(c * e, free)
+        if reaction is not None:
+            k, weighted = reaction
+            r = self.reaction_factor(u, k)
+            for w in [*ws, weight] if weighted else ws:
+                r = r * w
+            out = r if out is None else out + r
+        return np.zeros(self.n_u) if out is None else out
 
     def finish_edges(self, t, free=None):
         """The finishing operator of the free slot, on an edge array ``t``.
@@ -245,19 +210,6 @@ class ReactionDiffusionModel:
         if free == "u":
             return (rows - self._gather_t(t)) / self._h2
         return (rows + self._gather_t(t)) / self._h2
-
-    def reaction_part(self, u, ws, weight, free):
-        """The reaction's node-space partial, for no m-direction; None where zero.
-
-        The reaction u^3 - rho is free of m, so it enters a partial only with
-        ``j == 0``: the u-derivative :meth:`partial_pattern` names times
-        ``ws``, and times ``weight`` last for ``free="u"``.
-        """
-        _, reaction = self.partial_pattern(0, len(ws), free)
-        if reaction is None:
-            return None
-        k, weighted = reaction
-        return self._reaction(u, k, [*ws, weight] if weighted else ws)
 
     def reaction_factor(self, u, k):
         """The k-th u-derivative of the reaction u^3 - rho at ``u``; zero past k = 3."""
@@ -283,7 +235,8 @@ class ReactionDiffusionModel:
         m-direction, ``free="m"``, or past its third u-derivative.  Otherwise
         it is (k, weighted): the reaction's k-th u-derivative times the
         u-directions, and times the weight last where ``weighted`` (the free
-        ``"u"`` slot is one u-derivative more).
+        ``"u"`` slot is one u-derivative more).  Where it names neither, the
+        partial is zero.
         """
         if free == "u":
             operand = (1.0, False) if s == 0 else None
@@ -293,15 +246,6 @@ class ReactionDiffusionModel:
         weighted = free == "u"
         reaction = (k, weighted) if j == 0 and free != "m" and k <= 3 else None
         return operand, reaction
-
-    @classmethod
-    def partial_vanishes(cls, j, s, free):
-        """Whether :meth:`partial_edges` is zero for j m- and s u-directions.
-
-        It is zero exactly where :meth:`partial_pattern` names neither a flux
-        operand nor a reaction.
-        """
-        return cls.partial_pattern(j, s, free) == (None, None)
 
     def partial_f(self, weight):
         """The observation's transpose applied to ``weight``, a u-space vector.
@@ -330,7 +274,7 @@ class ReactionDiffusionModel:
         centre = np.broadcast_to(node, self._nbr.shape)
         cols = np.concatenate((node, np.stack((centre, self._nbr), axis=1).ravel()))
         vals = np.concatenate(
-            (self._reaction(u, 1, []), np.stack((cf, -cf), axis=1).ravel())
+            (self.reaction_factor(u, 1), np.stack((cf, -cf), axis=1).ravel())
         )
         return scipy.sparse.coo_matrix(
             (vals, (np.tile(node, 9), cols)), shape=(self.n_u, self.n_u)

@@ -16,6 +16,11 @@ of parameters as one lockstep Newton loop, each column with the steps and
 bits of its solve alone.  This module is the one home of LU work on the
 state Jacobian, the one matrix it factorizes.
 
+Each chain-rule sum is compiled once, from the lattice expansion and the
+model's ``partial_pattern``, into a plan that the engine runs with the
+model's ``finish_edges`` and ``reaction_factor``; the state solve applies
+dG/du through the same two pieces.  Neither calls ``partial_g``.
+
 Lattice nodes are cached by the float64 bytes of the direction vectors, so
 repeating directions within or across actions never repeats a solve, and a
 fully symmetric direction tuple collapses the 2^k lattice to a chain.  Each
@@ -122,11 +127,13 @@ def _kept_lu_steps(model, c, u, res, rnorm, lus, cols, goal):
     """Newton steps J s = -G of columns ``cols`` by refinement sweeps on their LUs.
 
     Each sweep adds ``lus[j].solve(r)`` to column j's step, where r = -G -
-    J s is its linear residual, with J = dG/du at the iterate applied by the
-    model's ``partial_edges`` on the solve's edge factors ``c``.  A column
-    stops once ||r|| <= its ``goal``, or drops out as soon as a sweep fails
-    to halve ||r|| (its LU is too far from J to converge).  Returns the
-    columns that reached their goal and their steps, one column each.
+    J s is its linear residual, with J = dG/du at the iterate: J s is the
+    model's ``finish_edges`` of the solve's edge factors ``c`` times the
+    step's edge differences, plus ``reaction_factor(u, 1)`` times the step.
+    A column stops once ||r|| <= its ``goal``, or drops out as soon as a
+    sweep fails to halve ||r|| (its LU is too far from J to converge).
+    Returns the columns that reached their goal and their steps, one column
+    each.
     """
     res, u, c, goal = res[:, cols], u[:, cols], c[:, :, cols], goal[cols]
     step, lin, lnorm = np.zeros_like(res), -res, rnorm[cols]
@@ -143,7 +150,9 @@ def _kept_lu_steps(model, c, u, res, rnorm, lus, cols, goal):
             return np.concatenate(reached), np.concatenate(steps, axis=1)
         trial = step + _solve(lus, cols, lin)
         dtrial = model.edge_differences(trial)
-        lin = -res - model.partial_edges(u, None, c, 0, [trial], [dtrial])
+        lin = -res - (
+            model.finish_edges(c * dtrial) + model.reaction_factor(u, 1) * trial
+        )
         trial_norm = _column_norms(lin)
         halved = trial_norm <= 0.5 * lnorm
         step, lnorm = trial, trial_norm
@@ -169,13 +178,13 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
     scale)``: a forcing term of the size of ``||G||`` keeps Newton's
     quadratic convergence (Dembo, Eisenstat & Steihaug 1982).  Columns on
     the caller's LU share one multi-RHS solve per sweep.  The sweeps apply
-    dG/du through the model's edge kernel on the edge factors of ``m``,
-    formed once per solve.  Where a column has no LU yet, a sweep fails to
-    halve its linear residual, or the line search rejects its step, it
-    factorizes dG/du at its iterate, takes that exact Newton step and keeps
-    the new LU.  A column stops once ``||G|| < 1e-10 * scale`` with ``scale
-    = max(1, ||rho||)``, the model's source norm; norms are numpy's 1-D
-    norm of each column.
+    dG/du through the model's ``finish_edges`` and ``reaction_factor`` on
+    the edge factors of ``m``, formed once per solve.  Where a column has
+    no LU yet, a sweep fails to halve its linear residual, or the line
+    search rejects its step, it factorizes dG/du at its iterate, takes that
+    exact Newton step and keeps the new LU.  A column stops once ``||G|| <
+    1e-10 * scale`` with ``scale = max(1, ||rho||)``, the model's source
+    norm; norms are numpy's 1-D norm of each column.
     Returns (states, Newton steps summed over the columns), the states of
     ``m``'s shape.  Raises :class:`~ttaction.errors.NewtonError` naming
     the input, and the column of a block, when ``m`` or ``u0`` holds a NaN
@@ -274,59 +283,43 @@ def _indices(j_counts):
 
 
 @lru_cache(maxsize=None)
-def _program(beta, unknown, free, vanishes):
-    """The chain-rule sum of ``beta`` compiled once per (``unknown``, ``free``).
+def _plan(beta, unknown, free, pattern):
+    """The chain-rule sum of ``beta``, compiled once per (``unknown``, ``free``).
 
-    One (indices, parts) entry per term of ``expansion(beta)``, in its
-    order.  Each part (blocks, coefficient, lambda block) is one partial.
-    With ``free=None`` (a forward sum) a term is one part against no
-    adjoint (lambda block None), and the term that is u^``unknown`` alone,
-    the solve's unknown, is left out.  With ``free="u"`` or ``"m"`` (an
-    adjoint sum) a term is first itself against the base adjoint
-    sensitivity (the zero block), then one split per distinct block, which
-    moves one copy of it onto its adjoint sensitivity at the coefficient
-    times its multiplicity, the rest keeping their order; the term that is
-    lambda^``unknown`` alone has no split.  Parts that ``vanishes(j, s,
-    free)``, the model's zero pattern for j m- and s u-directions, drops
-    are left out, and so are terms left with none.  The engine runs it
-    through :func:`_plan`, which resolves each part to its pieces once.
+    Walks the terms of ``expansion(beta)`` in order; each part of a term is
+    one partial.  With ``free=None`` (a forward sum) a term is one part
+    against no adjoint, and the term that is u^``unknown`` alone, the
+    solve's unknown, is left out.  With ``free="u"`` or ``"m"`` (an adjoint
+    sum) a term is first itself against the base adjoint sensitivity (the
+    zero block), then one split per distinct block, which moves one copy of
+    it onto its adjoint sensitivity at the coefficient times its
+    multiplicity, the rest keeping their order; the term that is
+    lambda^``unknown`` alone has no split.  The model's ``pattern``
+    (``partial_pattern``) resolves each part, for its j m- and s
+    u-directions, to its flux operand and reaction piece; a part it names
+    neither of is zero and left out.  Returns (flux, reaction).  ``flux``
+    holds one (indices, parts) entry per term with a flux operand, in
+    order: the direction index of every explicit m slot, and each part as
+    (coefficient, scale, weight block, difference block), its operand
+    ``scale`` times the adjoint sensitivity of the weight block (no weight
+    where ``scale`` is None), times the edge differences of the difference
+    block's sensitivity (none where it is None; the zero block's is the
+    state).  ``reaction`` holds each reaction piece, (coefficient,
+    u-derivative order, blocks, weight block or None), in order.
     """
-    zero = None if free is None else (0,) * len(beta)
-    program = []
+    zero = (0,) * len(beta)
+    flux, reaction = [], []
     for (j_counts, blocks), coef in expansion(beta):
-        j, s = sum(j_counts), len(blocks)
-        alone = not j and blocks == (unknown,)
+        idx = _indices(j_counts)
+        alone = not idx and blocks == (unknown,)
         parts = []
-        if not (free is None and alone) and not vanishes(j, s, free):
-            parts.append((blocks, coef, zero))
-        if free is not None and not alone and not vanishes(j, s - 1, free):
+        if not (free is None and alone):
+            parts.append((blocks, coef, None if free is None else zero))
+        if free is not None and not alone:
             for block, mult in Counter(blocks).items():
                 rest = list(blocks)
                 rest.remove(block)
                 parts.append((tuple(rest), coef * mult, block))
-        if parts:
-            program.append((_indices(j_counts), tuple(parts)))
-    return tuple(program)
-
-
-@lru_cache(maxsize=None)
-def _plan(beta, unknown, free, vanishes, pattern):
-    """``_program(beta, unknown, free, vanishes)`` resolved to its pieces once.
-
-    The model's ``pattern`` (``partial_pattern``) settles, for each part, its
-    flux operand and its reaction piece.  Returns (flux, reaction).
-    ``flux`` holds one (indices, parts) entry per program entry with a flux
-    operand, in program order, each part (coefficient, scale, weight block,
-    difference block): its operand is ``scale`` times the adjoint
-    sensitivity of the weight block (no weight where ``scale`` is None),
-    times the edge differences of the difference block's sensitivity (none
-    where it is None; the zero block's is the state).  ``reaction`` holds
-    each reaction piece, (coefficient, u-derivative order, blocks, weight
-    block or None), in program order.
-    """
-    zero = (0,) * len(beta)
-    flux, reaction = [], []
-    for idx, parts in _program(beta, unknown, free, vanishes):
         compiled = []
         for blocks, coef, lam in parts:
             operand, react = pattern(len(idx), len(blocks), free)
@@ -369,15 +362,14 @@ class DerivativeEngine:
     observation's only partial (``partial_f`` once per distinct weight q),
     and the adjoint sums run over the residual's partials alone.  Forward
     and adjoint chain-rule sums are one sum, :meth:`_sum`, over one plan
-    compiled once per (node, unknown, free slot) by :func:`_plan` from
-    :func:`_program`: the direction indices of every term and, for the
-    adjoint, each term's split of one block onto its adjoint sensitivity, in
-    the expansion's order, without the terms the model's
-    ``partial_vanishes`` drops, each part resolved by the model's
-    ``partial_pattern`` to its flux operand and reaction piece.  The lattice
-    levels come cached from ``sub_multisets``.  A sum adds its terms in edge
-    space and applies the model's ``finish_edges`` once, with no
-    ``partial_edges`` call.  Its arrays the engine forms itself: the base
+    compiled once per (node, unknown, free slot) by :func:`_plan`: the
+    direction indices of every term and, for the adjoint, each term's split
+    of one block onto its adjoint sensitivity, in the expansion's order,
+    each part resolved by the model's ``partial_pattern`` to its flux
+    operand and reaction piece, and left out where it names neither.  The
+    lattice levels come cached from ``sub_multisets``.  A sum adds its terms
+    in edge space and applies the model's ``finish_edges`` once, with no
+    ``partial_g`` call.  Its arrays the engine forms itself: the base
     point's edge factors, state differences and reaction factors
     (``reaction_factor`` of every u-derivative order a part can take) once
     per engine; each distinct direction's edge means once per cache; each
@@ -466,9 +458,7 @@ class DerivativeEngine:
         part: the term whose directions all take the explicit m slot.
         """
         model = self.model
-        flux, reaction = _plan(
-            beta, unknown, free, model.partial_vanishes, model.partial_pattern
-        )
+        flux, reaction = _plan(beta, unknown, free, model.partial_pattern)
         edges = None
         for idx, parts in flux:
             total = None

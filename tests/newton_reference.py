@@ -29,16 +29,19 @@ def _kept_lu_step(model, c, u, res, rnorm, lu, goal):
     """Newton step J s = -G solved by refinement sweeps on the LU in hand.
 
     Each sweep adds ``lu.solve(r)`` to the step, where r = -G - J s is the
-    linear residual, with J = dG/du at the iterate applied by the model's
-    ``partial_edges`` on the solve's edge factors ``c``.  Returns the step
-    once ||r|| <= ``goal``, or None as soon as a sweep fails to halve ||r||
-    (the LU is too far from J to converge).
+    linear residual, with J = dG/du at the iterate: J s is the model's
+    ``finish_edges`` of the solve's edge factors ``c`` times the step's edge
+    differences, plus ``reaction_factor(u, 1)`` times the step.  Returns the
+    step once ||r|| <= ``goal``, or None as soon as a sweep fails to halve
+    ||r|| (the LU is too far from J to converge).
     """
     step, lin, lnorm = 0.0, -res, rnorm
     while lnorm > goal:
         trial = step + lu.solve(lin)
         dtrial = model.edge_differences(trial)
-        trial_lin = -res - model.partial_edges(u, None, c, 0, [trial], [dtrial])
+        trial_lin = -res - (
+            model.finish_edges(c * dtrial) + model.reaction_factor(u, 1) * trial
+        )
         trial_norm = float(np.linalg.norm(trial_lin))
         if not trial_norm <= 0.5 * lnorm:
             return None
@@ -56,12 +59,12 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
     solve factorized, to a linear residual of ``||G|| * min(0.5, ||G|| /
     scale)``: a forcing term of the size of ``||G||`` keeps Newton's
     quadratic convergence (Dembo, Eisenstat & Steihaug 1982).  The sweeps
-    apply dG/du through the model's edge kernel on the edge factors of
-    ``m``, formed once per solve.  With no LU yet, a sweep that fails to
-    halve the linear residual, or a step the line search rejects, the solve
-    factorizes dG/du at the iterate, takes that exact Newton step and keeps
-    the new LU.  Iterates until ``||G|| < 1e-10 * scale`` with ``scale =
-    max(1, ||rho||)``, the model's source norm.
+    apply dG/du through the model's ``finish_edges`` and ``reaction_factor``
+    on the edge factors of ``m``, formed once per solve.  With no LU yet, a
+    sweep that fails to halve the linear residual, or a step the line search
+    rejects, the solve factorizes dG/du at the iterate, takes that exact
+    Newton step and keeps the new LU.  Iterates until ``||G|| < 1e-10 *
+    scale`` with ``scale = max(1, ||rho||)``, the model's source norm.
     Returns (state, Newton steps taken); raises
     :class:`~ttaction.errors.NewtonError` naming the input when ``m`` or
     ``u0`` holds a NaN or an infinity, before any residual is formed, when

@@ -280,6 +280,14 @@ def test_derivative_requires_one_target(tmp_path):
     assert main(base + ["--eps", "0"]) == 2
 
 
+def test_derivative_refuses_max_rank_with_rank(tmp_path, capsys):
+    # a fixed rank is built as given, so a ceiling beside it would be ignored
+    argv = ["derivative", "--n", "5", "--rank", "6", "--max-rank", "3"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "max_rank bounds an eps search" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_derivative_unreachable_eps_exits_three(tmp_path):
     code = main(
         [

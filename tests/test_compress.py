@@ -127,6 +127,7 @@ def test_validation(monkeypatch):
         {"eps": 0.1, "oversampling": -1},
         {"eps": 0.1, "tau_extra": -2},
         {"rank": 4, "tau_extra": -1},
+        {"rank": 4, "max_rank": 3},
     ):
         with pytest.raises(ShapeError):
             compress_derivative(model, order=2, **kwargs)

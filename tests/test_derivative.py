@@ -8,7 +8,14 @@ import weakref
 import numpy as np
 import pytest
 
-from chain_rule_reference import per_part_sum, summed_sum
+from chain_rule_reference import (
+    finish_part,
+    indices,
+    part_pieces,
+    per_part_sum,
+    program,
+    summed_sum,
+)
 from ttaction.errors import NewtonError, NonFiniteActionError, ShapeError
 from ttaction.hovd import oracle as oracle_module
 from ttaction.hovd import (
@@ -83,8 +90,9 @@ def test_whitened_evaluate_refuses_a_non_finite_draw(bad):
 
 
 def test_state_solve_makes_no_partial_g_call(monkeypatch):
-    # Newton's refinement sweeps apply dG/du through the edge kernel on the
-    # solve's own edge factors, not through the checked partial_g
+    # Newton's refinement sweeps apply dG/du through finish_edges and
+    # reaction_factor on the solve's own edge factors, not through the
+    # checked partial_g
     model = ReactionDiffusionModel(6)
     u0, _, lu = oracle_module._base_point(model)
     calls, original = [], ReactionDiffusionModel.partial_g
@@ -756,60 +764,51 @@ def multisets_through(order):
 
 
 def test_compiled_programs_reproduce_the_expansion():
-    # every term of expansion(beta) that the model's zero pattern keeps, in
-    # order and with its coefficient; the unknown term left out exactly once
+    # every compiled plan is the reference program of expansion(beta), in
+    # order and with its coefficients, each part resolved through the
+    # model's partial_pattern and the parts it names no piece of left out;
+    # the unknown term is left out of a forward sum exactly once
     from ttaction.hovd.lattice import expansion
 
-    vanishes = ReactionDiffusionModel.partial_vanishes
+    pattern = ReactionDiffusionModel.partial_pattern
     betas = multisets_through(5)
     assert len(betas) > 100 and max(sum(b) for b in betas) == 5
     dropped = 0
     for beta in betas:
         terms = expansion(beta)
-        unknown = (((0,) * len(beta), (beta,)), 1)
-        assert terms.count(unknown) == 1
-        # a forward term is one part against no adjoint
-        forward = oracle_module._program(beta, beta, None, vanishes)
-        assert all(len(parts) == 1 and parts[0][2] is None for _, parts in forward)
-        assert [
-            (tuple(np.bincount(idx, minlength=len(beta))), *parts[0][:2])
-            for idx, parts in forward
-        ] == [
-            (j, blocks, coef)
-            for (j, blocks), coef in terms
-            if (j, blocks) != unknown[0] and not vanishes(sum(j), len(blocks), None)
-        ]
-        assert all(list(idx) == sorted(idx) for idx, _ in forward)
-        dropped += len(terms) - 1 - len(forward)
         zero = (0,) * len(beta)
-        for left_out, free in ((beta, "u"), (None, "m")):
-            want = []
-            for (j, blocks), coef in terms:
-                # the term itself against the base adjoint, then one split
-                # per distinct block: one copy moved, the rest in order
-                parts = []
-                if not vanishes(sum(j), len(blocks), free):
-                    parts.append((blocks, coef, zero))
-                if (left_out is None or (j, blocks) != unknown[0]) and not vanishes(
-                    sum(j), len(blocks) - 1, free
-                ):
-                    for block in dict.fromkeys(blocks):
-                        rest = list(blocks)
-                        rest.remove(block)
-                        parts.append((tuple(rest), coef * blocks.count(block), block))
-                if parts:
-                    want.append((j, tuple(parts)))
-            adjoint = oracle_module._program(beta, left_out, free, vanishes)
-            assert [
-                (tuple(np.bincount(idx, minlength=len(beta))), parts)
-                for idx, parts in adjoint
-            ] == want
+        unknown = ((zero, (beta,)), 1)
+        assert terms.count(unknown) == 1
+        forward = program(beta, beta, None)
+        assert len(forward) == len(terms) - 1
+        assert all(len(parts) == 1 and parts[0][2] is None for _, parts in forward)
+        for left_out, free in ((beta, None), (beta, "u"), (None, "m")):
+            flux, reaction = [], []
+            for j, parts in program(beta, left_out, free):
+                idx = indices(j)
+                compiled = []
+                for blocks, coef, lam in parts:
+                    operand, react = pattern(sum(j), len(blocks), free)
+                    if operand is not None:
+                        scale, differenced = operand
+                        diff = (blocks[0] if blocks else zero) if differenced else None
+                        compiled.append((coef, scale, lam, diff))
+                    if react is not None:
+                        k, weighted = react
+                        reaction.append((coef, k, blocks, lam if weighted else None))
+                    dropped += (operand, react) == (None, None)
+                if compiled:
+                    flux.append((idx, tuple(compiled)))
+            plan = oracle_module._plan(beta, left_out, free, pattern)
+            assert plan == (tuple(flux), tuple(reaction)), (beta, free)
+            assert all(list(idx) == sorted(idx) for idx, _ in plan[0])
     assert dropped > 0
 
 
 def test_engine_edge_arrays_reproduce_partial_g():
-    # the engine's base-point edge arrays, direction edge means and node edge
-    # differences give partial_g's bytes at the engine's base point
+    # the engine's base-point edge arrays and reaction factors, direction
+    # edge means and node edge differences, finished by the model's
+    # finish_edges, give partial_g's bytes at the engine's base point
     model = ReactionDiffusionModel(5)
     engine = DerivativeEngine(model, 3)
     rng = np.random.default_rng(24)
@@ -822,9 +821,10 @@ def test_engine_edge_arrays_reproduce_partial_g():
         c = products[tuple(range(j))]
         for s in range(4):
             for free in (None, "u", "m"):
-                got = model.partial_edges(
-                    engine.u0, engine._du0, c, j, ws[:s], dws[:s], z, free
+                e, r = part_pieces(
+                    model, engine._r0, engine._du0, ws[:s], dws[:s], j, z, free
                 )
+                got = finish_part(model, c, e, r, free)
                 want = model.partial_g(
                     engine.m0, engine.u0, vs[:j], ws[:s], weight=z, free=free
                 )
@@ -862,18 +862,28 @@ def test_summed_chain_rule_matches_the_per_part_sum(order, whitened):
     # every forward, adjoint and mode-free sum of a walk, summed in edge space
     # and finished once, is the per-part sum to within 100 float64 epsilons
     # relative (2.2e-14; at most 1.1e-15 measured)
+    from ttaction.hovd.lattice import canonical_directions
+
     model = ReactionDiffusionModel(5)
-    engine = DerivativeEngine(model, order, WhitenedMap(model) if whitened else None)
-    summed, worst = engine._sum, {}
+    whitener = WhitenedMap(model) if whitened else None
+    engine = DerivativeEngine(model, order, whitener)
+    canonical, summed, worst = engine._canonical, engine._sum, {}
+
+    def tagged(directions, count):
+        # the unique directions whose edge means the sums read, smoothed alike
+        counts, keys, products = canonical(directions, count)
+        unique, _, _ = canonical_directions(directions)
+        products.directions = [v if whitener is None else whitener.apply(v) for v in unique]
+        return counts, keys, products
 
     def both(products, beta, values, diffs, unknown, free=None, lams=None):
         got = summed(products, beta, values, diffs, unknown, free, lams)
-        want = per_part_sum(engine, products.means, beta, values, diffs, unknown, free, lams)
+        want = per_part_sum(engine, products.directions, beta, values, unknown, free, lams)
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         worst[free] = max(worst.get(free, 0.0), err)
         return got
 
-    engine._sum = both
+    engine._canonical, engine._sum = tagged, both
     rng = np.random.default_rng(27)
     a, b, c, d, e = (rng.standard_normal(model.n_m) for _ in range(5))
     q = rng.standard_normal(model.n_q)
@@ -888,8 +898,8 @@ def test_summed_chain_rule_matches_the_per_part_sum(order, whitened):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_compiled_sums_equal_the_summed_reference_bit_for_bit(order, whitened):
     # every sum of a walk, run from its compiled plan, has the bits of the
-    # engine's sum before compilation: per-part edge_operand and reaction_part
-    # calls added with _accumulate
+    # engine's sum before compilation: each part's pieces formed as it is
+    # met and added with _accumulate
     model = ReactionDiffusionModel(5)
     engine = DerivativeEngine(model, order, WhitenedMap(model) if whitened else None)
     compiled, seen = engine._sum, set()
@@ -912,10 +922,10 @@ def test_compiled_sums_equal_the_summed_reference_bit_for_bit(order, whitened):
     assert seen == ({None, "m"} if order == 1 else {None, "u", "m"})
 
 
-def test_a_sum_finishes_once_and_calls_no_partial_edges(monkeypatch):
+def test_a_sum_finishes_once_and_calls_no_partial_g(monkeypatch):
     model = ReactionDiffusionModel(5)
     engine = DerivativeEngine(model, 4)  # solves the base point first
-    calls = {"partial_edges": 0, "finish_edges": 0, "_sum": 0}
+    calls = {"partial_g": 0, "finish_edges": 0, "_sum": 0}
 
     def spy(owner, name):
         original = getattr(owner, name)
@@ -926,26 +936,23 @@ def test_a_sum_finishes_once_and_calls_no_partial_edges(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(ReactionDiffusionModel, "partial_edges")
+    spy(ReactionDiffusionModel, "partial_g")
     spy(ReactionDiffusionModel, "finish_edges")
     spy(DerivativeEngine, "_sum")
     rng = np.random.default_rng(28)
     a, b, c = (rng.standard_normal(model.n_m) for _ in range(3))
     engine.output_free([a, b, c, c])
     engine.mode_free([a, b, b], rng.standard_normal(model.n_q))
-    assert calls["partial_edges"] == 0
+    assert calls["partial_g"] == 0
     assert calls["finish_edges"] == calls["_sum"] > 0
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
-def test_solve_counts_and_bits_do_not_depend_on_dropped_zero_terms(monkeypatch, order):
-    # the programs leave out the partials the model declares zero; that
-    # changes no solve count and no bit of any action
+def test_solve_counts_and_bits_do_not_depend_on_dropped_zero_terms(order):
+    # the plans leave out the partials the model's pattern names no piece
+    # of; the solve counts are those of the full lattice, and a second walk
+    # on plans compiled afresh repeats every bit
     out, counts = engine_walk(order)
     assert counts == WALK_SOLVES[order]
-    # the compiled programs are keyed by the zero pattern, so this one
-    # compiles its own
-    monkeypatch.setattr(
-        ReactionDiffusionModel, "partial_vanishes", staticmethod(lambda j, s, free: False)
-    )
+    oracle_module._plan.cache_clear()
     assert engine_walk(order) == (out, counts)

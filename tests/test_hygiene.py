@@ -336,8 +336,8 @@ def test_no_cap_read_outside_build_ranks(path):
 def model_private_names(source):
     """Private names of ``ReactionDiffusionModel``: methods and ``self.`` attributes.
 
-    Dunder names are left out; ``_grid``, ``_gather_t``, ``_reaction``,
-    ``_h2`` and ``_nbr`` are the pieces the closed forms are built from.
+    Dunder names are left out; ``_grid``, ``_gather_t``, ``_h2`` and
+    ``_nbr`` are the pieces the closed forms are built from.
     """
     [model] = [
         node
@@ -361,11 +361,14 @@ def model_private_names(source):
     return names
 
 
-#: The model's private names, and ``_divergence``, the flux divergence's
-#: name before ``finish_edges`` took it in, so a copy kept under it is
-#: flagged too.
+#: The model's private names, and two former ones, so that a copy kept
+#: under them is flagged too: ``_divergence``, the flux divergence's name
+#: before ``finish_edges`` took it in, and ``_reaction``, the reaction's
+#: u-derivative times its directions before ``reaction_factor`` served
+#: every caller.
 MODEL_PRIVATE = model_private_names((PACKAGE / "hovd" / "model.py").read_text()) | {
-    "_divergence"
+    "_divergence",
+    "_reaction",
 }
 
 
@@ -374,8 +377,9 @@ def closed_form_reads(source):
 
     The residual's closed forms have one home, ``hovd/model.py``; the
     derivative engine and the state solve call its public pieces
-    (``partial_edges``, ``edge_operand``, ``finish_edges``,
-    ``reaction_part``) and copy none of them.
+    (``partial_pattern``, ``finish_edges``, ``reaction_factor`` and the
+    edge arrays ``edge_factors``, ``edge_means`` and ``edge_differences``)
+    and copy none of them.
     """
     return sorted(
         node.lineno
@@ -520,12 +524,16 @@ def test_library_defines_no_dense_reference(path):
 #: Second paths that were deleted: the dense entry is ``oracle_from_dense``,
 #: the count law refuses with ``ShapeError`` through
 #: ``predicted_action_count``, both derivative lattices compile their
-#: chain-rule sums with ``hovd.oracle._program`` and run them with
-#: ``DerivativeEngine._sum`` from one compiled plan, with no per-part
-#: accumulator (``_accumulate``) and no per-term edge product
-#: (``_edge_product``) beside it, and a build stage's shared prefixes are worked
-#: once because the stage is one broadcast action, not through a lead memo
-#: (``lead_fn``, ``_lead_of``), stride-0 column detection
+#: chain-rule sums in one stage, ``hovd.oracle._plan``, which reads the
+#: model's ``partial_pattern`` with no separate term program (``_program``)
+#: or zero filter (``partial_vanishes``), and run them with
+#: ``DerivativeEngine._sum`` from that plan, with no per-part accumulator
+#: (``_accumulate``) and no per-term edge product (``_edge_product``) beside
+#: it, the model evaluates a partial in ``partial_g`` alone, with no second
+#: interpreter of the pattern on edge arrays (``partial_edges``,
+#: ``edge_operand``, ``reaction_part``), a build stage's shared prefixes are
+#: worked once because the stage is one broadcast action, not through a lead
+#: memo (``lead_fn``, ``_lead_of``), stride-0 column detection
 #: (``_distinct_columns``) or Hilbert's split spectrum product
 #: (``times_spectra``), a state solve is one lockstep loop over a column
 #: block, with no per-vector sweep (``_kept_lu_step``) beside it, and the
@@ -546,6 +554,11 @@ DELETED_NAMES = (
     "whitening_matrix",
     "_accumulate",
     "_edge_product",
+    "_program",
+    "partial_vanishes",
+    "partial_edges",
+    "edge_operand",
+    "reaction_part",
 )
 
 
@@ -587,6 +600,10 @@ def test_scan_flags_a_deleted_name():
         "class Model:\n    def whitening_matrix(self):\n        pass\n"
         "def _accumulate(total, coef, x):\n    return x\n"
         "class Engine:\n    def _edge_product(self, means, idx):\n        pass\n"
+        "@lru_cache(maxsize=None)\ndef _program(beta, unknown, free):\n    pass\n"
+        "class Model:\n    partial_vanishes = classmethod(lambda cls, j, s, f: False)\n"
+        "    def partial_edges(self, u, du, c, j, ws, dws):\n        pass\n"
+        "    edge_operand = reaction_part = None\n"
     )
     line = source.count("\n") + 1
     assert deleted_names(source + planted) == [
@@ -605,6 +622,11 @@ def test_scan_flags_a_deleted_name():
         (line + 17, "whitening_matrix"),
         (line + 19, "_accumulate"),
         (line + 22, "_edge_product"),
+        (line + 25, "_program"),
+        (line + 28, "partial_vanishes"),
+        (line + 29, "partial_edges"),
+        (line + 31, "edge_operand"),
+        (line + 31, "reaction_part"),
     ]
     # a use that binds another name is not a definition
     assert deleted_names("x = check_schedule(a)\ny = 'a dense_action'\n") == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from chain_rule_reference import finish_part, part_pieces
 from ttaction.hovd.model import ReactionDiffusionModel
 from ttaction.hovd.oracle import WhitenedMap, solve_state
 from ttaction.errors import ShapeError
@@ -115,6 +116,12 @@ def test_fourth_u_derivative_vanishes():
     np.testing.assert_array_equal(model.partial_g(m, u, [], ws), np.zeros(model.n_u))
 
 
+def solve_jacobian_product(model, m, u, s):
+    """J s as the state solve forms it, on a flat vector or a column block."""
+    flux = model.finish_edges(model.edge_factors(m) * model.edge_differences(s))
+    return flux + model.reaction_factor(u, 1) * s
+
+
 def test_jacobian_u_matches_directional_partial():
     model, rng, m, u = make(6, seed=4)
     jac = model.jacobian_u(m, u)
@@ -122,6 +129,16 @@ def test_jacobian_u_matches_directional_partial():
     np.testing.assert_allclose(
         jac @ w, model.partial_g(m, u, [], [w]), atol=1e-11
     )
+    js = solve_jacobian_product(model, m, u, w)
+    np.testing.assert_allclose(jac @ w, js, atol=1e-11)
+    # every column of a block, each at its own (m, u)
+    mb = 0.3 * rng.standard_normal((model.n_m, 3))
+    ub = 0.5 * rng.standard_normal((model.n_u, 3))
+    sb = rng.standard_normal((model.n_u, 3))
+    js = solve_jacobian_product(model, mb, ub, sb)
+    for j in range(3):
+        want = model.jacobian_u(mb[:, j], ub[:, j]) @ sb[:, j]
+        np.testing.assert_allclose(js[:, j], want, atol=1e-11)
 
 
 def test_base_point_memo_follows_m():
@@ -196,15 +213,16 @@ def test_free_m_is_dual_to_m_direction(n, n_dirs):
 
 
 def test_edge_kernel_matches_partial_g_and_its_zero_pattern():
-    # partial_edges on edge arrays formed as the derivative engine forms
-    # them returns partial_g's bytes, and is all zeros exactly where
-    # partial_vanishes says so
+    # the public pieces partial_pattern names, finish_edges of the edge
+    # product times the flux operand plus the reaction, give partial_g's
+    # bytes, which are all zeros exactly where the pattern names neither
     model, rng, m, u = make(5, seed=16)
     vs = [rng.standard_normal(model.n_m) for _ in range(5)]
     ws = [rng.standard_normal(model.n_u) for _ in range(5)]
     z = rng.standard_normal(model.n_u)
     du = model.edge_differences(u)
     dws = [model.edge_differences(w) for w in ws]
+    factors = [model.reaction_factor(u, k) for k in range(4)]
     zeros = set()
     for j in range(6):
         c = model.edge_factors(m)
@@ -212,12 +230,14 @@ def test_edge_kernel_matches_partial_g_and_its_zero_pattern():
             c = c * model.edge_means(v)
         for s in range(6):
             for free in (None, "u", "m"):
-                got = model.partial_edges(u, du, c, j, ws[:s], dws[:s], z, free)
+                e, r = part_pieces(model, factors, du, ws[:s], dws[:s], j, z, free)
+                got = finish_part(model, c, e, r, free)
                 want = model.partial_g(m, u, vs[:j], ws[:s], weight=z, free=free)
                 assert got.tobytes() == want.tobytes(), (j, s, free)
-                if not got.any():
+                if not want.any():
                     zeros.add((j, s, free))
-                assert model.partial_vanishes(j, s, free) == ((j, s, free) in zeros)
+                named = model.partial_pattern(j, s, free) != (None, None)
+                assert named == ((j, s, free) not in zeros)
     assert len(zeros) == 22 + 28 + 24  # free None, "u" and "m"
 
 
@@ -400,6 +420,9 @@ def test_validation():
         model.partial_g(m, u, [], [u, np.zeros(model.n_u - 1)])
     with pytest.raises(ShapeError):
         model.partial_g(m, u, weight=u, free="q")
+    # a bad free slot is named before the weight it would contract
+    with pytest.raises(ShapeError, match="free must be None, 'u', or 'm', got 'x'"):
+        model.partial_g(m, u, free="x")
     # observation vectors of the wrong length: one too long used to return
     # n_q values, one too short to raise IndexError, a short weight a bare
     # broadcast ValueError
@@ -433,8 +456,10 @@ def test_grid_shaped_vectors_are_refused():
 
 
 def test_column_blocks_act_bitwise_as_their_columns():
-    # the residual, the observation and the edge kernel take an (n^2, b)
-    # block of fields, one column each, with every column's bits
+    # the residual, the observation and the edge kernels (finish_edges with
+    # no free slot, reaction_factor and the state solve's J s formed from
+    # them) take an (n^2, b) block of fields, one column each, with every
+    # column's bits
     model, rng, _, _ = make(6, seed=14)
     m = 0.3 * rng.standard_normal((model.n_m, 3))
     u = 0.5 * rng.standard_normal((model.n_u, 3))
@@ -444,9 +469,10 @@ def test_column_blocks_act_bitwise_as_their_columns():
     res = model.residual(m, u)
     q = model.qoi(u)
     kernels = [
-        model.partial_edges(u, model.edge_differences(u), c, 0, [], []),
-        model.partial_edges(u, None, c, 0, [w], [dw]),
-        model.partial_edges(u, None, c, 0, [w, w], [dw, dw]),
+        model.finish_edges(c * model.edge_differences(u)),
+        model.finish_edges(c * dw),
+        *(model.reaction_factor(u, k) for k in range(3)),
+        model.finish_edges(c * dw) + model.reaction_factor(u, 1) * w,
     ]
     assert res.shape == (model.n_u, 3) and q.shape == (model.n_q, 3)
     for j in range(3):
@@ -455,9 +481,10 @@ def test_column_blocks_act_bitwise_as_their_columns():
         np.testing.assert_array_equal(res[:, j], model.residual(mj, uj))
         np.testing.assert_array_equal(q[:, j], model.qoi(uj))
         singles = [
-            model.partial_edges(uj, model.edge_differences(uj), cj, 0, [], []),
-            model.partial_edges(uj, None, cj, 0, [wj], [dwj]),
-            model.partial_edges(uj, None, cj, 0, [wj, wj], [dwj, dwj]),
+            model.finish_edges(cj * model.edge_differences(uj)),
+            model.finish_edges(cj * dwj),
+            *(model.reaction_factor(uj, k) for k in range(3)),
+            model.finish_edges(cj * dwj) + model.reaction_factor(uj, 1) * wj,
         ]
         for block, single in zip(kernels, singles):
             np.testing.assert_array_equal(block[:, j], single)
