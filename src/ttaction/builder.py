@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import TensorTrain, prefix_contract, rank_list, subseed, unfolding_caps
+from .core import TensorTrain, _check_dims, prefix_contract, rank_list, subseed, unfolding_caps
 from .errors import BuildStageError, InterpolationError, ShapeError
 from .rangefinder import (
     DEFAULT_OVERSAMPLING,
@@ -145,8 +145,11 @@ def build_ranks(dims, ranks):
 
     Each r_k is cut at its unfolding's cap (:func:`unfolding_caps`) and at
     the r_{k-1} N_k rows stage k samples, r_{k-1} already cut; the build
-    realizes exactly these ranks.  A scalar rank is broadcast.
+    realizes exactly these ranks.  A scalar rank is broadcast.  Mode sizes
+    are checked first (:func:`~ttaction.core._check_dims`), so the law, builds
+    and their callers refuse a shape no train can have with one message.
     """
+    dims = _check_dims(dims)
     realized, rows = [], 1
     for n, r, cap in zip(dims, rank_list(ranks, len(dims)), unfolding_caps(dims)):
         rows = min(r, cap, rows * n)

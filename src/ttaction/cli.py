@@ -137,8 +137,6 @@ def _seconds(args, value):
 def cmd_hilbert(args):
     if args.max_rank < 2:
         raise ShapeError(f"--max-rank must be >= 2, got {args.max_rank}")
-    if len(args.dims) < 2 or min(args.dims) < 2:
-        raise ShapeError(f"--dims must be at least 2 modes of size >= 2: {args.dims}")
     dims = args.dims
     ranks = range(2, args.max_rank + 1)
     # the count law reads only the arguments, so a rank it refuses is

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 import zlib
 from functools import reduce
 
@@ -27,7 +26,6 @@ import scipy.linalg
 from .errors import (
     FormatError,
     NonFiniteActionError,
-    RankClampWarning,
     ShapeError,
     VersionError,
     ZeroNormError,
@@ -56,7 +54,8 @@ def _check_vectors(dims, free_mode, vectors):
     ``free_mode`` must lie in 1..d.  Entry k is an (N_k,) vector or an
     (N_k, *batch_k) array whose trailing axes index independent actions.
     The batch shapes must broadcast, as numpy arrays do, to one shape B
-    without a zero axis.  Returns the entries, each (N_k, *batch_k) with
+    without a zero axis.  A complex array entry is refused by its position,
+    not cast to its real part.  Returns the entries, each (N_k, *batch_k) with
     batch_k padded by leading 1s to the length of B, and B.  With B = ()
     (every entry a vector) each entry comes back as an (N_k, 1) block.
     Equal batch shapes, the common case, skip the broadcast.
@@ -70,7 +69,13 @@ def _check_vectors(dims, free_mode, vectors):
             f"with free mode {free_mode}, got {len(vectors)}"
         )
     blocks, batch, bad, same = [], None, False, True
-    for n, v in zip(other, vectors):
+    for i, (n, v) in enumerate(zip(other, vectors), start=1):
+        if isinstance(v, np.ndarray) and v.dtype.kind == "c":
+            mode = i if i < free_mode else i + 1
+            raise ShapeError(
+                f"saturating entry {i} (mode {mode}) is complex; actions take "
+                "real entries"
+            )
         v = np.asarray(v, dtype=float)
         shape = v.shape
         if not shape or shape[0] != n:
@@ -211,12 +216,15 @@ class TensorTrain:
 
     Boundary ranks are fixed to 1, so a d-mode train is the core chain
     (1, N_1, r_1), (r_1, N_2, r_2), ..., (r_{d-1}, N_d, 1), with every mode
-    size and internal rank at least 1.  The represented
+    size and internal rank at least 1, and real cores.  The represented
     entry is the product of the selected core slices:
     ``T[i_1, ..., i_d] = C_1[:, i_1, :] @ C_2[:, i_2, :] @ ... @ C_d[:, i_d, :]``.
     """
 
     def __init__(self, cores):
+        for k, c in enumerate(cores, start=1):
+            if isinstance(c, np.ndarray) and c.dtype.kind == "c":
+                raise ShapeError(f"core {k} is complex; a train holds real cores")
         cores = [np.ascontiguousarray(c, dtype=float) for c in cores]
         if len(cores) < 2:
             raise ShapeError("a tensor train needs at least 2 cores")
@@ -394,22 +402,14 @@ def fix_signs(u, companion):
     return u, companion
 
 
-def _truncated_svd(mat, rank=None, warn_label="rank"):
+def _truncated_svd(mat, rank=None):
     """Thin SVD of ``mat`` truncated to ``rank`` (default: full), signs fixed.
 
-    A rank beyond ``min(mat.shape)`` is clamped with a
-    :class:`~ttaction.errors.RankClampWarning`.  Returns (U_r, s_r, V_r^T).
+    ``rank`` is an upper bound: min(rank, *mat.shape) triplets are kept.
+    Returns (U_r, s_r, V_r^T).
     """
     u, s, vt = scipy.linalg.svd(mat, full_matrices=False, check_finite=False)
-    keep = full = min(mat.shape)
-    if rank is not None:
-        if rank > full:
-            warnings.warn(
-                f"{warn_label} {rank} exceeds matrix capacity {full}; clamped",
-                RankClampWarning,
-                stacklevel=2,
-            )
-        keep = min(rank, full)
+    keep = min(mat.shape) if rank is None else min(rank, *mat.shape)
     u = np.ascontiguousarray(u[:, :keep])
     vt = np.ascontiguousarray(vt[:keep])
     s = s[:keep].copy()
@@ -439,9 +439,10 @@ def tt_round(tt, ranks=None):
     """Truncate a train to ``ranks`` (a scalar is broadcast) without densifying.
 
     A right-to-left QR sweep, then left-to-right truncated SVDs, each keeping
-    U as core k and carrying S V^T into core k + 1.  A rank beyond what its
-    unfolding supports is clamped with a warning; without ``ranks`` every
-    rank is only capped there.  Cores 1..d-1 come out left-orthonormal.
+    U as core k and carrying S V^T into core k + 1.  Ranks are upper bounds:
+    each bond keeps at most what its sweep step supports, and without
+    ``ranks`` every bond keeps exactly that.  Cores 1..d-1 come out
+    left-orthonormal.
     """
     ranks = rank_list(ranks, tt.order)
     cores = _orthogonalize_right(tt)
@@ -452,7 +453,6 @@ def tt_round(tt, ranks=None):
         u, s, vt = _truncated_svd(
             current.reshape(left * dims[k], -1),
             rank=None if ranks is None else ranks[k],
-            warn_label=f"rank r_{k + 1}",
         )
         r = u.shape[1]
         out.append(u.reshape(left, dims[k], r))

@@ -69,7 +69,3 @@ class NewtonError(NumericalError):
 
 class ConvergenceWarning(UserWarning):
     """An iterative estimate stopped without meeting its tolerance."""
-
-
-class RankClampWarning(UserWarning):
-    """A requested rank exceeded what the surrounding sizes allow."""

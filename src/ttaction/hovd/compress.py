@@ -20,7 +20,6 @@ from ..builder import (
     DEFAULT_TAU_EXTRA,
     BuildConfig,
     build_ranks,
-    check_slack,
     predicted_action_count,
     tt_from_actions,
 )
@@ -77,20 +76,18 @@ def compress_derivative(
         raise ShapeError("give exactly one of rank and eps")
     if order < 1:
         raise ShapeError(f"order must be >= 1, got {order}")
-    if rank is not None and rank < 1:
-        raise ShapeError(f"rank must be >= 1, got {rank}")
     if eps is not None and not (np.isfinite(eps) and eps > 0):
         raise ShapeError(f"eps must be finite and > 0, got {eps}")
     if max_rank is not None and max_rank < 2:
         raise ShapeError(f"max_rank must be >= 2, got {max_rank}")
     if max_rank is not None and rank is not None:
         raise ShapeError(f"max_rank bounds an eps search; got it with rank={rank}")
-    check_slack(oversampling, tau_extra)
     dims = derivative_dims(model, order)
     ceiling = max(build_ranks(dims, 48 if max_rank is None else max_rank))
     first = rank if rank is not None else min(8, ceiling)
-    # the count law reads only the arguments, so a first build it refuses
-    # is refused before the base point is solved
+    # the count law reads only the arguments, so a rank below 1, a negative
+    # slack and a first build it refuses are refused before the base point
+    # is solved
     predicted_action_count(dims, first, oversampling, tau_extra)
     t0 = time.perf_counter()
     whitener = whitener or WhitenedMap(model)
@@ -140,7 +137,7 @@ def compress_derivative(
                 # the law passed the first build up front, so this one grew
                 raise CapacityError(f"build rank {build_rank}: {exc}") from exc
             for r in range(2, build_rank + 1):
-                train = tt_round(big, ranks=build_ranks(dims, r))
+                train = tt_round(big, ranks=r)
                 achieved = trial(train, r, build_rank)
                 if achieved < eps:
                     found = r

@@ -246,7 +246,7 @@ def solve_state(model, m, u0=None, lu=None, max_iter=50):
         if fresh.size:
             for j in fresh:
                 lus[j] = model.factorize(m[:, j], u[:, j])
-            step = np.column_stack([lus[j].solve(-res[:, j]) for j in fresh])
+            step = _solve(lus, fresh, -res[:, fresh])
             accepted = _line_search(model, m, u, res, rnorm, fresh, step)
             if not accepted[fresh].all():
                 j = fresh[~accepted[fresh]][0]

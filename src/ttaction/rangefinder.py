@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DegenerateRangeError, RankClampWarning, ShapeError
+from .errors import ConvergenceWarning, DegenerateRangeError, ShapeError
 from .core import _truncated_svd
 
 #: Default number of extra samples beyond the requested rank.
@@ -89,8 +89,7 @@ def _collect_samples(problem, indices):
 
 def _orthobasis(samples, rank):
     """Leading ``rank`` left singular vectors of the sample matrix, sign-fixed."""
-    # adaptive_range starts at rank 2 even on a one-dimensional output
-    u, s, _ = _truncated_svd(samples, rank=min(rank, len(samples)))
+    u, s, _ = _truncated_svd(samples, rank=rank)
     if s[-1] == 0.0:
         raise DegenerateRangeError(
             f"sample matrix has a zero singular value within rank {rank}"
@@ -103,20 +102,14 @@ def randomized_range(problem, rank, oversampling=DEFAULT_OVERSAMPLING):
 
     Evaluates the map once, on ``rank + oversampling`` samples.  The
     basis is the first ``rank`` left singular vectors of the sample matrix,
-    each column signed so its largest-magnitude entry is positive.  A rank
-    beyond the output dimension is clamped with a warning.
+    each column signed so its largest-magnitude entry is positive.  ``rank``
+    is an upper bound, cut at the output dimension before sampling.
     """
     if rank < 1:
         raise ShapeError(f"rank must be positive, got {rank}")
     if oversampling < 0:
         raise ShapeError(f"oversampling must be >= 0, got {oversampling}")
-    if rank > problem.output_dim:
-        warnings.warn(
-            f"rank {rank} exceeds output dimension {problem.output_dim}; clamped",
-            RankClampWarning,
-            stacklevel=2,
-        )
-        rank = problem.output_dim
+    rank = min(rank, problem.output_dim)
     samples = _collect_samples(problem, range(rank + oversampling))
     basis = _orthobasis(samples, rank)
     return RangeBasis(basis, samples, posterior_error(basis, samples))

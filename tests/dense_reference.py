@@ -55,9 +55,7 @@ def tt_svd(tensor, ranks=None):
     cores = []
     current, left = tensor, 1
     for k, rank in enumerate(ranks):
-        u, s, vt = _truncated_svd(
-            current.reshape(left * dims[k], -1), rank=rank, warn_label=f"rank r_{k + 1}"
-        )
+        u, s, vt = _truncated_svd(current.reshape(left * dims[k], -1), rank=rank)
         cores.append(u.reshape(left, dims[k], -1))
         current, left = s[:, None] * vt, u.shape[1]
     cores.append(current.reshape(left, dims[-1], 1))

@@ -1,6 +1,7 @@
 """Full-action tensor train construction: recovery, counting, determinism."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -350,6 +351,17 @@ def test_predicted_action_count_refuses_what_the_build_refuses(dims, ranks):
     assert oracle.action_count == 0  # refused before the first stage
     with pytest.raises(ShapeError, match="core 1 has rank 2"):
         predicted_action_count(dims, ranks, tau_extra=2)
+
+
+@pytest.mark.parametrize("dims", [(5,), (5, 0), (), (0, 3, 4)], ids=repr)
+def test_a_shape_no_train_can_have_is_refused_with_one_message(dims):
+    # the mode sizes are checked before the ranks are read, so no shape is
+    # counted or cut below rank 1
+    message = f"need at least 2 modes of positive size, got {dims}"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        build_ranks(dims, 3)
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        predicted_action_count(dims, 3)
 
 
 def test_clamped_rank_is_counted_as_the_build_cuts_it():

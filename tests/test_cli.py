@@ -211,6 +211,26 @@ def test_hilbert_rejects_bad_rank(tmp_path):
     assert main(["hilbert", "--max-rank", "1", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("dims", ["5", "5,0"])
+def test_hilbert_refuses_a_shape_no_train_can_have(tmp_path, capsys, dims):
+    # the count law's mode-size check, before any build
+    argv = ["hilbert", "--dims", dims, "--max-rank", "3", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "need at least 2 modes of positive size" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hilbert_takes_a_size_one_mode(tmp_path):
+    # as the library does: the (1 | 5) unfolding caps every rank at 1
+    argv = ["hilbert", "--dims", "1,5", "--max-rank", "3", "--no-timing"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    body = read_csv(tmp_path / "hilbert.csv")[1:]
+    assert [(row[0], row[1]) for row in body] == [
+        ("2", "rsvd"), ("2", "svd"), ("3", "rsvd"), ("3", "svd")
+    ]
+    assert all(float(row[2]) < 1e-12 for row in body)
+
+
 def no_action(*args, **kwargs):
     raise AssertionError("ranks the count law refuses reached an action")
 
@@ -285,6 +305,13 @@ def test_derivative_refuses_max_rank_with_rank(tmp_path, capsys):
     argv = ["derivative", "--n", "5", "--rank", "6", "--max-rank", "3"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "max_rank bounds an eps search" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_derivative_refuses_rank_zero_through_the_count_law(tmp_path, capsys):
+    argv = ["derivative", "--n", "5", "--rank", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "ranks must be >= 1, got [0, 0]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from ttaction.builder import BuildConfig, tt_from_actions
 from ttaction.cli import main
-from ttaction.core import subseed
+from ttaction.core import subseed, tt_round
 from ttaction.errors import CapacityError, ShapeError
 from ttaction.hovd import (
     ReactionDiffusionModel,
@@ -258,3 +259,45 @@ def test_sigma1_estimates_sit_below_the_dense_unfolding_norm():
         assert info["sigma1"] <= bound(dense) * slack
         difference = info["sigma1_rel_error"] * info["sigma1"]
         assert difference <= bound(dense - tt_to_dense(train)) * slack
+
+
+def test_the_seed0_search_decisions_sit_inside_dense_brackets():
+    # the (12|3) unfolding norm bounds sigma_1 from above and every estimate
+    # is a power iterate's value, a lower bound; so a rank whose estimate
+    # over the bound of the full tensor still reaches eps certainly fails
+    model, eps = ReactionDiffusionModel(8), 1e-2
+    train, info = compress_derivative(model, 2, eps=eps, seed=0)
+    oracle = make_derivative_oracle(model, 2, whitener=WhitenedMap(model))
+    eye = np.eye(model.n_m)
+    dense = np.empty((model.n_m, model.n_m, model.n_q))
+    for i in range(model.n_m):
+        for j in range(i, model.n_m):
+            dense[i, j] = dense[j, i] = oracle.action(3, [eye[i], eye[j]])
+    assert oracle.action_count == model.n_m * (model.n_m + 1) // 2
+
+    def bound(tensor):
+        return np.linalg.norm(tensor.reshape(model.n_m**2, model.n_q), 2)
+
+    slack = 1.0 + 1e-9  # roundoff between the two ways of acting
+    full = bound(dense)
+    assert info["sigma1"] <= full * slack
+    builds = {}
+    rejected = []
+    for trial in info["trials"]:
+        b = trial["build_rank"]
+        if b not in builds:
+            builds[b], _ = tt_from_actions(oracle, BuildConfig(ranks=b, seed=subseed(0, 1)))
+        rounded = tt_round(builds[b], trial["rank"])
+        estimate = trial["sigma1_rel_error"] * info["sigma1"]
+        assert estimate <= bound(dense - tt_to_dense(rounded)) * slack
+        if trial["sigma1_rel_error"] >= eps:
+            rejected.append((trial["rank"], estimate / full))
+    assert sorted(builds) == [8, 16]
+    assert len(rejected) == len(info["trials"]) - 1
+    assert all(ratio >= eps for _, ratio in rejected)
+    # the closest call: build 16's rank 10, just above the bar
+    assert min(rejected, key=lambda pair: pair[1])[0] == 10
+    selected = tt_round(builds[info["trials"][-1]["build_rank"]], info["rank"])
+    assert info["trials"][-1]["rank"] == info["rank"] == 11
+    for a, b in zip(train.cores, selected.cores):
+        assert np.array_equal(a, b)

@@ -24,7 +24,6 @@ from ttaction.core import _truncated_svd, prefix_contract
 from ttaction.errors import (
     FormatError,
     NonFiniteActionError,
-    RankClampWarning,
     ShapeError,
     VersionError,
     ZeroNormError,
@@ -333,6 +332,33 @@ def test_every_oracle_refuses_malformed_entries_before_the_counter_moves(kind, c
     assert oracle.action_count == 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", list(BROADCAST_DIMS))
+def test_every_oracle_refuses_a_complex_entry_by_its_position(kind):
+    # numpy would cast it to its real part with only a ComplexWarning
+    oracle = _broadcast_oracle(kind)
+    entries = [np.ones(n) for n in oracle.dims[1:]]
+    entries[1] = entries[1] + 1j * entries[1]
+    with pytest.raises(ShapeError, match=r"saturating entry 2 \(mode 3\) is complex"):
+        oracle.action(1, entries)
+    assert oracle.action_count == 0
+    entries = [np.ones(n) for n in oracle.dims[:-1]]
+    entries[0] = entries[0].astype(complex)
+    with pytest.raises(ShapeError, match=r"saturating entry 1 \(mode 1\) is complex"):
+        oracle.action(oracle.order, entries)
+    assert oracle.action_count == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_tt_apply_refuses_a_complex_entry_and_a_list_of_complex_raises_numpy_typeerror():
+    tt = random_tt(np.random.default_rng(50), (4, 5, 6), (2, 3))
+    v, w = np.ones(4), np.ones(5)
+    with pytest.raises(ShapeError, match=r"saturating entry 1 \(mode 1\) is complex"):
+        tt_apply(tt, 3, [v + 1j * v, w])
+    with pytest.raises(TypeError):
+        tt_apply(tt, 3, [[1j, 1, 1, 1], w])
+
+
 @pytest.mark.parametrize("kind", ["train", "hilbert"])
 def test_an_in_place_edit_between_actions_is_seen(kind):
     # no work on an action's entries is kept for the next action
@@ -381,6 +407,15 @@ def test_train_shape_validation():
         TensorTrain(
             [rng.standard_normal((1, 3, 2)), rng.standard_normal((3, 4, 1))]
         )
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_refuses_a_complex_core_by_its_position():
+    rng = np.random.default_rng(51)
+    cores = [rng.standard_normal((1, 3, 2)), rng.standard_normal((2, 4, 1))]
+    cores[1] = cores[1] * (1 + 1j)
+    with pytest.raises(ShapeError, match="core 2 is complex"):
+        TensorTrain(cores)
 
 
 #: Core chains of consistent shapes that hold no entry.
@@ -512,11 +547,16 @@ def test_tt_svd_rank_truncation_monotone():
     assert all(a >= b - 1e-14 for a, b in zip(errors, errors[1:]))
 
 
-def test_tt_svd_rank_clamp_warns():
+@pytest.mark.filterwarnings("error")
+def test_tt_svd_and_round_cut_an_oversized_rank_silently():
+    # a rank is an upper bound: each bond keeps what its SVD step supports
     dense = np.random.default_rng(12).standard_normal((3, 4, 5))
-    with pytest.warns(RankClampWarning):
-        tt = tt_svd(dense, ranks=[10, 10])
+    tt = tt_svd(dense, ranks=[10, 10])
+    assert tt.ranks == (3, 5)
     assert relative_error(dense, tt_to_dense(tt)) < 1e-12
+    rounded = tt_round(tt, ranks=10)
+    assert rounded.ranks == (3, 5)
+    assert relative_error(dense, tt_to_dense(rounded)) < 1e-12
 
 
 def test_truncated_svd_wide_branch():

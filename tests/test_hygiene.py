@@ -6,8 +6,9 @@ state Jacobian alone (``hovd/model.py``'s ``FactorizedJacobian``), the SVD sweep
 action transforms back with an inverse FFT), rank caps one,
 ``builder.build_ranks``, and the residual's closed forms one,
 ``hovd/model.py``, no closure keeps state between calls, the library neither calls nor defines the
-dense test references, names deleted in favour of one path stay deleted, and
-every exported name resolves.
+dense test references, names deleted in favour of one path stay deleted,
+every error class is named by a module besides ``errors.py``, and every
+exported name resolves.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -536,8 +537,10 @@ def test_library_defines_no_dense_reference(path):
 #: memo (``lead_fn``, ``_lead_of``), stride-0 column detection
 #: (``_distinct_columns``) or Hilbert's split spectrum product
 #: (``times_spectra``), a state solve is one lockstep loop over a column
-#: block, with no per-vector sweep (``_kept_lu_step``) beside it, and the
-#: smoother is a closed form, with no assembled matrix (``whitening_matrix``).
+#: block, with no per-vector sweep (``_kept_lu_step``) beside it, the
+#: smoother is a closed form, with no assembled matrix (``whitening_matrix``),
+#: and every requested rank is an upper bound its user cuts silently, with no
+#: clamp-and-warn rule (``RankClampWarning``) beside ``builder.build_ranks``.
 DELETED_NAMES = (
     "BacktrackingRequiredError",
     "check_schedule",
@@ -559,6 +562,7 @@ DELETED_NAMES = (
     "partial_edges",
     "edge_operand",
     "reaction_part",
+    "RankClampWarning",
 )
 
 
@@ -604,6 +608,7 @@ def test_scan_flags_a_deleted_name():
         "class Model:\n    partial_vanishes = classmethod(lambda cls, j, s, f: False)\n"
         "    def partial_edges(self, u, du, c, j, ws, dws):\n        pass\n"
         "    edge_operand = reaction_part = None\n"
+        "from .errors import RankClampWarning, ShapeError\n"
     )
     line = source.count("\n") + 1
     assert deleted_names(source + planted) == [
@@ -627,6 +632,7 @@ def test_scan_flags_a_deleted_name():
         (line + 29, "partial_edges"),
         (line + 31, "edge_operand"),
         (line + 31, "reaction_part"),
+        (line + 32, "RankClampWarning"),
     ]
     # a use that binds another name is not a definition
     assert deleted_names("x = check_schedule(a)\ny = 'a dense_action'\n") == []
@@ -635,6 +641,53 @@ def test_scan_flags_a_deleted_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_deleted_names_stay_deleted(path):
     assert deleted_names(path.read_text()) == []
+
+
+def unnamed_error_classes(errors_source, other_sources):
+    """(line, name) of each class ``errors_source`` defines that no other source names.
+
+    A name counts where it is read (a name or an attribute) or imported; a
+    class only its own module names, as the base of another, is flagged.
+    """
+    defined = [
+        (node.lineno, node.name)
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    named = set()
+    for source in other_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return [(line, name) for line, name in defined if name not in named]
+
+
+ERRORS = PACKAGE / "errors.py"
+OTHER_SOURCES = [p.read_text() for p in SOURCES if p != ERRORS]
+
+
+def test_scan_flags_an_error_class_no_other_module_names():
+    source = ERRORS.read_text()
+    planted = (
+        "class UnusedError(NumericalError):\n    pass\n"
+        "class BaseOnlyError(ValueError):\n    pass\n"
+        "class ChildError(BaseOnlyError):\n    pass\n"
+    )
+    line = source.count("\n") + 1
+    others = OTHER_SOURCES + ["raise errors.ChildError('x')\n"]
+    assert unnamed_error_classes(source + planted, others) == [
+        (line, "UnusedError"),
+        (line + 2, "BaseOnlyError"),
+    ]
+    assert unnamed_error_classes("class A(Exception):\n    pass\n", ["from .e import A\n"]) == []
+
+
+def test_every_error_class_is_named_by_another_module():
+    assert unnamed_error_classes(ERRORS.read_text(), OTHER_SOURCES) == []
 
 
 @pytest.mark.parametrize("package", [ttaction, ttaction.hovd], ids=lambda m: m.__name__)

@@ -6,7 +6,6 @@ Examples are derandomized, so every run checks the same small trains.
 """
 
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from ttaction import (
 from ttaction import builder, cli
 from ttaction.cli import main
 from ttaction.core import unfolding_caps
-from ttaction.errors import FormatError, RankClampWarning, ShapeError
+from ttaction.errors import FormatError, ShapeError
 from ttaction.hovd import compress, taylor
 
 from dense_reference import left_orthogonality_defect, tt_svd, tt_to_dense
@@ -35,10 +34,6 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 SETTINGS = hypothesis.settings(max_examples=25, derandomize=True, deadline=None)
-
-# requested ranks may exceed what an unfolding supports; tt_round clamps those
-# with a warning
-pytestmark = pytest.mark.filterwarnings("ignore::ttaction.errors.RankClampWarning")
 
 
 @st.composite
@@ -161,10 +156,7 @@ def test_build_spends_the_count_law_or_both_refuse(case):
             tt_from_actions(oracle, config)
         assert oracle.action_count == 0
         return
-    with warnings.catch_warnings():
-        # the build realizes the cut ranks, so nothing is clamped inside it
-        warnings.simplefilter("error", RankClampWarning)
-        built, report = tt_from_actions(oracle, config)
+    built, report = tt_from_actions(oracle, config)
     cut, rows = [], 1
     for n, r, cap in zip(truth.dims, ranks, unfolding_caps(truth.dims)):
         rows = min(r, cap, rows * n)
