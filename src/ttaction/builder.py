@@ -28,7 +28,6 @@ exactly.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +85,6 @@ class BuildReport:
     stages: list = field(default_factory=list)
     total_actions: int = 0
     predicted_actions: int = 0
-    seconds: float = 0.0
     converged: bool = True
 
 
@@ -307,7 +305,6 @@ def tt_from_actions(oracle, config):
         oversampling=config.oversampling,
         seed=config.seed,
     )
-    t0 = time.perf_counter()
     start_count = oracle.action_count
     cores = []
 
@@ -381,7 +378,6 @@ def tt_from_actions(oracle, config):
     report.predicted_actions = predicted_action_count(
         dims, report.ranks, config.oversampling, config.tau_extra
     )
-    report.seconds = time.perf_counter() - t0
     report.converged = all(s["converged"] for s in report.stages)
     return TensorTrain(cores), report
 

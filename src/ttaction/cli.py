@@ -10,9 +10,9 @@ info        environment and defaults as JSON on stdout
 
 Every file-writing command drops a ``<command>_manifest.json`` next to its
 outputs recording the configuration, the environment ``info`` prints, and
-timestamps.  Data files are deterministic for a fixed seed and a fixed BLAS
-thread count; ``--no-timing`` zeroes the seconds columns so reruns compare
-byte for byte (manifests keep real timestamps).
+timestamps, whose ``seconds`` is the run's one wall time.  Data files hold
+no wall time, so for a fixed seed and a fixed BLAS thread count reruns
+compare byte for byte.  ``info`` takes no flags.
 Exit codes: 0 success, 2 bad configuration (including ranks that the
 action-count law refuses, found before any action), 3 numerical failure.
 """
@@ -130,10 +130,6 @@ def _finish(args, outputs, started, t0):
     _write_json(Path(args.out_dir) / f"{args.command}_manifest.json", manifest)
 
 
-def _seconds(args, value):
-    return 0.0 if args.no_timing else float(value)
-
-
 def cmd_hilbert(args):
     if args.max_rank < 2:
         raise ShapeError(f"--max-rank must be >= 2, got {args.max_rank}")
@@ -148,7 +144,6 @@ def cmd_hilbert(args):
     oracle = hilbert_oracle(dims)
     rows = []
     for rank in ranks:
-        t0 = time.perf_counter()
         train, report = tt_from_actions(
             oracle,
             BuildConfig(
@@ -159,13 +154,11 @@ def cmd_hilbert(args):
             ),
         )
         error = tt_relative_error(exact, train, exact_norm)
-        seconds = _seconds(args, time.perf_counter() - t0)
-        rows.append((rank, "rsvd", error, report.total_actions, seconds))
-        t0 = time.perf_counter()
+        rows.append((rank, "rsvd", error, report.total_actions))
         error = tt_relative_error(exact, tt_round(exact, ranks=train.ranks), exact_norm)
-        rows.append((rank, "svd", error, 0, _seconds(args, time.perf_counter() - t0)))
+        rows.append((rank, "svd", error, 0))
     path = Path(args.out_dir) / "hilbert.csv"
-    _write_csv(path, ("rank", "method", "rel_error", "actions", "seconds"), rows)
+    _write_csv(path, ("rank", "method", "rel_error", "actions"), rows)
     return [path]
 
 
@@ -179,8 +172,6 @@ def cmd_synthetic(args):
             raise ShapeError(f"{flag}: {exc}") from exc
     predicted = predicted_action_count(args.shape, build_ranks, args.p, args.tau_extra)
     out_dir = Path(args.out_dir)
-    t0 = time.perf_counter()
-
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 7001)))
     bounds = (1,) + tuple(args.true_ranks) + (1,)
     cores = [
@@ -214,7 +205,6 @@ def cmd_synthetic(args):
         "oversampling": args.p,
         "tau_extra": args.tau_extra,
         "seed": args.seed,
-        "seconds": _seconds(args, time.perf_counter() - t0),
     }
     path = out_dir / "synthetic.json"
     _write_json(path, payload)
@@ -235,7 +225,6 @@ def cmd_derivative(args):
         max_rank=args.max_rank,
     )
     info["ranks_built"] = list(train.ranks)
-    info["seconds"] = _seconds(args, info["seconds"])
     tt_path = out_dir / "derivative_tt.bin"
     tt_save(train, tt_path)
     path = out_dir / "derivative.json"
@@ -302,10 +291,6 @@ def build_parser():
         "--p", type=int, default=DEFAULT_OVERSAMPLING,
         help="range-finder oversampling",
     )
-    common.add_argument(
-        "--no-timing", action="store_true",
-        help="write 0.0 in seconds columns so reruns compare byte for byte",
-    )
 
     # only the commands that pass it on to their builds take --tau-extra
     slices = argparse.ArgumentParser(add_help=False)
@@ -359,7 +344,7 @@ def build_parser():
     p_t.add_argument("--samples", type=int, default=200)
     p_t.set_defaults(func=cmd_taylor)
 
-    p_i = sub.add_parser("info", parents=[common], help="environment report")
+    p_i = sub.add_parser("info", help="environment report")
     p_i.set_defaults(func=cmd_info)
     return parser
 

@@ -12,8 +12,6 @@ the rounding to have slack.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..builder import (
@@ -66,7 +64,7 @@ def compress_derivative(
     Order 1 is read by :func:`~ttaction.hovd.taylor.jacobian_train` instead
     of the train builder.
     Returns (train, info) where info records the rank, the spectral error,
-    solver and action counters, and wall time.  Every sigma_1 estimate keeps
+    and solver and action counters.  Every sigma_1 estimate keeps
     its diagnostics: whether any start converged, the iterations of each
     start and each start's final Rayleigh value (sigma_1 squared), in
     ``info["sigma1_info"]`` for the full tensor and in each
@@ -89,7 +87,6 @@ def compress_derivative(
     # slack and a first build it refuses are refused before the base point
     # is solved
     predicted_action_count(dims, first, oversampling, tau_extra)
-    t0 = time.perf_counter()
     whitener = whitener or WhitenedMap(model)
     oracle = make_derivative_oracle(model, order, whitener=whitener)
     engine = oracle.engine
@@ -168,6 +165,5 @@ def compress_derivative(
         "newton_iterations": engine.newton_iterations,
         "actions": oracle.action_count,
         "trials": trials,
-        "seconds": time.perf_counter() - t0,
     }
     return train, info

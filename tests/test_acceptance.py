@@ -77,7 +77,7 @@ def test_criterion_1_exact_recovery(acceptance_log):
 
 def test_criterion_2_hilbert_error_envelope(acceptance_log, tmp_path):
     t0 = time.perf_counter()
-    code = cli_main(["hilbert", "--out-dir", str(tmp_path), "--no-timing"])
+    code = cli_main(["hilbert", "--out-dir", str(tmp_path)])
     seconds = time.perf_counter() - t0
     assert code == 0
     with open(tmp_path / "hilbert.csv", newline="") as fh:
@@ -297,9 +297,7 @@ def test_criterion_8_byte_identical_reruns(acceptance_log, tmp_path):
         dirs = []
         for run in ("a", "b"):
             out = tmp_path / name / run
-            code = cli_main(
-                argv + ["--seed", "0", "--no-timing", "--out-dir", str(out)]
-            )
+            code = cli_main(argv + ["--seed", "0", "--out-dir", str(out)])
             assert code == 0, f"{name} run {len(dirs) + 1} of 2 failed"
             dirs.append(out)
         # manifests carry real timestamps; every data file must agree byte

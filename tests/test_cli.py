@@ -1,16 +1,19 @@
 """Command line front end: outputs, manifests, exit codes, determinism."""
 
+import argparse
+import ast
 import csv
 import inspect
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from ttaction import ActionOracle, tt_load
-from ttaction.cli import main
+from ttaction.cli import build_parser, main
 from ttaction import errors
 from ttaction.errors import NonFiniteActionError
 
@@ -25,12 +28,20 @@ def read_json(path):
         return json.load(fh)
 
 
-def test_info_stdout_only(tmp_path, capsys):
-    assert main(["info", "--out-dir", str(tmp_path)]) == 0
+def test_info_stdout_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["info"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "versions" in payload and "defaults" in payload
     assert payload["defaults"]["hilbert_dims"] == [41, 42, 43, 44, 45]
     assert list(tmp_path.iterdir()) == []  # info writes nothing
+
+
+@pytest.mark.parametrize("flag", [["--seed", "7"], ["--p", "99"], ["--out-dir", "X"]])
+def test_info_takes_no_flags(flag):
+    with pytest.raises(SystemExit) as err:
+        main(["info", *flag])
+    assert err.value.code == 2
 
 
 def test_info_and_every_manifest_keep_one_environment_record(tmp_path, capsys, monkeypatch):
@@ -46,7 +57,7 @@ def test_info_and_every_manifest_keep_one_environment_record(tmp_path, capsys, m
     }
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert info["blas"] == {"name": blas["name"], "version": blas["version"]}
-    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "2", "--no-timing"]
+    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "2"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     manifest = read_json(tmp_path / "hilbert_manifest.json")
     for key in ("platform", "versions", "blas", "blas_threads"):
@@ -71,7 +82,6 @@ def test_synthetic_small(tmp_path):
             "--shape", "8,9,10,8",
             "--true-ranks", "3,4,3",
             "--out-dir", str(tmp_path),
-            "--no-timing",
         ]
     )
     assert code == 0
@@ -80,9 +90,10 @@ def test_synthetic_small(tmp_path):
     assert payload["relative_error"] < 1e-6
     assert payload["actions_observed"] == payload["actions_predicted"]
     assert payload["ranks_built"] == [3, 4, 3]
-    assert payload["seconds"] == 0.0
+    assert "seconds" not in payload
     manifest = read_json(tmp_path / "synthetic_manifest.json")
     assert manifest["command"] == "synthetic"
+    assert manifest["timestamps"]["seconds"] > 0.0  # the run's one wall time
     assert manifest["outputs"] == ["synthetic.json"]
     assert manifest["config"]["shape"] == [8, 9, 10, 8]
     assert manifest["versions"]["numpy"] == np.__version__
@@ -96,7 +107,6 @@ def test_synthetic_huge_shape_exact_error(tmp_path):
             "--shape", "100,100,100,100,100",
             "--true-ranks", "2,3,3,2",
             "--out-dir", str(tmp_path),
-            "--no-timing",
         ]
     )
     assert code == 0
@@ -141,7 +151,6 @@ def test_synthetic_rerun_byte_identical(tmp_path):
                 "synthetic",
                 "--shape", "8,9,10",
                 "--true-ranks", "3,4",
-                "--no-timing",
                 "--out-dir", str(tmp_path / sub),
             ]
         ) == 0
@@ -157,18 +166,16 @@ def test_hilbert_small(tmp_path):
             "--dims", "8,9,10",
             "--max-rank", "4",
             "--out-dir", str(tmp_path),
-            "--no-timing",
         ]
     )
     assert code == 0
     rows = read_csv(tmp_path / "hilbert.csv")
-    assert rows[0] == ["rank", "method", "rel_error", "actions", "seconds"]
+    assert rows[0] == ["rank", "method", "rel_error", "actions"]
     body = rows[1:]
     assert len(body) == 3 * 2  # ranks 2..4, two methods each
     assert [r[:2] for r in body[:2]] == [["2", "rsvd"], ["2", "svd"]]
-    for rank, method, rel_error, actions, seconds in body:
+    for rank, method, rel_error, actions in body:
         assert float(rel_error) > 0.0
-        assert seconds == "0.0"
         assert (int(actions) > 0) == (method == "rsvd")
     manifest = read_json(tmp_path / "hilbert_manifest.json")
     assert manifest["config"]["dims"] == [8, 9, 10]
@@ -190,7 +197,7 @@ def test_hilbert_takes_the_exact_norm_once(tmp_path, monkeypatch):
 
     for module in (ttaction.core, ttaction.cli):
         monkeypatch.setattr(module, "_tt_norm", counted)
-    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "4", "--no-timing"]
+    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "4"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     assert seen.count(exact_ranks) == 1
     assert len(seen) == 1 + 2 * 3  # and one per difference train
@@ -199,11 +206,11 @@ def test_hilbert_takes_the_exact_norm_once(tmp_path, monkeypatch):
 def test_hilbert_ranks_above_the_unfolding_caps(tmp_path):
     # caps (4, 6): ranks 6..8 are cut to them in the builds, and the svd
     # rows round at the ranks each build realized
-    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "8", "--no-timing"]
+    argv = ["hilbert", "--dims", "4,5,6", "--max-rank", "8"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     body = read_csv(tmp_path / "hilbert.csv")[1:]
     assert len(body) == 7 * 2
-    for rank, method, rel_error, actions, seconds in body:
+    for rank, method, rel_error, actions in body:
         assert float(rel_error) < (1e-12 if int(rank) >= 6 else 1e-2)
 
 
@@ -222,7 +229,7 @@ def test_hilbert_refuses_a_shape_no_train_can_have(tmp_path, capsys, dims):
 
 def test_hilbert_takes_a_size_one_mode(tmp_path):
     # as the library does: the (1 | 5) unfolding caps every rank at 1
-    argv = ["hilbert", "--dims", "1,5", "--max-rank", "3", "--no-timing"]
+    argv = ["hilbert", "--dims", "1,5", "--max-rank", "3"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     body = read_csv(tmp_path / "hilbert.csv")[1:]
     assert [(row[0], row[1]) for row in body] == [
@@ -276,7 +283,6 @@ def test_derivative_fixed_rank(tmp_path):
             "--k", "2",
             "--rank", "4",
             "--out-dir", str(tmp_path),
-            "--no-timing",
         ]
     )
     assert code == 0
@@ -285,7 +291,7 @@ def test_derivative_fixed_rank(tmp_path):
     assert info["order"] == 2
     assert info["grid"] == 5
     assert 0.0 < info["sigma1_rel_error"] < 1.0
-    assert info["seconds"] == 0.0
+    assert "seconds" not in info
     train = tt_load(tmp_path / "derivative_tt.bin")
     assert train.dims == (25, 25, 16)
     assert list(train.ranks) == info["ranks_built"]
@@ -395,7 +401,6 @@ def test_taylor_small(tmp_path):
             "--rank", "4",
             "--samples", "5",
             "--out-dir", str(tmp_path),
-            "--no-timing",
         ]
     )
     assert code == 0
@@ -432,10 +437,50 @@ def test_negative_slack_exits_two(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["taylor", "info"])
-def test_tau_extra_only_where_a_build_uses_it(tmp_path, command):
+def test_tau_extra_only_where_a_build_uses_it(command):
     with pytest.raises(SystemExit) as err:
-        main([command, "--tau-extra", "2", "--out-dir", str(tmp_path)])
+        main([command, "--tau-extra", "2"])
     assert err.value.code == 2
+
+
+def args_reads(func):
+    """Names ``x`` that ``func`` reads as ``args.x``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+    }
+
+
+def unread_flags(parser):
+    """{command: sorted dests its ``func`` and ``main`` never read as ``args.<dest>``}."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {}
+    for command, sub in subparsers.choices.items():
+        read = args_reads(sub.get_default("func")) | args_reads(main)
+        dests = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        if dests - read:
+            found[command] = sorted(dests - read)
+    return found
+
+
+def test_scan_flags_an_unread_flag():
+    def cmd_planted(args):
+        return args.used
+
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    planted = sub.add_parser("planted")
+    planted.add_argument("--used")
+    planted.add_argument("--ignored")
+    planted.add_argument("--out-dir")  # main reads it
+    planted.set_defaults(func=cmd_planted)
+    assert unread_flags(parser) == {"planted": ["ignored"]}
+
+
+def test_every_flag_is_read_by_its_command():
+    assert unread_flags(build_parser()) == {}
 
 
 def test_console_script_runs():

@@ -36,7 +36,6 @@ def test_fixed_rank_mode_order_two():
     assert info["adjoint_solves"] > 0
     assert info["newton_iterations"] > 0
     assert info["actions"] > 0
-    assert info["seconds"] > 0.0
     [trial] = info["trials"]
     assert {k: trial[k] for k in ("rank", "build_rank", "sigma1_rel_error")} == {
         "rank": 6,
@@ -235,7 +234,8 @@ def test_deterministic_given_seed():
     )
     for a, b in zip(first.cores, second.cores):
         assert np.array_equal(a, b)
-    assert info_a["sigma1_rel_error"] == info_b["sigma1_rel_error"]
+    # the info dict is a pure function of the inputs and the seed
+    assert info_a == info_b
 
 
 def test_sigma1_estimates_sit_below_the_dense_unfolding_norm():
@@ -261,11 +261,23 @@ def test_sigma1_estimates_sit_below_the_dense_unfolding_norm():
         assert difference <= bound(dense - tt_to_dense(train)) * slack
 
 
-def test_the_seed0_search_decisions_sit_inside_dense_brackets():
+@pytest.mark.parametrize(
+    "n,build_ranks,closest,rank",
+    [
+        pytest.param(8, [8, 16], 10, 11, id="n8"),
+        # five of build 32's estimates, the selected rank 17's among them, stop
+        # at the iteration cap unconverged; each is still a lower bound
+        pytest.param(
+            10, [8, 16, 32], 16, 17, id="n10",
+            marks=pytest.mark.filterwarnings("ignore::ttaction.errors.ConvergenceWarning"),
+        ),
+    ],
+)
+def test_the_seed0_search_decisions_sit_inside_dense_brackets(n, build_ranks, closest, rank):
     # the (12|3) unfolding norm bounds sigma_1 from above and every estimate
     # is a power iterate's value, a lower bound; so a rank whose estimate
     # over the bound of the full tensor still reaches eps certainly fails
-    model, eps = ReactionDiffusionModel(8), 1e-2
+    model, eps = ReactionDiffusionModel(n), 1e-2
     train, info = compress_derivative(model, 2, eps=eps, seed=0)
     oracle = make_derivative_oracle(model, 2, whitener=WhitenedMap(model))
     eye = np.eye(model.n_m)
@@ -292,12 +304,12 @@ def test_the_seed0_search_decisions_sit_inside_dense_brackets():
         assert estimate <= bound(dense - tt_to_dense(rounded)) * slack
         if trial["sigma1_rel_error"] >= eps:
             rejected.append((trial["rank"], estimate / full))
-    assert sorted(builds) == [8, 16]
+    assert sorted(builds) == build_ranks
     assert len(rejected) == len(info["trials"]) - 1
     assert all(ratio >= eps for _, ratio in rejected)
-    # the closest call: build 16's rank 10, just above the bar
-    assert min(rejected, key=lambda pair: pair[1])[0] == 10
+    # the closest call, just above the bar, is the rank below the selected one
+    assert min(rejected, key=lambda pair: pair[1])[0] == closest
     selected = tt_round(builds[info["trials"][-1]["build_rank"]], info["rank"])
-    assert info["trials"][-1]["rank"] == info["rank"] == 11
+    assert info["trials"][-1]["rank"] == info["rank"] == rank
     for a, b in zip(train.cores, selected.cores):
         assert np.array_equal(a, b)

@@ -7,8 +7,8 @@ action transforms back with an inverse FFT), rank caps one,
 ``builder.build_ranks``, and the residual's closed forms one,
 ``hovd/model.py``, no closure keeps state between calls, the library neither calls nor defines the
 dense test references, names deleted in favour of one path stay deleted,
-every error class is named by a module besides ``errors.py``, and every
-exported name resolves.
+every error class is named by a module besides ``errors.py``, only the
+CLI reads a clock, and every exported name resolves.
 
 Package ``__init__.py`` files are exempt from the import check, since their
 imports are the re-exported public names.
@@ -539,8 +539,10 @@ def test_library_defines_no_dense_reference(path):
 #: (``times_spectra``), a state solve is one lockstep loop over a column
 #: block, with no per-vector sweep (``_kept_lu_step``) beside it, the
 #: smoother is a closed form, with no assembled matrix (``whitening_matrix``),
-#: and every requested rank is an upper bound its user cuts silently, with no
-#: clamp-and-warn rule (``RankClampWarning``) beside ``builder.build_ranks``.
+#: every requested rank is an upper bound its user cuts silently, with no
+#: clamp-and-warn rule (``RankClampWarning``) beside ``builder.build_ranks``,
+#: and data files hold no wall time, so reruns match byte for byte with no
+#: flag that zeroes it (``"--no-timing"``, ``_seconds``).
 DELETED_NAMES = (
     "BacktrackingRequiredError",
     "check_schedule",
@@ -563,6 +565,8 @@ DELETED_NAMES = (
     "edge_operand",
     "reaction_part",
     "RankClampWarning",
+    "_seconds",
+    "--no-timing",
 )
 
 
@@ -609,6 +613,8 @@ def test_scan_flags_a_deleted_name():
         "    def partial_edges(self, u, du, c, j, ws, dws):\n        pass\n"
         "    edge_operand = reaction_part = None\n"
         "from .errors import RankClampWarning, ShapeError\n"
+        "def _seconds(args, value):\n    return value\n"
+        'common.add_argument("--no-timing", action="store_true")\n'
     )
     line = source.count("\n") + 1
     assert deleted_names(source + planted) == [
@@ -633,6 +639,8 @@ def test_scan_flags_a_deleted_name():
         (line + 31, "edge_operand"),
         (line + 31, "reaction_part"),
         (line + 32, "RankClampWarning"),
+        (line + 33, "_seconds"),
+        (line + 35, "--no-timing"),
     ]
     # a use that binds another name is not a definition
     assert deleted_names("x = check_schedule(a)\ny = 'a dense_action'\n") == []
@@ -694,3 +702,58 @@ def test_every_error_class_is_named_by_another_module():
 def test_every_exported_name_resolves(package):
     assert len(set(package.__all__)) == len(package.__all__)
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
+#: The one module that may read a clock: the CLI records a run's wall time in
+#: its manifest, and every other module's results depend only on its inputs.
+CLOCK_MODULES = {"cli.py"}
+CLOCKS = {"time", "datetime", "perf_counter", "monotonic", "time.time"}
+
+
+def clock_reads(source):
+    """(line, name) of each import of ``time`` or ``datetime`` and each clock call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(func, ast.Attribute) and name == "time":
+                name = f"{getattr(func.value, 'id', '')}.time"
+            names = [name]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in CLOCKS]
+    return found
+
+
+def test_scan_flags_a_clock_read():
+    source = (PACKAGE / "builder.py").read_text()
+    planted = (
+        "import time\n"
+        "from datetime import datetime\n"
+        "t0 = time.perf_counter()\n"
+        "t1 = monotonic()\n"
+        "t2 = time.time()\n"
+    )
+    line = source.count("\n") + 1
+    assert clock_reads(source + planted) == [
+        (line, "time"),
+        (line + 1, "datetime"),
+        (line + 2, "perf_counter"),
+        (line + 3, "monotonic"),
+        (line + 4, "time.time"),
+    ]
+    assert clock_reads("import timeit\nfrom . import core\nx = report.time(a)\n") == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.relative_to(PACKAGE).as_posix() not in CLOCK_MODULES],
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_only_the_cli_reads_a_clock(path):
+    assert clock_reads(path.read_text()) == []

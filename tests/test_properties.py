@@ -239,7 +239,7 @@ def test_a_command_line_exits_0_2_or_3_and_writes_only_on_success(argv, tmp_path
         for home in (builder, cli, compress, taylor):
             patch.setattr(home, "predicted_action_count", watched_law)
         patch.setattr(ActionOracle, "action", watched_action)
-        code = main(argv + ["--out-dir", str(out), "--no-timing"])
+        code = main(argv + ["--out-dir", str(out)])
     written = sorted(p.name for p in out.iterdir())
     assert code in (0, 2, 3)
     if code == 0:

@@ -61,6 +61,11 @@ def surrogate_fixture(order=3, rank=6, n=5):
     return model, whitener, surrogate, reports
 
 
+def test_same_seed_surrogates_give_equal_reports():
+    first, second = (surrogate_fixture(order=2, rank=3, n=4)[3] for _ in range(2))
+    assert first == second
+
+
 def test_surrogate_structure():
     model, _, surrogate, reports = surrogate_fixture()
     assert isinstance(surrogate, TaylorSurrogate)
